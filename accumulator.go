@@ -60,14 +60,11 @@ type Accumulator struct {
 }
 
 // NewAccumulator returns an empty accumulator for the schema, with one fold
-// per registered task family. Of the fit options only WithIntercept,
-// WithBinarizeThreshold and WithReproducible apply — they shape the
-// per-record fold, so they are fixed for the accumulator's lifetime and must
-// not be passed again at fit time. Without a threshold, boolean-target folds
-// are maintained only while every target is exactly 0 or 1. Under
-// WithReproducible(false) batch folds run on the fast-math tier, so refits
-// agree with the reproducible fold only to the analytic error bound, not
-// bitwise.
+// per registered task family. Of the fit options only WithIntercept and
+// WithBinarizeThreshold apply — they shape the per-record fold, so they are
+// fixed for the accumulator's lifetime and must not be passed again at fit
+// time. Without a threshold, boolean-target folds are maintained only while
+// every target is exactly 0 or 1.
 func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -81,9 +78,7 @@ func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
 	specs := core.FoldSpecs()
 	folds := make([]*taskFold, 0, len(specs))
 	for _, spec := range specs {
-		acc := core.NewAccumulator(spec.Task, d)
-		acc.SetFastMath(cfg.opts.FastMath)
-		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: acc})
+		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: core.NewAccumulator(spec.Task, d)})
 	}
 	return &Accumulator{
 		schema:    s,
@@ -104,10 +99,6 @@ func (a *Accumulator) fold(key string) *taskFold {
 	}
 	return nil
 }
-
-// Reproducible reports whether the accumulator folds on the reproducible
-// tier (the default) rather than the fast-math tier.
-func (a *Accumulator) Reproducible() bool { return !a.folds[0].acc.FastMath() }
 
 // poisonFold records the first label-derivation failure for a fold.
 func poisonFold(f *taskFold, record int, target float64) {

@@ -252,6 +252,7 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 	if err := acc.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := buf.String()
 	back, err := funcmech.LoadAccumulator(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +294,34 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 	m3, _, _ := funcmech.LinearRegressionFromAccumulator(acc, 0.9, funcmech.WithSeed(9))
 	m4, _, _ := funcmech.LinearRegressionFromAccumulator(back, 0.9, funcmech.WithSeed(9))
 	sameWeights(t, "post-restore streaming", m3.Weights(), m4.Weights())
+
+	// Snapshots written while a fast-math kernel tier existed may carry
+	// "fast_math": true. The decoder ignores the field: such an envelope
+	// loads, refits bit-identically to the accumulator it came from, and
+	// its later batch folds match the original's bit for bit.
+	retired := strings.Replace(saved, `"version":4`, `"fast_math":true,"version":4`, 1)
+	if !strings.Contains(retired, `"fast_math":true`) {
+		t.Fatal("test setup: version field not found in envelope")
+	}
+	old, err := funcmech.LoadAccumulator(strings.NewReader(retired))
+	if err != nil {
+		t.Fatalf("envelope with fast_math: %v", err)
+	}
+	m5, _, err := funcmech.LinearRegressionFromAccumulator(old, 0.9, funcmech.WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameWeights(t, "linear after restoring a fast_math envelope", m1.Weights(), m5.Weights())
+	ingest(t, old, extra)
+	batch, _ := flatRecords(300, 57)
+	for _, a := range []*funcmech.Accumulator{acc, old} {
+		if _, err := a.AddFlat(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m6, _, _ := funcmech.LinearRegressionFromAccumulator(acc, 0.9, funcmech.WithSeed(10))
+	m7, _, _ := funcmech.LinearRegressionFromAccumulator(old, 0.9, funcmech.WithSeed(10))
+	sameWeights(t, "batch folds after restoring a fast_math envelope", m6.Weights(), m7.Weights())
 }
 
 // TestVersionMismatchIsTyped: both envelope kinds reject unknown versions

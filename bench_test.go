@@ -309,6 +309,49 @@ func BenchmarkColumnarKernel(b *testing.B) {
 	})
 }
 
+// sweepData returns n unit-sphere feature rows (flat, stride d) and labels
+// in [-1, 1] — the normalized shape every schema-validated dataset presents
+// to the kernel.
+func sweepData(n, d int, seed int64) ([]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n*d)
+	ys := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := xs[i*d : (i+1)*d]
+		norm := 0.0
+		for j := range row {
+			row[j] = rng.Float64()*2 - 1
+			norm += row[j] * row[j]
+		}
+		if norm > 1 {
+			s := 1 / math.Sqrt(norm)
+			for j := range row {
+				row[j] *= s
+			}
+		}
+		ys[i] = rng.Float64()*2 - 1
+	}
+	return xs, ys
+}
+
+// BenchmarkObjectiveDSweep sweeps the linear objective fold across d ∈ {14,
+// 64, 128} on the default kernel (vector on AVX2 hardware, generic
+// elsewhere). The rows keep their historical tier=repro names so
+// scripts/bench_check.sh matches them against the committed baseline.
+func BenchmarkObjectiveDSweep(b *testing.B) {
+	const n = 8192
+	for _, d := range []int{14, 64, 128} {
+		xs, ys := sweepData(n, d, int64(d))
+		b.Run(fmt.Sprintf("linear/n=8k/d=%d/tier=repro", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc := core.NewAccumulator(core.LinearTask{}, d)
+				acc.AddFlat(xs, ys)
+			}
+		})
+	}
+}
+
 func BenchmarkPerturbCoefficients(b *testing.B) {
 	for _, dim := range []int{5, 14} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {

@@ -58,7 +58,6 @@ type Accumulator struct {
 	d    int
 	n    int
 	q    *poly.Quadratic // upper triangle of M only, unfinalized
-	fast bool            // fast-math tier; set only via SetFastMath
 }
 
 // NewAccumulator returns an empty accumulator for the task over d features.
@@ -68,18 +67,6 @@ func NewAccumulator(task RecordTask, d int) *Accumulator {
 	}
 	return &Accumulator{task: task, d: d, q: poly.NewQuadratic(d)}
 }
-
-// SetFastMath switches the accumulator between the reproducible kernels
-// (the default, bit-identical to the scalar fold) and the fast-math tier
-// (kernel_fast.go, within the analytic error bound but not bit-identical).
-// This is the single sanctioned route into the fast kernels: it is reached
-// only from the WithReproducible(false) option plumbing, and the reprotier
-// fmlint analyzer flags any other call site of the fast kernels themselves.
-// Tasks that don't implement FastBlockTask silently stay on the exact fold.
-func (a *Accumulator) SetFastMath(on bool) { a.fast = on }
-
-// FastMath reports whether the fast-math tier is selected.
-func (a *Accumulator) FastMath() bool { return a.fast }
 
 // N returns the number of records accumulated so far.
 func (a *Accumulator) N() int { return a.n }
@@ -111,29 +98,13 @@ func (a *Accumulator) AddBatch(ds *dataset.Dataset, s dataset.Shard) {
 		panic(fmt.Sprintf("core: AddBatch dataset has %d features, accumulator has %d", ds.D(), a.d))
 	}
 	if bt, ok := a.task.(BlockTask); ok {
-		a.accumulateBlock(bt, ds.FlatRows(s.Lo, s.Hi), ds.Labels()[s.Lo:s.Hi])
+		bt.AccumulateBlock(a.q, ds.FlatRows(s.Lo, s.Hi), ds.Labels()[s.Lo:s.Hi], a.d)
 	} else {
 		for i := s.Lo; i < s.Hi; i++ {
 			a.task.AccumulateRecord(a.q, ds.Row(i), ds.Label(i))
 		}
 	}
 	a.n += s.Len()
-}
-
-// accumulateBlock is the tier dispatch: the fast-math kernel when the
-// accumulator was switched by SetFastMath and the task provides one, the
-// reproducible blocked kernel otherwise.
-//
-//fmlint:fastmath-dispatch reachable only when a.fast, which is set solely through SetFastMath behind WithReproducible(false)
-//fm:noalloc
-func (a *Accumulator) accumulateBlock(bt BlockTask, xs []float64, ys []float64) {
-	if a.fast {
-		if ft, ok := bt.(FastBlockTask); ok {
-			ft.AccumulateBlockFast(a.q, xs, ys, a.d)
-			return
-		}
-	}
-	bt.AccumulateBlock(a.q, xs, ys, a.d)
 }
 
 // AddFlat folds len(ys) records given as flat row-major feature storage
@@ -148,7 +119,7 @@ func (a *Accumulator) AddFlat(xs []float64, ys []float64) {
 			len(xs), len(ys), a.d))
 	}
 	if bt, ok := a.task.(BlockTask); ok {
-		a.accumulateBlock(bt, xs, ys)
+		bt.AccumulateBlock(a.q, xs, ys, a.d)
 	} else {
 		for i := range ys {
 			a.task.AccumulateRecord(a.q, xs[i*a.d:(i+1)*a.d], ys[i])
@@ -189,7 +160,7 @@ func (a *Accumulator) QuadraticAs(task RecordTask) *poly.Quadratic {
 // Clone returns a deep copy sharing no state with a; the copy continues to
 // accumulate under the same task.
 func (a *Accumulator) Clone() *Accumulator {
-	return &Accumulator{task: a.task, d: a.d, n: a.n, q: a.q.Clone(), fast: a.fast}
+	return &Accumulator{task: a.task, d: a.d, n: a.n, q: a.q.Clone()}
 }
 
 // AccumulatorState is the portable content of an Accumulator: the record
@@ -304,7 +275,7 @@ func effectiveParallelism(requested, n int) int {
 // shard boundaries are pure functions of the inputs and partials merge in
 // shard index order.
 func ParallelObjective(task Task, ds *dataset.Dataset, parallelism int) *poly.Quadratic {
-	return governedObjective(task, ds, parallelism, nil, nil, false)
+	return governedObjective(task, ds, parallelism, nil, nil)
 }
 
 // GovernedObjective is ParallelObjective under a Governor: the resolved
@@ -312,15 +283,15 @@ func ParallelObjective(task Task, ds *dataset.Dataset, parallelism int) *poly.Qu
 // so concurrent runs sharing the governor never oversubscribe its global
 // cap. A nil gov degenerates to ParallelObjective.
 func GovernedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor) *poly.Quadratic {
-	return governedObjective(task, ds, parallelism, gov, nil, false)
+	return governedObjective(task, ds, parallelism, gov, nil)
 }
 
-// governedObjective additionally reports the kernel phase — tagged with the
-// compute tier the dispatch selects — to probe, and routes accumulation
-// through the fast-math tier when fastMath is set. The phase starts only
-// after the governor grant, so time blocked on Acquire (the caller's
-// queue-wait span) is never attributed to compute.
-func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor, probe Probe, fastMath bool) *poly.Quadratic {
+// governedObjective additionally reports the kernel phase to probe, tagged
+// with the compute tier the SYRK dispatch selects when the task's fold runs
+// it (syrkTier). The phase starts only after the governor grant, so time
+// blocked on Acquire (the caller's queue-wait span) is never attributed to
+// compute.
+func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor, probe Probe) *poly.Quadratic {
 	rt, ok := task.(RecordTask)
 	if !ok {
 		endKernel := startPhase(probe, PhaseKernel)
@@ -335,11 +306,10 @@ func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Gove
 			workers = granted
 		}
 	}
-	endKernel := startPhaseTier(probe, PhaseKernel, KernelTier(ds.D(), fastMath))
+	endKernel := startPhaseTier(probe, PhaseKernel, syrkTier(rt, ds.D()))
 	defer endKernel()
 	if workers == 1 {
 		a := NewAccumulator(rt, ds.D())
-		a.SetFastMath(fastMath)
 		a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
 		return a.Quadratic()
 	}
@@ -351,7 +321,6 @@ func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Gove
 		go func(i int, s dataset.Shard) {
 			defer wg.Done()
 			a := NewAccumulator(rt, ds.D())
-			a.SetFastMath(fastMath)
 			a.AddBatch(ds, s)
 			accs[i] = a
 		}(i, s)

@@ -100,8 +100,9 @@ func scalarObjective(task RecordTask, ds *dataset.Dataset) *Accumulator {
 // d=128), 4-wide unroll remainders, row-pair remainders for odd d,
 // single-record batches — with sparse sign-mixed data, and requires exact
 // bit equality between the blocked kernel and the scalar fold for all three
-// tasks. The d sweep covers every d-specialized instantiation (4, 8, 14, 16)
-// plus generic adaptive-tile widths on either side (33, 64).
+// tasks. The d sweep spans both sides of the vector tier's minimum width
+// (kernelVecMinDim), the case-study width 14, and adaptive-tile widths
+// (33, 64).
 func TestBlockKernelBitIdenticalToScalar(t *testing.T) {
 	tasks := []RecordTask{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.3}}
 	ns := []int{1, 2, 3, 4, 5, 31, 32, 33, 127, 128, 129, 255, 257, 1000}

@@ -14,9 +14,10 @@ import (
 func FuzzAccumulateBlockBitIdentity(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(make([]byte, 200))
-	// Seeds steering d onto each d-specialized kernel instantiation (4, 8,
-	// 14, 16 — data[0] of 3, 7, 13, 15) and onto the generic adaptive-tile
-	// path just past the widest specialization (d=17 via data[0]=16).
+	// Seeds steering d onto 4 (below the vector tier's minimum width), onto
+	// 8, 14 and 16 (whole and partial 2×8/2×4 vector blocks) — data[0] of
+	// 3, 7, 13, 15 — and onto 17, the widest d the fuzzer reaches
+	// (data[0]=16).
 	f.Add(append([]byte{3}, make([]byte, 5*8)...))
 	f.Add(append([]byte{7}, make([]byte, 9*8)...))
 	f.Add(append([]byte{13}, make([]byte, 15*8)...))

@@ -116,13 +116,10 @@ func syrkTileUpper(m *poly.Quadratic, tile []float64, d int, div8 bool) {
 
 // syrkTileDispatch routes one tile's SYRK update: the hand-vectorized AVX2
 // sweep when the CPU supports it and d is wide enough to form 2×4 interior
-// blocks, else the d-specialized kernel when d is one of the compile-time
-// widths (kernel_spec.go), else the generic syrkTileUpper. Every branch
-// preserves the exact per-cell IEEE addition order, so the dispatch is
-// invisible to the bit-identity contract — the same accumulator state is
-// bit-identical across machines with and without AVX2. The switch is on
-// plain int constants — no function values — so the hot path stays
-// allocation-free.
+// blocks, else the generic syrkTileUpper. Both branches preserve the exact
+// per-cell IEEE addition order, so the dispatch is invisible to the
+// bit-identity contract — the same accumulator state is bit-identical
+// across machines with and without AVX2.
 //
 //fm:noalloc
 func syrkTileDispatch(m *poly.Quadratic, tile []float64, d int, div8 bool) {
@@ -130,18 +127,7 @@ func syrkTileDispatch(m *poly.Quadratic, tile []float64, d int, div8 bool) {
 		syrkTileUpperVec(m, tile, d, div8)
 		return
 	}
-	switch d {
-	case 4:
-		syrkTileUpperSpec[[4]float64](m, tile, div8)
-	case 8:
-		syrkTileUpperSpec[[8]float64](m, tile, div8)
-	case 14:
-		syrkTileUpperSpec[[14]float64](m, tile, div8)
-	case 16:
-		syrkTileUpperSpec[[16]float64](m, tile, div8)
-	default:
-		syrkTileUpper(m, tile, d, div8)
-	}
+	syrkTileUpper(m, tile, d, div8)
 }
 
 // syrkRowPair covers rows a and a+1 of the upper triangle over one tile:

@@ -3,14 +3,13 @@ package core
 // Hand-vectorized AVX2 support for the accumulation kernels
 // (kernel_avx_amd64.s). The vector block kernels put the four cells of a
 // register block in the four VADDPD lanes — cells are independent, so
-// per-cell record order (the bit-identity contract) is untouched — and the
-// FMA variant backs the fast-math tier. Feature detection is one CPUID/
-// XGETBV probe at init; the flags are false on CPUs or kernels without
-// AVX2/FMA state support, and every dispatch falls back to the portable Go
-// kernels.
+// per-cell record order (the bit-identity contract) is untouched. Feature
+// detection is one CPUID/XGETBV probe at init; the flag is false on CPUs or
+// kernels without AVX2 state support, and the dispatch falls back to the
+// portable Go kernel.
 
-// x86FeatureProbe reports AVX2 (bit 0) and FMA (bit 1) availability,
-// including the OS-enabled-YMM-state check.
+// x86FeatureProbe reports AVX2 availability (bit 0), including the
+// OS-enabled-YMM-state check.
 func x86FeatureProbe() uint64
 
 //go:noescape
@@ -19,19 +18,5 @@ func syrkBlock2x4AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *f
 //go:noescape
 func syrkBlock2x8AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
 
-//go:noescape
-func fastBlock2x4FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
-
-//go:noescape
-func fastBlock2x8FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
-
-//go:noescape
-func fastBlock2x16FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
-
-var kernelCPUFlags = x86FeatureProbe()
-
 // kernelHasAVX2 gates the bit-identical vector tier.
-var kernelHasAVX2 = kernelCPUFlags&1 != 0
-
-// kernelHasFMA gates the fast tier's fused kernel (requires AVX2 too).
-var kernelHasFMA = kernelCPUFlags&3 == 3
+var kernelHasAVX2 = x86FeatureProbe()&1 != 0

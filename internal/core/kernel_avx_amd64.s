@@ -3,8 +3,7 @@
 // cell's per-record additions stay in record order, one IEEE-754 operation
 // per record, so VMULPD/VADDPD here produce bit-for-bit the results of the
 // scalar MULSD/ADDSD loop (kernel.go) — lane k of the vector is exactly the
-// scalar chain for cell b+k. The FMA variant fuses each multiply-add and is
-// therefore NOT bit-identical; it backs the fast-math tier only.
+// scalar chain for cell b+k.
 //
 // The scale operand folds the logistic ⅛ into the broadcast of x[a]:
 // multiplying by 0.125 is bit-identical to the scalar path's x[a]/8 (both
@@ -16,13 +15,12 @@
 // func x86FeatureProbe() uint64
 //
 // Bit 0: AVX2 usable (CPU flag + OS has enabled XMM/YMM state via XSAVE).
-// Bit 1: FMA additionally available.
 TEXT ·x86FeatureProbe(SB), NOSPLIT, $0-8
 	MOVQ $0, ret+0(FP)
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	MOVL CX, R8             // feature bits: 12=FMA, 27=OSXSAVE, 28=AVX
+	MOVL CX, R8             // feature bits: 27=OSXSAVE, 28=AVX
 	BTL  $27, R8
 	JNC  probe_done
 	BTL  $28, R8
@@ -37,12 +35,7 @@ TEXT ·x86FeatureProbe(SB), NOSPLIT, $0-8
 	CPUID
 	BTL  $5, BX             // AVX2
 	JNC  probe_done
-	MOVQ $1, R9
-	BTL  $12, R8            // FMA
-	JNC  probe_store
-	ORQ  $2, R9
-probe_store:
-	MOVQ R9, ret+0(FP)
+	MOVQ $1, ret+0(FP)
 probe_done:
 	RET
 
@@ -153,178 +146,5 @@ w_done:
 	VMOVUPD Y1, 32(R10)
 	VMOVUPD Y2, (R11)
 	VMOVUPD Y3, 32(R11)
-	VZEROUPPER
-	RET
-
-// func fastBlock2x8FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
-//
-// The wide fused block: 2×8 cells, four VFMADD231PD chains. Fast tier only.
-TEXT ·fastBlock2x8FMA(SB), NOSPLIT, $0-64
-	MOVQ tile+0(FP), DI
-	MOVQ rows+8(FP), CX
-	MOVQ strideB+16(FP), DX
-	MOVQ aOff+24(FP), R8
-	MOVQ bOff+32(FP), R9
-	MOVQ dst0+40(FP), R10
-	MOVQ dst1+48(FP), R11
-	VBROADCASTSD scale+56(FP), Y8
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	VMOVUPD (R11), Y2
-	VMOVUPD 32(R11), Y3
-	TESTQ CX, CX
-	JLE  wf_done
-	MOVQ $0x3FF0000000000000, AX   // 1.0
-	MOVQ scale+56(FP), BX
-	CMPQ AX, BX
-	JEQ  wf_loop1
-wf_loop:
-	VBROADCASTSD (DI)(R8*1), Y6
-	VBROADCASTSD 8(DI)(R8*1), Y7
-	VMULPD Y8, Y6, Y6
-	VMULPD Y8, Y7, Y7
-	VMOVUPD (DI)(R9*1), Y4
-	VMOVUPD 32(DI)(R9*1), Y5
-	VFMADD231PD Y4, Y6, Y0
-	VFMADD231PD Y5, Y6, Y1
-	VFMADD231PD Y4, Y7, Y2
-	VFMADD231PD Y5, Y7, Y3
-	ADDQ DX, DI
-	DECQ CX
-	JNZ  wf_loop
-	JMP  wf_done
-wf_loop1:
-	VBROADCASTSD (DI)(R8*1), Y6
-	VBROADCASTSD 8(DI)(R8*1), Y7
-	VMOVUPD (DI)(R9*1), Y4
-	VMOVUPD 32(DI)(R9*1), Y5
-	VFMADD231PD Y4, Y6, Y0
-	VFMADD231PD Y5, Y6, Y1
-	VFMADD231PD Y4, Y7, Y2
-	VFMADD231PD Y5, Y7, Y3
-	ADDQ DX, DI
-	DECQ CX
-	JNZ  wf_loop1
-wf_done:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, (R11)
-	VMOVUPD Y3, 32(R11)
-	VZEROUPPER
-	RET
-
-// func fastBlock2x16FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
-//
-// The widest fused block: 2×16 cells (columns b..b+15), eight VFMADD231PD
-// chains — enough independent chains to cover the FMA latency that binds
-// the narrower blocks. Fast tier only.
-TEXT ·fastBlock2x16FMA(SB), NOSPLIT, $0-64
-	MOVQ tile+0(FP), DI
-	MOVQ rows+8(FP), CX
-	MOVQ strideB+16(FP), DX
-	MOVQ aOff+24(FP), R8
-	MOVQ bOff+32(FP), R9
-	MOVQ dst0+40(FP), R10
-	MOVQ dst1+48(FP), R11
-	VBROADCASTSD scale+56(FP), Y8
-	VMOVUPD (R10), Y0       // row0 cells b..b+3
-	VMOVUPD 32(R10), Y1     // row0 cells b+4..b+7
-	VMOVUPD 64(R10), Y2     // row0 cells b+8..b+11
-	VMOVUPD 96(R10), Y3     // row0 cells b+12..b+15
-	VMOVUPD (R11), Y4       // row1 cells b..b+3
-	VMOVUPD 32(R11), Y5     // row1 cells b+4..b+7
-	VMOVUPD 64(R11), Y6     // row1 cells b+8..b+11
-	VMOVUPD 96(R11), Y7     // row1 cells b+12..b+15
-	TESTQ CX, CX
-	JLE  x_done
-	MOVQ $0x3FF0000000000000, AX   // 1.0
-	MOVQ scale+56(FP), BX
-	CMPQ AX, BX
-	JEQ  x_loop1
-x_loop:
-	VBROADCASTSD (DI)(R8*1), Y13
-	VBROADCASTSD 8(DI)(R8*1), Y14
-	VMULPD Y8, Y13, Y13
-	VMULPD Y8, Y14, Y14
-	VMOVUPD (DI)(R9*1), Y9
-	VMOVUPD 32(DI)(R9*1), Y10
-	VMOVUPD 64(DI)(R9*1), Y11
-	VMOVUPD 96(DI)(R9*1), Y12
-	VFMADD231PD Y9, Y13, Y0
-	VFMADD231PD Y10, Y13, Y1
-	VFMADD231PD Y11, Y13, Y2
-	VFMADD231PD Y12, Y13, Y3
-	VFMADD231PD Y9, Y14, Y4
-	VFMADD231PD Y10, Y14, Y5
-	VFMADD231PD Y11, Y14, Y6
-	VFMADD231PD Y12, Y14, Y7
-	ADDQ DX, DI
-	DECQ CX
-	JNZ  x_loop
-	JMP  x_done
-x_loop1:
-	VBROADCASTSD (DI)(R8*1), Y13
-	VBROADCASTSD 8(DI)(R8*1), Y14
-	VMOVUPD (DI)(R9*1), Y9
-	VMOVUPD 32(DI)(R9*1), Y10
-	VMOVUPD 64(DI)(R9*1), Y11
-	VMOVUPD 96(DI)(R9*1), Y12
-	VFMADD231PD Y9, Y13, Y0
-	VFMADD231PD Y10, Y13, Y1
-	VFMADD231PD Y11, Y13, Y2
-	VFMADD231PD Y12, Y13, Y3
-	VFMADD231PD Y9, Y14, Y4
-	VFMADD231PD Y10, Y14, Y5
-	VFMADD231PD Y11, Y14, Y6
-	VFMADD231PD Y12, Y14, Y7
-	ADDQ DX, DI
-	DECQ CX
-	JNZ  x_loop1
-x_done:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, 64(R10)
-	VMOVUPD Y3, 96(R10)
-	VMOVUPD Y4, (R11)
-	VMOVUPD Y5, 32(R11)
-	VMOVUPD Y6, 64(R11)
-	VMOVUPD Y7, 96(R11)
-	VZEROUPPER
-	RET
-
-// func fastBlock2x4FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
-//
-// The fast-math twin of syrkBlock2x4AVX: same traversal, same per-cell
-// record order, but each multiply-add issues as one VFMADD231PD — no
-// intermediate rounding, so results are within one ulp per record of the
-// exact chain, not bit-identical. Reachable only behind the
-// WithReproducible(false) dispatch (reprotier).
-TEXT ·fastBlock2x4FMA(SB), NOSPLIT, $0-64
-	MOVQ tile+0(FP), DI
-	MOVQ rows+8(FP), CX
-	MOVQ strideB+16(FP), DX
-	MOVQ aOff+24(FP), R8
-	MOVQ bOff+32(FP), R9
-	MOVQ dst0+40(FP), R10
-	MOVQ dst1+48(FP), R11
-	VBROADCASTSD scale+56(FP), Y5
-	VMOVUPD (R10), Y0
-	VMOVUPD (R11), Y1
-	TESTQ CX, CX
-	JLE  fma_done
-fma_loop:
-	VBROADCASTSD (DI)(R8*1), Y2
-	VBROADCASTSD 8(DI)(R8*1), Y3
-	VMOVUPD (DI)(R9*1), Y4
-	VMULPD Y5, Y2, Y2
-	VMULPD Y5, Y3, Y3
-	VFMADD231PD Y4, Y2, Y0
-	VFMADD231PD Y4, Y3, Y1
-	ADDQ DX, DI
-	DECQ CX
-	JNZ  fma_loop
-fma_done:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, (R11)
 	VZEROUPPER
 	RET

@@ -2,14 +2,11 @@
 
 package core
 
-// Non-amd64 builds have no hand-vectorized kernels: the flags are
-// compile-time false, so the stubs below are unreachable (the dispatches
-// check the flags first) and exist only to satisfy the references.
+// Non-amd64 builds have no hand-vectorized kernels: the flag is
+// compile-time false, so the stubs below are unreachable (the dispatch
+// checks the flag first) and exist only to satisfy the references.
 
-const (
-	kernelHasAVX2 = false
-	kernelHasFMA  = false
-)
+const kernelHasAVX2 = false
 
 func syrkBlock2x4AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
 	panic("core: vector kernel called without AVX2")
@@ -17,16 +14,4 @@ func syrkBlock2x4AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *f
 
 func syrkBlock2x8AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
 	panic("core: vector kernel called without AVX2")
-}
-
-func fastBlock2x4FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
-	panic("core: fused kernel called without FMA")
-}
-
-func fastBlock2x8FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
-	panic("core: fused kernel called without FMA")
-}
-
-func fastBlock2x16FMA(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
-	panic("core: fused kernel called without FMA")
 }

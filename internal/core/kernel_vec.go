@@ -51,42 +51,6 @@ func syrkTileUpperVec(m *poly.Quadratic, tile []float64, d int, div8 bool) {
 	}
 }
 
-// fastTileUpperFMA is the fused fast-math form of the same sweep: identical
-// traversal and per-cell record order, but the interior blocks accumulate
-// through VFMADD231PD — one rounding per multiply-add instead of two — so
-// results are within the fast-tier error bound of the exact fold, not
-// bit-identical. The edge and tail cells reuse the exact scalar loops; a
-// cell that is exact is trivially within the bound. Callers must check
-// kernelHasFMA; scale must be 1 (linear/ridge) or 0.125 (logistic).
-//
-//fm:noalloc
-func fastTileUpperFMA(m *poly.Quadratic, tile []float64, d int, scale float64) {
-	rows := len(tile) / d
-	strideB := d * 8
-	div8 := scale != 1
-	a := 0
-	for ; a+2 <= d; a += 2 {
-		row0, row1 := m.M.Row(a), m.M.Row(a+1)
-		syrkPairEdge(tile, d, a, div8, row0, row1)
-		b := a + 2
-		for ; b+16 <= d; b += 16 {
-			fastBlock2x16FMA(&tile[0], rows, strideB, a*8, b*8, &row0[b], &row1[b], scale)
-		}
-		if b+8 <= d {
-			fastBlock2x8FMA(&tile[0], rows, strideB, a*8, b*8, &row0[b], &row1[b], scale)
-			b += 8
-		}
-		if b+4 <= d {
-			fastBlock2x4FMA(&tile[0], rows, strideB, a*8, b*8, &row0[b], &row1[b], scale)
-			b += 4
-		}
-		syrkPairTail(tile, d, a, b, div8, row0, row1)
-	}
-	if a < d {
-		syrkRowSingle(tile, d, a, div8, m.M.Row(a))
-	}
-}
-
 // syrkPairEdge covers the three leading-edge cells (a,a), (a,a+1), (a+1,a+1)
 // of a row pair over one tile — the same register block as syrkRowPair's
 // opening pass.

@@ -56,7 +56,7 @@ func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Optio
 	if err := task.Validate(ds); err != nil {
 		return nil, err
 	}
-	exact := governedObjective(task, ds, opts.Parallelism, opts.Governor, opts.Probe, opts.FastMath)
+	exact := governedObjective(task, ds, opts.Parallelism, opts.Governor, opts.Probe)
 	return RunFromQuadratic(task, exact, eps, rng, opts)
 }
 

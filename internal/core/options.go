@@ -79,8 +79,8 @@ type Probe interface {
 }
 
 // TierProbe is a Probe that additionally receives the compute tier a phase
-// ran under — for the kernel phase, which of the kernel v2 dispatch targets
-// (KernelTier) did the work. Probes that don't care implement only Phase.
+// ran under — for the kernel phase, which SYRK dispatch target (KernelTier)
+// did the work. Probes that don't care implement only Phase.
 type TierProbe interface {
 	Probe
 	PhaseTier(name, tier string) func()
@@ -88,35 +88,34 @@ type TierProbe interface {
 
 // Kernel tier names reported through TierProbe and documented in
 // docs/ARCHITECTURE.md's dispatch table (machine-checked by
-// scripts/check_docs.sh).
+// scripts/check_docs.sh). Both tiers are bit-identical to the scalar fold.
 const (
-	// TierVector is the hand-vectorized AVX2 reproducible kernel —
-	// bit-identical to the scalar fold (lanes run across cells, not
-	// records); selected on capable amd64 hardware.
+	// TierVector is the hand-vectorized AVX2 kernel (lanes run across
+	// cells, not records); selected on capable amd64 hardware.
 	TierVector = "vector"
-	// TierSpecialized is the compile-time d-specialized reproducible kernel.
-	TierSpecialized = "specialized"
-	// TierGeneric is the adaptive-tile generic reproducible kernel.
+	// TierGeneric is the portable adaptive-tile kernel.
 	TierGeneric = "generic"
-	// TierFast is the fused/lane kernel behind WithReproducible(false).
-	TierFast = "fast"
 )
 
-// KernelTier names the kernel the accumulation dispatch selects for
-// dimensionality d under the given fast-math setting, on this machine
-// (the vector tier depends on CPU features).
-func KernelTier(d int, fastMath bool) string {
-	if fastMath {
-		return TierFast
-	}
+// KernelTier names the kernel the SYRK dispatch selects for dimensionality
+// d on this machine (the vector tier depends on CPU features).
+func KernelTier(d int) string {
 	if kernelHasAVX2 && d >= kernelVecMinDim {
 		return TierVector
 	}
-	switch d {
-	case 4, 8, 14, 16:
-		return TierSpecialized
-	}
 	return TierGeneric
+}
+
+// syrkTier is the tier tag for task's kernel span: KernelTier(d) for the
+// folds whose AccumulateBlock runs the SYRK dispatch, "" for folds that
+// never reach it (MedianTask's per-record loop, tasks defined outside this
+// package).
+func syrkTier(task RecordTask, d int) string {
+	switch task.(type) {
+	case LinearTask, RidgeTask, LogisticTask:
+		return KernelTier(d)
+	}
+	return ""
 }
 
 // noopPhase is the shared phase-end func used when no Probe is installed, so
@@ -132,12 +131,13 @@ func startPhase(p Probe, name string) func() {
 }
 
 // startPhaseTier begins a named phase carrying a tier attribute when the
-// probe understands tiers, degrading to a plain phase otherwise.
+// probe understands tiers and tier is non-empty, degrading to a plain phase
+// otherwise.
 func startPhaseTier(p Probe, name, tier string) func() {
 	if p == nil {
 		return noopPhase
 	}
-	if tp, ok := p.(TierProbe); ok {
+	if tp, ok := p.(TierProbe); ok && tier != "" {
 		return tp.PhaseTier(name, tier)
 	}
 	return p.Phase(name)
@@ -169,14 +169,6 @@ type Options struct {
 	// a clock. Nil means no instrumentation and no overhead beyond a nil
 	// check.
 	Probe Probe
-	// FastMath selects the relaxed fast-math accumulation tier
-	// (kernel_fast.go): results within the analytic lane/FMA error bound of
-	// the exact fold, not bit-identical to it. The zero value keeps the
-	// reproducible tier, so the paper configuration stays the default; the
-	// public surface exposes this as WithReproducible(!FastMath). Privacy
-	// calibration is indifferent to the tier — noise is drawn after
-	// accumulation either way.
-	FastMath bool
 }
 
 func (o Options) withDefaults() Options {

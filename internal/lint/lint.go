@@ -18,9 +18,6 @@
 //	                                  journal first (chargebeforenoise)
 //	//fm:noalloc                      marks a hot function that must stay
 //	                                  allocation-free (noalloc)
-//	//fmlint:fastmath-dispatch        marks the audited tier-dispatch site
-//	                                  allowed to invoke the fast-math
-//	                                  kernels (reprotier)
 //	//fmlint:ignore <analyzer> <why>  suppresses one finding, on this line
 //	                                  or the next; the justification is
 //	                                  mandatory
@@ -43,7 +40,6 @@ func Suite() []*analysis.Analyzer {
 		NakedRand,
 		NoAlloc,
 		CleanLog,
-		ReproTier,
 		TaskReg,
 	}
 }

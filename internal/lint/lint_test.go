@@ -36,10 +36,6 @@ func TestCleanLog(t *testing.T) {
 	analysis.RunTest(t, "testdata", lint.CleanLog, "cleanlog/serve")
 }
 
-func TestReproTier(t *testing.T) {
-	analysis.RunTest(t, "testdata", lint.ReproTier, "reprotier/core")
-}
-
 func TestTaskReg(t *testing.T) {
 	analysis.RunTest(t, "testdata", lint.TaskReg, "taskreg/serve", "taskreg/core")
 }

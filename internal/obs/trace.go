@@ -212,9 +212,9 @@ func (p TraceProbe) Phase(name string) func() {
 
 // PhaseTier implements the core's TierProbe extension: the span closes
 // carrying a `tier` attribute naming the compute tier the phase ran on
-// (specialized | generic | fast for the kernel span). The tier name is part
-// of the closed scalar telemetry vocabulary — it derives from (d, options),
-// never from record data.
+// (vector | generic for the kernel span). The tier name is part of the
+// closed scalar telemetry vocabulary — it derives from (d, CPU), never from
+// record data.
 func (p TraceProbe) PhaseTier(name, tier string) func() {
 	sp := p.T.StartSpan(name)
 	return func() { sp.End(Str("tier", tier)) }

@@ -470,12 +470,7 @@ type fitOptions struct {
 	Intercept         bool     `json:"intercept,omitempty"`
 	BinarizeThreshold *float64 `json:"binarize_threshold,omitempty"`
 	Parallelism       int      `json:"parallelism,omitempty"`
-	// Reproducible selects the accumulation tier: omitted or true runs the
-	// reproducible kernels (bit-identical results at a fixed seed and
-	// parallelism), false the fast-math tier (within the analytic error
-	// bound, not bit-identical; same ε either way).
-	Reproducible *bool  `json:"reproducible,omitempty"`
-	Seed         *int64 `json:"seed,omitempty"`
+	Seed              *int64   `json:"seed,omitempty"`
 }
 
 type fitRequest struct {
@@ -565,9 +560,6 @@ func (o fitOptions) build(model string, gov funcmech.Governor) ([]funcmech.Optio
 	}
 	if o.Parallelism != 0 {
 		opts = append(opts, funcmech.WithParallelism(o.Parallelism))
-	}
-	if o.Reproducible != nil {
-		opts = append(opts, funcmech.WithReproducible(*o.Reproducible))
 	}
 	if o.BinarizeThreshold != nil {
 		// buildFitCore above already resolved the model, so the lookup here

@@ -282,7 +282,7 @@ func TestFitErrors(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		req    fitRequest
+		req    any
 		status int
 		code   string
 	}{
@@ -301,6 +301,11 @@ func TestFitErrors(t *testing.T) {
 			http.StatusBadRequest, codeInvalidRequest},
 		{"bad post_process", fitRequest{Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.1,
 			Options: fitOptions{PostProcess: "prayer"}},
+			http.StatusBadRequest, codeInvalidRequest},
+		// No option selects a kernel: the retired tier switch is an unknown
+		// field to the strict decoder.
+		{"retired reproducible option", map[string]any{"tenant": "acme", "dataset": "toy", "model": "linear",
+			"epsilon": 0.1, "options": map[string]any{"reproducible": false}},
 			http.StatusBadRequest, codeInvalidRequest},
 	}
 	for _, c := range cases {

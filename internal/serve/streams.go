@@ -30,39 +30,32 @@ type streamRequest struct {
 	// Shards is the ingest parallelism; ≤1 (default) keeps refits
 	// bit-reproducible against a serial one-shot fit.
 	Shards int `json:"shards,omitempty"`
-	// Reproducible selects the accumulation tier; it too shapes the fold,
-	// so it is fixed at stream creation. Omitted or true keeps the
-	// reproducible kernels; false folds on the fast-math tier (results
-	// within the analytic error bound of the exact fold, not bit-identical).
-	Reproducible *bool `json:"reproducible,omitempty"`
 }
 
 type streamInfo struct {
-	Name         string            `json:"name"`
-	Features     int               `json:"features"`
-	Records      uint64            `json:"records"`
-	Batches      uint64            `json:"batches"`
-	Refits       uint64            `json:"refits"`
-	Shards       int               `json:"shards"`
-	Reproducible bool              `json:"reproducible"`
-	Intercept    bool              `json:"intercept"`
-	Threshold    *float64          `json:"binarize_threshold,omitempty"`
-	LastRefit    *stream.RefitInfo `json:"last_refit,omitempty"`
+	Name      string            `json:"name"`
+	Features  int               `json:"features"`
+	Records   uint64            `json:"records"`
+	Batches   uint64            `json:"batches"`
+	Refits    uint64            `json:"refits"`
+	Shards    int               `json:"shards"`
+	Intercept bool              `json:"intercept"`
+	Threshold *float64          `json:"binarize_threshold,omitempty"`
+	LastRefit *stream.RefitInfo `json:"last_refit,omitempty"`
 }
 
 func infoForStream(s *stream.Stream) streamInfo {
 	cfg := s.Config()
 	records, batches := s.Counts() // one pass: the pair is consistent
 	info := streamInfo{
-		Name:         s.Name(),
-		Features:     len(cfg.Schema.Features),
-		Records:      records,
-		Batches:      batches,
-		Refits:       s.Refits(),
-		Shards:       cfg.Shards,
-		Reproducible: !cfg.FastMath,
-		Intercept:    cfg.Intercept,
-		Threshold:    cfg.BinarizeThreshold,
+		Name:      s.Name(),
+		Features:  len(cfg.Schema.Features),
+		Records:   records,
+		Batches:   batches,
+		Refits:    s.Refits(),
+		Shards:    cfg.Shards,
+		Intercept: cfg.Intercept,
+		Threshold: cfg.BinarizeThreshold,
 	}
 	if last, ok := s.LastRefit(); ok {
 		info.LastRefit = &last
@@ -88,7 +81,6 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 		Intercept:         req.Intercept,
 		BinarizeThreshold: req.BinarizeThreshold,
 		Shards:            req.Shards,
-		FastMath:          req.Reproducible != nil && !*req.Reproducible,
 	})
 	if err != nil {
 		status, code := http.StatusBadRequest, codeInvalidRequest

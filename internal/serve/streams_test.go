@@ -68,6 +68,22 @@ func TestStreamLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("duplicate stream: status %d, want 409", resp.StatusCode)
 	}
 
+	// The retired "reproducible" tier switch is an unknown field: a typed
+	// 400, and no stream is created. The ε check after the refit below
+	// shows it charged nothing.
+	resp = postJSON(t, ts.URL+"/v1/streams", map[string]any{
+		"name": "retired", "schema": testStreamSchema(), "reproducible": false,
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("retired reproducible field: status %d, want 400", resp.StatusCode)
+	}
+	if body := decode[errorResponse](t, resp); body.Error.Code != codeInvalidRequest {
+		t.Fatalf("retired reproducible field: code %q, want %q", body.Error.Code, codeInvalidRequest)
+	}
+	if _, ok := srv.Streams().Lookup("retired"); ok {
+		t.Fatal("a rejected stream request created the stream")
+	}
+
 	// Ingest two batches.
 	rows := syntheticRows(120, 1)
 	for _, cut := range [][2]int{{0, 50}, {50, 120}} {

@@ -122,8 +122,7 @@ func ReadSnapshot(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("stream %q: snapshot claims %d records but the accumulator holds %d",
 			env.Name, env.Records, acc.Len())
 	}
-	cfg := Config{Schema: acc.Schema(), Intercept: acc.Intercept(), Shards: env.Shards,
-		FastMath: !acc.Reproducible()}
+	cfg := Config{Schema: acc.Schema(), Intercept: acc.Intercept(), Shards: env.Shards}
 	if th, ok := acc.BinarizeThreshold(); ok {
 		cfg.BinarizeThreshold = &th
 	}

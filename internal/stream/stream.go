@@ -52,12 +52,6 @@ type Config struct {
 	// shards fold without contending. ≤ 1 keeps the totally-ordered single
 	// accumulator (bit-reproducible refits); see the package comment.
 	Shards int
-	// FastMath selects the fast-math accumulation tier
-	// (funcmech.WithReproducible(false)): folds within the analytic error
-	// bound of the exact fold but not bit-identical to it. It shapes the
-	// fold, so like the fields above it is immutable for the stream's
-	// lifetime. The zero value keeps the reproducible tier.
-	FastMath bool
 }
 
 // RefitInfo records the last private release served from a stream.
@@ -142,9 +136,6 @@ func newAccumulator(cfg Config) (*funcmech.Accumulator, error) {
 	}
 	if cfg.BinarizeThreshold != nil {
 		opts = append(opts, funcmech.WithBinarizeThreshold(*cfg.BinarizeThreshold))
-	}
-	if cfg.FastMath {
-		opts = append(opts, funcmech.WithReproducible(false))
 	}
 	return funcmech.NewAccumulator(cfg.Schema, opts...)
 }

@@ -60,21 +60,6 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.opts.Parallelism = n }
 }
 
-// WithReproducible selects the compute tier the objective accumulation runs
-// on. The default, true, is the reproducible tier: results are bit-identical
-// to the scalar record-by-record fold at any fixed parallelism, the contract
-// every refit/restore bit-identity guarantee in this repository builds on.
-// WithReproducible(false) switches to the fast-math tier — per-cell
-// accumulation split across four independent lanes with fused multiply-adds
-// and Kahan-compensated lane reduction — which is measurably faster on wide
-// designs but only agrees with the exact fold to within an analytic error
-// bound (≈ a few ULPs of the accumulated magnitude), not bitwise. The
-// deviation is deterministic for a fixed input. Privacy is indifferent to
-// the tier: noise calibration and draws are identical, so ε is unchanged.
-func WithReproducible(r bool) Option {
-	return func(c *config) { c.opts.FastMath = !r }
-}
-
 // Governor arbitrates accumulation workers across concurrent fits sharing
 // one process; see WithGovernor.
 type Governor = core.Governor

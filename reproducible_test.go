@@ -1,32 +1,27 @@
 package funcmech_test
 
 import (
-	"math"
 	"testing"
 
 	"funcmech"
 )
 
 // TestRefitReproducibleAcrossParallelism is the CI reproducibility
-// cross-check: under WithReproducible(true) — the default, passed explicitly
-// here — a refit from accumulated coefficients is bit-identical at every
-// parallelism level. The refit has no record sweep to shard, so unlike the
-// one-shot fit (which agrees across parallelism only to solver tolerance)
-// the weights must not move by a single bit.
+// cross-check: a refit from accumulated coefficients is bit-identical at
+// every parallelism level. The refit has no record sweep to shard, so
+// unlike the one-shot fit (which agrees across parallelism only to solver
+// tolerance) the weights must not move by a single bit.
 func TestRefitReproducibleAcrossParallelism(t *testing.T) {
 	ds := incomeDataset(4096, 9)
-	acc, err := funcmech.NewAccumulator(incomeSchema(), funcmech.WithReproducible(true))
+	acc, err := funcmech.NewAccumulator(incomeSchema())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !acc.Reproducible() {
-		t.Fatal("WithReproducible(true) accumulator reports Reproducible() == false")
 	}
 	ingest(t, acc, ds)
 
 	refit := func(par int) []float64 {
 		m, _, err := funcmech.LinearRegressionFromAccumulator(acc, 0.8,
-			funcmech.WithSeed(42), funcmech.WithParallelism(par), funcmech.WithReproducible(true))
+			funcmech.WithSeed(42), funcmech.WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,53 +30,5 @@ func TestRefitReproducibleAcrossParallelism(t *testing.T) {
 	serial := refit(1)
 	for _, par := range []int{2, 4, 8} {
 		sameWeights(t, "refit parallelism", serial, refit(par))
-	}
-}
-
-// TestFastMathAccumulatorFitsWithinTolerance: the WithReproducible(false)
-// accumulator gives up bit-identity, not correctness — at a fixed seed its
-// refit agrees with the reproducible refit to numerical tolerance (the same
-// noise stream is drawn; only the kernel's rounding differs), and the tier
-// is visible through Reproducible().
-func TestFastMathAccumulatorFitsWithinTolerance(t *testing.T) {
-	ds := incomeDataset(4096, 10)
-	build := func(opts ...funcmech.Option) *funcmech.Accumulator {
-		acc, err := funcmech.NewAccumulator(incomeSchema(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// AddFlat routes through the block kernel — the path the tiers split.
-		flat := make([]float64, 0, ds.Len()*(len(incomeSchema().Features)+1))
-		for i := 0; i < ds.Len(); i++ {
-			x, y := ds.Record(i)
-			flat = append(flat, x...)
-			flat = append(flat, y)
-		}
-		if _, err := acc.AddFlat(flat); err != nil {
-			t.Fatal(err)
-		}
-		return acc
-	}
-	fast := build(funcmech.WithReproducible(false))
-	if fast.Reproducible() {
-		t.Fatal("WithReproducible(false) accumulator reports Reproducible() == true")
-	}
-	repro := build()
-
-	fit := func(acc *funcmech.Accumulator) []float64 {
-		m, _, err := funcmech.LinearRegressionFromAccumulator(acc, 0.8, funcmech.WithSeed(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Weights()
-	}
-	wf, wr := fit(fast), fit(repro)
-	if len(wf) != len(wr) {
-		t.Fatalf("weight count %d vs %d", len(wf), len(wr))
-	}
-	for i := range wf {
-		if math.Abs(wf[i]-wr[i]) > 1e-9*(1+math.Abs(wr[i])) {
-			t.Fatalf("weight %d: fast tier %v vs reproducible %v diverge beyond tolerance", i, wf[i], wr[i])
-		}
 	}
 }

@@ -6,9 +6,8 @@
 #   baseline — the pre-PR4 numbers (scalar per-record fold over slice-of-rows
 #              storage), captured on the machine named in its own cpu: line
 #              and checked in as scripts/bench_baseline_pr4.txt;
-#   current  — the suite as of this checkout (kernel v2: d-specialized and
-#              adaptive-tile reproducible kernels plus the fast-math tier,
-#              with the frozen v1 kernel benched alongside as tier=legacy
+#   current  — the suite as of this checkout (the reproducible SYRK kernel:
+#              AVX2 vector sweep or portable generic fold, swept across d
 #              in BenchmarkObjectiveDSweep), measured by this run.
 #
 # plus a machine-readable summary of the headline series (ns/op and
@@ -84,7 +83,7 @@ jq -n \
      bench: ("go test -bench <hot paths> -benchmem -run ^$ -count " + $count),
      baseline: {description: "pre-PR4: scalar per-record fold, slice-of-rows storage",
                 summary: $bsum[0], output: $baseline},
-     current:  {description: "PR4 blocked SYRK kernel + flat columnar storage; PR7 adds the fmbin binary ingest path (BenchmarkIngestBinary); PR8 threads the observability probe through the hot paths (free when no trace is attached); PR9 kernel v2 — d-specialized stencils, adaptive tiles, fast-math tier — swept against the frozen v1 kernel in BenchmarkObjectiveDSweep",
+     current:  {description: "blocked SYRK kernel over flat columnar storage (AVX2 vector sweep or portable generic fold, adaptive tiles, swept across d in BenchmarkObjectiveDSweep); fmbin binary ingest path (BenchmarkIngestBinary); observability probe threaded through the hot paths (free when no trace is attached)",
                 summary: $csum[0], output: $current}
    }' > "$OUT"
 

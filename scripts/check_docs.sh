@@ -19,9 +19,7 @@
 #
 #   4. The ARCHITECTURE.md compute-tiers table (between <!-- tiers:begin -->
 #      and <!-- tiers:end -->) agrees with internal/core in BOTH directions:
-#      the tier names match the Tier* constants in options.go, and the
-#      d-widths listed in the `specialized` row match the [N]float64 stencil
-#      widths in kernel_spec.go.
+#      the tier names match the Tier* constants in options.go.
 #
 #   5. The task-registry tables in README.md and docs/ARCHITECTURE.md
 #      (between <!-- tasks:begin --> and <!-- tasks:end -->) agree with the
@@ -29,6 +27,11 @@
 #      a TaskName… constant in internal/core/registry.go and vice versa, and
 #      every documented sensitivity formula is the verbatim
 #      SensitivityFormula string of a registered spec and vice versa.
+#
+#   6. Every BENCH_pr<N>.json a doc names is a committed file, and a
+#      README.md or docs/*.md paragraph that names scripts/bench_check.sh
+#      together with a baseline file names the one the gate reads: the
+#      script's default BASE. (ROADMAP.md plans may discuss other files.)
 #
 # Run locally or in CI (the docs job); no dependencies beyond POSIX tools.
 set -euo pipefail
@@ -120,7 +123,6 @@ m="$(wc -l < "$WORK/doc_metrics" | tr -d ' ')"
 # --- 4. ARCHITECTURE.md compute-tiers table <-> internal/core ------------
 archdoc=docs/ARCHITECTURE.md
 tiersrc=internal/core/options.go
-specsrc=internal/core/kernel_spec.go
 sed -n '/<!-- tiers:begin -->/,/<!-- tiers:end -->/p' "$archdoc" |
   grep -E '^\| `' | sed -E 's/^\| `([^`]+)`.*/\1/' | sort > "$WORK/doc_tiers"
 grep -oE 'Tier[A-Z][A-Za-z]*[[:space:]]*=[[:space:]]*"[a-z]+"' "$tiersrc" |
@@ -141,18 +143,7 @@ while IFS= read -r name; do
     fail=1
   fi
 done < "$WORK/src_tiers"
-# Specialized widths: the backticked numbers in the `specialized` row vs the
-# [N]float64 stencil widths the specDim constraint admits.
-sed -n '/<!-- tiers:begin -->/,/<!-- tiers:end -->/p' "$archdoc" |
-  grep -E '^\| `specialized`' | grep -oE '`[0-9]+`' | tr -d '`' | sort -n > "$WORK/doc_widths"
-grep -oE '\[[0-9]+\]float64' "$specsrc" | grep -oE '\[[0-9]+\]' | tr -d '[]' | sort -un > "$WORK/src_widths"
-if ! cmp -s "$WORK/doc_widths" "$WORK/src_widths"; then
-  echo "check-docs: specialized widths disagree: $archdoc says [$(paste -sd, "$WORK/doc_widths")]," \
-       "$specsrc stencils [$(paste -sd, "$WORK/src_widths")]" >&2
-  fail=1
-fi
 t="$(wc -l < "$WORK/doc_tiers" | tr -d ' ')"
-w="$(wc -l < "$WORK/doc_widths" | tr -d ' ')"
 
 # --- 5. task-registry tables <-> internal/core ----------------------------
 regsrc=internal/core/registry.go
@@ -210,8 +201,46 @@ for doc in README.md docs/ARCHITECTURE.md; do
 done
 k="$(wc -l < "$WORK/src_tasks" | tr -d ' ')"
 
+# --- 6. benchmark baselines named in the docs ------------------------------
+gatesrc=scripts/bench_check.sh
+gatebase="$(sed -nE 's/^BASE="\$\{BENCH_BASE:-([^}]+)\}"$/\1/p' "$gatesrc")"
+if [ -z "$gatebase" ]; then
+  echo "check-docs: could not read the default BASE from $gatesrc" >&2
+  fail=1
+fi
+: > "$WORK/baselines"
+for doc in "${docs[@]}"; do
+  [ -f "$doc" ] || continue
+  grep -oE 'BENCH_pr[0-9]+\.json' "$doc" | sort -u > "$WORK/named" || true
+  while IFS= read -r file; do
+    echo "$file" >> "$WORK/baselines"
+    if [ ! -f "$file" ]; then
+      echo "check-docs: $doc names $file, but no such file is committed" >&2
+      fail=1
+    fi
+  done < "$WORK/named"
+  [ "$doc" = ROADMAP.md ] && continue
+  # Paragraph mode (RS=""): blank lines separate records.
+  awk -v RS= -v doc="$doc" -v base="$gatebase" '
+    /bench_check\.sh/ {
+      p = $0
+      while (match(p, /BENCH_pr[0-9]+\.json/)) {
+        f = substr(p, RSTART, RLENGTH)
+        if (f != base) {
+          printf "check-docs: %s names %s beside scripts/bench_check.sh, whose default BASE is %s\n", doc, f, base
+        }
+        p = substr(p, RSTART + RLENGTH)
+      }
+    }' "$doc" > "$WORK/gate_errs"
+  if [ -s "$WORK/gate_errs" ]; then
+    cat "$WORK/gate_errs" >&2
+    fail=1
+  fi
+done
+g="$(sort -u "$WORK/baselines" | wc -l | tr -d ' ')"
+
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL" >&2
   exit 1
 fi
-echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers and $w specialized widths match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md)"
+echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase)"

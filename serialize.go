@@ -151,12 +151,7 @@ type accumulatorEnvelope struct {
 	// rows per column ([alpha..., packed upper triangle...]). Version 3
 	// frames carry exactly the linear and logistic columns. JSON
 	// base64-encodes the bytes.
-	Coeffs []byte `json:"coeffs,omitempty"`
-	// FastMath records the accumulator's compute tier
-	// (WithReproducible(false)); absent in envelopes from before the tier
-	// existed, which decodes to false — the reproducible tier those
-	// accumulators folded on.
-	FastMath      bool   `json:"fast_math,omitempty"`
+	Coeffs        []byte `json:"coeffs,omitempty"`
 	LogisticError string `json:"logistic_error,omitempty"`
 	Version       int    `json:"version"`
 }
@@ -221,7 +216,6 @@ func (a *Accumulator) Save(w io.Writer) error {
 		Records:   a.n,
 		Tasks:     tasks,
 		Coeffs:    frame,
-		FastMath:  a.folds[0].acc.FastMath(),
 		Version:   accumulatorVersion,
 	})
 }
@@ -238,7 +232,9 @@ func foldPredates(f *taskFold) {
 // accumulator are bit-identical to fits from the original. Envelopes from
 // earlier versions (or written before a task was registered) restore with
 // the missing folds poisoned; envelopes carrying a fold for a task this
-// build does not know fail with an error wrapping ErrUnknownTask.
+// build does not know fail with an error wrapping ErrUnknownTask. Unknown
+// envelope fields are ignored, so a snapshot carrying the retired
+// "fast_math" flag loads and keeps folding on the reproducible kernel.
 func LoadAccumulator(r io.Reader) (*Accumulator, error) {
 	var env accumulatorEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -271,9 +267,6 @@ func LoadAccumulator(r io.Reader) (*Accumulator, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	for _, f := range a.folds {
-		f.acc.SetFastMath(env.FastMath)
 	}
 	return a, nil
 }
