@@ -1,4 +1,5 @@
-// Benchmarks, one per experiment in DESIGN.md's per-experiment index.
+// Benchmarks, one per experiment of the paper's §7 evaluation (the IDs in
+// experiments.ExperimentIDs, which fmbench -list prints).
 //
 // The accuracy figures (F4–F6) benchmark one cross-validated sweep point at
 // reduced scale; the timing figures (F7–F9) map directly onto testing.B —

@@ -1,6 +1,7 @@
 // Command fmbench regenerates the paper's evaluation (§7): every figure's
 // data series as text tables, plus the parameter table and the two ablation
-// studies. Experiment IDs follow DESIGN.md.
+// studies. Experiment IDs name the §7 figures (fig2–fig9) and the studies
+// beside them; -list prints them all.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Command fmgen emits the synthetic census datasets this repository uses in
-// place of the licensed IPUMS extracts (see DESIGN.md, Substitutions), as
-// CSV with a header row.
+// place of the licensed IPUMS extracts (see internal/census for the
+// substitution), as CSV with a header row.
 //
 // Usage:
 //

@@ -1,10 +1,11 @@
 // Command fmserve runs the multi-tenant training service: a long-lived
 // HTTP/JSON server that registers datasets once, tracks a lifetime privacy
 // budget per tenant (every fit debits it atomically; exhaustion yields a
-// typed 402), and serves ε-differentially private linear, ridge and logistic
-// fits with the full public option surface. A process-global governor keeps
-// in-flight fits × per-fit parallelism under a GOMAXPROCS-derived cap, so
-// concurrent tenants cannot oversubscribe the accumulation worker pool.
+// typed 402), and serves ε-differentially private fits of every registered
+// task (linear, ridge, logistic, median; funcmech.TaskNames) with the full
+// public option surface. A process-global governor keeps in-flight fits ×
+// per-fit parallelism under a GOMAXPROCS-derived cap, so concurrent tenants
+// cannot oversubscribe the accumulation worker pool.
 //
 // Beyond one-shot fits, streams accept records continuously
 // (POST /v1/streams, /v1/streams/{name}/ingest) and serve private refits
@@ -16,8 +17,8 @@
 // persisted — periodically when -snapshot-every > 0, and always on graceful
 // shutdown — and restored on boot, so a restarted server refits without
 // re-ingesting a single record; snapshots store their coefficient payloads
-// as compressed fmbin frames (accumulator envelope v3), with earlier JSON
-// envelopes still restoring.
+// as compressed fmbin frames (accumulator envelope v4), with envelopes
+// v1–v3 still restoring.
 //
 // With -wal-dir the privacy accounting is crash-safe: every budget debit is
 // appended to a write-ahead log (fsynced per commit unless -wal-fsync=false)
@@ -43,15 +44,15 @@
 // noise draw and the WAL fsync; GET /v1/debug/traces returns the most recent
 // traces and -trace-log emits each as one JSON line. GET /metrics serves the
 // counters, gauges and latency histograms in Prometheus text format —
-// including per-tenant ε-spend — and -debug-addr binds net/http/pprof on a
-// separate, operator-only listener. See docs/OBSERVABILITY.md.
+// including per-tenant ε-spend — and is the service's only counter surface;
+// -debug-addr binds net/http/pprof on a separate, operator-only listener.
+// See docs/OBSERVABILITY.md.
 //
-// Endpoints: GET /healthz, GET /v1/stats, GET /metrics,
-// GET /v1/debug/traces, POST/GET /v1/datasets, POST/GET /v1/tenants,
-// GET /v1/tenants/{name}, POST /v1/fit, POST/GET /v1/streams,
-// POST /v1/streams/{name}/ingest, POST /v1/streams/{name}/refit. See the
-// README's Serving and Streaming sections for the request and response
-// shapes.
+// Endpoints: GET /healthz, GET /metrics, GET /v1/debug/traces,
+// POST/GET /v1/datasets, POST/GET /v1/tenants, GET /v1/tenants/{name},
+// POST /v1/fit, POST/GET /v1/streams, POST /v1/streams/{name}/ingest,
+// POST /v1/streams/{name}/refit. See the README's Serving and Streaming
+// sections for the request and response shapes.
 package main
 
 import (
@@ -130,7 +131,6 @@ func main() {
 			fatal(fmt.Errorf("fmserve: restoring snapshots: %w", err))
 		}
 		records, batches := srv.Streams().Totals()
-		srv.SeedIngestStats(records, batches)
 		log.Printf("fmserve: restored %d stream(s) from %s (%d records over %d batches, no re-ingest needed)",
 			n, store.Dir(), records, batches)
 		var nt int

@@ -110,9 +110,9 @@
 // internal/baseline the DPME/FP/NoPrivacy/Truncated comparison methods,
 // internal/experiments the §7 evaluation harness (see cmd/fmbench), and
 // internal/{linalg,noise,poly,dataset,census,histogram,regression} the
-// substrates they stand on. See DESIGN.md for the full inventory,
-// docs/ARCHITECTURE.md for the served-system map with the data-sensitivity
-// table (which artifacts are un-noised and must stay in the trust domain),
-// and docs/FORMAT.md for the fmbin binary wire format shared by ingest,
-// snapshots and accumulator envelopes.
+// substrates they stand on. See the README's Layout table for the full
+// inventory, docs/ARCHITECTURE.md for the served-system map with the
+// data-sensitivity table (which artifacts are un-noised and must stay in the
+// trust domain), and docs/FORMAT.md for the fmbin binary wire format shared
+// by ingest, snapshots and accumulator envelopes.
 package funcmech

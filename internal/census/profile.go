@@ -3,7 +3,7 @@
 // raw attributes, 14 after binarizing Marital Status).
 //
 // The real extracts are licensed and not redistributable, so this package is
-// the substitution documented in DESIGN.md: a deterministic generator that
+// the substitution, documented here: a deterministic generator that
 // reproduces what the evaluation actually depends on — the attribute list
 // and domains, the dataset cardinalities, and a learnable, noisy,
 // heavy-tailed relationship between the demographic attributes and Annual

@@ -16,13 +16,14 @@ import (
 	"funcmech/internal/regression"
 )
 
-// ExperimentIDs lists every runnable experiment in DESIGN.md order.
+// ExperimentIDs lists every runnable experiment: the parameter table, the
+// §7 figures in paper order, then the ablation, Taylor-bound and λ studies.
 func ExperimentIDs() []string {
 	return []string{"params", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "ablation", "taylor", "lambda"}
 }
 
-// RunExperiment executes one experiment by ID and writes its tables to w.
-// IDs match the per-experiment index in DESIGN.md.
+// RunExperiment executes one experiment by ID (see ExperimentIDs) and writes
+// its tables to w.
 func RunExperiment(id string, cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -173,7 +174,7 @@ func runFigure3(w io.Writer) error {
 }
 
 // runAblation compares the §6 post-processing strategies across the ε sweep
-// on the US-linear task — the design-choice study DESIGN.md calls A1.
+// on the US-linear task — the "ablation" experiment.
 func runAblation(cfg Config, w io.Writer) error {
 	modes := []struct {
 		name string
@@ -224,7 +225,7 @@ func failureRate(cfg Config, r MethodResult) float64 {
 }
 
 // runTaylor measures the actual §5 truncation penalty against the Taylor
-// remainder bound on random logistic instances — DESIGN.md's A2.
+// remainder bound on random logistic instances — the "taylor" experiment.
 //
 // Inside the Lemma 4 window (|xᵀω| ≤ 1) the paper's constant ≈0.015 applies;
 // the unconstrained minimizers routinely leave the window, so the

@@ -17,7 +17,7 @@ type SweepPoint struct {
 
 // Sweep is one panel of a paper figure (e.g. Figure 4a "US-Linear").
 type Sweep struct {
-	// ID is the experiment identifier from DESIGN.md ("F4", "F5", …).
+	// ID names the paper figure the panel belongs to ("F4", "F5", …).
 	ID string
 	// Title describes the panel, e.g. "US-Linear".
 	Title string

@@ -223,10 +223,9 @@ func (f *atomicFloat) add(v float64) {
 
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-// NewHistogram returns an unregistered histogram — for components (like the
-// serve layer's fit-latency stats) that own their histogram and expose it on
-// a registry later via RegisterHistogram. Pass nil bounds for DefBuckets.
-func NewHistogram(bounds []float64) *Histogram {
+// newHistogram returns an unregistered histogram over bounds (nil for
+// DefBuckets).
+func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
@@ -239,21 +238,16 @@ func NewHistogram(bounds []float64) *Histogram {
 // NewHistogram registers a fresh unlabeled histogram. Pass nil bounds for
 // DefBuckets.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.RegisterHistogram(name, help, h)
-	return h
-}
-
-// RegisterHistogram exposes an existing histogram as a family.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
+	h := newHistogram(bounds)
 	r.register(name, help, "histogram", func(b *strings.Builder) {
 		h.write(b, name, "")
 	})
+	return h
 }
 
 // NewCounterFunc registers a counter whose value is collected at scrape time
-// from fn — for monotone counts that already live elsewhere (an atomic in a
-// stats block, a WAL's append count), so scraping never duplicates state.
+// from fn — for monotone counts that already live elsewhere (a WAL's append
+// count, a sum of per-stream sequences), so scraping never duplicates state.
 func (r *Registry) NewCounterFunc(name, help string, fn func() uint64) {
 	r.register(name, help, "counter", func(b *strings.Builder) {
 		fmt.Fprintf(b, "%s %d\n", name, fn())
@@ -282,41 +276,6 @@ func (h *Histogram) BucketCounts() []uint64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the bucket containing the target rank — the histogram-derived
-// replacement for the old exact-sample latency ring. Returns 0 with no
-// observations. Values in the overflow bucket clamp to the largest bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, bound := 0, 0.0; i < len(h.counts); i++ {
-		prev := cum
-		cum += float64(h.counts[i].Load())
-		if cum >= rank && h.counts[i].Load() > 0 {
-			lo := bound
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1] // overflow: clamp
-			}
-			hi := h.bounds[i]
-			frac := (rank - prev) / float64(h.counts[i].Load())
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		if i < len(h.bounds) {
-			bound = h.bounds[i]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // write renders the family in cumulative le form.
@@ -382,7 +341,7 @@ func (v *HistogramVec) With(vals ...string) *Histogram {
 	defer v.mu.Unlock()
 	h, ok := v.series[k]
 	if !ok {
-		h = NewHistogram(v.bounds)
+		h = newHistogram(v.bounds)
 		v.series[k] = h
 		v.labels[k] = append([]string(nil), vals...)
 		v.order = append(v.order, k)

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"time"
 
+	"funcmech"
 	"funcmech/internal/obs"
 )
 
@@ -45,15 +47,40 @@ const (
 	metricUptimeSeconds            = "fm_uptime_seconds"
 )
 
-// metrics owns the registry behind GET /metrics plus the families the HTTP
-// middleware feeds directly. Everything else is collected at scrape time
-// from the server's live components (Stats, Governor, Tenants, Streams,
-// WAL), so a scrape and /v1/stats read the same source of truth.
+// metrics owns the registry behind GET /metrics, the only place the service
+// keeps counters. Handlers increment the outcome counters, the fit-latency
+// histogram and the HTTP families directly; everything else is collected at
+// scrape time from the server's live components (Governor, Tenants,
+// Streams, WAL), so no two families can disagree, even after a restart.
 type metrics struct {
 	reg           *obs.Registry
+	fits          outcomes
+	refits        outcomes
+	fitSeconds    *obs.Histogram    // successful fits only
 	httpSeconds   *obs.HistogramVec // by endpoint pattern
 	httpResponses *obs.CounterVec   // by endpoint pattern and status code
 	refusals      *obs.CounterVec   // by typed API error code
+}
+
+// outcomes counts fit or refit attempts by how they ended, so a privacy
+// refusal (the budget working as designed, HTTP 402) is never conflated with
+// a genuine failure.
+type outcomes struct{ ok, refused, failed *obs.Counter }
+
+// record counts one attempt that ended with err and reports whether it
+// succeeded: nil is ok, ErrBudgetExhausted (however wrapped) is refused,
+// and anything else, a failed journal append included, is an error.
+func (o outcomes) record(err error) bool {
+	switch {
+	case err == nil:
+		o.ok.Inc()
+		return true
+	case errors.Is(err, funcmech.ErrBudgetExhausted):
+		o.refused.Inc()
+	default:
+		o.failed.Inc()
+	}
+	return false
 }
 
 // newMetrics builds the registry over the server's components. Called from
@@ -62,19 +89,27 @@ type metrics struct {
 func newMetrics(s *Server) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{reg: reg}
-	st := s.stats
-
-	u := func(fn func() int64) func() uint64 {
-		return func() uint64 { return uint64(fn()) }
+	m.fits = outcomes{
+		ok:      reg.NewCounter(metricFitsTotal, "Successful fits released."),
+		refused: reg.NewCounter(metricFitsRefusedBudgetTotal, "Fits refused with budget_exhausted (402)."),
+		failed:  reg.NewCounter(metricFitsErrorTotal, "Fits failed after admission for non-budget reasons."),
 	}
-	reg.NewCounterFunc(metricFitsTotal, "Successful fits released.", u(st.Fits))
-	reg.NewCounterFunc(metricFitsRefusedBudgetTotal, "Fits refused with budget_exhausted (402).", u(st.FitsRefusedBudget))
-	reg.NewCounterFunc(metricFitsErrorTotal, "Fits failed after admission for non-budget reasons.", u(st.FitsError))
-	reg.NewCounterFunc(metricRefitsTotal, "Successful stream refits released.", u(st.Refits))
-	reg.NewCounterFunc(metricRefitsRefusedBudgetTotal, "Refits refused with budget_exhausted (402).", u(st.RefitsRefusedBudget))
-	reg.NewCounterFunc(metricRefitsErrorTotal, "Refits failed for non-budget reasons.", u(st.RefitsError))
-	reg.NewCounterFunc(metricIngestRecordsTotal, "Records accepted across all streams.", u(st.IngestRecords))
-	reg.NewCounterFunc(metricIngestBatchesTotal, "Ingest batches accepted across all streams.", u(st.IngestBatches))
+	m.refits = outcomes{
+		ok:      reg.NewCounter(metricRefitsTotal, "Successful stream refits released."),
+		refused: reg.NewCounter(metricRefitsRefusedBudgetTotal, "Refits refused with budget_exhausted (402)."),
+		failed:  reg.NewCounter(metricRefitsErrorTotal, "Refits failed for non-budget reasons."),
+	}
+	// The ingest totals are sums of the per-stream sequence gauges behind
+	// fm_stream_records/fm_stream_batches. Streams are never removed, so the
+	// sums only grow.
+	reg.NewCounterFunc(metricIngestRecordsTotal, "Records accepted across all streams.", func() uint64 {
+		records, _ := s.streams.Totals()
+		return records
+	})
+	reg.NewCounterFunc(metricIngestBatchesTotal, "Ingest batches accepted across all streams.", func() uint64 {
+		_, batches := s.streams.Totals()
+		return batches
+	})
 	reg.NewCounterFunc(metricWALAppendsTotal, "WAL events journaled by this process.", func() uint64 {
 		if l := s.WAL(); l != nil {
 			return l.Appends()
@@ -85,7 +120,7 @@ func newMetrics(s *Server) *metrics {
 	m.httpResponses = reg.NewCounterVec(metricHTTPResponsesTotal, "HTTP responses by endpoint pattern and status code.", "endpoint", "code")
 	m.refusals = reg.NewCounterVec(metricRefusalsTotal, "Non-2xx responses by typed API error code.", "reason")
 
-	reg.RegisterHistogram(metricFitSeconds, "Latency of successful fits (seconds).", st.Latency())
+	m.fitSeconds = reg.NewHistogram(metricFitSeconds, "Latency of successful fits (seconds).", nil)
 	m.httpSeconds = reg.NewHistogramVec(metricHTTPRequestSeconds, "HTTP request latency by endpoint pattern (seconds).", nil, "endpoint")
 
 	reg.NewGaugeFunc(metricGovernorWorkerCap, "Global accumulation-worker capacity.", func() float64 {
@@ -134,10 +169,10 @@ func newMetrics(s *Server) *metrics {
 	})
 
 	streamKeys := []string{"stream"}
-	reg.NewLabeledGaugeFunc(metricStreamRecords, "Records folded into each stream.", streamKeys, func() []obs.LabeledSample {
+	reg.NewLabeledGaugeFunc(metricStreamRecords, "Records accepted into each stream (its ingest sequence).", streamKeys, func() []obs.LabeledSample {
 		return s.streamSamples(func(records, _ uint64) float64 { return float64(records) })
 	})
-	reg.NewLabeledGaugeFunc(metricStreamBatches, "Batches folded into each stream.", streamKeys, func() []obs.LabeledSample {
+	reg.NewLabeledGaugeFunc(metricStreamBatches, "Batches accepted into each stream.", streamKeys, func() []obs.LabeledSample {
 		return s.streamSamples(func(_, batches uint64) float64 { return float64(batches) })
 	})
 	return m

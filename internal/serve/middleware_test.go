@@ -2,14 +2,20 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"funcmech"
 	"funcmech/internal/obs"
+	"funcmech/internal/stream"
 )
 
 // newObsTestServer returns a server with one generated dataset and one tenant,
@@ -28,6 +34,31 @@ func newObsTestServer(t *testing.T, budget float64) (*Server, http.Handler) {
 		t.Fatal(err)
 	}
 	return srv, srv.Handler()
+}
+
+// scrapeMetrics renders srv's metrics registry and returns every sample's
+// value keyed by its series as exposed, labels included
+// (`fm_stream_records{stream="readings"}`).
+func scrapeMetrics(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if _, err := srv.metrics.reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		// Label values may hold spaces ("POST /v1/fit"); the value is last.
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 func doFit(t *testing.T, h http.Handler, id string) *httptest.ResponseRecorder {
@@ -157,7 +188,7 @@ func TestGovernorQueueWaitSpan(t *testing.T) {
 }
 
 func TestMetricsExpositionTracksFits(t *testing.T) {
-	srv, h := newObsTestServer(t, 1.2)
+	_, h := newObsTestServer(t, 1.2)
 
 	// Two fits at ε=0.5 succeed; the third exhausts the budget → 402.
 	for i := 0; i < 2; i++ {
@@ -196,11 +227,131 @@ func TestMetricsExpositionTracksFits(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
 
-	// The histogram the exposition renders is the one /v1/stats derives its
-	// quantiles from: its count must equal the success counter.
-	if got, want := srv.stats.Latency().Count(), uint64(srv.stats.Fits()); got != want {
-		t.Fatalf("fm_fit_seconds count %d != fm_fits_total %d", got, want)
+// doRequest serves one JSON POST through h.
+func doRequest(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+	return rec
+}
+
+func TestStatsHistogramSumsToFitCounter(t *testing.T) {
+	// The /metrics invariant: the fm_fit_seconds bucket counts (and its
+	// _count) must equal fm_fits_total, because only successful fits are
+	// observed and every successful fit is observed exactly once. A refused
+	// and a failed fit are counted but never timed.
+	srv, h := newObsTestServer(t, 2)
+	// Targets in [0, 50] are not 0/1 labels, so a logistic fit on this
+	// dataset is charged and then fails.
+	ds := funcmech.NewDataset(schemaFromJSON(*testStreamSchema()))
+	for _, r := range syntheticRows(50, 1) {
+		ds.Append(r[:2], r[2])
+	}
+	if err := srv.Registry().Register("readings", ds); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if rec := doFit(t, h, ""); rec.Code != http.StatusOK {
+			t.Fatalf("fit %d status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if rec := doRequest(h, "/v1/fit", `{"tenant":"acme","dataset":"readings","model":"logistic","epsilon":0.1}`); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("logistic fit on non-binary targets: status %d, want 422: %s", rec.Code, rec.Body)
+	}
+	if rec := doFit(t, h, ""); rec.Code != http.StatusPaymentRequired {
+		t.Fatalf("over-budget fit status %d, want 402", rec.Code)
+	}
+
+	got := scrapeMetrics(t, srv)
+	for series, want := range map[string]float64{
+		"fm_fits_total":                    3,
+		"fm_fits_refused_budget_total":     1,
+		"fm_fits_error_total":              1,
+		"fm_fit_seconds_count":             3,
+		`fm_fit_seconds_bucket{le="+Inf"}`: 3,
+	} {
+		if got[series] != want {
+			t.Errorf("%s = %v, want %v", series, got[series], want)
+		}
+	}
+	// BucketCounts are per-bucket (non-cumulative) and include the overflow
+	// bucket, so they must sum exactly to the success counter.
+	var observed uint64
+	for _, c := range srv.metrics.fitSeconds.BucketCounts() {
+		observed += c
+	}
+	if want := srv.metrics.fits.ok.Value(); observed != want {
+		t.Fatalf("fm_fit_seconds buckets sum to %d, want fm_fits_total %d", observed, want)
+	}
+}
+
+func TestStatsRefitOutcomes(t *testing.T) {
+	// Refits split like fits: one release, one logistic refit that is
+	// charged and then fails on the stream's non-boolean targets, and one
+	// refusal.
+	srv, h := newObsTestServer(t, 1)
+	if _, err := srv.Tenants().Create("beta", 0.3); err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Streams().Create("readings", stream.Config{Schema: schemaFromJSON(*testStreamSchema())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Ingest(syntheticRows(50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		model string
+		eps   float64
+		code  int
+	}{
+		{"linear", 0.2, http.StatusOK},
+		{"logistic", 0.05, http.StatusUnprocessableEntity},
+		{"linear", 0.2, http.StatusPaymentRequired},
+	} {
+		body := fmt.Sprintf(`{"tenant":"beta","model":%q,"epsilon":%v}`, c.model, c.eps)
+		if rec := doRequest(h, "/v1/streams/readings/refit", body); rec.Code != c.code {
+			t.Fatalf("%s refit at ε=%v: status %d, want %d: %s", c.model, c.eps, rec.Code, c.code, rec.Body)
+		}
+	}
+
+	got := scrapeMetrics(t, srv)
+	for series, want := range map[string]float64{
+		"fm_refits_total":                              1,
+		"fm_refits_refused_budget_total":               1,
+		"fm_refits_error_total":                        1,
+		`fm_refusals_total{reason="budget_exhausted"}`: 1,
+		// Refits never touch the fit families.
+		"fm_fits_total":        0,
+		"fm_fit_seconds_count": 0,
+	} {
+		if got[series] != want {
+			t.Errorf("%s = %v, want %v", series, got[series], want)
+		}
+	}
+}
+
+func TestOutcomeFor(t *testing.T) {
+	cases := []struct {
+		err                 error
+		ok, refused, failed uint64
+	}{
+		{nil, 1, 0, 0},
+		{funcmech.ErrBudgetExhausted, 0, 1, 0},
+		{fmt.Errorf("tenant: %w", funcmech.ErrBudgetExhausted), 0, 1, 0},
+		{errors.New("solver exploded"), 0, 0, 1},
+		{fmt.Errorf("%w: disk gone", errWALAppend), 0, 0, 1},
+	}
+	for _, tc := range cases {
+		o := outcomes{ok: &obs.Counter{}, refused: &obs.Counter{}, failed: &obs.Counter{}}
+		if got := o.record(tc.err); got != (tc.ok == 1) {
+			t.Errorf("record(%v) = %v, want %v", tc.err, got, tc.ok == 1)
+		}
+		if o.ok.Value() != tc.ok || o.refused.Value() != tc.refused || o.failed.Value() != tc.failed {
+			t.Errorf("record(%v) counted ok=%d refused=%d failed=%d, want %d/%d/%d", tc.err,
+				o.ok.Value(), o.refused.Value(), o.failed.Value(), tc.ok, tc.refused, tc.failed)
+		}
 	}
 }
 
@@ -223,33 +374,35 @@ func TestMetricsEndpointLabelsUseRoutePatterns(t *testing.T) {
 	}
 }
 
-func TestStatsEndpointSplitsOutcomes(t *testing.T) {
-	_, h := newObsTestServer(t, 0.5)
-	if rec := doFit(t, h, ""); rec.Code != http.StatusOK {
-		t.Fatalf("fit status %d: %s", rec.Code, rec.Body)
+func TestStatsConcurrentRecording(t *testing.T) {
+	// Fit outcomes and latencies recorded from many goroutines while the
+	// registry is scraped: no count may be lost, and under -race no scrape
+	// may race a write.
+	srv, _ := newObsTestServer(t, 1)
+	m := srv.metrics
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if m.fits.record(nil) {
+					m.fitSeconds.Observe(0.001)
+				}
+				if i%50 == 0 {
+					if _, err := m.reg.WriteTo(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
 	}
-	if rec := doFit(t, h, ""); rec.Code != http.StatusPaymentRequired {
-		t.Fatalf("second fit status %d, want 402", rec.Code)
+	wg.Wait()
+	if got := m.fits.ok.Value(); got != 4000 {
+		t.Fatalf("fm_fits_total = %d, want 4000", got)
 	}
-	req := httptest.NewRequest("GET", "/v1/stats", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var stats map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats["fits_total"].(float64); got != 1 {
-		t.Fatalf("fits_total = %v, want 1", got)
-	}
-	if got := stats["fits_refused_budget"].(float64); got != 1 {
-		t.Fatalf("fits_refused_budget = %v, want 1", got)
-	}
-	if got := stats["fits_error"].(float64); got != 0 {
-		t.Fatalf("fits_error = %v, want 0", got)
-	}
-	// The historical aggregate still holds: failed = refused + error.
-	if got := stats["fits_failed"].(float64); got != 1 {
-		t.Fatalf("fits_failed = %v, want 1", got)
+	if got := m.fitSeconds.Count(); got != 4000 {
+		t.Fatalf("fm_fit_seconds count = %d, want 4000", got)
 	}
 }
 
@@ -264,10 +417,10 @@ func TestConcurrentFitsKeepMetricsConsistent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := srv.stats.Fits(); got != 8 {
+	if got := srv.metrics.fits.ok.Value(); got != 8 {
 		t.Fatalf("fits = %d, want 8", got)
 	}
-	if got := srv.stats.Latency().Count(); got != 8 {
+	if got := srv.metrics.fitSeconds.Count(); got != 8 {
 		t.Fatalf("latency count = %d, want 8", got)
 	}
 	if got := srv.governor.InUse(); got != 0 {

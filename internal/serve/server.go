@@ -34,7 +34,6 @@ type Server struct {
 	streams  *stream.Registry
 	tenants  *Tenants
 	governor *Governor
-	stats    *Stats
 	wlog     *wal.Log      // optional write-ahead log; see wal.go
 	sem      chan struct{} // counting semaphore over fits in flight
 	start    time.Time
@@ -54,7 +53,6 @@ func New(cfg Config) *Server {
 		streams:  stream.NewRegistry(),
 		tenants:  NewTenants(),
 		governor: NewGovernor(cfg.WorkerCap),
-		stats:    NewStats(),
 		sem:      make(chan struct{}, maxFits),
 		start:    time.Now(),
 		mux:      http.NewServeMux(),
@@ -64,7 +62,6 @@ func New(cfg Config) *Server {
 	s.mux.Handle("GET /metrics", s.metrics.reg)
 	s.mux.Handle("GET /v1/debug/traces", s.recorder)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/datasets", s.handleRegisterDataset)
 	s.mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
 	s.mux.HandleFunc("POST /v1/tenants", s.handleCreateTenant)
@@ -83,13 +80,6 @@ func (s *Server) Registry() *Registry { return s.registry }
 
 // Streams returns the stream registry, for snapshot restore and persistence.
 func (s *Server) Streams() *stream.Registry { return s.streams }
-
-// SeedIngestStats pre-loads the service-level ingest counters after a
-// snapshot restore, keeping /v1/stats totals consistent with the restored
-// per-stream counts.
-func (s *Server) SeedIngestStats(records, batches uint64) {
-	s.stats.SeedIngest(int64(records), int64(batches))
-}
 
 // Tenants returns the tenant directory, for startup preloading.
 func (s *Server) Tenants() *Tenants { return s.tenants }
@@ -360,12 +350,15 @@ type tenantInfo struct {
 	BudgetRefusals   int64   `json:"budget_refusals"`
 }
 
+// infoFor reads the three ε figures from one Session snapshot, so a charge
+// landing mid-read cannot tear the row (remaining = total − spent).
 func infoFor(t *Tenant) tenantInfo {
+	total, spent, remaining := t.Session.Snapshot()
 	return tenantInfo{
 		Name:             t.Name,
-		EpsilonTotal:     t.Session.Total(),
-		EpsilonSpent:     t.Session.Spent(),
-		EpsilonRemaining: t.Session.Remaining(),
+		EpsilonTotal:     total,
+		EpsilonSpent:     spent,
+		EpsilonRemaining: remaining,
 		Fits:             t.Fits(),
 		BudgetRefusals:   t.Exhausted(),
 	}
@@ -412,51 +405,6 @@ func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": infos})
 }
 
-// GET /v1/stats
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	p50, p99 := s.stats.Percentiles()
-	tenants := []tenantInfo{}
-	for _, t := range s.tenants.All() {
-		tenants = append(tenants, infoFor(t))
-	}
-	streams := []streamInfo{}
-	for _, st := range s.streams.All() {
-		streams = append(streams, infoForStream(st))
-	}
-	payload := map[string]any{
-		"fits_total":          s.stats.Fits(),
-		"fits_failed":         s.stats.Failed(),
-		"fits_refused_budget": s.stats.FitsRefusedBudget(),
-		"fits_error":          s.stats.FitsError(),
-		"fits_in_flight":      len(s.sem),
-		"worker_cap":          s.governor.Cap(),
-		"workers_in_use":      s.governor.InUse(),
-		"workers_queued":      s.governor.Waiting(),
-		"fit_latency_ms":      map[string]float64{"p50": ms(p50), "p99": ms(p99)},
-		"ingest": map[string]int64{
-			"records_total": s.stats.IngestRecords(),
-			"batches_total": s.stats.IngestBatches(),
-		},
-		"refits_total":          s.stats.Refits(),
-		"refits_failed":         s.stats.RefitsFailed(),
-		"refits_refused_budget": s.stats.RefitsRefusedBudget(),
-		"refits_error":          s.stats.RefitsError(),
-		"streams":               streams,
-		"tenants":               tenants,
-		"datasets":              s.registry.Names(),
-		"uptime_seconds":        time.Since(s.start).Seconds(),
-		"max_fits_inflight":     cap(s.sem),
-	}
-	if s.wlog != nil {
-		payload["wal"] = map[string]any{
-			"last_lsn": s.wlog.LastLSN(),
-			"segments": s.wlog.Segments(),
-		}
-	}
-	writeJSON(w, http.StatusOK, payload)
-}
-
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // POST /v1/fit
@@ -476,7 +424,7 @@ type fitOptions struct {
 type fitRequest struct {
 	Tenant  string     `json:"tenant"`
 	Dataset string     `json:"dataset"`
-	Model   string     `json:"model"` // linear | ridge | logistic
+	Model   string     `json:"model"` // a registered task name
 	Epsilon float64    `json:"epsilon"`
 	Options fitOptions `json:"options"`
 }
@@ -631,7 +579,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	// tenant's spend. The fits run uncharged via the package-level functions
 	// because the session was already debited here.
 	if err := s.chargeDurable(tr, tenant, wal.OpFit, req.Dataset, req.Epsilon, opts); err != nil {
-		s.stats.RecordFit(time.Since(start), outcomeFor(err))
+		s.metrics.fits.record(err)
 		s.writeChargeError(w, tenant, err)
 		return
 	}
@@ -644,7 +592,9 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		weights = m.Weights()
 	}
 	elapsed := time.Since(start)
-	s.stats.RecordFit(elapsed, outcomeFor(err))
+	if s.metrics.fits.record(err) {
+		s.metrics.fitSeconds.Observe(elapsed.Seconds())
+	}
 
 	if err != nil {
 		// The charge stands — a post-debit failure is itself data-dependent

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"funcmech"
@@ -396,51 +397,46 @@ func TestRegistryConflictsAndGeneration(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrentFits: 2})
-	registerRowsDataset(t, ts.URL, "toy", 100)
-	createTenant(t, ts.URL, "acme", 1.0)
-
-	for i := 0; i < 2; i++ {
-		resp := postJSON(t, ts.URL+"/v1/fit", fitRequest{
-			Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.4,
-			Options: fitOptions{Seed: ptr(int64(i))},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fit %d: status %d", i, resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	// One refusal for the books.
-	resp := postJSON(t, ts.URL+"/v1/fit", fitRequest{
-		Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.4,
-	})
-	if resp.StatusCode != http.StatusPaymentRequired {
-		t.Fatalf("exhausting fit: status %d, want 402", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
+// TestTenantReadsNeverTorn reads a tenant while charges land: each read must
+// come from one accountant state, so remaining = total − spent exactly.
+func TestTenantReadsNeverTorn(t *testing.T) {
+	srv := New(Config{})
+	tenant, err := srv.Tenants().Create("acme", 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := decode[map[string]any](t, statsResp)
-	if got := stats["fits_total"].(float64); got != 2 {
-		t.Fatalf("fits_total = %v, want 2", got)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := tenant.Session.Charge(0.001); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
-	if got := stats["fits_failed"].(float64); got != 1 {
-		t.Fatalf("fits_failed = %v, want 1", got)
+	defer func() { stop.Store(true); wg.Wait() }()
+
+	h := srv.Handler()
+	const reads = 2000
+	torn := 0
+	for i := 0; i < reads; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/tenants/acme", nil))
+		var info tenantInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.EpsilonRemaining != info.EpsilonTotal-info.EpsilonSpent {
+			torn++
+		}
 	}
-	lat := stats["fit_latency_ms"].(map[string]any)
-	if lat["p50"].(float64) < 0 || lat["p99"].(float64) < lat["p50"].(float64) {
-		t.Fatalf("latency quantiles out of order: %v", lat)
-	}
-	tenants := stats["tenants"].([]any)
-	if len(tenants) != 1 {
-		t.Fatalf("stats tenants = %v", tenants)
-	}
-	if spent := tenants[0].(map[string]any)["epsilon_spent"].(float64); spent != 0.8 {
-		t.Fatalf("stats epsilon_spent = %v, want 0.8", spent)
+	if torn > 0 {
+		t.Fatalf("%d of %d reads were torn (epsilon_remaining ≠ epsilon_total − epsilon_spent)", torn, reads)
 	}
 }
 

@@ -170,7 +170,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "%v", err)
 		return
 	}
-	s.stats.RecordIngest(accepted)
 	records, batches := st.Counts()
 	if s.wlog != nil {
 		wsp := tr.StartSpan(obs.SpanWALFsync)
@@ -213,7 +212,7 @@ type refitOptions struct {
 
 type refitRequest struct {
 	Tenant  string       `json:"tenant"`
-	Model   string       `json:"model"` // linear | ridge | logistic
+	Model   string       `json:"model"` // a registered task name
 	Epsilon float64      `json:"epsilon"`
 	Options refitOptions `json:"options"`
 }
@@ -274,7 +273,7 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	// charge, journal the debit durably, and only then draw noise.
 	start := time.Now()
 	if err := s.chargeDurable(tr, tenant, wal.OpRefit, st.Name(), req.Epsilon, opts); err != nil {
-		s.stats.RecordRefit(outcomeFor(err))
+		s.metrics.refits.record(err)
 		s.writeChargeError(w, tenant, err)
 		return
 	}
@@ -290,7 +289,7 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 		weights = m.Weights()
 	}
 	elapsed := time.Since(start)
-	s.stats.RecordRefit(outcomeFor(err))
+	s.metrics.refits.record(err)
 
 	if err != nil {
 		// The charge stands; see handleFit.

@@ -126,9 +126,10 @@ func TestStreamLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// Service-level ingest counters.
-	if srv.stats.IngestRecords() != 120 || srv.stats.IngestBatches() != 2 || srv.stats.Refits() != 1 {
-		t.Fatalf("stats: records=%d batches=%d refits=%d",
-			srv.stats.IngestRecords(), srv.stats.IngestBatches(), srv.stats.Refits())
+	m := scrapeMetrics(t, srv)
+	if m["fm_ingest_records_total"] != 120 || m["fm_ingest_batches_total"] != 2 || m["fm_refits_total"] != 1 {
+		t.Fatalf("metrics: records=%v batches=%v refits=%v",
+			m["fm_ingest_records_total"], m["fm_ingest_batches_total"], m["fm_refits_total"])
 	}
 }
 
@@ -219,8 +220,9 @@ func TestConcurrentIngestOverHTTP(t *testing.T) {
 	if st.Records() != clients*perBatch {
 		t.Fatalf("records = %d, want %d", st.Records(), clients*perBatch)
 	}
-	if srv.stats.IngestRecords() != clients*perBatch || srv.stats.IngestBatches() != clients {
-		t.Fatalf("stats records=%d batches=%d", srv.stats.IngestRecords(), srv.stats.IngestBatches())
+	m := scrapeMetrics(t, srv)
+	if m["fm_ingest_records_total"] != clients*perBatch || m["fm_ingest_batches_total"] != clients {
+		t.Fatalf("metrics records=%v batches=%v", m["fm_ingest_records_total"], m["fm_ingest_batches_total"])
 	}
 }
 
@@ -293,7 +295,7 @@ func TestIngestValidationOverHTTP(t *testing.T) {
 	if missing.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown stream: status %d, want 404", missing.StatusCode)
 	}
-	if srv.stats.IngestRecords() != 0 {
-		t.Fatalf("rejected batches counted: %d", srv.stats.IngestRecords())
+	if got := scrapeMetrics(t, srv)["fm_ingest_records_total"]; got != 0 {
+		t.Fatalf("rejected batches counted: %v", got)
 	}
 }

@@ -300,6 +300,15 @@ func TestWALIngestReplayRespectsStreamIncarnations(t *testing.T) {
 	if got := st.Merged().Len(); got != 10 {
 		t.Fatalf("coefficients cover %d records, want the 10 the snapshot carried", got)
 	}
+	// The service-wide ingest totals are sums of the stream sequences, so
+	// the replayed records count there too.
+	m := scrapeMetrics(t, s3)
+	if got := m["fm_ingest_records_total"]; got != 15 {
+		t.Fatalf("fm_ingest_records_total = %v, want 15 (the stream's sequence)", got)
+	}
+	if got, want := m["fm_ingest_batches_total"], float64(st.Batches()); got != want {
+		t.Fatalf("fm_ingest_batches_total = %v, want the stream's %v batches", got, want)
+	}
 
 	// Idempotence across a clean restart: snapshot again covering
 	// everything, reboot, and nothing moves.

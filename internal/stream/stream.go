@@ -6,10 +6,10 @@
 // Algorithm 1): the fit step consumes only the objective's polynomial
 // coefficients, which are sums over records, so ingestion is a monoid fold
 // and a refit costs O(d²) regardless of how many records ever arrived. Each
-// stream owns per-task live accumulators (linear/ridge/logistic share the
-// ingested records), a monotone sequence number, and a shard discipline that
-// lets concurrent ingest batches proceed while refits read a consistent
-// merged view:
+// stream owns per-task live accumulators (every registered task, median
+// included, shares the ingested records), a monotone sequence number, and a
+// shard discipline that lets concurrent ingest batches proceed while refits
+// read a consistent merged view:
 //
 //   - A batch is folded into exactly one shard (chosen round-robin) under
 //     that shard's mutex, so batches on different shards accumulate in
@@ -70,8 +70,8 @@ type RefitInfo struct {
 // guarded by the shard locks, which is what snapshots read so their counts
 // always agree with the sums they persist), while the monitoring gauges
 // behind countMu are updated after each fold commits and are never held
-// across a fold — so /v1/stats-style readers cannot stall behind an ingest
-// that is waiting for CPU admission inside its shard lock.
+// across a fold — so /metrics and GET /v1/streams readers cannot stall
+// behind an ingest that is waiting for CPU admission inside its shard lock.
 type Stream struct {
 	name    string
 	cfg     Config

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# check_docs.sh — keep the prose honest. Two machine checks over the docs:
+# check_docs.sh — keep the prose honest. Machine checks over the docs:
 #
-#   1. Every relative markdown link in README.md, DESIGN.md and docs/*.md
+#   1. Every relative markdown link in README.md, ROADMAP.md and docs/*.md
 #      resolves to a file or directory in the repo (anchors stripped;
 #      absolute URLs ignored). A renamed file that leaves a dangling link
 #      fails here, not in a reader's browser.
@@ -33,6 +33,11 @@
 #      together with a baseline file names the one the gate reads: the
 #      script's default BASE. (ROADMAP.md plans may discuss other files.)
 #
+#   7. The README.md endpoint tables (those headed "| Endpoint |") and the
+#      routes serve.New registers in internal/serve/server.go agree in BOTH
+#      directions: every backticked `METHOD /path` in a row's first cell is
+#      a registered pattern, and every registered pattern has a row.
+#
 # Run locally or in CI (the docs job); no dependencies beyond POSIX tools.
 set -euo pipefail
 
@@ -45,7 +50,7 @@ trap 'rm -rf "$WORK"' EXIT
 # --- 1. relative links resolve -------------------------------------------
 # Pipelines spawn subshells, so dangling links are collected in a file and
 # the verdict read back from it.
-docs=(README.md DESIGN.md ROADMAP.md docs/*.md)
+docs=(README.md ROADMAP.md docs/*.md)
 : > "$WORK/dangling"
 for doc in "${docs[@]}"; do
   [ -f "$doc" ] || continue
@@ -239,8 +244,41 @@ for doc in "${docs[@]}"; do
 done
 g="$(sort -u "$WORK/baselines" | wc -l | tr -d ' ')"
 
+# --- 7. README endpoint tables <-> routes registered in serve.New ----------
+routesrc=internal/serve/server.go
+grep -oE 's\.mux\.Handle(Func)?\("[A-Z]+ [^"]+"' "$routesrc" |
+  sed -E 's/^[^"]*"([^"]+)"$/\1/' | sort -u > "$WORK/src_routes"
+awk '
+  /^\| Endpoint \|/ { in_table = 1; next }
+  in_table && !/^\|/ { in_table = 0 }
+  in_table {
+    split($0, cells, "|")
+    cell = cells[2]
+    while (match(cell, /`(GET|POST|PUT|PATCH|DELETE) \/[^`]*`/)) {
+      print substr(cell, RSTART + 1, RLENGTH - 2)
+      cell = substr(cell, RSTART + RLENGTH)
+    }
+  }' README.md | sort -u > "$WORK/doc_routes"
+if [ ! -s "$WORK/src_routes" ] || [ ! -s "$WORK/doc_routes" ]; then
+  echo "check-docs: could not extract routes from $routesrc or endpoint tables from README.md" >&2
+  fail=1
+fi
+while IFS= read -r route; do
+  if ! grep -qxF "$route" "$WORK/src_routes"; then
+    echo "check-docs: README.md documents $route, but $routesrc registers no such route" >&2
+    fail=1
+  fi
+done < "$WORK/doc_routes"
+while IFS= read -r route; do
+  if ! grep -qxF "$route" "$WORK/doc_routes"; then
+    echo "check-docs: $routesrc registers $route, but no README.md endpoint table lists it" >&2
+    fail=1
+  fi
+done < "$WORK/src_routes"
+e="$(wc -l < "$WORK/src_routes" | tr -d ' ')"
+
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL" >&2
   exit 1
 fi
-echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase)"
+echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md)"

@@ -4,8 +4,8 @@
 #
 #   1. Exposition sanity: GET /metrics parses as Prometheus text (HELP/TYPE
 #      per family, histograms have cumulative le-buckets ending in +Inf with
-#      bucket[+Inf] == count), the counters agree with the traffic just
-#      served, and /v1/stats reports the same numbers — one source of truth.
+#      bucket[+Inf] == count), and the counters agree with the traffic just
+#      served.
 #   2. Durability: fm_epsilon_spent for a tenant equals the WAL-replayed
 #      spend after a kill -9 restart, i.e. the scrape surface and the
 #      accounting surface can never tell different stories about ε.
@@ -136,11 +136,6 @@ grep -q 'fm_refusals_total{reason="budget_exhausted"} 1' "$WORKDIR/metrics.txt" 
   || fail "fm_refusals_total{budget_exhausted} != 1"
 grep -q 'fm_epsilon_spent{tenant="acme"} 2' "$WORKDIR/metrics.txt" \
   || fail "fm_epsilon_spent{acme} != 2 after 3 fits + 1 refit at 0.5"
-
-# /metrics and /v1/stats are the same source of truth.
-stats_fits=$(curl -fsS "$BASE/v1/stats" | jq '.fits_total')
-[ "$stats_fits" = "$(metric fm_fits_total)" ] \
-  || fail "/v1/stats fits_total ($stats_fits) != fm_fits_total ($(metric fm_fits_total))"
 
 # The traced fit shows its pipeline spans.
 curl -fsS "$BASE/v1/debug/traces" > "$WORKDIR/traces.json" || fail "GET /v1/debug/traces failed"

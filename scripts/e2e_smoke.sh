@@ -83,10 +83,11 @@ grep -q '"budget_exhausted"' "$WORKDIR/fit4.json" \
   || fail "fourth fit lacked the typed budget_exhausted error: $(cat "$WORKDIR/fit4.json")"
 echo "e2e: fourth fit refused with $code budget_exhausted"
 
-echo "e2e: checking accounting via /v1/stats"
-curl -fsS "$BASE/v1/stats" >"$WORKDIR/stats.json" || fail "stats endpoint unreachable"
-grep -q '"fits_total": 3' "$WORKDIR/stats.json" || fail "stats fits_total != 3: $(cat "$WORKDIR/stats.json")"
-grep -q '"epsilon_remaining": 0' "$WORKDIR/stats.json" || fail "budget not fully spent: $(cat "$WORKDIR/stats.json")"
+echo "e2e: checking accounting via /metrics"
+curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt" || fail "metrics endpoint unreachable"
+grep -qx 'fm_fits_total 3' "$WORKDIR/metrics.txt" || fail "fm_fits_total != 3: $(cat "$WORKDIR/metrics.txt")"
+grep -qx 'fm_epsilon_remaining{tenant="acme"} 0' "$WORKDIR/metrics.txt" \
+  || fail "budget not fully spent: $(cat "$WORKDIR/metrics.txt")"
 
 echo "e2e: graceful shutdown (SIGTERM must drain and exit 0)"
 kill -TERM "$SERVER_PID"

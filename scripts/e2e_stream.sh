@@ -2,7 +2,7 @@
 # e2e_stream.sh — end-to-end test of the streaming ingestion subsystem, run
 # by the CI e2e job and runnable locally: builds fmserve with snapshotting
 # enabled, creates a stream, drives 3 concurrent ingest batches, refits from
-# the live accumulators (asserting the ingest counters in /v1/stats), then
+# the live accumulators (asserting the ingest counters in /metrics), then
 # SIGTERMs the server, restarts it from the snapshot directory, checks the
 # record counts survived without re-ingesting, and refits again with the
 # same seed — the weights must be bit-identical across the restart. Finally
@@ -39,6 +39,10 @@ fail() {
   echo "--- server log ---" >&2
   cat "$WORKDIR/server.log" >&2 || true
   exit 1
+}
+
+metric() { # metric NAME -> value of the exact-match sample line
+  grep -E "^$1 " "$WORKDIR/metrics.txt" | awk '{print $2}'
 }
 
 start_server() {
@@ -101,13 +105,14 @@ for b in 1 2 3; do
   [ "$code" = 200 ] || fail "ingest $b returned $code: $(cat "$WORKDIR/ingest$b.json")"
 done
 
-echo "e2e-stream: asserting ingest counters in /v1/stats"
-curl -fsS "$BASE/v1/stats" >"$WORKDIR/stats.json" || fail "stats endpoint unreachable"
-records=$(jq '.ingest.records_total' "$WORKDIR/stats.json")
-batches=$(jq '.ingest.batches_total' "$WORKDIR/stats.json")
-per_stream=$(jq '.streams[] | select(.name=="readings") | .records' "$WORKDIR/stats.json")
-[ "$records" = 450 ] || fail "ingest.records_total = $records, want 450"
-[ "$batches" = 3 ] || fail "ingest.batches_total = $batches, want 3"
+echo "e2e-stream: asserting ingest counters in /metrics and /v1/streams"
+curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt" || fail "metrics endpoint unreachable"
+curl -fsS "$BASE/v1/streams" >"$WORKDIR/streams.json" || fail "stream listing unreachable"
+records=$(metric fm_ingest_records_total)
+batches=$(metric fm_ingest_batches_total)
+per_stream=$(jq '.streams[] | select(.name=="readings") | .records' "$WORKDIR/streams.json")
+[ "$records" = 450 ] || fail "fm_ingest_records_total = $records, want 450"
+[ "$batches" = 3 ] || fail "fm_ingest_batches_total = $batches, want 3"
 [ "$per_stream" = 450 ] || fail "per-stream records = $per_stream, want 450"
 
 echo "e2e-stream: refit from the live accumulators (ε=1, fixed seed)"
@@ -137,11 +142,11 @@ records2=$(jq '.streams[] | select(.name=="readings") | .records' "$WORKDIR/stre
 batches2=$(jq '.streams[] | select(.name=="readings") | .batches' "$WORKDIR/streams2.json")
 [ "$records2" = 450 ] || fail "post-restart records = $records2, want 450 (diff: pre=450)"
 [ "$batches2" = 3 ] || fail "post-restart batches = $batches2, want 3"
-# Service-level ingest counters are seeded from the restored snapshots, so
-# /v1/stats stays internally consistent across the restart.
-curl -fsS "$BASE/v1/stats" >"$WORKDIR/stats2.json" || fail "post-restart stats unreachable"
-[ "$(jq '.ingest.records_total' "$WORKDIR/stats2.json")" = 450 ] \
-  || fail "post-restart ingest.records_total = $(jq '.ingest.records_total' "$WORKDIR/stats2.json"), want 450"
+# The service-level ingest counters are sums over the restored streams, so
+# they agree with the per-stream counts across the restart.
+curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt" || fail "post-restart metrics unreachable"
+[ "$(metric fm_ingest_records_total)" = 450 ] \
+  || fail "post-restart fm_ingest_records_total = $(metric fm_ingest_records_total), want 450"
 
 echo "e2e-stream: tenant lifetime ε-spend must survive the restart"
 curl -fsS "$BASE/v1/tenants/acme" >"$WORKDIR/tenant2.json" || fail "tenant not restored from snapshot"
