@@ -3,6 +3,7 @@ package funcmech_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -325,7 +326,8 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestVersionMismatchIsTyped: both envelope kinds reject unknown versions
-// with the errors.Is-able ErrVersionMismatch.
+// with the errors.Is-able ErrVersionMismatch — for accumulators that
+// includes the retired versions 1–3, which no longer decode.
 func TestVersionMismatchIsTyped(t *testing.T) {
 	model := `{"kind":"linear","version":99,"schema":{"Features":[{"Name":"x","Min":0,"Max":1}],"Target":{"Name":"y","Min":0,"Max":1}},"weights":[1]}`
 	if _, err := funcmech.LoadLinearModel(strings.NewReader(model)); !errors.Is(err, funcmech.ErrVersionMismatch) {
@@ -340,12 +342,64 @@ func TestVersionMismatchIsTyped(t *testing.T) {
 	if err := acc.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(buf.String(), `"version":4`, `"version":99`, 1)
-	if !strings.Contains(tampered, `"version":99`) {
-		t.Fatal("test setup: version field not found in envelope")
+	for _, version := range []int{1, 2, 3, 99} {
+		field := fmt.Sprintf(`"version":%d`, version)
+		tampered := strings.Replace(buf.String(), `"version":4`, field, 1)
+		if !strings.Contains(tampered, field) {
+			t.Fatal("test setup: version field not found in envelope")
+		}
+		if _, err := funcmech.LoadAccumulator(strings.NewReader(tampered)); !errors.Is(err, funcmech.ErrVersionMismatch) {
+			t.Errorf("accumulator load of version %d: err = %v, want ErrVersionMismatch", version, err)
+		}
 	}
-	if _, err := funcmech.LoadAccumulator(strings.NewReader(tampered)); !errors.Is(err, funcmech.ErrVersionMismatch) {
-		t.Fatalf("accumulator load: err = %v, want ErrVersionMismatch", err)
+}
+
+// TestLoadAccumulatorChecksRecordCounts: an envelope's record count must be
+// non-negative and agree with its folds. Every fold not poisoned holds
+// exactly that many records; a poisoned fold holds at most that many.
+func TestLoadAccumulatorChecksRecordCounts(t *testing.T) {
+	raw := string(readGoldenEnvelope(t))
+	cases := map[string][2]string{
+		"negative records":       {`"records":40`, `"records":-5`},
+		"records beyond folds":   {`"records":40`, `"records":1000000`},
+		"intact fold short":      {`"logistic":{"n":40`, `"logistic":{"n":39`},
+		"poisoned fold too long": {`"median":{"n":0`, `"median":{"n":41`},
+	}
+	for name, edit := range cases {
+		tampered := strings.Replace(raw, edit[0], edit[1], 1)
+		if tampered == raw {
+			t.Fatalf("%s: test setup: %s not found in the golden envelope", name, edit[0])
+		}
+		acc, err := funcmech.LoadAccumulator(strings.NewReader(tampered))
+		switch {
+		case err == nil:
+			t.Errorf("%s: loaded with Len() = %d, want an error", name, acc.Len())
+		case errors.Is(err, funcmech.ErrVersionMismatch):
+			t.Errorf("%s: err = %v, want a record-count error, not ErrVersionMismatch", name, err)
+		}
+	}
+
+	// A boolean fold poisoned mid-batch legitimately stops short of the
+	// record count; its envelope still round-trips.
+	acc, err := funcmech.NewAccumulator(incomeSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := acc.AddFlat([]float64{30, 10, 40, 1, 50, 14, 20, 17, 60, 15, 10, 1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := acc.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := funcmech.LoadAccumulator(&buf)
+	if err != nil {
+		t.Fatalf("envelope with a fold poisoned mid-batch: %v", err)
+	}
+	_, _, errAcc := funcmech.LogisticRegressionFromAccumulator(acc, 0.5)
+	_, _, errBack := funcmech.LogisticRegressionFromAccumulator(back, 0.5)
+	if back.Len() != 3 || errAcc == nil || errBack == nil || errAcc.Error() != errBack.Error() {
+		t.Fatalf("restored Len() = %d, logistic errors %v / %v; want 3 and the same poisoning", back.Len(), errAcc, errBack)
 	}
 }
 

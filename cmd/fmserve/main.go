@@ -17,8 +17,8 @@
 // persisted — periodically when -snapshot-every > 0, and always on graceful
 // shutdown — and restored on boot, so a restarted server refits without
 // re-ingesting a single record; snapshots store their coefficient payloads
-// as compressed fmbin frames (accumulator envelope v4), with envelopes
-// v1–v3 still restoring.
+// as compressed fmbin frames (accumulator envelope v4, the only version
+// that restores: a snapshot holding any other stops the boot).
 //
 // With -wal-dir the privacy accounting is crash-safe: every budget debit is
 // appended to a write-ahead log (fsynced per commit unless -wal-fsync=false)

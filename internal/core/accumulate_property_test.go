@@ -155,19 +155,11 @@ func TestAccumulatorFromStateRejectsCorruptState(t *testing.T) {
 	good := NewAccumulator(LinearTask{}, 3)
 	good.AddRecord([]float64{0.1, 0.2, 0.3}, 0.5)
 
-	legacy := func() AccumulatorState {
-		s := good.State()
-		s.M = [][]float64{{1, 2, 3}, {0, 4, 5}, {0, 0, 6}}
-		s.MU = nil
-		return s
-	}
 	cases := map[string]AccumulatorState{
 		"empty":        {},
 		"negative n":   func() AccumulatorState { s := good.State(); s.N = -1; return s }(),
 		"no matrix":    func() AccumulatorState { s := good.State(); s.MU = nil; return s }(),
 		"short packed": func() AccumulatorState { s := good.State(); s.MU = s.MU[:2]; return s }(),
-		"ragged rows":  func() AccumulatorState { s := legacy(); s.M = s.M[:2]; return s }(),
-		"short row":    func() AccumulatorState { s := legacy(); s.M[1] = s.M[1][:1]; return s }(),
 	}
 	for name, st := range cases {
 		if _, err := AccumulatorFromState(LinearTask{}, st); err == nil {

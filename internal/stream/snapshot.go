@@ -16,12 +16,11 @@ import (
 
 // snapshotEnvelope is the on-disk format of one stream, mirroring the model
 // envelope conventions (kind + version gate, JSON): metadata here, the
-// accumulator in its own versioned sub-envelope (funcmech.Accumulator.Save —
-// since envelope v3 that sub-envelope packs the coefficient vectors as a
-// compressed fmbin frame, docs/FORMAT.md, so stream snapshots inherit the
-// compression without this file changing shape). Snapshot files contain raw
-// coefficient sums — as sensitive as the records; see the data-sensitivity
-// table in docs/ARCHITECTURE.md.
+// accumulator in its own versioned sub-envelope (funcmech.Accumulator.Save,
+// which packs the coefficient vectors as a compressed fmbin frame,
+// docs/FORMAT.md). Snapshot files contain raw coefficient sums — as
+// sensitive as the records; see the data-sensitivity table in
+// docs/ARCHITECTURE.md.
 type snapshotEnvelope struct {
 	Kind    string `json:"kind"` // "stream"
 	Name    string `json:"name"`

@@ -5,7 +5,10 @@
 # the live accumulators (asserting the ingest counters in /metrics), then
 # SIGTERMs the server, restarts it from the snapshot directory, checks the
 # record counts survived without re-ingesting, and refits again with the
-# same seed — the weights must be bit-identical across the restart. Finally
+# same seed — the weights must be bit-identical across the restart. A copy
+# of the snapshot directory whose accumulator envelope claims version 3
+# must stop a second server's boot and come back byte-for-byte unchanged.
+# Finally
 # it ingests the same rows into two fresh streams, once as JSON and once as
 # an fmbin binary frame (cmd/fmbin, Content-Type: application/x-fmbin), and
 # asserts the two refits are bit-identical — the wire format must not
@@ -166,6 +169,27 @@ code=$(curl -s -o "$WORKDIR/refit2.json" -w '%{http_code}' -X POST "$BASE/v1/str
 jq -c '.weights' "$WORKDIR/refit2.json" > "$WORKDIR/weights2.json"
 diff "$WORKDIR/weights1.json" "$WORKDIR/weights2.json" \
   || fail "weights changed across snapshot restart (want bit-identical at fixed seed)"
+
+echo "e2e-stream: a pre-v4 accumulator envelope must stop the boot and stay untouched"
+# Only accumulator envelope v4 loads. Rewrite the nested accumulator's
+# version in a copy of the snapshot directory (the stream envelope itself is
+# version 1) and boot a second fmserve on it: it must exit non-zero, name
+# the file and the version error, and write nothing.
+OLDDIR="$WORKDIR/snapshots-pre-v4"
+cp -r "$SNAPDIR" "$OLDDIR"
+[ "$(grep -o '"version":4' "$OLDDIR/readings.stream.json" | wc -l)" = 1 ] \
+  || fail "want exactly one \"version\":4 (the accumulator's) in readings.stream.json"
+sed -i 's/"version":4/"version":3/' "$OLDDIR/readings.stream.json"
+sums_before=$(sha256sum "$OLDDIR"/*)
+old_status=0
+timeout 30 "$WORKDIR/fmserve" -addr "127.0.0.1:$(( ${FMSERVE_STREAM_PORT:-8078} + 10 ))" \
+  -snapshot-dir "$OLDDIR" -snapshot-every 0 >"$WORKDIR/pre-v4.log" 2>&1 || old_status=$?
+[ "$old_status" != 0 ] || fail "fmserve booted from a pre-v4 snapshot"
+[ "$old_status" != 124 ] || fail "fmserve kept running on a pre-v4 snapshot"
+grep 'readings.stream.json' "$WORKDIR/pre-v4.log" | grep -q 'unsupported envelope version' \
+  || fail "boot log names no readings.stream.json version error: $(cat "$WORKDIR/pre-v4.log")"
+[ "$(sha256sum "$OLDDIR"/*)" = "$sums_before" ] \
+  || fail "the refused boot changed the snapshot directory"
 
 echo "e2e-stream: binary ingest must refit bit-identically to JSON ingest"
 go build -o "$WORKDIR/fmbin" ./cmd/fmbin

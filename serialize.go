@@ -136,45 +136,26 @@ type accumulatorEnvelope struct {
 	Schema    Schema   `json:"schema"`
 	Intercept bool     `json:"intercept"`
 	Threshold *float64 `json:"threshold,omitempty"`
-	// Records is the total record count (version 4); earlier versions imply
-	// it from the linear fold's count.
+	// Records is the total record count; every fold not poisoned holds
+	// exactly this many.
 	Records int `json:"records,omitempty"`
-	// Tasks is version 4's per-fold state, keyed by registry fold name. The
+	// Tasks is the per-fold state, keyed by registry fold name. The
 	// coefficient frame carries one column per entry, ordered by sorted key.
 	Tasks map[string]taskBlock `json:"tasks,omitempty"`
-	// Linear and Logistic are the pre-registry per-fold states (versions
-	// 1–3), kept for decoding old snapshots; version 4 writes Tasks instead.
-	Linear   *core.AccumulatorState `json:"linear,omitempty"`
-	Logistic *core.AccumulatorState `json:"logistic,omitempty"`
-	// Coeffs is the coefficient payload (versions 3 and 4): one compressed
-	// fmbin frame (docs/FORMAT.md) with a column per fold and d + d(d+1)/2
-	// rows per column ([alpha..., packed upper triangle...]). Version 3
-	// frames carry exactly the linear and logistic columns. JSON
-	// base64-encodes the bytes.
-	Coeffs        []byte `json:"coeffs,omitempty"`
-	LogisticError string `json:"logistic_error,omitempty"`
-	Version       int    `json:"version"`
+	// Coeffs is the coefficient payload: one compressed fmbin frame
+	// (docs/FORMAT.md) with a column per fold and d + d(d+1)/2 rows per
+	// column ([alpha..., packed upper triangle...]). JSON base64-encodes the
+	// bytes.
+	Coeffs  []byte `json:"coeffs,omitempty"`
+	Version int    `json:"version"`
 }
 
 const accumulatorKind = "accumulator"
 
-// Accumulator envelope versions. Version 4 replaces the hard-wired
-// linear/logistic field pair with named per-task blocks (Tasks) so the
-// envelope carries one fold per registered task family, and widens the
-// coefficient frame to one column per fold. Version 3 moved the coefficient
-// vectors into a compressed fmbin frame (see accumulatorEnvelope.Coeffs and
-// docs/FORMAT.md), cutting snapshot size well below the version-2 JSON
-// float arrays. Version 2 stores the coefficient matrices as packed upper
-// triangles (d(d+1)/2 values) instead of version 1's full d×d matrices
-// whose lower halves were structurally zero. Versions 1–3 still decode
-// (folds they predate restore poisoned); anything else fails with
-// ErrVersionMismatch.
-const (
-	accumulatorVersion       = 4
-	accumulatorVersionFrame  = 3
-	accumulatorVersionPacked = 2
-	accumulatorVersionLegacy = 1
-)
+// accumulatorVersion is the only accumulator envelope version this build
+// reads or writes: a named block per fold around one compressed fmbin
+// coefficient frame. Any other version fails with ErrVersionMismatch.
+const accumulatorVersion = 4
 
 // Save writes the accumulator's full state as a version-4 envelope — JSON
 // metadata with a named block per fold around a compressed fmbin coefficient
@@ -229,11 +210,12 @@ func foldPredates(f *taskFold) {
 
 // LoadAccumulator reads an accumulator written by Save and resumes it:
 // further Add calls continue the same fold, and fits from the restored
-// accumulator are bit-identical to fits from the original. Envelopes from
-// earlier versions (or written before a task was registered) restore with
-// the missing folds poisoned; envelopes carrying a fold for a task this
-// build does not know fail with an error wrapping ErrUnknownTask. Unknown
-// envelope fields are ignored, so a snapshot carrying the retired
+// accumulator are bit-identical to fits from the original. Only version-4
+// envelopes load; any other version fails with an error wrapping
+// ErrVersionMismatch. Folds an envelope predates (written before their task
+// was registered) restore poisoned; envelopes carrying a fold for a task
+// this build does not know fail with an error wrapping ErrUnknownTask.
+// Unknown envelope fields are ignored, so a snapshot carrying the retired
 // "fast_math" flag loads and keeps folding on the reproducible kernel.
 func LoadAccumulator(r io.Reader) (*Accumulator, error) {
 	var env accumulatorEnvelope
@@ -243,11 +225,8 @@ func LoadAccumulator(r io.Reader) (*Accumulator, error) {
 	if env.Kind != accumulatorKind {
 		return nil, fmt.Errorf("funcmech: envelope kind %q, want %q", env.Kind, accumulatorKind)
 	}
-	switch env.Version {
-	case accumulatorVersion, accumulatorVersionFrame, accumulatorVersionPacked, accumulatorVersionLegacy:
-	default:
-		return nil, fmt.Errorf("%w: accumulator envelope version %d, want %d (or earlier %d, %d, %d)",
-			ErrVersionMismatch, env.Version, accumulatorVersion, accumulatorVersionFrame, accumulatorVersionPacked, accumulatorVersionLegacy)
+	if env.Version != accumulatorVersion {
+		return nil, fmt.Errorf("%w: accumulator envelope version %d, want %d", ErrVersionMismatch, env.Version, accumulatorVersion)
 	}
 	opts := []Option{}
 	if env.Intercept {
@@ -260,20 +239,18 @@ func LoadAccumulator(r io.Reader) (*Accumulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("funcmech: stored accumulator schema invalid: %w", err)
 	}
-	if env.Version == accumulatorVersion {
-		err = restoreTaskFolds(a, &env)
-	} else {
-		err = restoreLegacyFolds(a, &env)
-	}
-	if err != nil {
+	if err := restoreTaskFolds(a, &env); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// restoreTaskFolds restores a version-4 envelope: one named block and one
+// restoreTaskFolds restores the envelope's folds: one named block and one
 // frame column per fold, in sorted fold-name order.
 func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
+	if env.Records < 0 {
+		return fmt.Errorf("funcmech: accumulator envelope has negative record count %d", env.Records)
+	}
 	names := make([]string, 0, len(env.Tasks))
 	for name := range env.Tasks {
 		names = append(names, name)
@@ -299,6 +276,11 @@ func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 			continue
 		}
 		tb := env.Tasks[f.key]
+		// Every record reaches every fold, except that a boolean fold
+		// poisoned mid-batch stops short.
+		if tb.N > env.Records || (tb.Error == "" && tb.N != env.Records) {
+			return fmt.Errorf("funcmech: %s fold holds %d records, envelope holds %d", f.key, tb.N, env.Records)
+		}
 		st := core.AccumulatorState{N: tb.N, Beta: tb.Beta, Alpha: make([]float64, a.d), MU: make([]float64, packed)}
 		for r := 0; r < a.d; r++ {
 			st.Alpha[r] = flat[r*cols+j]
@@ -314,44 +296,6 @@ func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 		}
 	}
 	a.n = env.Records
-	return nil
-}
-
-// restoreLegacyFolds restores a version-1/2/3 envelope: the linear and
-// logistic folds carry state, every other registered fold predates the
-// snapshot and restores poisoned.
-func restoreLegacyFolds(a *Accumulator, env *accumulatorEnvelope) error {
-	if env.Version == accumulatorVersionFrame {
-		if err := unpackCoeffFrame(env, a.d); err != nil {
-			return err
-		}
-	}
-	if env.Linear == nil || env.Logistic == nil {
-		return fmt.Errorf("funcmech: version-%d accumulator envelope is missing its linear/logistic state", env.Version)
-	}
-	if len(env.Linear.Alpha) != a.d || len(env.Logistic.Alpha) != a.d {
-		return fmt.Errorf("funcmech: accumulator state dimensionality %d/%d does not match schema's %d",
-			len(env.Linear.Alpha), len(env.Logistic.Alpha), a.d)
-	}
-	var err error
-	for _, f := range a.folds {
-		switch f.key {
-		case core.TaskNameLinear:
-			if f.acc, err = core.AccumulatorFromState(f.acc.Task(), *env.Linear); err != nil {
-				return fmt.Errorf("funcmech: restoring linear coefficients: %w", err)
-			}
-		case core.TaskNameLogistic:
-			if f.acc, err = core.AccumulatorFromState(f.acc.Task(), *env.Logistic); err != nil {
-				return fmt.Errorf("funcmech: restoring logistic coefficients: %w", err)
-			}
-			if env.LogisticError != "" {
-				f.err = errors.New(env.LogisticError)
-			}
-		default:
-			foldPredates(f)
-		}
-	}
-	a.n = env.Linear.N
 	return nil
 }
 
@@ -375,30 +319,6 @@ func decodeCoeffFrame(env *accumulatorEnvelope, cols, rows int) ([]float64, erro
 		return nil, fmt.Errorf("funcmech: coefficient frame has %d rows per column, want %d", len(flat)/cols, rows)
 	}
 	return flat, nil
-}
-
-// unpackCoeffFrame decodes a version-3 envelope's fmbin coefficient frame
-// into the envelope's Linear and Logistic states in place, so the rest of
-// the legacy restore is version-agnostic. d is the coefficient count implied
-// by the envelope's schema; the frame must carry exactly two columns of
-// d + d(d+1)/2 rows (alpha, then the packed upper triangle).
-func unpackCoeffFrame(env *accumulatorEnvelope, d int) error {
-	if env.Linear == nil || env.Logistic == nil {
-		return fmt.Errorf("funcmech: version-%d accumulator envelope is missing its linear/logistic state", env.Version)
-	}
-	flat, err := decodeCoeffFrame(env, 2, d+d*(d+1)/2)
-	if err != nil {
-		return err
-	}
-	rows := len(flat) / 2
-	linear := make([]float64, rows)
-	logistic := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		linear[r], logistic[r] = flat[2*r], flat[2*r+1]
-	}
-	env.Linear.Alpha, env.Linear.MU = linear[:d], linear[d:]
-	env.Logistic.Alpha, env.Logistic.MU = logistic[:d], logistic[d:]
-	return nil
 }
 
 // envelopeNormalizer rebuilds the normalizer the model was trained with,

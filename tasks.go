@@ -232,8 +232,8 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 // FitTaskFromAccumulator fits the named task from streamed coefficients,
 // with no pass over the records; see LinearRegressionFromAccumulator for
 // the cost and privacy contract. The task's fold must be intact: a fold
-// poisoned during ingestion (or absent from a restored legacy snapshot)
-// fails with the poisoning error.
+// poisoned during ingestion (or absent from a restored snapshot that
+// predates the task) fails with the poisoning error.
 func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
 	spec, ok := core.LookupTask(task)
 	if !ok {

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"funcmech"
+	"funcmech/internal/fmbin"
 )
 
 func TestTaskRegistrySurface(t *testing.T) {
@@ -170,21 +169,53 @@ func TestMedianFoldRoundTripsThroughEnvelope(t *testing.T) {
 	sameWeights(t, "median envelope round-trip", m1.Weights(), m2.Weights())
 }
 
-// TestLegacyEnvelopePoisonsUnknownFolds: a pre-registry (v1–v3) snapshot
-// restores with linear and logistic intact, but folds the snapshot predates
-// (median) refuse to refit — their coefficient sums are missing records.
-func TestLegacyEnvelopePoisonsUnknownFolds(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join(goldenDir, "accumulator_v3.json"))
+// TestEnvelopePredatingTaskPoisonsFold: an envelope written before a task
+// was registered restores its other folds intact, but the fold it predates
+// refuses to refit — its coefficient sums are missing records. The envelope
+// is the golden one with the median block and its frame column removed.
+func TestEnvelopePredatingTaskPoisonsFold(t *testing.T) {
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(readGoldenEnvelope(t), &env); err != nil {
+		t.Fatal(err)
+	}
+	var tasks map[string]json.RawMessage
+	if err := json.Unmarshal(env["tasks"], &tasks); err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	if err := json.Unmarshal(env["coeffs"], &frame); err != nil {
+		t.Fatal(err)
+	}
+	flat, cols, err := fmbin.Decode(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Columns follow the sorted fold names: linear, logistic, median.
+	if _, ok := tasks["median"]; !ok || cols != 3 || len(tasks) != 3 {
+		t.Fatalf("test setup: golden envelope has folds %v in %d columns", tasks, cols)
+	}
+	kept := make([]float64, 0, len(flat)/cols*(cols-1))
+	for i, v := range flat {
+		if i%cols != cols-1 {
+			kept = append(kept, v)
+		}
+	}
+	if frame, err = fmbin.Encode(nil, kept, cols-1, true); err != nil {
+		t.Fatal(err)
+	}
+	delete(tasks, "median")
+	env["tasks"], _ = json.Marshal(tasks)
+	env["coeffs"], _ = json.Marshal(frame)
+	raw, _ := json.Marshal(env)
+
 	acc, err := funcmech.LoadAccumulator(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := funcmech.LinearRegressionFromAccumulator(acc, 0.8, funcmech.WithSeed(9)); err != nil {
-		t.Fatalf("linear refit from legacy envelope: %v", err)
-	}
+	want := readGolden(t)
+	lin, logit := goldenRefits(t, acc)
+	sameWeights(t, "linear refit beside a predated fold", want.EnvelopeLinear, lin)
+	sameWeights(t, "logistic refit beside a predated fold", want.EnvelopeLogistic, logit)
 	_, _, err = funcmech.FitTaskFromAccumulator(acc, "median", 0.8, funcmech.WithSeed(9))
 	if err == nil {
 		t.Fatal("median refit from a snapshot that predates the median task")
