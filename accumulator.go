@@ -37,13 +37,13 @@ type taskFold struct {
 // Records are validated against the schema and clamped to its public bounds
 // exactly as the one-shot fit paths do, so a fit from an accumulator is
 // bit-identical to the corresponding one-shot fit over the same records in
-// the same order (at a fixed seed; see LinearRegressionFromAccumulator).
+// the same order (at a fixed seed; see FitTaskFromAccumulator).
 //
 // The accumulated coefficients are raw sums over records with no noise
 // added: an Accumulator (and anything serialized from it via Save) is as
 // sensitive as the records themselves and must stay in the same trust
-// domain. Privacy is only guaranteed for the weights released by the
-// ...FromAccumulator fit functions.
+// domain. Privacy is only guaranteed for the weights FitTaskFromAccumulator
+// releases.
 //
 // An Accumulator is not safe for concurrent use; guard it with a mutex or
 // use one per goroutine and Merge (see internal/stream for the sharded
@@ -400,9 +400,9 @@ func schemasEqual(a, b Schema) bool {
 	return true
 }
 
-// fitCfg validates the option surface shared by the FromAccumulator entry
-// points: options that shape the per-record fold are fixed at accumulator
-// creation and must not reappear at fit time.
+// fitCfg validates FitTaskFromAccumulator's option surface: options that
+// shape the per-record fold are fixed at accumulator creation and must not
+// reappear at fit time.
 func fitCfg(a *Accumulator, opts []Option) (config, error) {
 	cfg := buildConfig(opts)
 	if cfg.intercept {
@@ -415,43 +415,4 @@ func fitCfg(a *Accumulator, opts []Option) (config, error) {
 		return cfg, errors.New("funcmech: accumulator has no records")
 	}
 	return cfg, nil
-}
-
-// LinearRegressionFromAccumulator fits an ε-differentially private linear
-// (or, WithRidge, penalized) regression from the accumulated coefficients,
-// with no pass over the records: the release costs O(d²) regardless of how
-// many records were ingested. Fresh Laplace noise calibrated to the same
-// sensitivity Δ is drawn per call, so each release independently satisfies
-// ε-differential privacy and repeated releases compose sequentially (use a
-// Session to enforce the total).
-//
-// At a fixed seed the result is bit-identical to LinearRegression over the
-// same records appended in the same order with WithParallelism(1): the
-// accumulator performs the identical serial fold the one-shot path performs.
-// WithParallelism and WithGovernor are accepted but have no effect here —
-// there is no record sweep to parallelize.
-func LinearRegressionFromAccumulator(a *Accumulator, epsilon float64, opts ...Option) (*LinearModel, *Report, error) {
-	m, rep, err := FitTaskFromAccumulator(a, core.TaskNameLinear, epsilon, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &LinearModel{
-		weights: m.weights, nz: m.nz, schema: m.schema, intercept: m.intercept,
-	}, rep, nil
-}
-
-// LogisticRegressionFromAccumulator fits an ε-differentially private
-// logistic regression from the accumulated coefficients; see
-// LinearRegressionFromAccumulator for the cost and privacy contract. It
-// fails if any ingested record's target was not boolean and the accumulator
-// had no binarize threshold.
-func LogisticRegressionFromAccumulator(a *Accumulator, epsilon float64, opts ...Option) (*LogisticModel, *Report, error) {
-	m, rep, err := FitTaskFromAccumulator(a, core.TaskNameLogistic, epsilon, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &LogisticModel{
-		weights: m.weights, nz: m.nz, schema: m.schema,
-		threshold: m.threshold, intercept: m.intercept,
-	}, rep, nil
 }

@@ -71,22 +71,22 @@ func TestAddFlatBitIdenticalToAddLoop(t *testing.T) {
 				t.Fatalf("record counts differ: %d vs %d", one.Len(), batch.Len())
 			}
 
-			lin1, _, err := funcmech.LinearRegressionFromAccumulator(one, 0.8, funcmech.WithSeed(5))
+			lin1, _, err := funcmech.FitTaskFromAccumulator(one, "linear", 0.8, funcmech.WithSeed(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			lin2, _, err := funcmech.LinearRegressionFromAccumulator(batch, 0.8, funcmech.WithSeed(5))
+			lin2, _, err := funcmech.FitTaskFromAccumulator(batch, "linear", 0.8, funcmech.WithSeed(5))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameWeights(t, "linear", lin1.Weights(), lin2.Weights())
 
 			if tc.opts != nil { // logistic needs the threshold variant
-				log1, _, err := funcmech.LogisticRegressionFromAccumulator(one, 0.8, funcmech.WithSeed(5))
+				log1, _, err := funcmech.FitTaskFromAccumulator(one, "logistic", 0.8, funcmech.WithSeed(5))
 				if err != nil {
 					t.Fatal(err)
 				}
-				log2, _, err := funcmech.LogisticRegressionFromAccumulator(batch, 0.8, funcmech.WithSeed(5))
+				log2, _, err := funcmech.FitTaskFromAccumulator(batch, "logistic", 0.8, funcmech.WithSeed(5))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,8 +133,8 @@ func TestAddFlatLogisticPoisoningMidBatch(t *testing.T) {
 	if batch.Len() != 4 {
 		t.Fatalf("poisoned batch folded %d records into linear, want 4", batch.Len())
 	}
-	_, _, errOne := funcmech.LogisticRegressionFromAccumulator(one, 0.5)
-	_, _, errBatch := funcmech.LogisticRegressionFromAccumulator(batch, 0.5)
+	_, _, errOne := funcmech.FitTaskFromAccumulator(one, "logistic", 0.5)
+	_, _, errBatch := funcmech.FitTaskFromAccumulator(batch, "logistic", 0.5)
 	if errOne == nil || errBatch == nil {
 		t.Fatalf("poisoned accumulators must refuse logistic refits (one=%v batch=%v)", errOne, errBatch)
 	}
@@ -142,11 +142,11 @@ func TestAddFlatLogisticPoisoningMidBatch(t *testing.T) {
 		t.Fatalf("poisoning errors differ:\n  one:   %v\n  batch: %v", errOne, errBatch)
 	}
 	// Linear refits stay bit-identical despite the poisoning.
-	lin1, _, err := funcmech.LinearRegressionFromAccumulator(one, 0.8, funcmech.WithSeed(3))
+	lin1, _, err := funcmech.FitTaskFromAccumulator(one, "linear", 0.8, funcmech.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin2, _, err := funcmech.LinearRegressionFromAccumulator(batch, 0.8, funcmech.WithSeed(3))
+	lin2, _, err := funcmech.FitTaskFromAccumulator(batch, "linear", 0.8, funcmech.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestLinearFitFromAccumulatorBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			streamed := append([]funcmech.Option{funcmech.WithSeed(9)}, fitOpts...)
-			m2, r2, err := funcmech.LinearRegressionFromAccumulator(acc, 0.8, streamed...)
+			m2, r2, err := funcmech.FitTaskFromAccumulator(acc, "linear", 0.8, streamed...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,13 +103,13 @@ func TestLogisticFitFromAccumulatorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := funcmech.LogisticRegressionFromAccumulator(acc, 1.2, funcmech.WithSeed(3))
+	m2, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 1.2, funcmech.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameWeights(t, "logistic", m1.Weights(), m2.Weights())
 	x := []float64{55, 16, 60}
-	if p1, p2 := m1.Probability(x), m2.Probability(x); p1 != p2 {
+	if p1, p2 := m1.Predict(x), m2.Predict(x); p1 != p2 {
 		t.Fatalf("probability differs: %v vs %v", p1, p2)
 	}
 }
@@ -150,11 +150,11 @@ func TestAccumulatorMergeMatchesSequential(t *testing.T) {
 
 	// Same seed ⇒ same noise; the only difference is the summation tree of
 	// the exact coefficients, so weights agree to round-off.
-	m1, _, err := funcmech.LinearRegressionFromAccumulator(seq, 1.0, funcmech.WithSeed(4))
+	m1, _, err := funcmech.FitTaskFromAccumulator(seq, "linear", 1.0, funcmech.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := funcmech.LinearRegressionFromAccumulator(merged, 1.0, funcmech.WithSeed(4))
+	m2, _, err := funcmech.FitTaskFromAccumulator(merged, "linear", 1.0, funcmech.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestAccumulatorRejectsBadRecords(t *testing.T) {
 	if acc.Len() != 0 {
 		t.Fatalf("rejected records must not count; Len = %d", acc.Len())
 	}
-	if _, _, err := funcmech.LinearRegressionFromAccumulator(acc, 1); err == nil {
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 1); err == nil {
 		t.Fatal("expected error fitting an empty accumulator")
 	}
 }
@@ -207,10 +207,10 @@ func TestAccumulatorFitRejectsCreationTimeOptions(t *testing.T) {
 	if err := acc.Add([]float64{30, 10, 40}, 20000); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := funcmech.LinearRegressionFromAccumulator(acc, 1, funcmech.WithIntercept()); err == nil {
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 1, funcmech.WithIntercept()); err == nil {
 		t.Fatal("expected error: WithIntercept at fit time")
 	}
-	if _, _, err := funcmech.LogisticRegressionFromAccumulator(acc, 1, funcmech.WithBinarizeThreshold(1)); err == nil {
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 1, funcmech.WithBinarizeThreshold(1)); err == nil {
 		t.Fatal("expected error: WithBinarizeThreshold at fit time")
 	}
 }
@@ -229,10 +229,10 @@ func TestAccumulatorLogisticPoisoning(t *testing.T) {
 	if acc.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", acc.Len())
 	}
-	if _, _, err := funcmech.LogisticRegressionFromAccumulator(acc, 1, funcmech.WithSeed(1)); err == nil {
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 1, funcmech.WithSeed(1)); err == nil {
 		t.Fatal("expected logistic refit to fail after a non-boolean target")
 	}
-	if _, _, err := funcmech.LinearRegressionFromAccumulator(acc, 1, funcmech.WithSeed(1)); err != nil {
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 1, funcmech.WithSeed(1)); err != nil {
 		t.Fatalf("linear refit must keep working: %v", err)
 	}
 }
@@ -268,21 +268,21 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("threshold lost in round trip: %v %v", th, ok)
 	}
 
-	m1, _, err := funcmech.LinearRegressionFromAccumulator(acc, 0.9, funcmech.WithSeed(8))
+	m1, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 0.9, funcmech.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := funcmech.LinearRegressionFromAccumulator(back, 0.9, funcmech.WithSeed(8))
+	m2, _, err := funcmech.FitTaskFromAccumulator(back, "linear", 0.9, funcmech.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameWeights(t, "linear after restore", m1.Weights(), m2.Weights())
 
-	l1, _, err := funcmech.LogisticRegressionFromAccumulator(acc, 0.9, funcmech.WithSeed(8))
+	l1, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 0.9, funcmech.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, _, err := funcmech.LogisticRegressionFromAccumulator(back, 0.9, funcmech.WithSeed(8))
+	l2, _, err := funcmech.FitTaskFromAccumulator(back, "logistic", 0.9, funcmech.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +292,8 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 	extra := incomeDataset(5, 55)
 	ingest(t, acc, extra)
 	ingest(t, back, extra)
-	m3, _, _ := funcmech.LinearRegressionFromAccumulator(acc, 0.9, funcmech.WithSeed(9))
-	m4, _, _ := funcmech.LinearRegressionFromAccumulator(back, 0.9, funcmech.WithSeed(9))
+	m3, _, _ := funcmech.FitTaskFromAccumulator(acc, "linear", 0.9, funcmech.WithSeed(9))
+	m4, _, _ := funcmech.FitTaskFromAccumulator(back, "linear", 0.9, funcmech.WithSeed(9))
 	sameWeights(t, "post-restore streaming", m3.Weights(), m4.Weights())
 
 	// Snapshots written while a fast-math kernel tier existed may carry
@@ -308,7 +308,7 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("envelope with fast_math: %v", err)
 	}
-	m5, _, err := funcmech.LinearRegressionFromAccumulator(old, 0.9, funcmech.WithSeed(8))
+	m5, _, err := funcmech.FitTaskFromAccumulator(old, "linear", 0.9, funcmech.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +320,8 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m6, _, _ := funcmech.LinearRegressionFromAccumulator(acc, 0.9, funcmech.WithSeed(10))
-	m7, _, _ := funcmech.LinearRegressionFromAccumulator(old, 0.9, funcmech.WithSeed(10))
+	m6, _, _ := funcmech.FitTaskFromAccumulator(acc, "linear", 0.9, funcmech.WithSeed(10))
+	m7, _, _ := funcmech.FitTaskFromAccumulator(old, "linear", 0.9, funcmech.WithSeed(10))
 	sameWeights(t, "batch folds after restoring a fast_math envelope", m6.Weights(), m7.Weights())
 }
 
@@ -330,7 +330,7 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 // includes the retired versions 1–3, which no longer decode.
 func TestVersionMismatchIsTyped(t *testing.T) {
 	model := `{"kind":"linear","version":99,"schema":{"Features":[{"Name":"x","Min":0,"Max":1}],"Target":{"Name":"y","Min":0,"Max":1}},"weights":[1]}`
-	if _, err := funcmech.LoadLinearModel(strings.NewReader(model)); !errors.Is(err, funcmech.ErrVersionMismatch) {
+	if _, err := funcmech.LoadModel(strings.NewReader(model)); !errors.Is(err, funcmech.ErrVersionMismatch) {
 		t.Fatalf("model load: err = %v, want ErrVersionMismatch", err)
 	}
 
@@ -396,8 +396,8 @@ func TestLoadAccumulatorChecksRecordCounts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("envelope with a fold poisoned mid-batch: %v", err)
 	}
-	_, _, errAcc := funcmech.LogisticRegressionFromAccumulator(acc, 0.5)
-	_, _, errBack := funcmech.LogisticRegressionFromAccumulator(back, 0.5)
+	_, _, errAcc := funcmech.FitTaskFromAccumulator(acc, "logistic", 0.5)
+	_, _, errBack := funcmech.FitTaskFromAccumulator(back, "logistic", 0.5)
 	if back.Len() != 3 || errAcc == nil || errBack == nil || errAcc.Error() != errBack.Error() {
 		t.Fatalf("restored Len() = %d, logistic errors %v / %v; want 3 and the same poisoning", back.Len(), errAcc, errBack)
 	}
@@ -407,13 +407,13 @@ func TestSessionChargesAccumulatorRefits(t *testing.T) {
 	acc, _ := funcmech.NewAccumulator(incomeSchema())
 	ingest(t, acc, incomeDataset(300, 56))
 	s := funcmech.NewSession(1.0)
-	if _, _, err := s.LinearRegressionFromAccumulator(acc, 0.7, funcmech.WithSeed(1)); err != nil {
+	if _, _, err := s.FitTaskFromAccumulator(acc, "linear", 0.7, funcmech.WithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Spent() != 0.7 {
 		t.Fatalf("Spent = %v, want 0.7", s.Spent())
 	}
-	if _, _, err := s.LinearRegressionFromAccumulator(acc, 0.7, funcmech.WithSeed(2)); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+	if _, _, err := s.FitTaskFromAccumulator(acc, "linear", 0.7, funcmech.WithSeed(2)); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 }

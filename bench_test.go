@@ -553,8 +553,8 @@ func BenchmarkRefitFromStream(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := funcmech.LinearRegressionFromAccumulator(
-					s.Merged(), 0.8, funcmech.WithSeed(int64(i))); err != nil {
+				if _, _, err := funcmech.FitTaskFromAccumulator(
+					s.Merged(), "linear", 0.8, funcmech.WithSeed(int64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,6 +38,8 @@
 // Datasets and tenants can also be created at runtime via POST /v1/datasets
 // and POST /v1/tenants. On SIGINT/SIGTERM the server stops accepting
 // requests and drains in-flight fits before exiting (see -drain-timeout).
+// The public listener closes a connection that takes more than 10 s to send
+// its request headers, and a keep-alive connection idle for 2 minutes.
 //
 // Observability: every request carries a trace id (X-Request-Id, generated
 // when absent) and records spans for queueing, kernel work, the solve, the
@@ -76,6 +78,15 @@ import (
 	"funcmech/internal/serve"
 	"funcmech/internal/stream"
 	"funcmech/internal/wal"
+)
+
+// Slow-client bounds on the public listener: a connection that has not
+// sent its request headers within readHeaderTimeout is closed, and so is a
+// keep-alive connection idle for idleTimeout. They are constants, not flags,
+// because no deployment needs other values.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -205,7 +216,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	log.Printf("fmserve: listening on %s (max fits %d, worker cap %d)",

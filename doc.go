@@ -21,6 +21,10 @@
 //	if err != nil { ... }
 //	estimate := model.Predict([]float64{41, 40}) // raw units in, raw units out
 //
+// LinearRegression and LogisticRegression are the paper's two case studies;
+// FitTask fits any task in the registry (TaskNames) by name. Every fit
+// returns a *TaskModel, which Save persists and LoadModel reads back.
+//
 // Attribute Min/Max bounds must be public domain knowledge (they calibrate
 // the normalization the privacy analysis requires); they must not be
 // computed from the sensitive data itself.
@@ -52,9 +56,9 @@
 // The fit step of the functional mechanism consumes only the objective's
 // polynomial coefficients, which are sums over records. An Accumulator
 // exploits that: records fold into the coefficient sums as they arrive and
-// are never retained, and LinearRegressionFromAccumulator /
-// LogisticRegressionFromAccumulator release a private model from the cached
-// sums in O(d²), independent of how many records were ever ingested.
+// are never retained, and FitTaskFromAccumulator releases a private model
+// for any registered task from the cached sums in O(d²), independent of how
+// many records were ever ingested.
 //
 // Incremental refits preserve the paper's ε guarantee unchanged, for two
 // reasons. First, the accumulated coefficients are internal state, never

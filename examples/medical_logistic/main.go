@@ -76,6 +76,6 @@ func main() {
 	fmt.Println("\nscreening with the ε=0.8 model:")
 	for _, patient := range [][]float64{{35, 150}, {55, 220}, {75, 290}} {
 		fmt.Printf("  age %2.0f, cholesterol %3.0f → P(diabetes) = %.2f\n",
-			patient[0], patient[1], model.Probability(patient))
+			patient[0], patient[1], model.Predict(patient))
 	}
 }

@@ -188,7 +188,7 @@ func TestLogisticRegressionEndToEnd(t *testing.T) {
 	if rate+1e-9 < exactRate-0.05 {
 		t.Fatalf("private rate %v implausibly beats exact %v", rate, exactRate)
 	}
-	if p := private.Probability([]float64{40, 16, 60}); p < 0 || p > 1 {
+	if p := private.Predict([]float64{40, 16, 60}); p < 0 || p > 1 {
 		t.Fatalf("probability %v outside [0,1]", p)
 	}
 }

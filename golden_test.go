@@ -12,14 +12,16 @@ import (
 )
 
 // The golden fixtures under testdata/golden pin the exact bits of fixed-seed
-// releases and of the serialized accumulator envelope across refactors: any
-// change to the fold order, the noise-draw order, or the envelope decoding
-// that perturbs a single ULP fails these tests. The weights were generated
-// before the task-registry refactor; accumulator_v4.json holds coefficients
-// folded by that pre-registry code, rewritten once into the version-4
-// envelope by LoadAccumulator and Save. Both are frozen — -update-golden
-// rewrites only the weights file, never the envelope, which would pin
-// nothing if it were regenerated by the code it checks.
+// releases and of the serialized accumulator and model envelopes across
+// refactors: any change to the fold order, the noise-draw order, or the
+// envelope decoding that perturbs a single ULP fails these tests. The
+// weights were generated before the task-registry refactor;
+// accumulator_v4.json holds coefficients folded by that pre-registry code,
+// rewritten once into the version-4 envelope by LoadAccumulator and Save;
+// model_linear_v1.json and model_logistic_v1.json were written by the
+// per-task model types that TaskModel replaced. All are frozen —
+// -update-golden rewrites only the weights file, never an envelope, which
+// would pin nothing if it were regenerated by the code it checks.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/weights.json from the current code")
 
 const goldenDir = "testdata/golden"
@@ -72,11 +74,11 @@ func goldenAccumulator(t *testing.T) *funcmech.Accumulator {
 
 func goldenRefits(t *testing.T, acc *funcmech.Accumulator) (lin, logit []float64) {
 	t.Helper()
-	lm, _, err := funcmech.LinearRegressionFromAccumulator(acc, 0.8, funcmech.WithSeed(9))
+	lm, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 0.8, funcmech.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, _, err := funcmech.LogisticRegressionFromAccumulator(acc, 0.8, funcmech.WithSeed(13))
+	gm, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 0.8, funcmech.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +126,52 @@ func TestGoldenEnvelopeLiveMatchesFixture(t *testing.T) {
 	lin, logit := goldenRefits(t, goldenAccumulator(t))
 	sameWeights(t, "live linear refit", want.EnvelopeLinear, lin)
 	sameWeights(t, "live logistic refit", want.EnvelopeLogistic, logit)
+}
+
+// TestGoldenModelEnvelopes: model envelopes written by the per-task model
+// types TaskModel replaced still load with LoadModel, with the pinned
+// weights bit for bit, and Save writes them back byte for byte — as it
+// does for the same fits made today.
+func TestGoldenModelEnvelopes(t *testing.T) {
+	want := readGolden(t)
+	ds := incomeDataset(300, 17)
+	for _, tc := range []struct {
+		file, task string
+		weights    []float64
+		opts       []funcmech.Option
+	}{
+		{"model_linear_v1.json", "linear", want.Linear, []funcmech.Option{funcmech.WithSeed(101)}},
+		{"model_logistic_v1.json", "logistic", want.Logistic,
+			[]funcmech.Option{funcmech.WithBinarizeThreshold(35000), funcmech.WithSeed(103)}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join(goldenDir, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := funcmech.LoadModel(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("golden model failed to load: %v", err)
+			}
+			if m.Task().Name != tc.task {
+				t.Fatalf("loaded task %q, want %q", m.Task().Name, tc.task)
+			}
+			sameWeights(t, tc.file, tc.weights, m.Weights())
+			live, _, err := funcmech.FitTask(ds, tc.task, 0.8, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, model := range map[string]*funcmech.TaskModel{"loaded": m, "live": live} {
+				var buf bytes.Buffer
+				if err := model.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), raw) {
+					t.Errorf("%s model saved\n%s\nwant the fixture\n%s", what, buf.Bytes(), raw)
+				}
+			}
+		})
+	}
 }
 
 func readGolden(t *testing.T) goldenWeights {

@@ -46,7 +46,8 @@ type GDOptions struct {
 	// Tol is the stopping threshold on the gradient infinity norm
 	// (default 1e-8).
 	Tol float64
-	// InitialStep seeds the backtracking line search (default 1).
+	// InitialStep seeds the first backtracking line search, and any later
+	// one whose Barzilai–Borwein step is unusable (default 1).
 	InitialStep float64
 }
 
@@ -67,32 +68,48 @@ func (o GDOptions) withDefaults() GDOptions {
 // search. It is the generic fallback optimizer: Newton handles the smooth
 // well-conditioned cases faster, but gradient descent never needs an
 // invertible Hessian.
+//
+// Each line search after the first starts at the Barzilai–Borwein step
+// ‖s‖²/⟨s, y⟩, where s is the previous step and y the gradient change along
+// it, and falls back to InitialStep when that is not positive and finite. A
+// fixed starting step would be halved to the first step below 2/λmax on a
+// quadratic, which multiplies the error along the top eigenvector by nearly
+// −1 per iteration however well conditioned the problem is. Backtracking
+// never goes below InitialStep/2⁵⁹.
 func GradientDescent(f func([]float64) float64, grad func([]float64) []float64, init []float64, opt GDOptions) ([]float64, error) {
 	opt = opt.withDefaults()
+	minStep := opt.InitialStep * 0x1p-59
 	w := linalg.CloneVec(init)
 	fw := f(w)
+	var s, gPrev []float64 // the last accepted step and the gradient it started from
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		g := grad(w)
 		if linalg.NormInf(g) < opt.Tol {
 			return w, nil
 		}
 		step := opt.InitialStep
+		if s != nil {
+			if bb := linalg.Dot(s, s) / linalg.Dot(s, linalg.Sub(g, gPrev)); bb > 0 && !math.IsInf(bb, 1) {
+				step = bb
+			}
+		}
 		g2 := linalg.Dot(g, g)
 		improved := false
-		for ls := 0; ls < 60; ls++ {
+		for ; step >= minStep; step /= 2 {
 			cand := linalg.CloneVec(w)
 			linalg.AXPY(-step, g, cand)
 			fc := f(cand)
-			if fc <= fw-1e-4*step*g2 && !math.IsNaN(fc) {
+			if fc < fw-1e-4*step*g2 { // false for NaN
+				s, gPrev = linalg.Sub(cand, w), g
 				w, fw = cand, fc
 				improved = true
 				break
 			}
-			step /= 2
 		}
 		if !improved {
-			// The line search stalled at numerical precision: treat the
-			// current iterate as converged rather than spinning.
+			// No step decreases f strictly: f's rounding hides any further
+			// progress, so treat the current iterate as converged rather
+			// than wander among ties until MaxIters.
 			return w, nil
 		}
 	}

@@ -48,7 +48,7 @@ func TestBudgetsRoundTrip(t *testing.T) {
 
 	// The restored accountant keeps enforcing the lifetime budget: the
 	// charge happens before any data is touched, so a nil dataset is fine.
-	if _, _, err := got.Session.LinearRegression(nil, 1.5); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+	if _, _, err := got.Session.FitTask(nil, "linear", 1.5); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("over-budget fit after restore: err = %v, want ErrBudgetExhausted", err)
 	}
 }

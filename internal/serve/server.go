@@ -413,7 +413,6 @@ type fitOptions struct {
 	// PostProcess is one of "regularize+trim" (default), "regularize",
 	// "resample" (costs 2ε), "none".
 	PostProcess       string   `json:"post_process,omitempty"`
-	LambdaFactor      float64  `json:"lambda_factor,omitempty"`
 	RidgeWeight       float64  `json:"ridge_weight,omitempty"`
 	Intercept         bool     `json:"intercept,omitempty"`
 	BinarizeThreshold *float64 `json:"binarize_threshold,omitempty"`
@@ -449,9 +448,9 @@ type fitResponse struct {
 }
 
 // buildFitCore maps the option surface shared by /v1/fit and
-// /v1/streams/{name}/refit — post-processing, λ-factor, seed, and the
-// model/ridge-weight pairing — so the two endpoints cannot drift.
-func buildFitCore(postProcess string, lambdaFactor float64, seed *int64, model string, ridgeWeight float64) ([]funcmech.Option, error) {
+// /v1/streams/{name}/refit — post-processing, seed, and the model/ridge-weight
+// pairing — so the two endpoints cannot drift.
+func buildFitCore(postProcess string, seed *int64, model string, ridgeWeight float64) ([]funcmech.Option, error) {
 	var opts []funcmech.Option
 	switch postProcess {
 	case "", "regularize+trim":
@@ -463,9 +462,6 @@ func buildFitCore(postProcess string, lambdaFactor float64, seed *int64, model s
 		opts = append(opts, funcmech.WithPostProcess(funcmech.NoPostProcess))
 	default:
 		return nil, fmt.Errorf("unknown post_process %q", postProcess)
-	}
-	if lambdaFactor != 0 {
-		opts = append(opts, funcmech.WithLambdaFactor(lambdaFactor))
 	}
 	if seed != nil {
 		opts = append(opts, funcmech.WithSeed(*seed))
@@ -498,7 +494,7 @@ func ridgeModels() []string {
 }
 
 func (o fitOptions) build(model string, gov funcmech.Governor) ([]funcmech.Option, error) {
-	core, err := buildFitCore(o.PostProcess, o.LambdaFactor, o.Seed, model, o.RidgeWeight)
+	core, err := buildFitCore(o.PostProcess, o.Seed, model, o.RidgeWeight)
 	if err != nil {
 		return nil, err
 	}

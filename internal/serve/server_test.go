@@ -267,11 +267,11 @@ func TestUnknownTaskEnumeratesRegistry(t *testing.T) {
 // (shared by /v1/fit and refit) classifies a registry miss with the
 // errors.Is-able sentinel that writeOptionsError maps to unknown_task.
 func TestBuildFitCoreUnknownTaskIsTyped(t *testing.T) {
-	_, err := buildFitCore("", 0, nil, "quantile", 0)
+	_, err := buildFitCore("", nil, "quantile", 0)
 	if !errors.Is(err, funcmech.ErrUnknownTask) {
 		t.Fatalf("err = %v, want ErrUnknownTask", err)
 	}
-	if _, err := buildFitCore("", 0, nil, "median", 0); err != nil {
+	if _, err := buildFitCore("", nil, "median", 0); err != nil {
 		t.Fatalf("median is registered but was rejected: %v", err)
 	}
 }
@@ -307,6 +307,11 @@ func TestFitErrors(t *testing.T) {
 		// field to the strict decoder.
 		{"retired reproducible option", map[string]any{"tenant": "acme", "dataset": "toy", "model": "linear",
 			"epsilon": 0.1, "options": map[string]any{"reproducible": false}},
+			http.StatusBadRequest, codeInvalidRequest},
+		// Releases use the paper's λ = 4·sd(noise): the retired λ-factor
+		// knob is an unknown field too.
+		{"retired lambda_factor option", map[string]any{"tenant": "acme", "dataset": "toy", "model": "linear",
+			"epsilon": 0.1, "options": map[string]any{"lambda_factor": 2.0}},
 			http.StatusBadRequest, codeInvalidRequest},
 	}
 	for _, c := range cases {

@@ -201,10 +201,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 type refitOptions struct {
 	// PostProcess is one of "regularize+trim" (default), "regularize",
 	// "resample" (costs 2ε), "none".
-	PostProcess  string  `json:"post_process,omitempty"`
-	LambdaFactor float64 `json:"lambda_factor,omitempty"`
-	RidgeWeight  float64 `json:"ridge_weight,omitempty"`
-	Seed         *int64  `json:"seed,omitempty"`
+	PostProcess string  `json:"post_process,omitempty"`
+	RidgeWeight float64 `json:"ridge_weight,omitempty"`
+	Seed        *int64  `json:"seed,omitempty"`
 	// Intercept, binarize_threshold and parallelism are deliberately absent:
 	// the first two are fixed at stream creation, and a refit has no record
 	// sweep to parallelize. DisallowUnknownFields rejects them with a 400.
@@ -229,7 +228,7 @@ type refitResponse struct {
 }
 
 func (o refitOptions) build(model string) ([]funcmech.Option, error) {
-	return buildFitCore(o.PostProcess, o.LambdaFactor, o.Seed, model, o.RidgeWeight)
+	return buildFitCore(o.PostProcess, o.Seed, model, o.RidgeWeight)
 }
 
 // handleRefit is an audited noise release site: the refit draws noise only

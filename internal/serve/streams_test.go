@@ -255,16 +255,21 @@ func TestRefitRejectsFitTimeFoldOptions(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/streams/s/ingest", ingestRequest{Rows: rowsJSON(t, syntheticRows(30, 4))})
 	resp.Body.Close()
 
-	// intercept is fixed at stream creation; the refit options schema
-	// rejects it as an unknown field.
-	raw := map[string]any{
-		"tenant": "acme", "model": "linear", "epsilon": 1.0,
-		"options": map[string]any{"intercept": true},
-	}
-	bad := postJSON(t, ts.URL+"/v1/streams/s/refit", raw)
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 for intercept in refit options", bad.StatusCode)
+	// intercept is fixed at stream creation, and the λ-factor knob is
+	// retired; the refit options schema rejects both as unknown fields.
+	for field, value := range map[string]any{"intercept": true, "lambda_factor": 2.0} {
+		raw := map[string]any{
+			"tenant": "acme", "model": "linear", "epsilon": 1.0,
+			"options": map[string]any{field: value},
+		}
+		bad := postJSON(t, ts.URL+"/v1/streams/s/refit", raw)
+		if bad.StatusCode != http.StatusBadRequest {
+			bad.Body.Close()
+			t.Fatalf("status %d, want 400 for %s in refit options", bad.StatusCode, field)
+		}
+		if body := decode[errorResponse](t, bad); body.Error.Code != codeInvalidRequest {
+			t.Fatalf("%s in refit options: code %q, want %q", field, body.Error.Code, codeInvalidRequest)
+		}
 	}
 
 	// An empty stream refuses refits before touching the budget.

@@ -175,7 +175,7 @@ func TestSingleShardRefitBitIdenticalToOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := funcmech.LinearRegressionFromAccumulator(s.Merged(), 0.9, funcmech.WithSeed(11))
+	m2, _, err := funcmech.FitTaskFromAccumulator(s.Merged(), "linear", 0.9, funcmech.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestShardedRefitMatchesOneShotToRoundOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := funcmech.LinearRegressionFromAccumulator(s.Merged(), 0.9, funcmech.WithSeed(5))
+	m2, _, err := funcmech.FitTaskFromAccumulator(s.Merged(), "linear", 0.9, funcmech.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m1, _, err := funcmech.LogisticRegressionFromAccumulator(s.Merged(), 1.0, funcmech.WithSeed(21))
+	m1, _, err := funcmech.FitTaskFromAccumulator(s.Merged(), "logistic", 1.0, funcmech.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("last refit drifted: %+v ok=%v", last, ok)
 	}
 
-	m2, _, err := funcmech.LogisticRegressionFromAccumulator(back.Merged(), 1.0, funcmech.WithSeed(21))
+	m2, _, err := funcmech.FitTaskFromAccumulator(back.Merged(), "logistic", 1.0, funcmech.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}

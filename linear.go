@@ -2,97 +2,28 @@ package funcmech
 
 import (
 	"funcmech/internal/core"
-	"funcmech/internal/dataset"
 	"funcmech/internal/regression"
 )
 
-// LinearModel predicts a numeric target from raw-unit features. It carries
-// the normalization derived from the schema's public bounds, so Predict and
-// MSE operate entirely in the caller's units.
-type LinearModel struct {
-	weights   []float64
-	nz        *dataset.Normalizer
-	schema    Schema
-	intercept bool
-}
-
-// Weights returns the model parameters ω in normalized feature space (the
-// space the paper's guarantees live in). When the model was fitted
-// WithIntercept, the last entry is the bias weight. The slice is a copy.
-func (m *LinearModel) Weights() []float64 {
-	return append([]float64(nil), m.weights...)
-}
-
-// Predict returns the estimated target for a raw feature vector.
-func (m *LinearModel) Predict(features []float64) float64 {
-	return m.PredictRow(features)
-}
-
-// PredictRow returns the estimated target for a raw feature vector in
-// schema order.
-func (m *LinearModel) PredictRow(features []float64) float64 {
-	if m.intercept {
-		features = augmentRow(features)
-	}
-	x := m.nz.NormalizeRow(features)
-	return m.nz.DenormalizeLabel((&regression.LinearModel{Weights: m.weights}).Predict(x))
-}
-
-// MSE returns the mean squared error over ds in raw target units.
-func (m *LinearModel) MSE(ds *Dataset) float64 {
-	n := ds.Len()
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		r := ds.inner.Label(i) - m.PredictRow(ds.inner.Row(i))
-		s += r * r
-	}
-	return s / float64(n)
-}
-
-// NormalizedMSE returns the mean squared error in the paper's normalized
-// units (target in [−1,1]) — the quantity Figures 4–6 plot.
-func (m *LinearModel) NormalizedMSE(ds *Dataset) float64 {
-	inner := ds.inner
-	if m.intercept {
-		inner = withInterceptColumn(inner)
-	}
-	norm := m.nz.NormalizeForLinear(inner)
-	return (&regression.LinearModel{Weights: m.weights}).MSE(norm)
-}
-
 // LinearRegression fits an ε-differentially private linear regression with
-// the functional mechanism (paper §4). The dataset stays in raw units; the
-// schema's public bounds drive the normalization the privacy analysis
-// requires.
-func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*LinearModel, *Report, error) {
-	m, rep, err := FitTask(ds, core.TaskNameLinear, epsilon, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &LinearModel{
-		weights: m.weights, nz: m.nz, schema: m.schema, intercept: m.intercept,
-	}, rep, nil
+// the functional mechanism (paper §4): FitTask for the "linear" task. With
+// WithRidge it fits the penalized objective.
+func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
+	return FitTask(ds, core.TaskNameLinear, epsilon, opts...)
 }
 
 // LinearRegressionExact fits the non-private least-squares model on the same
 // normalized representation — the NoPrivacy baseline, useful for measuring
 // the privacy cost on your own data.
-func LinearRegressionExact(ds *Dataset, opts ...Option) (*LinearModel, error) {
-	cfg := buildConfig(opts)
-	inner := ds.inner
-	if cfg.intercept {
-		inner = withInterceptColumn(inner)
-	}
-	nz := dataset.NewNormalizer(inner.Schema)
-	norm := nz.NormalizeForLinear(inner)
-	m, err := regression.FitLinear(norm)
+func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
+	m, norm, err := exactTask(ds, core.TaskNameLinear, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &LinearModel{
-		weights: m.Weights, nz: nz, schema: ds.Schema(), intercept: cfg.intercept,
-	}, nil
+	fit, err := regression.FitLinear(norm)
+	if err != nil {
+		return nil, err
+	}
+	m.weights = fit.Weights
+	return m, nil
 }

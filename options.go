@@ -41,12 +41,6 @@ func WithPostProcess(p PostProcess) Option {
 	return func(c *config) { c.opts.PostProcess = p }
 }
 
-// WithLambdaFactor overrides the regularization rule λ = factor×sd(noise);
-// the paper uses 4.
-func WithLambdaFactor(f float64) Option {
-	return func(c *config) { c.opts.LambdaFactor = f }
-}
-
 // WithParallelism bounds the worker pool that accumulates the objective —
 // the fit's only pass over the records, and its dominant cost for large
 // datasets. n = 0 (the default) uses runtime.GOMAXPROCS(0); n = 1 forces the

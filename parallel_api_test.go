@@ -37,12 +37,12 @@ func TestWithParallelismReproducibleAcrossRuns(t *testing.T) {
 func TestWithParallelismLogisticAndSession(t *testing.T) {
 	ds := incomeDataset(3000, 5)
 	s := funcmech.NewSession(2.0)
-	if _, _, err := s.LogisticRegression(ds, 1.0,
+	if _, _, err := s.FitTask(ds, "logistic", 1.0,
 		funcmech.WithSeed(7), funcmech.WithParallelism(2),
 		funcmech.WithBinarizeThreshold(90000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.LinearRegression(ds, 1.0,
+	if _, _, err := s.FitTask(ds, "linear", 1.0,
 		funcmech.WithSeed(7), funcmech.WithParallelism(2)); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestRefitReproducibleAcrossParallelism(t *testing.T) {
 	ingest(t, acc, ds)
 
 	refit := func(par int) []float64 {
-		m, _, err := funcmech.LinearRegressionFromAccumulator(acc, 0.8,
+		m, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 0.8,
 			funcmech.WithSeed(42), funcmech.WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)

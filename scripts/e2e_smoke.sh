@@ -3,7 +3,8 @@
 # and runnable locally: builds the server, starts it against a generated
 # census dataset, registers a tenant whose budget admits exactly three fits,
 # drives three concurrent fits (all must succeed), asserts the fourth is
-# refused with the typed budget_exhausted 402, and checks the server drains
+# refused with the typed budget_exhausted 402, checks that a client which
+# stops mid-headers is disconnected within 20 s, and checks the server drains
 # cleanly on SIGTERM (non-zero exit of the drain fails the job).
 set -euo pipefail
 
@@ -88,6 +89,16 @@ curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt" || fail "metrics endpoint unre
 grep -qx 'fm_fits_total 3' "$WORKDIR/metrics.txt" || fail "fm_fits_total != 3: $(cat "$WORKDIR/metrics.txt")"
 grep -qx 'fm_epsilon_remaining{tenant="acme"} 0' "$WORKDIR/metrics.txt" \
   || fail "budget not fully spent: $(cat "$WORKDIR/metrics.txt")"
+
+echo "e2e: a client that stops mid-headers must be disconnected within 20 s"
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}" || fail "could not open a raw connection to $ADDR"
+printf 'GET /healthz HTTP/1.1\r\nHost: x\r\n' >&3
+started=$SECONDS
+slow_status=0
+timeout 20 cat <&3 >/dev/null || slow_status=$?
+exec 3<&-
+[ "$slow_status" = 0 ] || fail "a connection stalled mid-headers was still open after 20 s"
+echo "e2e: stalled connection closed by the server after $((SECONDS - started)) s"
 
 echo "e2e: graceful shutdown (SIGTERM must drain and exit 0)"
 kill -TERM "$SERVER_PID"

@@ -17,11 +17,11 @@ import (
 // migrating snapshot directories can match it with errors.Is.
 var ErrVersionMismatch = errors.New("funcmech: unsupported envelope version")
 
-// modelEnvelope is the on-disk format shared by both model kinds. The
-// weights are differentially private, so persisting them is as safe as
-// releasing them; the schema bounds are public by assumption.
+// modelEnvelope is the on-disk format of a TaskModel. The weights are
+// differentially private, so persisting them is as safe as releasing them;
+// the schema bounds are public by assumption.
 type modelEnvelope struct {
-	Kind      string    `json:"kind"` // "linear" or "logistic"
+	Kind      string    `json:"kind"` // the registered task name
 	Schema    Schema    `json:"schema"`
 	Weights   []float64 `json:"weights"`
 	Intercept bool      `json:"intercept"`
@@ -31,22 +31,12 @@ type modelEnvelope struct {
 
 const envelopeVersion = 1
 
-// Save writes the model as JSON. Everything serialized is already public
-// under the model's ε guarantee.
-func (m *LinearModel) Save(w io.Writer) error {
+// Save writes the model as a version-1 JSON envelope whose kind is the task
+// name. Everything serialized is already public under the model's ε
+// guarantee.
+func (m *TaskModel) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(modelEnvelope{
-		Kind:      core.TaskNameLinear,
-		Schema:    m.schema,
-		Weights:   m.weights,
-		Intercept: m.intercept,
-		Version:   envelopeVersion,
-	})
-}
-
-// Save writes the model as JSON.
-func (m *LogisticModel) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(modelEnvelope{
-		Kind:      core.TaskNameLogistic,
+		Kind:      m.task.Name,
 		Schema:    m.schema,
 		Weights:   m.weights,
 		Intercept: m.intercept,
@@ -55,62 +45,43 @@ func (m *LogisticModel) Save(w io.Writer) error {
 	})
 }
 
-// LoadLinearModel reads a model written by LinearModel.Save.
-func LoadLinearModel(r io.Reader) (*LinearModel, error) {
-	env, err := decodeEnvelope(r, core.TaskNameLinear)
-	if err != nil {
-		return nil, err
-	}
-	nz, err := envelopeNormalizer(env)
-	if err != nil {
-		return nil, err
-	}
-	return &LinearModel{
-		weights:   env.Weights,
-		nz:        nz,
-		schema:    env.Schema,
-		intercept: env.Intercept,
-	}, nil
-}
-
-// LoadLogisticModel reads a model written by LogisticModel.Save.
-func LoadLogisticModel(r io.Reader) (*LogisticModel, error) {
-	env, err := decodeEnvelope(r, core.TaskNameLogistic)
-	if err != nil {
-		return nil, err
-	}
-	nz, err := envelopeNormalizer(env)
-	if err != nil {
-		return nil, err
-	}
-	return &LogisticModel{
-		weights:   env.Weights,
-		nz:        nz,
-		schema:    env.Schema,
-		intercept: env.Intercept,
-		threshold: env.Threshold,
-	}, nil
-}
-
-func decodeEnvelope(r io.Reader, kind string) (*modelEnvelope, error) {
+// LoadModel reads a model written by TaskModel.Save, for any registered
+// task. It rejects a kind this build has not registered (wrapping
+// ErrUnknownTask), a version other than 1 (wrapping ErrVersionMismatch), and
+// a binarize threshold on a normalized-target kind.
+func LoadModel(r io.Reader) (*TaskModel, error) {
 	var env modelEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("funcmech: decoding model: %w", err)
 	}
-	if env.Kind != kind {
-		return nil, fmt.Errorf("funcmech: model kind %q, want %q", env.Kind, kind)
+	spec, ok := core.LookupTask(env.Kind)
+	if !ok {
+		return nil, unknownTask(env.Kind)
 	}
 	if env.Version != envelopeVersion {
 		return nil, fmt.Errorf("%w: model envelope version %d, want %d", ErrVersionMismatch, env.Version, envelopeVersion)
 	}
-	want := len(env.Schema.Features)
+	if env.Threshold != nil && spec.Target != core.TargetBoolean {
+		return nil, fmt.Errorf("funcmech: %s model carries a binarize threshold, which only boolean-target tasks take", env.Kind)
+	}
+	if err := env.Schema.Validate(); err != nil {
+		return nil, fmt.Errorf("funcmech: stored schema invalid: %w", err)
+	}
+	inner := env.Schema.internal()
 	if env.Intercept {
-		want++
+		inner.Features = append(inner.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
 	}
-	if len(env.Weights) != want {
-		return nil, fmt.Errorf("funcmech: model has %d weights for %d features", len(env.Weights), want)
+	if len(env.Weights) != inner.D() {
+		return nil, fmt.Errorf("funcmech: model has %d weights for %d features", len(env.Weights), inner.D())
 	}
-	return &env, nil
+	return &TaskModel{
+		task:      infoFromSpec(spec),
+		weights:   env.Weights,
+		nz:        dataset.NewNormalizer(inner),
+		schema:    env.Schema,
+		threshold: env.Threshold,
+		intercept: env.Intercept,
+	}, nil
 }
 
 // taskBlock is one fold's scalar state in a version-4 accumulator envelope;
@@ -319,18 +290,4 @@ func decodeCoeffFrame(env *accumulatorEnvelope, cols, rows int) ([]float64, erro
 		return nil, fmt.Errorf("funcmech: coefficient frame has %d rows per column, want %d", len(flat)/cols, rows)
 	}
 	return flat, nil
-}
-
-// envelopeNormalizer rebuilds the normalizer the model was trained with,
-// re-deriving the intercept column when present.
-func envelopeNormalizer(env *modelEnvelope) (*dataset.Normalizer, error) {
-	s := env.Schema
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("funcmech: stored schema invalid: %w", err)
-	}
-	inner := s.internal()
-	if env.Intercept {
-		inner.Features = append(inner.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
-	}
-	return dataset.NewNormalizer(inner), nil
 }

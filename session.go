@@ -13,10 +13,10 @@ import (
 // eroding the guarantee.
 //
 //	s := funcmech.NewSession(1.0)                   // lifetime ε = 1.0
-//	m1, _, err := s.LinearRegression(ds, 0.5)       // spends 0.5
-//	m2, _, err := s.LogisticRegression(ds2, 0.5,    // spends the rest
+//	m1, _, err := s.FitTask(ds, "linear", 0.5)      // spends 0.5
+//	m2, _, err := s.FitTask(ds2, "logistic", 0.5,   // spends the rest
 //	    funcmech.WithBinarizeThreshold(35000))
-//	_, _, err = s.LinearRegression(ds, 0.1)         // ErrBudgetExhausted
+//	_, _, err = s.FitTask(ds, "median", 0.1)        // ErrBudgetExhausted
 //
 // Note the Resample post-processing option costs 2ε (Lemma 5); the session
 // charges the doubled amount. A fit that fails after the debit (e.g. a
@@ -98,45 +98,21 @@ func (s *Session) Charge(epsilon float64, opts ...Option) (float64, error) {
 // forgiveness. See the serving layer's write-ahead log.
 func (s *Session) ReplaySpend(cost float64) { s.budget.ReplaySpend(cost) }
 
-// charge is Charge for the session's own fit methods.
-func (s *Session) charge(epsilon float64, opts []Option) error {
-	_, err := s.Charge(epsilon, opts...)
-	return err
-}
-
-// LinearRegression is LinearRegression debited against the session budget.
-func (s *Session) LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*LinearModel, *Report, error) {
-	if err := s.charge(epsilon, opts); err != nil {
+// FitTask is FitTask debited against the session budget.
+func (s *Session) FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
+	if _, err := s.Charge(epsilon, opts...); err != nil {
 		return nil, nil, err
 	}
-	return LinearRegression(ds, epsilon, opts...)
+	return FitTask(ds, task, epsilon, opts...)
 }
 
-// LogisticRegression is LogisticRegression debited against the session
-// budget.
-func (s *Session) LogisticRegression(ds *Dataset, epsilon float64, opts ...Option) (*LogisticModel, *Report, error) {
-	if err := s.charge(epsilon, opts); err != nil {
+// FitTaskFromAccumulator is FitTaskFromAccumulator debited against the
+// session budget. A refit is charged exactly like a one-shot fit: noise is
+// drawn fresh per release, so every release costs its full ε under
+// sequential composition even though no record is rescanned.
+func (s *Session) FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
+	if _, err := s.Charge(epsilon, opts...); err != nil {
 		return nil, nil, err
 	}
-	return LogisticRegression(ds, epsilon, opts...)
-}
-
-// LinearRegressionFromAccumulator is LinearRegressionFromAccumulator debited
-// against the session budget. An incremental refit is charged exactly like a
-// one-shot fit: noise is drawn fresh per release, so every release costs its
-// full ε under sequential composition even though no record is rescanned.
-func (s *Session) LinearRegressionFromAccumulator(a *Accumulator, epsilon float64, opts ...Option) (*LinearModel, *Report, error) {
-	if err := s.charge(epsilon, opts); err != nil {
-		return nil, nil, err
-	}
-	return LinearRegressionFromAccumulator(a, epsilon, opts...)
-}
-
-// LogisticRegressionFromAccumulator is LogisticRegressionFromAccumulator
-// debited against the session budget; see LinearRegressionFromAccumulator.
-func (s *Session) LogisticRegressionFromAccumulator(a *Accumulator, epsilon float64, opts ...Option) (*LogisticModel, *Report, error) {
-	if err := s.charge(epsilon, opts); err != nil {
-		return nil, nil, err
-	}
-	return LogisticRegressionFromAccumulator(a, epsilon, opts...)
+	return FitTaskFromAccumulator(a, task, epsilon, opts...)
 }

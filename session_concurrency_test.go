@@ -28,7 +28,7 @@ func TestSessionConcurrentFits(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, _, errs[g] = s.LinearRegression(ds, perFit, funcmech.WithSeed(int64(g)))
+			_, _, errs[g] = s.FitTask(ds, "linear", perFit, funcmech.WithSeed(int64(g)))
 		}(g)
 	}
 	wg.Wait()
@@ -73,21 +73,21 @@ func TestSessionConcurrentMixedModels(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		run(i, func() error {
-			_, _, err := s.LinearRegression(ds, 0.2, funcmech.WithSeed(int64(i)))
+			_, _, err := s.FitTask(ds, "linear", 0.2, funcmech.WithSeed(int64(i)))
 			return err
 		})
 	}
 	for i := 3; i < 5; i++ {
 		i := i
 		run(i, func() error {
-			_, _, err := s.LogisticRegression(ds, 0.1,
+			_, _, err := s.FitTask(ds, "logistic", 0.1,
 				funcmech.WithSeed(int64(i)), funcmech.WithBinarizeThreshold(60000))
 			return err
 		})
 	}
 	// Costs 2×0.1 = 0.2 under Resample (Lemma 5).
 	run(5, func() error {
-		_, _, err := s.LinearRegression(ds, 0.1,
+		_, _, err := s.FitTask(ds, "linear", 0.1,
 			funcmech.WithSeed(99), funcmech.WithPostProcess(funcmech.Resample))
 		return err
 	})

@@ -16,16 +16,16 @@ func TestSessionBudgetAccounting(t *testing.T) {
 	if s.Total() != 1.0 || s.Remaining() != 1.0 {
 		t.Fatalf("fresh session: total %v remaining %v", s.Total(), s.Remaining())
 	}
-	if _, _, err := s.LinearRegression(ds, 0.5, funcmech.WithSeed(1)); err != nil {
+	if _, _, err := s.FitTask(ds, "linear", 0.5, funcmech.WithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Spent() != 0.5 {
 		t.Fatalf("Spent = %v, want 0.5", s.Spent())
 	}
-	if _, _, err := s.LinearRegression(ds, 0.5, funcmech.WithSeed(2)); err != nil {
+	if _, _, err := s.FitTask(ds, "linear", 0.5, funcmech.WithSeed(2)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := s.LinearRegression(ds, 0.1, funcmech.WithSeed(3))
+	_, _, err := s.FitTask(ds, "linear", 0.1, funcmech.WithSeed(3))
 	if !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -34,7 +34,7 @@ func TestSessionBudgetAccounting(t *testing.T) {
 func TestSessionChargesResampleDouble(t *testing.T) {
 	ds := incomeDataset(500, 31)
 	s := funcmech.NewSession(1.0)
-	if _, _, err := s.LinearRegression(ds, 0.4, funcmech.WithSeed(1),
+	if _, _, err := s.FitTask(ds, "linear", 0.4, funcmech.WithSeed(1),
 		funcmech.WithPostProcess(funcmech.Resample)); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSessionChargesResampleDouble(t *testing.T) {
 func TestSessionRejectsOversizedSingleFit(t *testing.T) {
 	ds := incomeDataset(100, 32)
 	s := funcmech.NewSession(0.5)
-	if _, _, err := s.LinearRegression(ds, 1.0); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+	if _, _, err := s.FitTask(ds, "linear", 1.0); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 	// The failed request must not consume anything.
@@ -58,7 +58,7 @@ func TestSessionRejectsOversizedSingleFit(t *testing.T) {
 func TestSessionLogistic(t *testing.T) {
 	ds := incomeDataset(2000, 33)
 	s := funcmech.NewSession(2.0)
-	if _, _, err := s.LogisticRegression(ds, 1.5,
+	if _, _, err := s.FitTask(ds, "logistic", 1.5,
 		funcmech.WithSeed(4), funcmech.WithBinarizeThreshold(60000)); err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,45 @@ func TestSessionLogistic(t *testing.T) {
 
 func TestSessionNonPositiveEpsilon(t *testing.T) {
 	s := funcmech.NewSession(1)
-	if _, _, err := s.LinearRegression(incomeDataset(10, 34), 0); err == nil {
+	if _, _, err := s.FitTask(incomeDataset(10, 34), "linear", 0); err == nil {
 		t.Fatal("expected error for ε=0")
 	}
 	if s.Spent() != 0 {
 		t.Fatal("invalid request consumed budget")
+	}
+}
+
+// TestSessionChargesGenericFits: Session.FitTask and
+// Session.FitTaskFromAccumulator debit any registered task, here median, and
+// an over-budget call of either fails typed without debiting anything.
+func TestSessionChargesGenericFits(t *testing.T) {
+	ds := incomeDataset(300, 39)
+	acc, err := funcmech.NewAccumulator(incomeSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, acc, ds)
+	s := funcmech.NewSession(1.0)
+	if _, _, err := s.FitTask(ds, "median", 0.5, funcmech.WithSeed(1)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Spent() != 0.5 {
+		t.Fatalf("Spent after a median fit = %v, want 0.5", s.Spent())
+	}
+	if _, _, err := s.FitTaskFromAccumulator(acc, "median", 0.25, funcmech.WithSeed(2)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Spent() != 0.75 {
+		t.Fatalf("Spent after a median refit = %v, want 0.75", s.Spent())
+	}
+	if _, _, err := s.FitTask(ds, "median", 0.5); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+		t.Fatalf("over-budget fit: err = %v, want ErrBudgetExhausted", err)
+	}
+	if _, _, err := s.FitTaskFromAccumulator(acc, "median", 0.5); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+		t.Fatalf("over-budget refit: err = %v, want ErrBudgetExhausted", err)
+	}
+	if s.Spent() != 0.75 {
+		t.Fatalf("over-budget calls debited: Spent = %v, want 0.75", s.Spent())
 	}
 }
 
@@ -87,7 +121,7 @@ func TestLinearModelSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := funcmech.LoadLinearModel(&buf)
+	back, err := funcmech.LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +150,12 @@ func TestLogisticModelSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := funcmech.LoadLogisticModel(&buf)
+	back, err := funcmech.LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{45, 14, 50}
-	if a, b := m.Probability(x), back.Probability(x); a != b {
+	if a, b := m.Predict(x), back.Predict(x); a != b {
 		t.Fatalf("probability drift: %v vs %v", a, b)
 	}
 	// The binarization threshold must survive, so evaluation still works.
@@ -139,6 +173,9 @@ func TestLogisticModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsWrongKind: LoadModel reads any registered kind, so what it
+// must reject is a kind this build has not registered (typed, like every
+// registry miss) and a binarize threshold on a normalized-target kind.
 func TestLoadRejectsWrongKind(t *testing.T) {
 	ds := incomeDataset(300, 38)
 	m, _, err := funcmech.LinearRegression(ds, 1, funcmech.WithSeed(7))
@@ -149,8 +186,17 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := funcmech.LoadLogisticModel(&buf); err == nil {
-		t.Fatal("loading a linear model as logistic must fail")
+	saved := buf.String()
+	unregistered := strings.Replace(saved, `"kind":"linear"`, `"kind":"quantile"`, 1)
+	thresholded := strings.Replace(saved, `"version":1`, `"threshold":35000,"version":1`, 1)
+	if unregistered == saved || thresholded == saved {
+		t.Fatal("test setup: kind or version field not found in envelope")
+	}
+	if _, err := funcmech.LoadModel(strings.NewReader(unregistered)); !errors.Is(err, funcmech.ErrUnknownTask) {
+		t.Errorf("unregistered kind: err = %v, want ErrUnknownTask", err)
+	}
+	if _, err := funcmech.LoadModel(strings.NewReader(thresholded)); err == nil {
+		t.Error("a linear envelope carrying a threshold must fail to load")
 	}
 }
 
@@ -162,7 +208,7 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 		"bad schema":      `{"kind":"linear","version":1,"schema":{"Features":[{"Name":"x","Min":1,"Max":1}],"Target":{"Name":"y","Min":0,"Max":1}},"weights":[1]}`,
 	}
 	for name, payload := range cases {
-		if _, err := funcmech.LoadLinearModel(strings.NewReader(payload)); err == nil {
+		if _, err := funcmech.LoadModel(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: expected load error", name)
 		}
 	}

@@ -14,10 +14,11 @@ import (
 // mechanism can release is described by a core.TaskSpec in the task
 // registry, and FitTask / FitTaskFromAccumulator resolve a task by name and
 // run the shared pipeline — normalize per the spec's target rule, build the
-// spec's degree-2 objective, perturb, solve. The named entry points
-// (LinearRegression, LogisticRegression, …) are thin views over this
-// surface, so registering a new task makes it servable everywhere without
-// touching any of the layers above.
+// spec's degree-2 objective, perturb, solve. Every fit returns a TaskModel,
+// and the paper's two case studies (LinearRegression, LogisticRegression)
+// are FitTask under their task names, so registering a new task makes it
+// fittable, servable and persistable everywhere without touching any of the
+// layers above.
 
 // ErrUnknownTask is returned when a task name does not resolve in the
 // registry. Callers can match it with errors.Is; the message enumerates the
@@ -102,25 +103,51 @@ func taskFor(spec core.TaskSpec, cfg config) (core.BlockTask, error) {
 }
 
 // prepareTask derives the normalized training representation the spec's
-// target rule prescribes.
+// target rule prescribes: boolean targets are binarized (optionally) and
+// checked, normalized targets are scaled into [−1, 1].
 func prepareTask(ds *Dataset, spec core.TaskSpec, cfg config) (*dataset.Dataset, *dataset.Normalizer, error) {
-	if spec.Target == core.TargetBoolean {
-		return prepareLogistic(ds, cfg)
-	}
-	if cfg.threshold != nil {
-		return nil, nil, errors.New("funcmech: WithBinarizeThreshold applies only to boolean-target tasks")
-	}
+	boolean := spec.Target == core.TargetBoolean
 	inner := ds.inner
+	if cfg.threshold != nil {
+		if !boolean {
+			return nil, nil, errors.New("funcmech: WithBinarizeThreshold applies only to boolean-target tasks")
+		}
+		inner = inner.BinarizeTarget(*cfg.threshold)
+	}
 	if cfg.intercept {
 		inner = withInterceptColumn(inner)
 	}
 	nz := dataset.NewNormalizer(inner.Schema)
-	return nz.NormalizeForLinear(inner), nz, nil
+	if !boolean {
+		return nz.NormalizeForLinear(inner), nz, nil
+	}
+	norm, err := nz.NormalizeForLogistic(inner)
+	if err != nil {
+		return nil, nil, err
+	}
+	return norm, nz, nil
 }
 
-// TaskModel is the model a task-generic fit releases: the private weights
-// plus the interpretation rules (normalization, target rule, threshold) the
-// task spec prescribes, so one type serves every registered task.
+// exactTask prepares ds for the named task exactly as FitTask does, for the
+// non-private baselines: it returns the normalized training set and a model
+// carrying everything but the weights.
+func exactTask(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, error) {
+	spec, _ := core.LookupTask(task)
+	cfg := buildConfig(opts)
+	norm, nz, err := prepareTask(ds, spec, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &TaskModel{
+		task: infoFromSpec(spec), nz: nz, schema: ds.Schema(),
+		threshold: cfg.threshold, intercept: cfg.intercept,
+	}, norm, nil
+}
+
+// TaskModel is the model every fit releases: the private weights plus the
+// interpretation rules (normalization, target rule, threshold) the task spec
+// prescribes, so one type serves every registered task. It predicts in the
+// caller's raw units, and Save persists it for LoadModel.
 type TaskModel struct {
 	task      TaskInfo
 	weights   []float64
@@ -190,21 +217,50 @@ func (m *TaskModel) MAE(ds *Dataset) float64 {
 	return s / float64(n)
 }
 
-// MisclassificationRate returns the fraction of records in ds classified
-// incorrectly (boolean-target tasks). Raw targets are binarized with the
-// model's threshold when one was configured.
-func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
-	view := &LogisticModel{
-		weights: m.weights, nz: m.nz, schema: m.schema,
-		threshold: m.threshold, intercept: m.intercept,
+// NormalizedMSE returns the mean squared error in the paper's normalized
+// units (target in [−1,1]) — the quantity Figures 4–6 plot. Like MSE it is
+// meaningful for normalized-target tasks.
+func (m *TaskModel) NormalizedMSE(ds *Dataset) float64 {
+	inner := ds.inner
+	if m.intercept {
+		inner = withInterceptColumn(inner)
 	}
-	return view.MisclassificationRate(ds)
+	return (&regression.LinearModel{Weights: m.weights}).MSE(m.nz.NormalizeForLinear(inner))
+}
+
+// MisclassificationRate returns the fraction of records in ds classified
+// incorrectly. Raw targets are binarized with the model's threshold when
+// one was configured; otherwise they must be 0 or 1. A normalized-target
+// model predicts no class, so it returns an error.
+func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
+	if !m.task.Boolean {
+		return 0, fmt.Errorf("funcmech: task %q has a numeric target; misclassification needs a boolean-target task", m.task.Name)
+	}
+	n := ds.Len()
+	if n == 0 {
+		return 0, errors.New("funcmech: empty dataset")
+	}
+	wrong := 0
+	for i := 0; i < n; i++ {
+		y := ds.inner.Label(i)
+		positive := y == 1
+		if m.threshold != nil {
+			positive = y > *m.threshold
+		} else if y != 0 && y != 1 {
+			return 0, fmt.Errorf("funcmech: record %d target %v is not boolean; fit with WithBinarizeThreshold or supply 0/1 targets", i, y)
+		}
+		if m.Classify(ds.inner.Row(i)) != positive {
+			wrong++
+		}
+	}
+	return float64(wrong) / float64(n), nil
 }
 
 // FitTask fits an ε-differentially private model for the named registered
-// task over ds — the task-generic face of LinearRegression and friends, and
-// the single entry point the serving layers resolve every request through.
-// Unknown names wrap ErrUnknownTask.
+// task over ds — the single entry point LinearRegression, LogisticRegression
+// and the serving layers resolve every fit through. The dataset stays in raw
+// units; the schema's public bounds drive the normalization the privacy
+// analysis requires. Unknown names wrap ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
 	spec, ok := core.LookupTask(task)
 	if !ok {
@@ -229,11 +285,22 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 	}, reportFrom(res), nil
 }
 
-// FitTaskFromAccumulator fits the named task from streamed coefficients,
-// with no pass over the records; see LinearRegressionFromAccumulator for
-// the cost and privacy contract. The task's fold must be intact: a fold
-// poisoned during ingestion (or absent from a restored snapshot that
-// predates the task) fails with the poisoning error.
+// FitTaskFromAccumulator fits an ε-differentially private model for the
+// named task from the accumulated coefficients, with no pass over the
+// records: the release costs O(d²) regardless of how many records were
+// ingested. Fresh Laplace noise calibrated to the same sensitivity Δ is drawn
+// per call, so each release independently satisfies ε-differential privacy
+// and repeated releases compose sequentially (use a Session to enforce the
+// total).
+//
+// At a fixed seed the result is bit-identical to FitTask over the same
+// records appended in the same order with WithParallelism(1): the
+// accumulator performs the identical serial fold the one-shot path performs.
+// WithParallelism and WithGovernor are accepted but have no effect here —
+// there is no record sweep to parallelize. The task's fold must be intact: a
+// fold poisoned during ingestion (a non-boolean target with no binarize
+// threshold, for boolean-target tasks) or absent from a restored snapshot
+// that predates the task fails with the poisoning error.
 func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
 	spec, ok := core.LookupTask(task)
 	if !ok {

@@ -89,6 +89,68 @@ func TestFitTaskMatchesNamedEntryPoints(t *testing.T) {
 	sameWeights(t, "logistic vs FitTask", logit.Weights(), gLog.Weights())
 }
 
+// TestTaskModelSaveLoadRoundTrip: every registered task's model survives
+// Save and LoadModel with the same task, weights and raw-unit prediction.
+// Boolean-target models keep their threshold, so their misclassification
+// rate survives too; normalized-target models have none to report, even on
+// 0/1 targets.
+func TestTaskModelSaveLoadRoundTrip(t *testing.T) {
+	ds := incomeDataset(400, 61)
+	binary := funcmech.NewDataset(incomeSchema())
+	for i := 0; i < ds.Len(); i++ {
+		x, y := ds.Record(i)
+		if y > 60000 {
+			y = 1
+		} else {
+			y = 0
+		}
+		binary.Append(x, y)
+	}
+	row := []float64{41, 13, 45}
+	for _, name := range funcmech.TaskNames() {
+		t.Run(name, func(t *testing.T) {
+			info, _ := funcmech.LookupTask(name)
+			opts := []funcmech.Option{funcmech.WithSeed(7), funcmech.WithIntercept()}
+			if info.NeedsRidgeWeight {
+				opts = append(opts, funcmech.WithRidge(0.05))
+			}
+			if info.Boolean {
+				opts = append(opts, funcmech.WithBinarizeThreshold(60000))
+			}
+			m, _, err := funcmech.FitTask(ds, name, 0.8, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := funcmech.LoadModel(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Task() != m.Task() {
+				t.Fatalf("Task() = %+v after round trip, want %+v", back.Task(), m.Task())
+			}
+			sameWeights(t, name+" round trip", m.Weights(), back.Weights())
+			if a, b := m.Predict(row), back.Predict(row); a != b {
+				t.Fatalf("prediction drift after round trip: %v vs %v", a, b)
+			}
+			if !info.Boolean {
+				if r, err := back.MisclassificationRate(binary); err == nil {
+					t.Fatalf("a numeric-target model reported a misclassification rate %v", r)
+				}
+				return
+			}
+			r1, err1 := m.MisclassificationRate(ds)
+			r2, err2 := back.MisclassificationRate(ds)
+			if err1 != nil || err2 != nil || r1 != r2 {
+				t.Fatalf("misclassification %v (%v) vs %v (%v) after round trip", r1, err1, r2, err2)
+			}
+		})
+	}
+}
+
 // TestMedianTaskEndToEnd: the median task — registered entirely through the
 // core extension surface — fits one-shot, refits from an accumulator
 // bit-identically at a fixed seed, and predicts in raw target units.
@@ -134,7 +196,7 @@ func TestMedianFoldSurvivesLogisticPoisoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingest(t, acc, incomeDataset(50, 3)) // continuous income targets
-	if _, _, err := funcmech.LogisticRegressionFromAccumulator(acc, 0.5, funcmech.WithSeed(1)); err == nil {
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 0.5, funcmech.WithSeed(1)); err == nil {
 		t.Fatal("poisoned logistic fold refitted")
 	}
 	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "median", 0.5, funcmech.WithSeed(1)); err != nil {
