@@ -3,9 +3,10 @@
 // budget per tenant (every fit debits it atomically; exhaustion yields a
 // typed 402), and serves ε-differentially private fits of every registered
 // task (linear, ridge, logistic, median; funcmech.TaskNames) with the full
-// public option surface. A process-global governor keeps in-flight fits ×
-// per-fit parallelism under a GOMAXPROCS-derived cap, so concurrent tenants
-// cannot oversubscribe the accumulation worker pool.
+// public option surface. One governor of -worker-cap tokens (default
+// GOMAXPROCS) bounds fits in flight, ingest folds and extra kernel workers
+// together, so concurrent tenants cannot oversubscribe the machine; a fit
+// waits for its token before it is charged.
 //
 // Beyond one-shot fits, streams accept records continuously
 // (POST /v1/streams, /v1/streams/{name}/ingest) and serve private refits
@@ -31,7 +32,7 @@
 // Usage:
 //
 //	fmserve -addr=:8080 -gen income=us:30000:1 -tenant acme=2.0
-//	fmserve -addr=:8080 -max-fits=4 -worker-cap=8
+//	fmserve -addr=:8080 -worker-cap=8
 //	fmserve -addr=:8080 -snapshot-dir=/var/lib/fmserve -snapshot-every=30s \
 //	        -wal-dir=/var/lib/fmserve/wal
 //
@@ -92,8 +93,7 @@ const (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		maxFits       = flag.Int("max-fits", 0, "max fits in flight; excess requests queue (0 = GOMAXPROCS)")
-		workerCap     = flag.Int("worker-cap", 0, "global accumulation-worker capacity shared across fits (0 = GOMAXPROCS)")
+		workerCap     = flag.Int("worker-cap", 0, "governor tokens shared by fits in flight, ingest folds and kernel workers; excess fits queue before they are charged (0 = GOMAXPROCS)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight fits")
 		snapshotDir   = flag.String("snapshot-dir", "", "directory for stream snapshots; restored on boot, saved on shutdown (empty = no persistence)")
 		snapshotEvery = flag.Duration("snapshot-every", 30*time.Second, "periodic stream-snapshot interval (0 = only on shutdown; needs -snapshot-dir)")
@@ -114,7 +114,7 @@ func main() {
 	})
 	flag.Parse()
 
-	srv := serve.New(serve.Config{MaxConcurrentFits: *maxFits, WorkerCap: *workerCap})
+	srv := serve.New(serve.Config{WorkerCap: *workerCap})
 	for _, spec := range gens {
 		name, ds, err := parseGen(spec)
 		if err != nil {
@@ -223,8 +223,10 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	log.Printf("fmserve: listening on %s (max fits %d, worker cap %d)",
-		ln.Addr(), srv.MaxInFlight(), srv.Governor().Cap())
+	// The token cap bounds fits in flight and workers alike; perfbench
+	// parses both numbers from this line.
+	tokens := srv.Governor().Cap()
+	log.Printf("fmserve: listening on %s (max fits %d, worker cap %d)", ln.Addr(), tokens, tokens)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -255,19 +255,13 @@ func ParallelObjective(task Task, ds *dataset.Dataset, parallelism int) *poly.Qu
 	return governedObjective(task, ds, parallelism, nil, nil)
 }
 
-// GovernedObjective is ParallelObjective under a Governor: the resolved
+// governedObjective is ParallelObjective under a Governor: the resolved
 // worker count is submitted to gov and the pool uses only what is granted,
 // so concurrent runs sharing the governor never oversubscribe its global
-// cap. A nil gov degenerates to ParallelObjective.
-func GovernedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor) *poly.Quadratic {
-	return governedObjective(task, ds, parallelism, gov, nil)
-}
-
-// governedObjective additionally reports the kernel phase to probe, tagged
-// with the compute tier the SYRK dispatch selects when the task's fold runs
-// it (syrkTier). The phase starts only after the governor grant, so time
-// blocked on Acquire (the caller's queue-wait span) is never attributed to
-// compute.
+// cap; a nil gov changes nothing. It reports the kernel phase to probe,
+// tagged with the compute tier the SYRK dispatch selects when the task's
+// fold runs it (syrkTier). The phase starts only after the grant, so time
+// spent in Acquire is never attributed to compute.
 func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor, probe Probe) *poly.Quadratic {
 	rt, ok := task.(RecordTask)
 	if !ok {

@@ -31,7 +31,7 @@ func TestGovernedObjectiveHonorsGrant(t *testing.T) {
 	// reference serial sweep.
 	ds := randomTaskDataset(t, LinearTask{}, 3*2048, 3, 99)
 	gov := &recordingGovernor{grant: 1}
-	got := GovernedObjective(LinearTask{}, ds, 3, gov)
+	got := governedObjective(LinearTask{}, ds, 3, gov, nil)
 	want := ParallelObjective(LinearTask{}, ds, 1)
 	if len(gov.requests) != 1 || gov.requests[0] != 3 {
 		t.Fatalf("governor saw requests %v, want one request for 3 workers", gov.requests)
@@ -50,7 +50,7 @@ func TestGovernedObjectiveNeverWidensBeyondRequest(t *testing.T) {
 	// ungoverned run at the requested parallelism.
 	ds := randomTaskDataset(t, LinearTask{}, 2*2048, 3, 5)
 	gov := &recordingGovernor{grant: 64}
-	got := GovernedObjective(LinearTask{}, ds, 2, gov)
+	got := governedObjective(LinearTask{}, ds, 2, gov, nil)
 	want := ParallelObjective(LinearTask{}, ds, 2)
 	if worst, ok := quadraticsClose(got, want, 0); !ok {
 		t.Fatalf("over-granted objective differs from parallelism-2 run by %v", worst)
@@ -59,7 +59,7 @@ func TestGovernedObjectiveNeverWidensBeyondRequest(t *testing.T) {
 
 func TestGovernedObjectiveNilGovernor(t *testing.T) {
 	ds := randomTaskDataset(t, LinearTask{}, 100, 3, 1)
-	got := GovernedObjective(LinearTask{}, ds, 1, nil)
+	got := governedObjective(LinearTask{}, ds, 1, nil, nil)
 	want := ParallelObjective(LinearTask{}, ds, 1)
 	if worst, ok := quadraticsClose(got, want, 0); !ok {
 		t.Fatalf("nil-governor objective differs from ParallelObjective by %v", worst)

@@ -42,8 +42,10 @@ func (p PostProcess) String() string {
 // mechanism runs sharing one process. Before spinning up its worker pool a
 // run asks for the parallelism it wants; the governor returns how many
 // workers it may actually use (≥ 1) plus a release func the run must call
-// when accumulation finishes. Acquire may block until capacity frees up. A
-// Governor must be safe for concurrent use.
+// when accumulation finishes. A Governor must be safe for concurrent use.
+// The serving layer's governor never blocks here: it admits a request
+// before charging it, and its Acquire grants only workers that are free at
+// that moment, so a fit runs narrower under load instead of waiting.
 //
 // Under a governor the worker count of a given run depends on what else is
 // in flight, so coefficients are reproducible only to floating-point

@@ -13,10 +13,12 @@
 //     fit touches data, so concurrent fits against one tenant can never
 //     jointly overspend ε — the sequential-composition discipline of the
 //     paper, applied per tenant under concurrency.
-//   - Machine capacity is arbitrated by a Governor implementing
-//     funcmech.Governor: in-flight fits × granted per-fit parallelism never
-//     exceeds a GOMAXPROCS-derived cap, so p concurrent fits cannot
-//     oversubscribe the sharded accumulator.
+//   - Machine capacity is arbitrated by one Governor, a pool of
+//     GOMAXPROCS-derived tokens: fits in flight + ingest folds + extra
+//     kernel workers never exceed the cap. A fit takes its token before it
+//     is charged, so a client that gives up in the queue spends no ε; its
+//     Grant implements funcmech.Governor and widens the kernel only onto
+//     tokens free at that moment, so nothing waits after the charge.
 //   - Accounting is crash-safe through a write-ahead log (internal/wal):
 //     with a WAL attached, every fit and refit follows charge → journal →
 //     fit, the debit fsynced to disk before any noise is drawn, and boot

@@ -1,93 +1,102 @@
 package serve
 
 import (
-	"fmt"
+	"context"
 	"runtime"
-	"sync"
+	"sync/atomic"
 )
 
-// Governor is the process-global parallelism arbiter: a counting capacity of
-// accumulation workers that concurrent fits draw from, so that
+// Governor is the server's one admission gate: a pool of worker tokens that
+// every CPU-bound request draws from, so that
 //
-//	Σ granted workers over fits in flight ≤ cap
+//	fits in flight + ingest folds + extra kernel workers ≤ cap
 //
-// holds at every instant. It implements funcmech.Governor. Acquire blocks
-// while the capacity is fully consumed (a fit always eventually gets at
-// least one worker — holders release in finite time), then grants as much of
-// the request as currently fits. Partial grants are normal under load: a fit
-// asking for 8 workers next to 3 busy fits on an 8-core cap runs narrower,
-// not queued behind them.
+// holds at every instant. A fit takes its token with Admit before it is
+// charged, so a client that gives up while queued costs no ε; after that,
+// nothing waits — the fit's kernel widens only onto tokens that are free at
+// that moment (Grant.Acquire).
 type Governor struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	cap     int
-	inUse   int
-	waiting int // acquirers currently blocked in cond.Wait (fm_governor_queued)
+	tokens  chan struct{} // one element per token held
+	waiting atomic.Int32  // Admit calls blocked on a full pool (fm_governor_queued)
 }
 
-// NewGovernor returns a governor with the given worker capacity; cap ≤ 0
+// NewGovernor returns a governor with the given token capacity; cap ≤ 0
 // means runtime.GOMAXPROCS(0).
 func NewGovernor(capacity int) *Governor {
 	if capacity <= 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
-	g := &Governor{cap: capacity}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+	return &Governor{tokens: make(chan struct{}, capacity)}
 }
 
-// Cap returns the configured worker capacity.
-func (g *Governor) Cap() int { return g.cap }
+// Cap returns the token capacity.
+func (g *Governor) Cap() int { return cap(g.tokens) }
 
-// InUse returns the workers currently granted.
-func (g *Governor) InUse() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inUse
+// InUse returns the tokens currently held.
+func (g *Governor) InUse() int { return len(g.tokens) }
+
+// Waiting returns how many Admit calls are blocked on a full pool — the
+// governor's queue depth, a saturation signal an operator can alert on long
+// before latency quantiles move.
+func (g *Governor) Waiting() int { return int(g.waiting.Load()) }
+
+// Admit takes one token, waiting until one frees or ctx is done; on
+// cancellation it returns ctx's error and holds nothing. The caller must
+// Release the grant exactly once.
+func (g *Governor) Admit(ctx context.Context) (Grant, error) {
+	select {
+	case g.tokens <- struct{}{}:
+		return Grant{g}, nil
+	default:
+	}
+	g.waiting.Add(1)
+	var err error
+	select {
+	case g.tokens <- struct{}{}:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	g.waiting.Add(-1)
+	if err != nil {
+		return Grant{}, err
+	}
+	return Grant{g}, nil
 }
 
-// Waiting returns how many acquirers are currently blocked on capacity —
-// the governor's queue depth, a saturation signal an operator can alert on
-// long before latency quantiles move.
-func (g *Governor) Waiting() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.waiting
+// take adds up to n tokens without waiting and reports how many it got.
+func (g *Governor) take(n int) (got int) {
+	for ; got < n; got++ {
+		select {
+		case g.tokens <- struct{}{}:
+		default:
+			return got
+		}
+	}
+	return got
 }
 
-// Acquire implements funcmech.Governor: it blocks until at least one worker
-// is free, grants min(want, free) ≥ 1, and returns a release func that must
-// be called exactly once when the accumulation pass finishes. The release
-// func is idempotent.
-func (g *Governor) Acquire(want int) (int, func()) {
-	if want < 1 {
-		want = 1
+// put returns n tokens.
+func (g *Governor) put(n int) {
+	for ; n > 0; n-- {
+		<-g.tokens
 	}
-	g.mu.Lock()
-	for g.inUse >= g.cap {
-		g.waiting++
-		g.cond.Wait()
-		g.waiting--
-	}
-	granted := want
-	if free := g.cap - g.inUse; granted > free {
-		granted = free
-	}
-	g.inUse += granted
-	g.mu.Unlock()
+}
 
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			g.mu.Lock()
-			g.inUse -= granted
-			if g.inUse < 0 {
-				g.mu.Unlock()
-				panic(fmt.Sprintf("serve: governor released below zero (cap %d)", g.cap))
-			}
-			g.cond.Broadcast()
-			g.mu.Unlock()
-		})
+// Grant is one admitted request's token. It implements funcmech.Governor,
+// so only an admitted fit can widen its kernel.
+type Grant struct{ g *Governor }
+
+// Release returns the admission token.
+func (gr Grant) Release() { gr.g.put(1) }
+
+// Acquire implements funcmech.Governor without ever blocking: the admission
+// token is the first worker, and the fit widens onto as many of the other
+// want−1 as are free right now. The returned release func gives the extra
+// tokens back; calling it again is a no-op.
+func (gr Grant) Acquire(want int) (int, func()) {
+	extra := gr.g.take(want - 1)
+	return 1 + extra, func() {
+		gr.g.put(extra)
+		extra = 0
 	}
-	return granted, release
 }

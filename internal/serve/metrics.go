@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"funcmech"
@@ -36,7 +37,6 @@ const (
 	metricGovernorWorkersInUse     = "fm_governor_workers_in_use"
 	metricGovernorQueued           = "fm_governor_queued"
 	metricFitsInFlight             = "fm_fits_in_flight"
-	metricFitsInFlightMax          = "fm_fits_in_flight_max"
 	metricWALLastLSN               = "fm_wal_last_lsn"
 	metricWALSegments              = "fm_wal_segments"
 	metricEpsilonTotal             = "fm_epsilon_total"
@@ -60,6 +60,7 @@ type metrics struct {
 	httpSeconds   *obs.HistogramVec // by endpoint pattern
 	httpResponses *obs.CounterVec   // by endpoint pattern and status code
 	refusals      *obs.CounterVec   // by typed API error code
+	fitsInFlight  atomic.Int32      // fits admitted and not yet answered
 }
 
 // outcomes counts fit or refit attempts by how they ended, so a privacy
@@ -123,20 +124,17 @@ func newMetrics(s *Server) *metrics {
 	m.fitSeconds = reg.NewHistogram(metricFitSeconds, "Latency of successful fits (seconds).", nil)
 	m.httpSeconds = reg.NewHistogramVec(metricHTTPRequestSeconds, "HTTP request latency by endpoint pattern (seconds).", nil, "endpoint")
 
-	reg.NewGaugeFunc(metricGovernorWorkerCap, "Global accumulation-worker capacity.", func() float64 {
+	reg.NewGaugeFunc(metricGovernorWorkerCap, "Governor tokens: the bound on fits in flight, ingest folds and extra kernel workers together.", func() float64 {
 		return float64(s.governor.Cap())
 	})
-	reg.NewGaugeFunc(metricGovernorWorkersInUse, "Accumulation workers currently granted.", func() float64 {
+	reg.NewGaugeFunc(metricGovernorWorkersInUse, "Governor tokens currently held.", func() float64 {
 		return float64(s.governor.InUse())
 	})
-	reg.NewGaugeFunc(metricGovernorQueued, "Acquirers currently blocked waiting for governor capacity.", func() float64 {
+	reg.NewGaugeFunc(metricGovernorQueued, "Fits and ingest folds currently blocked waiting for a governor token.", func() float64 {
 		return float64(s.governor.Waiting())
 	})
 	reg.NewGaugeFunc(metricFitsInFlight, "Fits currently admitted.", func() float64 {
-		return float64(len(s.sem))
-	})
-	reg.NewGaugeFunc(metricFitsInFlightMax, "Fit admission bound.", func() float64 {
-		return float64(cap(s.sem))
+		return float64(m.fitsInFlight.Load())
 	})
 	reg.NewGaugeFunc(metricWALLastLSN, "Last assigned WAL log sequence number.", func() float64 {
 		if l := s.WAL(); l != nil {

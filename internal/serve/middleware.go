@@ -85,23 +85,3 @@ func (s *Server) traced(next http.Handler) http.Handler {
 		s.recorder.Record(tr)
 	})
 }
-
-// tracedGovernor wraps the server's governor for one request: time blocked
-// in Acquire becomes a queue_wait span on the request's trace. The wait is
-// timed out here in the serving layer — core packages never see a clock.
-type tracedGovernor struct {
-	g  *Governor
-	tr *obs.Trace
-}
-
-// Acquire implements funcmech.Governor.
-func (tg tracedGovernor) Acquire(want int) (int, func()) {
-	sp := tg.tr.StartSpan(obs.SpanQueueWait)
-	granted, release := tg.g.Acquire(want)
-	sp.End(
-		obs.Str("stage", "governor"),
-		obs.Int("want", int64(want)),
-		obs.Int("granted", int64(granted)),
-	)
-	return granted, release
-}

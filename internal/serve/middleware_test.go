@@ -22,7 +22,7 @@ import (
 // wrapped in the tracing middleware.
 func newObsTestServer(t *testing.T, budget float64) (*Server, http.Handler) {
 	t.Helper()
-	srv := New(Config{MaxConcurrentFits: 2, WorkerCap: 2})
+	srv := New(Config{WorkerCap: 2})
 	ds, err := GenerateCensus("us", 300, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -148,42 +148,55 @@ func TestTraceRingCapturesFitSpans(t *testing.T) {
 }
 
 func TestGovernorQueueWaitSpan(t *testing.T) {
-	// Saturate a 1-worker governor, then time an Acquire through the traced
-	// wrapper: the queue_wait span must cover the blocked interval.
-	g := NewGovernor(1)
-	_, release := g.Acquire(1)
+	// Hold every governor token, then send a fit through the handler: its
+	// admission queue_wait span must cover the blocked interval.
+	srv, h := newObsTestServer(t, 10)
+	held := admitN(t, srv.Governor(), srv.Governor().Cap())
 
-	tr := obs.NewTrace("t1")
-	tg := tracedGovernor{g: g, tr: tr}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, r := tg.Acquire(1)
-		r()
-	}()
-
-	// Hold the capacity long enough that the span duration is unambiguous.
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- doFit(t, h, "5e5e5e5e00000001") }()
+	waitFor(t, "the fit to queue", func() bool { return srv.Governor().Waiting() == 1 })
+	// Hold the tokens long enough that the span duration is unambiguous.
 	time.Sleep(20 * time.Millisecond)
-	if got := g.Waiting(); got != 1 {
-		t.Fatalf("Waiting = %d during saturation, want 1", got)
+	for _, gr := range held {
+		gr.Release()
 	}
-	release()
-	<-done
-
-	if wait := tr.SpanDuration(obs.SpanQueueWait); wait < 10*time.Millisecond {
-		t.Fatalf("saturated queue_wait span = %v, want ≥ 10ms", wait)
-	}
-	if got := g.Waiting(); got != 0 {
-		t.Fatalf("Waiting = %d after release, want 0", got)
+	if rec := <-done; rec.Code != http.StatusOK {
+		t.Fatalf("queued fit status %d: %s", rec.Code, rec.Body)
 	}
 
-	// An idle governor grants immediately: the span exists but is ~zero.
-	tr2 := obs.NewTrace("t2")
-	tg2 := tracedGovernor{g: g, tr: tr2}
-	_, r := tg2.Acquire(1)
-	r()
-	if wait := tr2.SpanDuration(obs.SpanQueueWait); wait > 5*time.Millisecond {
-		t.Fatalf("idle queue_wait span = %v, want ~0", wait)
+	// queueWait returns the one admission span on trace id's fit.
+	queueWait := func(id string) obs.SpanView {
+		t.Helper()
+		var queued []obs.SpanView
+		for _, tv := range srv.recorder.Snapshot() {
+			if tv.ID != id {
+				continue
+			}
+			for _, sp := range tv.Spans {
+				if sp.Name == obs.SpanQueueWait {
+					queued = append(queued, sp)
+				}
+			}
+		}
+		if len(queued) != 1 || queued[0].Attrs["stage"] != "admission" {
+			t.Fatalf("fit trace %s has queue_wait spans %+v, want one with stage=admission", id, queued)
+		}
+		return queued[0]
+	}
+	if wait := queueWait("5e5e5e5e00000001").DurationMS; wait < 10 {
+		t.Fatalf("saturated queue_wait span = %vms, want ≥ 10ms", wait)
+	}
+	if got := srv.Governor().Waiting(); got != 0 {
+		t.Fatalf("Waiting = %d after the fit, want 0", got)
+	}
+
+	// With tokens free, admission is immediate: the span exists but is ~0.
+	if rec := doFit(t, h, "5e5e5e5e00000002"); rec.Code != http.StatusOK {
+		t.Fatalf("idle fit status %d: %s", rec.Code, rec.Body)
+	}
+	if wait := queueWait("5e5e5e5e00000002").DurationMS; wait > 5 {
+		t.Fatalf("idle queue_wait span = %vms, want ~0", wait)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"time"
 
@@ -17,11 +16,10 @@ import (
 
 // Config sizes a Server.
 type Config struct {
-	// MaxConcurrentFits bounds fits in flight; excess requests queue until a
-	// slot frees or their context is cancelled. 0 means GOMAXPROCS(0).
-	MaxConcurrentFits int
-	// WorkerCap is the global accumulation-worker capacity shared by all
-	// in-flight fits (the Governor's cap). 0 means GOMAXPROCS(0).
+	// WorkerCap is the Governor's token capacity, shared by fits in flight,
+	// ingest folds and the fits' extra kernel workers. Excess fits queue
+	// until a token frees or their context is cancelled. 0 means
+	// GOMAXPROCS(0).
 	WorkerCap int
 }
 
@@ -34,8 +32,7 @@ type Server struct {
 	streams  *stream.Registry
 	tenants  *Tenants
 	governor *Governor
-	wlog     *wal.Log      // optional write-ahead log; see wal.go
-	sem      chan struct{} // counting semaphore over fits in flight
+	wlog     *wal.Log // optional write-ahead log; see wal.go
 	start    time.Time
 	mux      *http.ServeMux
 	metrics  *metrics      // Prometheus families behind GET /metrics
@@ -44,16 +41,11 @@ type Server struct {
 
 // New returns a Server with empty registry and tenant directory.
 func New(cfg Config) *Server {
-	maxFits := cfg.MaxConcurrentFits
-	if maxFits <= 0 {
-		maxFits = runtime.GOMAXPROCS(0)
-	}
 	s := &Server{
 		registry: NewRegistry(),
 		streams:  stream.NewRegistry(),
 		tenants:  NewTenants(),
 		governor: NewGovernor(cfg.WorkerCap),
-		sem:      make(chan struct{}, maxFits),
 		start:    time.Now(),
 		mux:      http.NewServeMux(),
 	}
@@ -84,11 +76,8 @@ func (s *Server) Streams() *stream.Registry { return s.streams }
 // Tenants returns the tenant directory, for startup preloading.
 func (s *Server) Tenants() *Tenants { return s.tenants }
 
-// Governor returns the parallelism arbiter.
+// Governor returns the admission gate.
 func (s *Server) Governor() *Governor { return s.governor }
-
-// MaxInFlight returns the fit-admission bound.
-func (s *Server) MaxInFlight() int { return cap(s.sem) }
 
 // Handler returns the service's HTTP routes, wrapped in the tracing and
 // metrics middleware (see middleware.go).
@@ -493,12 +482,11 @@ func ridgeModels() []string {
 	return names
 }
 
-func (o fitOptions) build(model string, gov funcmech.Governor) ([]funcmech.Option, error) {
-	core, err := buildFitCore(o.PostProcess, o.Seed, model, o.RidgeWeight)
+func (o fitOptions) build(model string) ([]funcmech.Option, error) {
+	opts, err := buildFitCore(o.PostProcess, o.Seed, model, o.RidgeWeight)
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]funcmech.Option{funcmech.WithGovernor(gov)}, core...)
 	if o.Intercept {
 		opts = append(opts, funcmech.WithIntercept())
 	}
@@ -541,11 +529,9 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, codeNotFound, "unknown dataset %q", req.Dataset)
 		return
 	}
-	// The governor is wrapped per request so time blocked on worker capacity
-	// lands on this trace as a queue_wait span; the probe attributes kernel
-	// vs solve vs noise time the same way. With no trace on the context both
-	// wrappers degrade to the bare calls.
-	opts, err := req.Options.build(req.Model, tracedGovernor{g: s.governor, tr: tr})
+	// The probe attributes kernel vs solve vs noise time to this trace; with
+	// no trace on the context it degrades to the bare calls.
+	opts, err := req.Options.build(req.Model)
 	if err != nil {
 		s.writeOptionsError(w, err)
 		return
@@ -556,18 +542,23 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: at most cap(s.sem) fits in flight; the rest queue here
-	// until a slot frees or the client gives up.
+	// Admission comes before the charge: the fit queues here for a governor
+	// token until one frees or the client gives up, and a fit abandoned in
+	// the queue costs no ε. Nothing below waits — the grant widens the
+	// kernel only onto tokens that are free when it starts.
 	admSpan := tr.StartSpan(obs.SpanQueueWait)
-	select {
-	case s.sem <- struct{}{}:
-		admSpan.End(obs.Str("stage", "admission"))
-		defer func() { <-s.sem }()
-	case <-r.Context().Done():
-		admSpan.End(obs.Str("stage", "admission"))
+	grant, err := s.governor.Admit(r.Context())
+	admSpan.End(obs.Str("stage", "admission"))
+	if err != nil {
 		s.writeError(w, http.StatusServiceUnavailable, codeFitFailed, "cancelled while queued for a fit slot")
 		return
 	}
+	s.metrics.fitsInFlight.Add(1)
+	defer func() {
+		s.metrics.fitsInFlight.Add(-1)
+		grant.Release()
+	}()
+	opts = append(opts, funcmech.WithGovernor(grant))
 
 	start := time.Now()
 	// Charge-then-fit, with the debit journaled durably in between: once the

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"funcmech"
+	"funcmech/internal/wal"
 )
 
 // newTestServer returns an httptest server over a fresh Server plus the
@@ -186,7 +190,7 @@ func TestFitModels(t *testing.T) {
 // three, every loser gets the typed 402, and the cumulative spend never
 // exceeds the configured total.
 func TestConcurrentFitsNeverOverspend(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxConcurrentFits: 8})
+	s, ts := newTestServer(t, Config{WorkerCap: 8})
 	registerRowsDataset(t, ts.URL, "toy", 300)
 	createTenant(t, ts.URL, "acme", 3.0)
 
@@ -452,7 +456,7 @@ func TestGovernedFitsStayUnderWorkerCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-record fit load in -short mode")
 	}
-	s, ts := newTestServer(t, Config{MaxConcurrentFits: 4, WorkerCap: 2})
+	s, ts := newTestServer(t, Config{WorkerCap: 2})
 	registerRowsDataset(t, ts.URL, "big", 3*2048)
 	createTenant(t, ts.URL, "acme", 100)
 
@@ -500,5 +504,74 @@ func TestGovernedFitsStayUnderWorkerCap(t *testing.T) {
 	}
 	if s.Governor().InUse() != 0 {
 		t.Fatalf("workers still held after drain: %d", s.Governor().InUse())
+	}
+}
+
+// TestAbandonedQueuedFitIsNotCharged is the admission gate's privacy
+// promise: a fit whose client gives up while every governor token is held
+// is answered without a charge — no ε spent, nothing journaled, no fit run
+// once the token frees.
+func TestAbandonedQueuedFitIsNotCharged(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{WorkerCap: 1})
+	s.UseWAL(l)
+	registerRowsDataset(t, ts.URL, "toy", 300)
+	createTenant(t, ts.URL, "acme", 3.0)
+	fitsBefore := scrapeMetrics(t, s)["fm_fits_total"]
+	held := admitN(t, s.Governor(), 1)
+
+	body, err := json.Marshal(fitRequest{Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 100 * time.Millisecond}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := client.Post(ts.URL+"/v1/fit", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("answered %d", resp.StatusCode)
+		}
+		errc <- err
+	}()
+	waitFor(t, "the fit to queue", func() bool { return s.Governor().Waiting() == 1 })
+	var ne net.Error
+	if err := <-errc; !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("client saw %v, want its own timeout", err)
+	}
+
+	// The server notices the disconnect asynchronously. Free the token only
+	// once the queued handler has given up (or after two seconds), so a fit
+	// still waiting would run now.
+	for deadline := time.Now().Add(2 * time.Second); s.Governor().Waiting() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	held[0].Release()
+	ts.Close() // blocks until every handler has returned
+
+	tenant, _ := s.Tenants().Lookup("acme")
+	if spent := tenant.Session.Spent(); spent != 0 {
+		t.Errorf("abandoned fit charged ε = %v, want 0", spent)
+	}
+	if n := tenant.Fits(); n != 0 {
+		t.Errorf("tenant Fits() = %d after an abandoned fit, want 0", n)
+	}
+	if got := scrapeMetrics(t, s)["fm_fits_total"]; got != fitsBefore {
+		t.Errorf("fm_fits_total = %v, want %v", got, fitsBefore)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Replay(dir, func(ev wal.Event) error {
+		if ev.Kind == wal.EventCharge {
+			t.Errorf("WAL holds a charge for the abandoned fit: %+v", ev)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

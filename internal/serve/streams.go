@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"log"
 	"net/http"
@@ -154,17 +155,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The fold is the ingest path's O(batch·d²) CPU cost; draw one worker
-	// from the global governor so heavy ingest traffic and in-flight fits
-	// share the same capacity instead of oversubscribing the machine. The
-	// draw happens inside the gate — after the shard lock is held — so a
-	// batch queued behind another batch does not sit on global capacity.
+	// The fold is the ingest path's O(batch·d²) CPU cost; it takes one
+	// governor token so heavy ingest traffic and in-flight fits share the
+	// same capacity. The token is taken inside the gate — after the shard
+	// lock is held — so a batch queued behind another batch does not sit on
+	// global capacity. Nothing is charged here, so the wait ignores the
+	// client's context and cannot fail.
 	tr := obs.TraceFrom(r.Context())
 	accepted, err := st.IngestFlatGated(flat, func() func() {
 		sp := tr.StartSpan(obs.SpanQueueWait)
-		_, release := s.governor.Acquire(1)
-		sp.End(obs.Str("stage", "governor"), obs.Int("want", 1), obs.Int("granted", 1))
-		return release
+		grant, _ := s.governor.Admit(context.Background())
+		sp.End(obs.Str("stage", "governor"))
+		return grant.Release
 	})
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "%v", err)
@@ -266,10 +268,11 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// No admission semaphore here: a refit never rescans records, so its
-	// O(d²) cost is negligible next to a fit and queueing it behind fits
-	// would only add latency. Budget enforcement is identical to /v1/fit —
-	// charge, journal the debit durably, and only then draw noise.
+	// Refits take no governor token: a refit never rescans records, but its
+	// merge, noise draw and spectral trim still cost CPU (tens of ms at
+	// d = 64), and bounding them is still open. Budget enforcement is
+	// identical to /v1/fit — charge, journal the debit durably, and only
+	// then draw noise.
 	start := time.Now()
 	if err := s.chargeDurable(tr, tenant, wal.OpRefit, st.Name(), req.Epsilon, opts); err != nil {
 		s.metrics.refits.record(err)

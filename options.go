@@ -62,9 +62,10 @@ type Governor = core.Governor
 // arbiter before the accumulation pool spins up, so many fits in flight
 // cannot oversubscribe the machine: the fit uses only the worker count the
 // governor grants (≥ 1) and returns it when the data pass finishes. This is
-// the knob a serving layer uses to keep in-flight fits × per-fit
-// parallelism under a GOMAXPROCS-derived cap. Acquire may block until
-// capacity frees, delaying the fit rather than degrading neighbours.
+// the knob a serving layer uses to keep its workers under a cap. fmserve's
+// governor admits a fit before charging it and then never blocks in
+// Acquire: under load the fit runs on the workers that are free rather
+// than waiting for more.
 //
 // Because the granted worker count depends on concurrent load, models fitted
 // under a governor are reproducible only to floating-point round-off across
