@@ -8,7 +8,8 @@
 #              and checked in as scripts/bench_baseline_pr4.txt;
 #   current  — the suite as of this checkout (the reproducible SYRK kernel:
 #              AVX2 vector sweep or portable generic fold, swept across d
-#              in BenchmarkObjectiveDSweep), measured by this run.
+#              in BenchmarkObjectiveDSweep, and the symmetric eigen solver
+#              in BenchmarkEigenSymmetric), measured by this run.
 #
 # plus a machine-readable summary of the headline series (ns/op and
 # allocs/op per benchmark, averaged across -count repetitions). CI runs this
@@ -32,6 +33,10 @@ trap 'rm -rf "$WORK"' EXIT
 
 echo "bench-report: running $PATTERN (count=$COUNT)" >&2
 go test -bench "$PATTERN" -benchmem -run '^$' -count "$COUNT" -timeout 60m . | tee "$WORK/current.txt" >&2
+# The spectral-trim solver runs on every d=64 refit; its n = 14/64/128
+# benchmark lives in internal/linalg and joins the same output.
+echo "bench-report: running BenchmarkEigenSymmetric (count=$COUNT)" >&2
+go test -bench BenchmarkEigenSymmetric -benchmem -run '^$' -count "$COUNT" -timeout 60m ./internal/linalg | tee -a "$WORK/current.txt" >&2
 
 # summarize <file>: benchmark name → mean ns/op and allocs/op across reps.
 summarize() {
@@ -83,7 +88,7 @@ jq -n \
      bench: ("go test -bench <hot paths> -benchmem -run ^$ -count " + $count),
      baseline: {description: "pre-PR4: scalar per-record fold, slice-of-rows storage",
                 summary: $bsum[0], output: $baseline},
-     current:  {description: "blocked SYRK kernel over flat columnar storage (AVX2 vector sweep or portable generic fold, adaptive tiles, swept across d in BenchmarkObjectiveDSweep); fmbin binary ingest path (BenchmarkIngestBinary); observability probe threaded through the hot paths (free when no trace is attached)",
+     current:  {description: "blocked SYRK kernel over flat columnar storage (AVX2 vector sweep or portable generic fold, adaptive tiles, swept across d in BenchmarkObjectiveDSweep); fmbin binary ingest path (BenchmarkIngestBinary); observability probe threaded through the hot paths (free when no trace is attached); Householder–QL symmetric eigen solver behind spectral trimming (BenchmarkEigenSymmetric, internal/linalg)",
                 summary: $csum[0], output: $current}
    }' > "$OUT"
 
