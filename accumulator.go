@@ -100,64 +100,23 @@ func (a *Accumulator) fold(key string) *taskFold {
 	return nil
 }
 
-// poisonFold records the first label-derivation failure for a fold.
-func poisonFold(f *taskFold, record int, target float64) {
-	f.err = fmt.Errorf("funcmech: record %d target %v is not boolean and the accumulator has no binarize threshold; %s refits are unavailable", record, target, f.key)
-}
-
 // Add folds one raw record into every fold's coefficients. Features are
 // clamped to the schema's public bounds and normalized exactly as the
 // one-shot fit paths normalize them; normalized-target folds clamp the
 // target into its domain, boolean-target folds binarize it with the
 // accumulator's threshold when one was configured. NaN values are rejected
 // (they would poison the sums irreversibly); infinities clamp to the domain
-// edge like any other out-of-domain value.
+// edge like any other out-of-domain value. The record goes through AddFlat
+// as a batch of one.
 func (a *Accumulator) Add(features []float64, target float64) error {
 	if len(features) != len(a.schema.Features) {
 		return fmt.Errorf("funcmech: record has %d features, schema has %d", len(features), len(a.schema.Features))
 	}
-	for j, v := range features {
-		if math.IsNaN(v) {
-			return fmt.Errorf("funcmech: feature %q is NaN", a.schema.Features[j].Name)
-		}
-	}
-	if math.IsNaN(target) {
-		return fmt.Errorf("funcmech: target %q is NaN", a.schema.Target.Name)
-	}
-
-	// Resolve boolean labels before touching any state, so a record is
-	// folded into every objective or poisons before folding into any.
-	boolY := target
-	if a.threshold != nil {
-		boolY = 0
-		if target > *a.threshold {
-			boolY = 1
-		}
-	} else if target != 0 && target != 1 {
-		for _, f := range a.folds {
-			if f.rule == core.TargetBoolean && f.err == nil {
-				poisonFold(f, a.n, target)
-			}
-		}
-	}
-
-	if a.intercept {
-		features = augmentRow(features)
-	}
-	x := a.nz.NormalizeRow(features)
-	yl := a.nz.NormalizeLabel(target)
-	for _, f := range a.folds {
-		switch f.rule {
-		case core.TargetBoolean:
-			if f.err == nil {
-				f.acc.AddRecord(x, boolY)
-			}
-		default:
-			f.acc.AddRecord(x, yl)
-		}
-	}
-	a.n++
-	return nil
+	row := make([]float64, len(features)+1)
+	copy(row, features)
+	row[len(features)] = target
+	_, err := a.AddFlat(row)
+	return err
 }
 
 // flatScratch is the reusable workspace of one AddFlat call: the normalized

@@ -90,7 +90,7 @@ func BenchmarkFig3LogisticApprox(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := core.LogisticTask{}.Objective(ds)
+		q := core.ParallelObjective(core.LogisticTask{}, ds, 1)
 		if _, err := regression.MinimizeQuadratic(q); err != nil {
 			b.Fatal(err)
 		}
@@ -279,9 +279,11 @@ func BenchmarkObjective(b *testing.B) {
 
 // BenchmarkColumnarKernel is the storage-layout micro-benchmark behind the
 // PR-4 refactor: the blocked SYRK-style kernel over the dataset's flat
-// columnar storage versus the legacy layout — one heap slice per record fed
-// through the scalar per-record fold. Same records, same task, bit-identical
-// output; the delta is purely memory layout and loop structure.
+// columnar storage versus the legacy layout — one heap slice per record,
+// each folded by its own AddRecord call. Every call now enters the same
+// blocked fold with a one-record tile, so the legacy/per-row row measures
+// per-call overhead and layout, not a separate scalar fold. Same records,
+// same task, bit-identical output.
 func BenchmarkColumnarKernel(b *testing.B) {
 	ds := preparedCensus(b, census.US(), experiments.TaskLinear, 14, 100000)
 	d := ds.D()
@@ -357,7 +359,7 @@ func BenchmarkPerturbCoefficients(b *testing.B) {
 	for _, dim := range []int{5, 14} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			ds := preparedCensus(b, census.US(), experiments.TaskLinear, dim, 2000)
-			q := core.LinearTask{}.Objective(ds)
+			q := core.ParallelObjective(core.LinearTask{}, ds, 1)
 			l := noise.Laplace{Scale: 100}
 			rng := noise.NewRand(1)
 			b.ReportAllocs()

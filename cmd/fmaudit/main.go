@@ -47,7 +47,7 @@ func main() {
 	}
 
 	mech := func(lastY float64) privacytest.Mechanism {
-		q := task.Objective(worstCaseData(lastY))
+		q := core.ParallelObjective(task, worstCaseData(lastY), 1)
 		return func(rng *rand.Rand) float64 {
 			// Release the linear coefficient −2Σyᵢxᵢ, the one the flipped
 			// label moves by 4.

@@ -32,14 +32,19 @@ type goldenWeights struct {
 	Linear   []float64 `json:"linear"`   // seed 101
 	Ridge    []float64 `json:"ridge"`    // weight 0.05, seed 102
 	Logistic []float64 `json:"logistic"` // threshold 35000, seed 103
+	Median   []float64 `json:"median"`   // seed 104
 	// Refits from the golden accumulator envelope (flatRecords(40, 11),
 	// threshold 35000).
 	EnvelopeLinear   []float64 `json:"envelope_linear"`   // seed 9
 	EnvelopeLogistic []float64 `json:"envelope_logistic"` // seed 13
+	// A median refit (seed 15) from the live golden accumulator. The frozen
+	// version-4 envelope predates the median fold, so only
+	// TestGoldenEnvelopeLiveMatchesFixture asserts it.
+	AccumulatorMedian []float64 `json:"accumulator_median"`
 }
 
 // goldenFits runs the pinned one-shot fits.
-func goldenFits(t *testing.T) (lin, ridge, logit []float64) {
+func goldenFits(t *testing.T) (lin, ridge, logit, median []float64) {
 	t.Helper()
 	ds := incomeDataset(300, 17)
 	lm, _, err := funcmech.LinearRegression(ds, 0.8, funcmech.WithSeed(101))
@@ -54,7 +59,11 @@ func goldenFits(t *testing.T) (lin, ridge, logit []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lm.Weights(), rm.Weights(), gm.Weights()
+	mm, _, err := funcmech.FitTask(ds, "median", 0.8, funcmech.WithSeed(104))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lm.Weights(), rm.Weights(), gm.Weights(), mm.Weights()
 }
 
 // goldenAccumulator rebuilds the accumulator the envelope fixtures were
@@ -85,22 +94,35 @@ func goldenRefits(t *testing.T, acc *funcmech.Accumulator) (lin, logit []float64
 	return lm.Weights(), gm.Weights()
 }
 
-// TestGoldenWeights: fixed-seed linear/ridge/logistic releases are
+// goldenMedianRefit is the pinned median refit from acc.
+func goldenMedianRefit(t *testing.T, acc *funcmech.Accumulator) []float64 {
+	t.Helper()
+	m, _, err := funcmech.FitTaskFromAccumulator(acc, "median", 0.8, funcmech.WithSeed(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Weights()
+}
+
+// TestGoldenWeights: fixed-seed linear/ridge/logistic/median releases are
 // bit-identical to the committed pre-refactor weights.
 func TestGoldenWeights(t *testing.T) {
-	lin, ridge, logit := goldenFits(t)
+	lin, ridge, logit, median := goldenFits(t)
 
 	if *updateGolden {
-		accLin, accLog := goldenRefits(t, goldenAccumulator(t))
+		acc := goldenAccumulator(t)
+		accLin, accLog := goldenRefits(t, acc)
 		writeGolden(t, goldenWeights{
-			Linear: lin, Ridge: ridge, Logistic: logit,
+			Linear: lin, Ridge: ridge, Logistic: logit, Median: median,
 			EnvelopeLinear: accLin, EnvelopeLogistic: accLog,
+			AccumulatorMedian: goldenMedianRefit(t, acc),
 		})
 	}
 	want := readGolden(t)
 	sameWeights(t, "golden linear", want.Linear, lin)
 	sameWeights(t, "golden ridge", want.Ridge, ridge)
 	sameWeights(t, "golden logistic", want.Logistic, logit)
+	sameWeights(t, "golden median", want.Median, median)
 }
 
 // TestGoldenEnvelopeMigration: the committed version-4 accumulator envelope
@@ -123,9 +145,11 @@ func TestGoldenEnvelopeMigration(t *testing.T) {
 // live fold and every stored generation agree.
 func TestGoldenEnvelopeLiveMatchesFixture(t *testing.T) {
 	want := readGolden(t)
-	lin, logit := goldenRefits(t, goldenAccumulator(t))
+	acc := goldenAccumulator(t)
+	lin, logit := goldenRefits(t, acc)
 	sameWeights(t, "live linear refit", want.EnvelopeLinear, lin)
 	sameWeights(t, "live logistic refit", want.EnvelopeLogistic, logit)
+	sameWeights(t, "live median refit", want.AccumulatorMedian, goldenMedianRefit(t, acc))
 }
 
 // TestGoldenModelEnvelopes: model envelopes written by the per-task model

@@ -87,7 +87,7 @@ func (Truncated) FitLogistic(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]fl
 	if err := (core.LogisticTask{}).Validate(ds); err != nil {
 		return nil, err
 	}
-	q := core.LogisticTask{}.Objective(ds)
+	q := core.ParallelObjective(core.LogisticTask{}, ds, 1)
 	w, err := regression.MinimizeQuadratic(q)
 	if err != nil {
 		// ⅛XᵀX is PSD; only numerical rank deficiency lands here.

@@ -13,7 +13,7 @@ import (
 // (Algorithm 1's objective, the only step that touches every record) as a
 // streaming, sharded accumulation instead of a monolithic O(n·d²) sweep.
 //
-// Both case-study objectives are sums of per-record contributions plus a
+// Every task's objective is a sum of per-record contributions plus a
 // data-independent finalization, so the sum can be split across shards and
 // merged. Two care points keep the optimization honest:
 //
@@ -27,41 +27,27 @@ import (
 //     point summation tree differs, so coefficients agree only to round-off
 //     (≈1e-15 relative); the privacy guarantee is indifferent to either.
 
-// RecordTask is a Task whose objective decomposes record by record — the
-// property the sharded accumulator exploits. Tasks that cannot decompose
-// (none of the built-ins) simply don't implement it and fall back to their
-// serial Objective.
-type RecordTask interface {
-	Task
-	// AccumulateRecord adds record (x, y)'s contribution to a partial
-	// objective. Implementations must write only the upper triangle of
-	// acc.M (a ≤ b) and must not touch data-independent terms that belong
-	// in FinalizeObjective.
-	AccumulateRecord(acc *poly.Quadratic, x []float64, y float64)
-	// FinalizeObjective applies the data-independent terms that depend only
-	// on the record count n (e.g. the logistic n·log 2 constant, the ridge
-	// penalty), after the accumulated matrix has been mirrored to full
-	// symmetric form.
-	FinalizeObjective(q *poly.Quadratic, n int)
-}
-
 // Accumulator builds one shard's partial objective as a stream of records.
 // It never needs the full Dataset: AddRecord accepts rows one at a time, so
 // an ingestion pipeline can fold records into the objective as they arrive
 // and discard them immediately. Partials from different shards combine with
 // Merge; Quadratic finalizes without consuming the accumulator.
 //
+// Every entry point folds through foldBlock, the one blocked SYRK fold of
+// the task's per-record coefficients, so the same records in the same order
+// give the same bits however they arrive.
+//
 // An Accumulator is not safe for concurrent use; use one per goroutine and
 // merge.
 type Accumulator struct {
-	task RecordTask
+	task Task
 	d    int
 	n    int
 	q    *poly.Quadratic // upper triangle of M only, unfinalized
 }
 
 // NewAccumulator returns an empty accumulator for the task over d features.
-func NewAccumulator(task RecordTask, d int) *Accumulator {
+func NewAccumulator(task Task, d int) *Accumulator {
 	if d <= 0 {
 		panic(fmt.Sprintf("core: NewAccumulator with d=%d", d))
 	}
@@ -71,8 +57,8 @@ func NewAccumulator(task RecordTask, d int) *Accumulator {
 // N returns the number of records accumulated so far.
 func (a *Accumulator) N() int { return a.n }
 
-// Task returns the record fold the accumulator maintains.
-func (a *Accumulator) Task() RecordTask { return a.task }
+// Task returns the task whose coefficients the accumulator folds.
+func (a *Accumulator) Task() Task { return a.task }
 
 // Dim returns the feature dimensionality d.
 func (a *Accumulator) Dim() int { return a.d }
@@ -82,14 +68,12 @@ func (a *Accumulator) AddRecord(x []float64, y float64) {
 	if len(x) != a.d {
 		panic(fmt.Sprintf("core: AddRecord with %d features, accumulator has %d", len(x), a.d))
 	}
-	a.task.AccumulateRecord(a.q, x, y)
-	a.n++
+	ys := [1]float64{y}
+	a.foldBlock(x, ys[:])
 }
 
-// AddBatch folds the shard s of ds into the partial objective. Tasks that
-// implement BlockTask (all built-ins) go through the blocked SYRK-style
-// kernel over the dataset's flat columnar storage — bit-identical to the
-// record-by-record fold, several times faster; see kernel.go.
+// AddBatch folds the shard s of ds into the partial objective, straight from
+// the dataset's flat columnar storage.
 func (a *Accumulator) AddBatch(ds *dataset.Dataset, s dataset.Shard) {
 	if s.Lo < 0 || s.Hi > ds.N() || s.Lo > s.Hi {
 		panic(fmt.Sprintf("core: AddBatch shard [%d,%d) out of range [0,%d)", s.Lo, s.Hi, ds.N()))
@@ -97,14 +81,7 @@ func (a *Accumulator) AddBatch(ds *dataset.Dataset, s dataset.Shard) {
 	if ds.D() != a.d {
 		panic(fmt.Sprintf("core: AddBatch dataset has %d features, accumulator has %d", ds.D(), a.d))
 	}
-	if bt, ok := a.task.(BlockTask); ok {
-		bt.AccumulateBlock(a.q, ds.FlatRows(s.Lo, s.Hi), ds.Labels()[s.Lo:s.Hi], a.d)
-	} else {
-		for i := s.Lo; i < s.Hi; i++ {
-			a.task.AccumulateRecord(a.q, ds.Row(i), ds.Label(i))
-		}
-	}
-	a.n += s.Len()
+	a.foldBlock(ds.FlatRows(s.Lo, s.Hi), ds.Labels()[s.Lo:s.Hi])
 }
 
 // AddFlat folds len(ys) records given as flat row-major feature storage
@@ -118,13 +95,77 @@ func (a *Accumulator) AddFlat(xs []float64, ys []float64) {
 		panic(fmt.Sprintf("core: AddFlat with %d feature values for %d records of width %d",
 			len(xs), len(ys), a.d))
 	}
-	if bt, ok := a.task.(BlockTask); ok {
-		bt.AccumulateBlock(a.q, xs, ys, a.d)
-	} else {
-		for i := range ys {
-			a.task.AccumulateRecord(a.q, xs[i*a.d:(i+1)*a.d], ys[i])
+	a.foldBlock(xs, ys)
+}
+
+// foldScratch is one tile's workspace for foldBlock: the c2-scaled left
+// operand of the SYRK update and the tile's per-record coefficients. It is
+// pooled, so the fold allocates nothing once the pool is warm.
+type foldScratch struct {
+	left       []float64
+	c0, c1, c2 []float64
+}
+
+var foldScratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
+// ensure sizes the scratch for tiles of rows records of width d.
+func (s *foldScratch) ensure(rows, d int) {
+	if cap(s.left) < rows*d {
+		s.left = make([]float64, rows*d)
+	}
+	if cap(s.c0) < rows {
+		s.c0 = make([]float64, rows)
+		s.c1 = make([]float64, rows)
+		s.c2 = make([]float64, rows)
+	}
+}
+
+// foldBlock is the accumulator's one fold: len(ys) records, flat row-major
+// with stride d, each adding c0 to β, c1·x to α and c2·x·xᵀ to the upper
+// triangle of M, with (c0, c1, c2) = task.Coefficients(y). Records go
+// through in tiles of kernelTileRows(d). Per tile the SYRK kernel runs on a
+// left operand of c2-scaled rows against the raw tile — the raw tile itself
+// while every c2 in it is 1 — and the α/β pass follows while the tile is
+// still cache-resident. Every cell receives its per-record contributions in
+// record order, so where tiles or calls split the records changes no bit.
+//
+//fm:noalloc
+func (a *Accumulator) foldBlock(xs, ys []float64) {
+	d := a.d
+	rows := kernelTileRows(d)
+	sc := foldScratchPool.Get().(*foldScratch)
+	defer foldScratchPool.Put(sc)
+	sc.ensure(rows, d)
+	alpha := a.q.Alpha[:d]
+	beta := a.q.Beta
+	for t0 := 0; t0 < len(ys); t0 += rows {
+		t1 := min(t0+rows, len(ys))
+		tile := xs[t0*d : t1*d]
+		c0, c1, c2 := sc.c0[:t1-t0], sc.c1[:t1-t0], sc.c2[:t1-t0]
+		unit := true
+		for r, y := range ys[t0:t1] {
+			c0[r], c1[r], c2[r] = a.task.Coefficients(y)
+			unit = unit && c2[r] == 1
+		}
+		left := tile
+		if !unit {
+			left = sc.left[:len(tile)]
+			for r, k := range c2 {
+				dst := left[r*d:][:d]
+				for j, v := range tile[r*d:][:d] {
+					dst[j] = v * k
+				}
+			}
+		}
+		syrkTileDispatch(a.q, left, tile, d)
+		for r, k := range c1 {
+			for j, v := range tile[r*d:][:d] {
+				alpha[j] += k * v
+			}
+			beta += c0[r]
 		}
 	}
+	a.q.Beta = beta
 	a.n += len(ys)
 }
 
@@ -147,11 +188,11 @@ func (a *Accumulator) Quadratic() *poly.Quadratic {
 }
 
 // QuadraticAs finalizes the accumulated coefficients under a different task.
-// This is only sound when the two tasks share AccumulateRecord — the use case
+// This is only sound when the two tasks share Coefficients — the use case
 // is RidgeTask, whose per-record contributions are exactly LinearTask's and
 // which differs only in its data-independent finalization, so one live
 // accumulator can serve both plain and penalized refits.
-func (a *Accumulator) QuadraticAs(task RecordTask) *poly.Quadratic {
+func (a *Accumulator) QuadraticAs(task Task) *poly.Quadratic {
 	out := a.q.Clone().MaterializeSymmetric()
 	task.FinalizeObjective(out, a.n)
 	return out
@@ -198,7 +239,7 @@ func (a *Accumulator) State() AccumulatorState {
 // State. The task must match the one the coefficients were accumulated
 // under; that correspondence is the caller's responsibility (the state
 // carries no task tag).
-func AccumulatorFromState(task RecordTask, st AccumulatorState) (*Accumulator, error) {
+func AccumulatorFromState(task Task, st AccumulatorState) (*Accumulator, error) {
 	d := len(st.Alpha)
 	if d == 0 {
 		return nil, fmt.Errorf("core: accumulator state has no coefficients")
@@ -247,8 +288,7 @@ func effectiveParallelism(requested, n int) int {
 
 // ParallelObjective builds task's objective over ds with a bounded worker
 // pool. parallelism ≤ 0 means runtime.GOMAXPROCS(0); 1 forces the serial
-// path. Tasks that don't implement RecordTask fall back to their own
-// Objective. The result is deterministic for a fixed (n, parallelism) pair:
+// fold. The result is deterministic for a fixed (n, parallelism) pair:
 // shard boundaries are pure functions of the inputs and partials merge in
 // shard index order.
 func ParallelObjective(task Task, ds *dataset.Dataset, parallelism int) *poly.Quadratic {
@@ -259,16 +299,10 @@ func ParallelObjective(task Task, ds *dataset.Dataset, parallelism int) *poly.Qu
 // worker count is submitted to gov and the pool uses only what is granted,
 // so concurrent runs sharing the governor never oversubscribe its global
 // cap; a nil gov changes nothing. It reports the kernel phase to probe,
-// tagged with the compute tier the SYRK dispatch selects when the task's
-// fold runs it (syrkTier). The phase starts only after the grant, so time
-// spent in Acquire is never attributed to compute.
+// tagged with the compute tier the SYRK dispatch selects (KernelTier). The
+// phase starts only after the grant, so time spent in Acquire is never
+// attributed to compute.
 func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor, probe Probe) *poly.Quadratic {
-	rt, ok := task.(RecordTask)
-	if !ok {
-		endKernel := startPhase(probe, PhaseKernel)
-		defer endKernel()
-		return task.Objective(ds)
-	}
 	workers := effectiveParallelism(parallelism, ds.N())
 	if gov != nil {
 		granted, release := gov.Acquire(workers)
@@ -277,10 +311,10 @@ func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Gove
 			workers = granted
 		}
 	}
-	endKernel := startPhaseTier(probe, PhaseKernel, syrkTier(rt, ds.D()))
+	endKernel := startPhaseTier(probe, PhaseKernel, KernelTier(ds.D()))
 	defer endKernel()
 	if workers == 1 {
-		a := NewAccumulator(rt, ds.D())
+		a := NewAccumulator(task, ds.D())
 		a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
 		return a.Quadratic()
 	}
@@ -291,7 +325,7 @@ func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Gove
 		wg.Add(1)
 		go func(i int, s dataset.Shard) {
 			defer wg.Done()
-			a := NewAccumulator(rt, ds.D())
+			a := NewAccumulator(task, ds.D())
 			a.AddBatch(ds, s)
 			accs[i] = a
 		}(i, s)

@@ -13,14 +13,13 @@ import (
 // floating-point re-association (≤ 1e-12 relative). If either property broke,
 // an incremental refit could silently diverge from a one-shot fit.
 
-func propertyTasks() []RecordTask {
-	return []RecordTask{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.25}}
+func propertyTasks() []Task {
+	return []Task{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.25}}
 }
 
 // TestAddRecordEqualsAddBatch: folding n records one at a time is
 // bit-identical to folding them as one batch — both walk the same records in
-// the same order through the same AccumulateRecord, so even the float bits
-// must agree.
+// the same order through the same fold, so even the float bits must agree.
 func TestAddRecordEqualsAddBatch(t *testing.T) {
 	for _, task := range propertyTasks() {
 		t.Run(task.Name(), func(t *testing.T) {

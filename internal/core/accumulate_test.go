@@ -56,7 +56,7 @@ func quadraticsClose(a, b *poly.Quadratic, tol float64) (float64, bool) {
 // merged in index order — the parallel algorithm run serially, so the test
 // exercises the exact merge semantics regardless of the minShardRecords
 // gate inside ParallelObjective.
-func shardedObjective(rt RecordTask, ds *dataset.Dataset, shards int) *poly.Quadratic {
+func shardedObjective(rt Task, ds *dataset.Dataset, shards int) *poly.Quadratic {
 	parts := dataset.Shards(ds.N(), shards)
 	root := NewAccumulator(rt, ds.D())
 	root.AddBatch(ds, parts[0])
@@ -73,7 +73,7 @@ func shardedObjective(rt RecordTask, ds *dataset.Dataset, shards int) *poly.Quad
 // combinations — exactly when the shard structure degenerates to one shard,
 // within 1e-12 relative otherwise (different summation trees).
 func TestParallelObjectiveMatchesSerial(t *testing.T) {
-	tasks := []RecordTask{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.5}}
+	tasks := []Task{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.5}}
 	cases := []struct{ n, d, par int }{
 		{10, 2, 2},
 		{257, 3, 4},
@@ -85,7 +85,7 @@ func TestParallelObjectiveMatchesSerial(t *testing.T) {
 	for _, task := range tasks {
 		for _, c := range cases {
 			ds := randomTaskDataset(t, task, c.n, c.d, int64(c.n*31+c.d))
-			serial := task.Objective(ds)
+			serial := ParallelObjective(task, ds, 1)
 			sharded := shardedObjective(task, ds, c.par)
 			if worst, ok := quadraticsClose(serial, sharded, 1e-12); !ok {
 				t.Errorf("%s n=%d d=%d par=%d: sharded objective diverges from serial by %v",
@@ -102,15 +102,17 @@ func TestParallelObjectiveMatchesSerial(t *testing.T) {
 // ParallelObjective itself (goroutine pool included) must agree with the
 // serial sweep on an input large enough to clear the minimum shard size.
 func TestParallelObjectivePoolMatchesSerial(t *testing.T) {
-	for _, task := range []RecordTask{LinearTask{}, LogisticTask{}} {
+	for _, task := range []Task{LinearTask{}, LogisticTask{}} {
 		ds := randomTaskDataset(t, task, 3*minShardRecords, 6, 11)
 		serial := ParallelObjective(task, ds, 1)
 		parallel := ParallelObjective(task, ds, 3)
 		if worst, ok := quadraticsClose(serial, parallel, 1e-12); !ok {
 			t.Errorf("%s: pooled objective diverges from serial by %v", task.Name(), worst)
 		}
-		if exact := task.Objective(ds); !exact.M.EqualApproxMat(serial.M, 0) {
-			t.Errorf("%s: parallelism=1 path is not bit-identical to Objective", task.Name())
+		one := NewAccumulator(task, ds.D())
+		one.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+		if exact := one.Quadratic(); !exact.M.EqualApproxMat(serial.M, 0) {
+			t.Errorf("%s: parallelism=1 path is not bit-identical to one accumulator's fold", task.Name())
 		}
 	}
 }
@@ -134,7 +136,7 @@ func TestParallelObjectiveDeterministic(t *testing.T) {
 // Streaming one record at a time must equal the batched sweep exactly: both
 // visit records in the same order into the same accumulator.
 func TestAccumulatorStreamingMatchesBatch(t *testing.T) {
-	for _, task := range []RecordTask{LinearTask{}, LogisticTask{}} {
+	for _, task := range []Task{LinearTask{}, LogisticTask{}} {
 		ds := randomTaskDataset(t, task, 300, 4, 3)
 		stream := NewAccumulator(task, ds.D())
 		for i := 0; i < ds.N(); i++ {
@@ -144,7 +146,7 @@ func TestAccumulatorStreamingMatchesBatch(t *testing.T) {
 			t.Fatalf("%s: streamed %d records, N() = %d", task.Name(), ds.N(), stream.N())
 		}
 		got := stream.Quadratic()
-		want := task.Objective(ds)
+		want := ParallelObjective(task, ds, 1)
 		if !got.M.EqualApproxMat(want.M, 0) || got.Beta != want.Beta {
 			t.Errorf("%s: streamed objective differs from batch", task.Name())
 		}
@@ -160,8 +162,8 @@ func TestAccumulatorSnapshotThenContinue(t *testing.T) {
 	first := acc.Quadratic()
 	acc.AddBatch(ds, dataset.Shard{Lo: 50, Hi: 100})
 	second := acc.Quadratic()
-	wantFirst := LinearTask{}.Objective(ds.Subset(sequenceN(50)))
-	wantSecond := LinearTask{}.Objective(ds)
+	wantFirst := ParallelObjective(LinearTask{}, ds.Subset(sequenceN(50)), 1)
+	wantSecond := ParallelObjective(LinearTask{}, ds, 1)
 	if !first.M.EqualApproxMat(wantFirst.M, 0) {
 		t.Error("first snapshot wrong")
 	}
@@ -184,7 +186,7 @@ func TestRidgePenaltyAppliedOncePerObjective(t *testing.T) {
 	task := RidgeTask{Weight: 2}
 	ds := randomTaskDataset(t, task, 600, 3, 13)
 	sharded := shardedObjective(task, ds, 6)
-	plain := LinearTask{}.Objective(ds)
+	plain := ParallelObjective(LinearTask{}, ds, 1)
 	for i := 0; i < ds.D(); i++ {
 		if got, want := sharded.M.At(i, i), plain.M.At(i, i)+2; math.Abs(got-want) > 1e-9 {
 			t.Fatalf("diagonal %d = %v, want %v (penalty applied per shard?)", i, got, want)
@@ -199,33 +201,6 @@ func TestLogisticBetaCountsMergedRecords(t *testing.T) {
 	sharded := shardedObjective(LogisticTask{}, ds, 5)
 	if want := 500 * math.Ln2; math.Abs(sharded.Beta-want) > 1e-9 {
 		t.Fatalf("β = %v, want %v", sharded.Beta, want)
-	}
-}
-
-// A task that does not implement RecordTask must fall back to its own
-// Objective unchanged.
-type opaqueTask struct{ LinearTask }
-
-func (opaqueTask) Objective(ds *dataset.Dataset) *poly.Quadratic {
-	q := poly.NewQuadratic(ds.D())
-	q.Beta = 42
-	return q
-}
-
-// opaqueTask embeds LinearTask, so it would satisfy RecordTask through
-// promotion; wrap it to strip the methods.
-type opaqueOnly struct{ t opaqueTask }
-
-func (o opaqueOnly) Name() string                                  { return o.t.Name() }
-func (o opaqueOnly) Sensitivity(d int) float64                     { return o.t.Sensitivity(d) }
-func (o opaqueOnly) Objective(ds *dataset.Dataset) *poly.Quadratic { return o.t.Objective(ds) }
-func (o opaqueOnly) Validate(ds *dataset.Dataset) error            { return o.t.Validate(ds) }
-
-func TestParallelObjectiveFallsBackForOpaqueTasks(t *testing.T) {
-	ds := randomTaskDataset(t, LinearTask{}, 10, 2, 19)
-	q := ParallelObjective(opaqueOnly{}, ds, 4)
-	if q.Beta != 42 {
-		t.Fatalf("fallback objective not used: β = %v", q.Beta)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // These tests pin the PR's load-bearing claim: the blocked SYRK-style kernel
 // over flat columnar storage is bit-for-bit identical to the scalar
 // record-by-record fold, for every task, at every parallelism level, and at
-// every tile/unroll boundary. The scalar AccumulateRecord path is the
-// reference — it is the historical semantics the fixed-seed reproducibility
-// guarantees were issued against.
+// every tile/unroll boundary. The scalar per-record fold (referenceRecord)
+// is the reference — it is the historical semantics the fixed-seed
+// reproducibility guarantees were issued against.
 
 // quadraticsBitEqual compares every coefficient with Float64bits, so even a
 // -0.0 vs +0.0 flip or a 1-ulp drift fails.
@@ -83,13 +83,14 @@ func sparseDataset(task Task, n, d int, seed int64) *dataset.Dataset {
 	return ds
 }
 
-// scalarObjective folds the dataset record by record through the task's
-// AccumulateRecord — the legacy per-row reference path.
-func scalarObjective(task RecordTask, ds *dataset.Dataset) *Accumulator {
+// scalarObjective folds the dataset record by record through
+// referenceRecord — the legacy per-row reference path.
+func scalarObjective(task Task, ds *dataset.Dataset) *Accumulator {
 	a := NewAccumulator(task, ds.D())
 	for i := 0; i < ds.N(); i++ {
-		a.AddRecord(ds.Row(i), ds.Label(i))
+		referenceRecord(task, a.q, ds.Row(i), ds.Label(i))
 	}
+	a.n = ds.N()
 	return a
 }
 
@@ -99,12 +100,12 @@ func scalarObjective(task RecordTask, ds *dataset.Dataset) *Accumulator {
 // the 32-row tile at d=64, 15/16/17 via 127..129 covers the 16-row tile at
 // d=128), 4-wide unroll remainders, row-pair remainders for odd d,
 // single-record batches — with sparse sign-mixed data, and requires exact
-// bit equality between the blocked kernel and the scalar fold for all three
+// bit equality between the blocked kernel and the scalar fold for all four
 // tasks. The d sweep spans both sides of the vector tier's minimum width
 // (kernelVecMinDim), the case-study width 14, and adaptive-tile widths
 // (33, 64).
 func TestBlockKernelBitIdenticalToScalar(t *testing.T) {
-	tasks := []RecordTask{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.3}}
+	tasks := []Task{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.3}, MedianTask{}}
 	ns := []int{1, 2, 3, 4, 5, 31, 32, 33, 127, 128, 129, 255, 257, 1000}
 	ds := []int{1, 2, 3, 4, 5, 7, 8, 14, 16, 33, 64}
 	for _, task := range tasks {
@@ -182,7 +183,7 @@ func TestColumnarAppendPathsBitIdentical(t *testing.T) {
 // scalar reference at every shard count — the determinism contract
 // WithParallelism documents, now sitting on the blocked kernel.
 func TestShardIterationBitIdenticalAcrossParallelism(t *testing.T) {
-	tasks := []RecordTask{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.7}}
+	tasks := []Task{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.7}}
 	for _, task := range tasks {
 		data := sparseDataset(task, 999, 6, 5)
 		for _, workers := range []int{1, 2, 3, 4, 8} {

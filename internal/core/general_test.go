@@ -74,7 +74,7 @@ func TestPerturbPolynomialRejectsEscapingTerms(t *testing.T) {
 func TestRunGeneralMatchesClosedFormAtHugeEpsilon(t *testing.T) {
 	// Quadratic objective: must agree with the dense-path minimizer.
 	ds := figure2Dataset()
-	obj := LinearTask{}.Objective(ds).ToPolynomial()
+	obj := ParallelObjective(LinearTask{}, ds, 1).ToPolynomial()
 	res, err := RunGeneral(obj, LinearTask{}.Sensitivity(1), 1e12, noise.NewRand(2), GeneralOptions{})
 	if err != nil {
 		t.Fatal(err)

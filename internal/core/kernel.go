@@ -4,11 +4,13 @@ import (
 	"funcmech/internal/poly"
 )
 
-// This file is the blocked, SYRK-style accumulation kernel behind both
-// case-study objectives. The per-record contribution to the quadratic term is
-// the rank-1 update M += x·xᵀ (scaled for logistic), so accumulating a batch
-// is a symmetric rank-k update — BLAS's SYRK — and the kernel borrows its
-// blocking scheme:
+// This file is the blocked, SYRK-style accumulation kernel behind every
+// task's fold. A record contributes c2·x·xᵀ to the quadratic term, so
+// accumulating a batch is a symmetric rank-k update — BLAS's SYRK — of a
+// left operand of c2-scaled rows against the raw rows. The fold
+// (Accumulator.foldBlock) builds the left operand once per tile; while every
+// c2 in the tile is 1 (linear, ridge) the raw tile is its own left operand.
+// The kernel borrows SYRK's blocking scheme:
 //
 //   - Records are processed in tiles of kernelTileRows(d) rows, so one tile
 //     of flat row-major storage stays cache-resident while the d(d+1)/2
@@ -19,29 +21,32 @@ import (
 //     chains, enough to hide ADDSD latency — and each record costs six loads
 //     for eight multiplies. Leading-edge and tail cells that don't fill a
 //     2×4 block are grouped into smaller register blocks.
-//   - The record loop is always innermost and walks the tile by reslicing,
-//     which keeps every index provably in bounds (len(p) ≥ d, a+1 < d,
-//     b+3 < d), so the hot loops run bounds-check-free.
+//   - The record loop is always innermost and walks one record offset
+//     through both operands, which share the row-major layout.
 //
-// Loop order is the transpose of the scalar AccumulateRecord path, but every
-// M[a,b], Alpha[a] and Beta cell still receives its per-record contributions
-// in exact record order, one IEEE-754 addition at a time: the register
-// blocking spreads *cells* across registers, it never re-associates the
-// additions within a cell, and floating-point addition on distinct cells
-// never interacts. The kernel is therefore bit-for-bit identical to the
-// historical record-by-record sweep; columnar_test.go pins this down.
+// Every M[a,b] cell receives its per-record contributions l[a]·x[b] in exact
+// record order, one IEEE-754 addition at a time: the register blocking
+// spreads *cells* across registers, it never re-associates the additions
+// within a cell, and floating-point addition on distinct cells never
+// interacts. The kernel is therefore bit-for-bit identical to a
+// record-by-record sweep; kernel_vec_test.go and columnar_test.go pin this
+// down.
+//
+// The scaled left operand rounds exactly as the per-record products it
+// replaces: logistic's x[a]·0.125 is the exact power-of-two shift x[a]/8,
+// and median's x[a]·c2 is the same single rounding its per-record fold made.
 //
 // On amd64 with AVX2 the interior register blocks run hand-vectorized
 // (kernel_vec.go / kernel_avx_amd64.s) with the vector lanes spread across
 // cells — the same argument applies, so that path is bit-identical too; this
-// file's scalar loops are the portable fallback and the reference the tests
-// pin everything against.
+// file's scalar loops are the portable fallback, the vector tier's edges and
+// tails, and the reference the tests pin everything against.
 //
-// One deliberate deviation: the scalar path skipped a record's row-a updates
-// when x[a] == 0, the kernel does not. The skipped additions are of ±0.0, and
-// an accumulator cell can never hold -0.0 (cells start at +0.0, and IEEE-754
-// round-to-nearest addition only produces -0.0 from two negative-zero
-// operands), so v + ±0.0 == v bitwise and the results agree exactly.
+// The kernel never skips a record whose x[a] is zero. The added terms are
+// ±0.0, and an accumulator cell can never hold -0.0 (cells start at +0.0,
+// and IEEE-754 round-to-nearest addition only produces -0.0 from two
+// negative-zero operands), so v + ±0.0 == v bitwise and skipping would not
+// change a bit.
 
 // The record-block size B is chosen per d so one tile of flat row-major
 // storage (B·d·8 bytes) stays within kernelTileBudget. The budget is an L2
@@ -85,32 +90,18 @@ func kernelTileRows(d int) int {
 	return rows
 }
 
-// BlockTask is a RecordTask whose per-record fold is also available as a
-// blocked kernel over flat row-major storage. All built-in tasks implement
-// it; the sharded accumulator uses the block form whenever records arrive as
-// a batch and falls back to AccumulateRecord otherwise.
-type BlockTask interface {
-	RecordTask
-	// AccumulateBlock folds len(ys) records, given as flat row-major feature
-	// storage xs with stride d, into the partial objective — bit-identically
-	// to calling AccumulateRecord on each record in order.
-	AccumulateBlock(acc *poly.Quadratic, xs []float64, ys []float64, d int)
-}
-
-// syrkTileUpper accumulates one tile's Σᵣ xᵣ·xᵣᵀ into the upper triangle of
-// M, preserving per-cell record order. With div8 set each contribution is
-// (x[a]/8)·x[b] — the logistic Taylor coefficient f₁⁽²⁾(0)=¼ halved across
-// the symmetric pair, applied to x[a] first exactly as the scalar
-// AccumulateRecord path applies it, so the two paths stay bit-identical.
+// syrkTileUpper accumulates one tile's Σᵣ lᵣ·xᵣᵀ into the upper triangle of
+// M, preserving per-cell record order: left holds the c2-scaled rows (or is
+// tile itself), tile the raw rows, both flat with stride d.
 //
 //fm:noalloc
-func syrkTileUpper(m *poly.Quadratic, tile []float64, d int, div8 bool) {
+func syrkTileUpper(m *poly.Quadratic, left, tile []float64, d int) {
 	a := 0
 	for ; a+2 <= d; a += 2 {
-		syrkRowPair(tile, d, a, div8, m.M.Row(a), m.M.Row(a+1))
+		syrkRowPair(left, tile, d, a, m.M.Row(a), m.M.Row(a+1))
 	}
 	if a < d {
-		syrkRowSingle(tile, d, a, div8, m.M.Row(a))
+		syrkRowSingle(left, tile, d, a, m.M.Row(a))
 	}
 }
 
@@ -122,153 +113,100 @@ func syrkTileUpper(m *poly.Quadratic, tile []float64, d int, div8 bool) {
 // across machines with and without AVX2.
 //
 //fm:noalloc
-func syrkTileDispatch(m *poly.Quadratic, tile []float64, d int, div8 bool) {
+func syrkTileDispatch(m *poly.Quadratic, left, tile []float64, d int) {
 	if kernelHasAVX2 && d >= kernelVecMinDim {
-		syrkTileUpperVec(m, tile, d, div8)
+		syrkTileUpperVec(m, left, tile, d)
 		return
 	}
-	syrkTileUpper(m, tile, d, div8)
+	syrkTileUpper(m, left, tile, d)
 }
 
 // syrkRowPair covers rows a and a+1 of the upper triangle over one tile:
-// the three leading-edge cells (a,a), (a,a+1), (a+1,a+1) as one register
-// block, then 2×4 blocks from column a+2, then a joint 2-row tail.
+// the leading-edge block, then 2×4 blocks from column a+2, then the tail.
 //
 //fm:noalloc
-func syrkRowPair(tile []float64, d, a int, div8 bool, row0, row1 []float64) {
-	e0, e1, e2 := row0[a], row0[a+1], row1[a+1]
-	if div8 {
-		for rem := tile; len(rem) >= d; rem = rem[d:] {
-			p := rem[:d]
-			va, vc := p[a], p[a+1]
-			va8, vc8 := va/8, vc/8
-			e0 += va8 * va
-			e1 += va8 * vc
-			e2 += vc8 * vc
-		}
-	} else {
-		for rem := tile; len(rem) >= d; rem = rem[d:] {
-			p := rem[:d]
-			va, vc := p[a], p[a+1]
-			e0 += va * va
-			e1 += va * vc
-			e2 += vc * vc
-		}
-	}
-	row0[a], row0[a+1], row1[a+1] = e0, e1, e2
-
+func syrkRowPair(left, tile []float64, d, a int, row0, row1 []float64) {
+	syrkPairEdge(left, tile, d, a, row0, row1)
 	b := a + 2
 	for ; b+4 <= d; b += 4 {
 		s0, s1, s2, s3 := row0[b], row0[b+1], row0[b+2], row0[b+3]
 		u0, u1, u2, u3 := row1[b], row1[b+1], row1[b+2], row1[b+3]
-		if div8 {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				va8, vc8 := p[a]/8, p[a+1]/8
-				x0, x1, x2, x3 := p[b], p[b+1], p[b+2], p[b+3]
-				s0 += va8 * x0
-				s1 += va8 * x1
-				s2 += va8 * x2
-				s3 += va8 * x3
-				u0 += vc8 * x0
-				u1 += vc8 * x1
-				u2 += vc8 * x2
-				u3 += vc8 * x3
-			}
-		} else {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				va, vc := p[a], p[a+1]
-				x0, x1, x2, x3 := p[b], p[b+1], p[b+2], p[b+3]
-				s0 += va * x0
-				s1 += va * x1
-				s2 += va * x2
-				s3 += va * x3
-				u0 += vc * x0
-				u1 += vc * x1
-				u2 += vc * x2
-				u3 += vc * x3
-			}
+		for off := 0; off < len(tile); off += d {
+			la, lc := left[off+a], left[off+a+1]
+			x0, x1, x2, x3 := tile[off+b], tile[off+b+1], tile[off+b+2], tile[off+b+3]
+			s0 += la * x0
+			s1 += la * x1
+			s2 += la * x2
+			s3 += la * x3
+			u0 += lc * x0
+			u1 += lc * x1
+			u2 += lc * x2
+			u3 += lc * x3
 		}
 		row0[b], row0[b+1], row0[b+2], row0[b+3] = s0, s1, s2, s3
 		row1[b], row1[b+1], row1[b+2], row1[b+3] = u0, u1, u2, u3
 	}
-	// Tail: the 1–3 columns left over after the 2×4 blocks, still two rows
-	// at a time and all remaining columns in one tile pass, so a d=14
-	// triangle never pays a pass that covers fewer than four cells.
+	syrkPairTail(left, tile, d, a, b, row0, row1)
+}
+
+// syrkPairEdge covers the three leading-edge cells (a,a), (a,a+1),
+// (a+1,a+1) of a row pair over one tile as one register block.
+//
+//fm:noalloc
+func syrkPairEdge(left, tile []float64, d, a int, row0, row1 []float64) {
+	e0, e1, e2 := row0[a], row0[a+1], row1[a+1]
+	for off := a; off < len(tile); off += d {
+		la, lc := left[off], left[off+1]
+		xa, xc := tile[off], tile[off+1]
+		e0 += la * xa
+		e1 += la * xc
+		e2 += lc * xc
+	}
+	row0[a], row0[a+1], row1[a+1] = e0, e1, e2
+}
+
+// syrkPairTail covers the 0–3 columns of a row pair left over after the
+// 2×4 (or vector) blocks, two rows at a time and all remaining columns in
+// one tile pass, so a d=14 triangle never pays a pass that covers fewer
+// than four cells.
+//
+//fm:noalloc
+func syrkPairTail(left, tile []float64, d, a, b int, row0, row1 []float64) {
 	switch d - b {
 	case 3:
 		s0, s1, s2 := row0[b], row0[b+1], row0[b+2]
 		u0, u1, u2 := row1[b], row1[b+1], row1[b+2]
-		if div8 {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				va8, vc8 := p[a]/8, p[a+1]/8
-				x0, x1, x2 := p[b], p[b+1], p[b+2]
-				s0 += va8 * x0
-				s1 += va8 * x1
-				s2 += va8 * x2
-				u0 += vc8 * x0
-				u1 += vc8 * x1
-				u2 += vc8 * x2
-			}
-		} else {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				va, vc := p[a], p[a+1]
-				x0, x1, x2 := p[b], p[b+1], p[b+2]
-				s0 += va * x0
-				s1 += va * x1
-				s2 += va * x2
-				u0 += vc * x0
-				u1 += vc * x1
-				u2 += vc * x2
-			}
+		for off := 0; off < len(tile); off += d {
+			la, lc := left[off+a], left[off+a+1]
+			x0, x1, x2 := tile[off+b], tile[off+b+1], tile[off+b+2]
+			s0 += la * x0
+			s1 += la * x1
+			s2 += la * x2
+			u0 += lc * x0
+			u1 += lc * x1
+			u2 += lc * x2
 		}
 		row0[b], row0[b+1], row0[b+2] = s0, s1, s2
 		row1[b], row1[b+1], row1[b+2] = u0, u1, u2
 	case 2:
 		s0, s1 := row0[b], row0[b+1]
 		u0, u1 := row1[b], row1[b+1]
-		if div8 {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				va8, vc8 := p[a]/8, p[a+1]/8
-				x0, x1 := p[b], p[b+1]
-				s0 += va8 * x0
-				s1 += va8 * x1
-				u0 += vc8 * x0
-				u1 += vc8 * x1
-			}
-		} else {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				va, vc := p[a], p[a+1]
-				x0, x1 := p[b], p[b+1]
-				s0 += va * x0
-				s1 += va * x1
-				u0 += vc * x0
-				u1 += vc * x1
-			}
+		for off := 0; off < len(tile); off += d {
+			la, lc := left[off+a], left[off+a+1]
+			x0, x1 := tile[off+b], tile[off+b+1]
+			s0 += la * x0
+			s1 += la * x1
+			u0 += lc * x0
+			u1 += lc * x1
 		}
 		row0[b], row0[b+1] = s0, s1
 		row1[b], row1[b+1] = u0, u1
 	case 1:
 		s, u := row0[b], row1[b]
-		if div8 {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				x := p[b]
-				s += p[a] / 8 * x
-				u += p[a+1] / 8 * x
-			}
-		} else {
-			for rem := tile; len(rem) >= d; rem = rem[d:] {
-				p := rem[:d]
-				x := p[b]
-				s += p[a] * x
-				u += p[a+1] * x
-			}
+		for off := 0; off < len(tile); off += d {
+			x := tile[off+b]
+			s += left[off+a] * x
+			u += left[off+a+1] * x
 		}
 		row0[b], row1[b] = s, u
 	}
@@ -278,86 +216,10 @@ func syrkRowPair(tile []float64, d, a int, div8 bool, row0, row1 []float64) {
 // tile — a single diagonal cell.
 //
 //fm:noalloc
-func syrkRowSingle(tile []float64, d, a int, div8 bool, row []float64) {
+func syrkRowSingle(left, tile []float64, d, a int, row []float64) {
 	s := row[a]
-	if div8 {
-		for rem := tile; len(rem) >= d; rem = rem[d:] {
-			va := rem[a]
-			s += va / 8 * va
-		}
-	} else {
-		for rem := tile; len(rem) >= d; rem = rem[d:] {
-			va := rem[a]
-			s += va * va
-		}
+	for off := a; off < len(tile); off += d {
+		s += left[off] * tile[off]
 	}
 	row[a] = s
-}
-
-// AccumulateBlock implements BlockTask for LinearTask: the SYRK update on M,
-// α[a] −= 2y·x[a] and β += y², each cell in record order. The α/β pass runs
-// per tile, right after the tile's M pass, while the tile is still
-// cache-resident — fusing them saves a second full stream over xs.
-//
-//fm:noalloc
-func (LinearTask) AccumulateBlock(acc *poly.Quadratic, xs []float64, ys []float64, d int) {
-	n := len(ys)
-	alpha := acc.Alpha
-	beta := acc.Beta
-	tileRows := kernelTileRows(d)
-	for t0 := 0; t0 < n; t0 += tileRows {
-		t1 := t0 + tileRows
-		if t1 > n {
-			t1 = n
-		}
-		tile := xs[t0*d : t1*d]
-		syrkTileDispatch(acc, tile, d, false)
-		rem := tile
-		for _, y := range ys[t0:t1] {
-			row := rem[:d]
-			rem = rem[d:]
-			c := 2 * y
-			for a, va := range row {
-				alpha[a] -= c * va
-			}
-			beta += y * y
-		}
-	}
-	acc.Beta = beta
-}
-
-// AccumulateBlock implements BlockTask for LogisticTask: the SYRK update
-// scaled by ⅛ on M and α[a] += (½−y)·x[a], fused per tile like LinearTask's;
-// the n·log 2 constant stays in FinalizeObjective.
-//
-//fm:noalloc
-func (LogisticTask) AccumulateBlock(acc *poly.Quadratic, xs []float64, ys []float64, d int) {
-	n := len(ys)
-	alpha := acc.Alpha
-	tileRows := kernelTileRows(d)
-	for t0 := 0; t0 < n; t0 += tileRows {
-		t1 := t0 + tileRows
-		if t1 > n {
-			t1 = n
-		}
-		tile := xs[t0*d : t1*d]
-		syrkTileDispatch(acc, tile, d, true)
-		rem := tile
-		for _, y := range ys[t0:t1] {
-			row := rem[:d]
-			rem = rem[d:]
-			c := 0.5 - y
-			for a, va := range row {
-				alpha[a] += c * va
-			}
-		}
-	}
-}
-
-// AccumulateBlock implements BlockTask for RidgeTask by delegating to
-// LinearTask, exactly like AccumulateRecord: the penalty involves no data.
-//
-//fm:noalloc
-func (RidgeTask) AccumulateBlock(acc *poly.Quadratic, xs []float64, ys []float64, d int) {
-	LinearTask{}.AccumulateBlock(acc, xs, ys, d)
 }

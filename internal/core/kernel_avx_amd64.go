@@ -13,10 +13,10 @@ package core
 func x86FeatureProbe() uint64
 
 //go:noescape
-func syrkBlock2x4AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
+func syrkBlock2x4AVX(left, tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64)
 
 //go:noescape
-func syrkBlock2x8AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64)
+func syrkBlock2x8AVX(left, tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64)
 
 // kernelHasAVX2 gates the bit-identical vector tier.
 var kernelHasAVX2 = x86FeatureProbe()&1 != 0

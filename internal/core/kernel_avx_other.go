@@ -8,10 +8,10 @@ package core
 
 const kernelHasAVX2 = false
 
-func syrkBlock2x4AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
+func syrkBlock2x4AVX(left, tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64) {
 	panic("core: vector kernel called without AVX2")
 }
 
-func syrkBlock2x8AVX(tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64, scale float64) {
+func syrkBlock2x8AVX(left, tile *float64, rows, strideB, aOff, bOff int, dst0, dst1 *float64) {
 	panic("core: vector kernel called without AVX2")
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -92,10 +94,8 @@ func (r tierRecorder) PhaseTier(name, tier string) func() {
 	return func() {}
 }
 
-// TestKernelSpanTier: the kernel span carries a tier only when the fold runs
-// the SYRK dispatch. A linear run reports KernelTier(d); a median run's
-// per-record fold never reaches the dispatch, so its kernel span carries no
-// tier at all.
+// TestKernelSpanTier: every task's fold runs the SYRK dispatch, so every
+// run's kernel span carries KernelTier(d) — the median fold included.
 func TestKernelSpanTier(t *testing.T) {
 	const d = 14
 	for _, tc := range []struct {
@@ -105,7 +105,7 @@ func TestKernelSpanTier(t *testing.T) {
 		{LinearTask{}, KernelTier(d)},
 		{RidgeTask{Weight: 0.3}, KernelTier(d)},
 		{LogisticTask{}, KernelTier(d)},
-		{MedianTask{}, untagged},
+		{MedianTask{}, KernelTier(d)},
 	} {
 		probe := tierRecorder{}
 		ds := sparseDataset(tc.task, 300, d, 5)
@@ -114,6 +114,43 @@ func TestKernelSpanTier(t *testing.T) {
 		}
 		if got := probe[PhaseKernel]; got != tc.wantTier {
 			t.Errorf("%s: kernel phase tier %q, want %q", tc.task.Name(), got, tc.wantTier)
+		}
+	}
+}
+
+// BenchmarkFold folds 1,024 unit-sphere records per iteration through each
+// fold-defining task's accumulator with AddFlat, at the paper's case-study
+// width (d=14) and the width of the fmbin refit workload (d=64).
+func BenchmarkFold(b *testing.B) {
+	const n = 1024
+	for _, task := range []Task{LinearTask{}, LogisticTask{}, MedianTask{}} {
+		for _, d := range []int{14, 64} {
+			rng := rand.New(rand.NewSource(int64(d)))
+			xs := make([]float64, n*d)
+			ys := make([]float64, n)
+			for i := 0; i < n; i++ {
+				row := xs[i*d : (i+1)*d]
+				norm := 0.0
+				for j := range row {
+					row[j] = rng.Float64()*2 - 1
+					norm += row[j] * row[j]
+				}
+				for j := range row {
+					row[j] /= math.Sqrt(norm)
+				}
+				ys[i] = rng.Float64()*2 - 1
+				if task.Name() == TaskNameLogistic {
+					ys[i] = float64(rng.Intn(2))
+				}
+			}
+			b.Run(fmt.Sprintf("%s/d=%d", task.Name(), d), func(b *testing.B) {
+				acc := NewAccumulator(task, d)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					acc.AddFlat(xs, ys)
+				}
+			})
 		}
 	}
 }

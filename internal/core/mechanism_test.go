@@ -296,7 +296,7 @@ func TestPostProcessString(t *testing.T) {
 }
 
 func TestPerturbDeterministicPerSeed(t *testing.T) {
-	q := LinearTask{}.Objective(figure2Dataset())
+	q := ParallelObjective(LinearTask{}, figure2Dataset(), 1)
 	l := noise.Laplace{Scale: 5}
 	a := Perturb(q, l, noise.NewRand(77))
 	b := Perturb(q, l, noise.NewRand(77))

@@ -60,51 +60,18 @@ func (MedianTask) Sensitivity(d int) float64 {
 	return 2 * (math.Sqrt(1+medianSmoothing2) + dd + dd*dd/(2*medianSmoothing))
 }
 
-// Objective builds the truncated pseudo-Huber objective as a dense
-// quadratic.
-func (t MedianTask) Objective(ds *dataset.Dataset) *poly.Quadratic {
-	a := NewAccumulator(t, ds.D())
-	a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
-	return a.Quadratic()
-}
-
-// AccumulateRecord implements RecordTask with the Taylor coefficients from
-// the type comment: ½g″(0)·xxᵀ on the upper triangle of M, g′(0)·x on α,
-// g(0) on β. Unlike the other tasks the curvature is data-dependent (it
-// shrinks as |y| grows), so β is accumulated per record rather than in
-// FinalizeObjective.
-func (MedianTask) AccumulateRecord(acc *poly.Quadratic, x []float64, y float64) {
+// Coefficients implements Task with the Taylor coefficients from the type
+// comment: (g(0), g′(0), ½g″(0)) with s = √(y²+μ²). Unlike the other tasks
+// the curvature is data-dependent (it shrinks as |y| grows), so the fold
+// scales each record's row of the SYRK left operand by its own c2.
+func (MedianTask) Coefficients(y float64) (c0, c1, c2 float64) {
 	s := math.Sqrt(y*y + medianSmoothing2)
-	c1 := -y / s
-	h := medianSmoothing2 / (s * s * s) / 2
-	for a, va := range x {
-		if va != 0 {
-			vah := va * h
-			row := acc.M.Row(a)
-			for b := a; b < len(x); b++ {
-				row[b] += vah * x[b]
-			}
-		}
-		acc.Alpha[a] += c1 * va
-	}
-	acc.Beta += s
+	return s, -y / s, medianSmoothing2 / (s * s * s) / 2
 }
 
-// FinalizeObjective implements RecordTask; every term of the median
-// objective is per-record.
+// FinalizeObjective implements Task; every term of the median objective is
+// per-record.
 func (MedianTask) FinalizeObjective(*poly.Quadratic, int) {}
-
-// AccumulateBlock implements BlockTask as the plain record-order loop: the
-// median curvature rescales every record's outer product individually, so
-// there is no shared-scale SYRK factorization to exploit, and the loop is
-// bit-identical to the scalar fold by construction.
-//
-//fm:noalloc
-func (t MedianTask) AccumulateBlock(acc *poly.Quadratic, xs []float64, ys []float64, d int) {
-	for i, y := range ys {
-		t.AccumulateRecord(acc, xs[i*d:(i+1)*d], y)
-	}
-}
 
 // Validate checks the same geometric preconditions as LinearTask — the
 // sensitivity bound above assumes exactly ‖x‖₂ ≤ 1 and y ∈ [−1, 1].
@@ -129,9 +96,8 @@ func init() {
 		Degree:             2,
 		Task:               MedianTask{},
 		Target:             TargetNormalized,
-		Release:            ReleaseQuadratic,
 		SensitivityFormula: "2(sqrt(1+mu^2) + d + d^2/(2mu)), mu = 1/2",
-		New: func(p TaskParams) (BlockTask, error) {
+		New: func(p TaskParams) (Task, error) {
 			if p.RidgeWeight != 0 {
 				return nil, fmt.Errorf("core: median regression does not take a ridge weight")
 			}

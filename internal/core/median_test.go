@@ -45,7 +45,7 @@ func TestMedianObjectiveMatchesAnalyticForm(t *testing.T) {
 	for i, x := range rows {
 		ds.Append(x, ys[i])
 	}
-	q := MedianTask{}.Objective(ds)
+	q := ParallelObjective(MedianTask{}, ds, 1)
 
 	const mu2 = 0.25
 	var beta float64
@@ -78,7 +78,7 @@ func TestMedianObjectiveMatchesAnalyticForm(t *testing.T) {
 }
 
 // The blocked fold must be bit-identical to the record-order scalar fold —
-// the BlockTask contract every ingest path relies on.
+// the fold contract every ingest path relies on.
 func TestMedianBlockMatchesScalarBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d, n := 5, 64
@@ -91,10 +91,11 @@ func TestMedianBlockMatchesScalarBitwise(t *testing.T) {
 	}
 	scalar := poly.NewQuadratic(d)
 	for i := 0; i < n; i++ {
-		MedianTask{}.AccumulateRecord(scalar, xs[i*d:(i+1)*d], ys[i])
+		referenceRecord(MedianTask{}, scalar, xs[i*d:(i+1)*d], ys[i])
 	}
-	blocked := poly.NewQuadratic(d)
-	MedianTask{}.AccumulateBlock(blocked, xs, ys, d)
+	acc := NewAccumulator(MedianTask{}, d)
+	acc.AddFlat(xs, ys)
+	blocked := acc.q
 	if blocked.Beta != scalar.Beta {
 		t.Errorf("β: %v vs %v", blocked.Beta, scalar.Beta)
 	}
@@ -143,7 +144,7 @@ func TestMedianMechanismReleasesObjectiveMinimizer(t *testing.T) {
 		x := rng.Float64()*1.6 - 0.8
 		ds.Append([]float64{x}, 0.3*x+0.05*rng.NormFloat64())
 	}
-	want := minimizer1D(MedianTask{}.Objective(ds))
+	want := minimizer1D(ParallelObjective(MedianTask{}, ds, 1))
 	res, err := Run(MedianTask{}, ds, 500, rand.New(rand.NewSource(7)), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +171,8 @@ func TestMedianObjectivePredictsMedianNotMean(t *testing.T) {
 		ds.Append([]float64{c}, y)
 	}
 	const mean, median = -0.1, -0.2
-	tMed := c * minimizer1D(MedianTask{}.Objective(ds))
-	tLS := c * minimizer1D(LinearTask{}.Objective(ds))
+	tMed := c * minimizer1D(ParallelObjective(MedianTask{}, ds, 1))
+	tLS := c * minimizer1D(ParallelObjective(LinearTask{}, ds, 1))
 	if math.Abs(tLS-mean) > 1e-12 {
 		t.Fatalf("least squares predicted %v, want the mean %v", tLS, mean)
 	}

@@ -108,18 +108,6 @@ func KernelTier(d int) string {
 	return TierGeneric
 }
 
-// syrkTier is the tier tag for task's kernel span: KernelTier(d) for the
-// folds whose AccumulateBlock runs the SYRK dispatch, "" for folds that
-// never reach it (MedianTask's per-record loop, tasks defined outside this
-// package).
-func syrkTier(task RecordTask, d int) string {
-	switch task.(type) {
-	case LinearTask, RidgeTask, LogisticTask:
-		return KernelTier(d)
-	}
-	return ""
-}
-
 // noopPhase is the shared phase-end func used when no Probe is installed, so
 // the hooks cost a nil check and no allocation on the hot path.
 var noopPhase = func() {}
@@ -133,16 +121,12 @@ func startPhase(p Probe, name string) func() {
 }
 
 // startPhaseTier begins a named phase carrying a tier attribute when the
-// probe understands tiers and tier is non-empty, degrading to a plain phase
-// otherwise.
+// probe understands tiers, degrading to a plain phase otherwise.
 func startPhaseTier(p Probe, name, tier string) func() {
-	if p == nil {
-		return noopPhase
-	}
-	if tp, ok := p.(TierProbe); ok && tier != "" {
+	if tp, ok := p.(TierProbe); ok {
 		return tp.PhaseTier(name, tier)
 	}
-	return p.Phase(name)
+	return startPhase(p, name)
 }
 
 // Options tunes a mechanism run. The zero value reproduces the paper's

@@ -41,16 +41,6 @@ func (r TargetRule) String() string {
 	return fmt.Sprintf("TargetRule(%d)", int(r))
 }
 
-// ReleaseKind names the release path a task's perturbed objective takes.
-// Every registered task today releases through the quadratic minimizer
-// (Perturb + solve + post-process); the enum exists so exponential-mechanism
-// style releases (Awan et al. 2019) can be added without another refactor.
-type ReleaseKind int
-
-// ReleaseQuadratic is the Algorithm-1 path: perturb the degree-2
-// coefficients, minimize the noisy quadratic.
-const ReleaseQuadratic ReleaseKind = iota
-
 // TaskParams carries the per-fit parameters a task instantiation may accept.
 type TaskParams struct {
 	// RidgeWeight is the λ‖ω‖² penalty weight; zero means unpenalized.
@@ -65,17 +55,15 @@ type TaskSpec struct {
 	Name string
 	// Degree is the polynomial degree of the released objective.
 	Degree int
-	// Task is the record fold of the spec's fold — the BlockTask whose
-	// coefficient sums the accumulator maintains.
-	Task BlockTask
+	// Task is the task whose per-record coefficient sums the spec's fold
+	// maintains.
+	Task Task
 	// Fold names the accumulator fold this task refits from. Tasks whose
 	// per-record contributions coincide share a fold: ridge refits from the
 	// "linear" fold because its penalty is data-independent.
 	Fold string
 	// Target is the label-derivation rule the ingestion layers apply.
 	Target TargetRule
-	// Release is the release path of the perturbed objective.
-	Release ReleaseKind
 	// AcceptsRidge reports whether the task takes an optional ridge weight;
 	// NeedsRidgeWeight additionally makes a positive weight mandatory.
 	AcceptsRidge     bool
@@ -85,7 +73,7 @@ type TaskSpec struct {
 	// against the registry source.
 	SensitivityFormula string
 	// New instantiates the task for one fit with the given parameters.
-	New func(p TaskParams) (BlockTask, error)
+	New func(p TaskParams) (Task, error)
 }
 
 // registry is the package-level task table. Registration happens in init
@@ -181,10 +169,9 @@ func init() {
 		Degree:             2,
 		Task:               LinearTask{},
 		Target:             TargetNormalized,
-		Release:            ReleaseQuadratic,
 		AcceptsRidge:       true,
 		SensitivityFormula: "2(d+1)^2",
-		New: func(p TaskParams) (BlockTask, error) {
+		New: func(p TaskParams) (Task, error) {
 			if p.RidgeWeight < 0 {
 				return nil, fmt.Errorf("core: negative ridge weight %v", p.RidgeWeight)
 			}
@@ -200,11 +187,10 @@ func init() {
 		Task:               LinearTask{},
 		Fold:               TaskNameLinear,
 		Target:             TargetNormalized,
-		Release:            ReleaseQuadratic,
 		AcceptsRidge:       true,
 		NeedsRidgeWeight:   true,
 		SensitivityFormula: "2(d+1)^2",
-		New: func(p TaskParams) (BlockTask, error) {
+		New: func(p TaskParams) (Task, error) {
 			if p.RidgeWeight <= 0 {
 				return nil, fmt.Errorf("core: ridge requires a positive weight, got %v", p.RidgeWeight)
 			}
@@ -216,9 +202,8 @@ func init() {
 		Degree:             2,
 		Task:               LogisticTask{},
 		Target:             TargetBoolean,
-		Release:            ReleaseQuadratic,
 		SensitivityFormula: "d^2/4 + 3d",
-		New: func(p TaskParams) (BlockTask, error) {
+		New: func(p TaskParams) (Task, error) {
 			if p.RidgeWeight != 0 {
 				return nil, fmt.Errorf("core: logistic regression does not take a ridge weight")
 			}

@@ -22,8 +22,8 @@ func TestRegistryBuiltins(t *testing.T) {
 		t.Fatalf("ridge spec: ok=%v fold=%q, want fold %q", ok, ridge.Fold, TaskNameLinear)
 	}
 	for _, s := range TaskSpecs() {
-		if s.Degree != 2 || s.Release != ReleaseQuadratic {
-			t.Errorf("task %q: degree=%d release=%d, want degree-2 quadratic release", s.Name, s.Degree, s.Release)
+		if s.Degree != 2 {
+			t.Errorf("task %q: degree=%d, want degree 2", s.Name, s.Degree)
 		}
 		if s.SensitivityFormula == "" {
 			t.Errorf("task %q has no documented sensitivity formula", s.Name)
@@ -40,7 +40,7 @@ func TestRegisterTaskRejectsBadSpecs(t *testing.T) {
 	}
 	if err := RegisterTask(TaskSpec{
 		Name: TaskNameLinear, Degree: 2, Task: LinearTask{},
-		New: func(TaskParams) (BlockTask, error) { return LinearTask{}, nil },
+		New: func(TaskParams) (Task, error) { return LinearTask{}, nil },
 	}); err == nil {
 		t.Error("duplicate name registered")
 	}

@@ -30,22 +30,13 @@ func (r RidgeTask) Name() string { return fmt.Sprintf("ridge(%g)", r.Weight) }
 // per-tuple coefficients.
 func (r RidgeTask) Sensitivity(d int) float64 { return LinearTask{}.Sensitivity(d) }
 
-// Objective returns the penalized quadratic: LinearTask's plus Weight·I on
-// the second-order matrix.
-func (r RidgeTask) Objective(ds *dataset.Dataset) *poly.Quadratic {
-	r.checkWeight() // fail before the O(n·d²) sweep, not after
-	a := NewAccumulator(r, ds.D())
-	a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
-	return a.Quadratic()
+// Coefficients implements Task with LinearTask's coefficients: the penalty
+// term involves no data.
+func (RidgeTask) Coefficients(y float64) (c0, c1, c2 float64) {
+	return LinearTask{}.Coefficients(y)
 }
 
-// AccumulateRecord implements RecordTask by delegating to LinearTask: the
-// penalty term involves no data.
-func (RidgeTask) AccumulateRecord(acc *poly.Quadratic, x []float64, y float64) {
-	LinearTask{}.AccumulateRecord(acc, x, y)
-}
-
-// FinalizeObjective implements RecordTask, adding the data-independent
+// FinalizeObjective implements Task, adding the data-independent
 // penalty Weight·I once per objective (not per shard).
 func (r RidgeTask) FinalizeObjective(q *poly.Quadratic, n int) {
 	r.checkWeight()

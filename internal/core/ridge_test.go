@@ -18,8 +18,8 @@ func TestRidgeSensitivityMatchesLinear(t *testing.T) {
 
 func TestRidgeObjectiveAddsDiagonal(t *testing.T) {
 	ds := figure2Dataset()
-	plain := LinearTask{}.Objective(ds)
-	ridged := RidgeTask{Weight: 3}.Objective(ds)
+	plain := ParallelObjective(LinearTask{}, ds, 1)
+	ridged := ParallelObjective(RidgeTask{Weight: 3}, ds, 1)
 	if got, want := ridged.M.At(0, 0), plain.M.At(0, 0)+3; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("ridged M = %v, want %v", got, want)
 	}
@@ -78,7 +78,7 @@ func TestRidgeNegativeWeightPanics(t *testing.T) {
 			t.Fatal("expected panic for negative ridge weight")
 		}
 	}()
-	RidgeTask{Weight: -1}.Objective(figure2Dataset())
+	ParallelObjective(RidgeTask{Weight: -1}, figure2Dataset(), 1)
 }
 
 func TestRidgeStabilizesNoisyFit(t *testing.T) {

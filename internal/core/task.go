@@ -5,10 +5,12 @@
 //
 // The pipeline is exactly the paper's:
 //
-//   - A Task supplies the degree-2 polynomial objective — exact for linear
-//     regression (§4.2), the truncated Taylor expansion of Algorithm 2 for
-//     logistic regression (§5) — together with its analytic sensitivity
-//     Δ = 2·max_t Σⱼ Σ_{φ∈Φⱼ} |λ_φt|.
+//   - A Task supplies the per-record coefficients (c0, c1, c2) of its
+//     degree-2 polynomial objective — exact for linear regression (§4.2),
+//     the truncated Taylor expansion of Algorithm 2 for logistic regression
+//     (§5) — together with its analytic sensitivity
+//     Δ = 2·max_t Σⱼ Σ_{φ∈Φⱼ} |λ_φt|. One blocked SYRK fold
+//     (Accumulator) turns the coefficients of every record into f̂_D(ω).
 //   - Perturb draws one Lap(Δ/ε) variate per monomial of the complete
 //     degree-≤2 basis (Algorithm 1, lines 2–7). The quadratic part is
 //     perturbed per unique monomial and mirrored across the matrix diagonal
@@ -27,9 +29,15 @@ import (
 	"funcmech/internal/poly"
 )
 
-// Task describes one regression family to the mechanism: how to build its
-// (possibly approximated) degree-2 objective and what the analytic
-// sensitivity of that objective's coefficients is.
+// Task describes one regression family to the mechanism: the per-record
+// coefficients of its (possibly approximated) degree-2 objective, the
+// data-independent terms that finish it, and the analytic sensitivity of its
+// coefficients.
+//
+// Every objective this package releases is a sum over records of a degree-2
+// polynomial in t = xᵀω, so a record (x, y) contributes c0 to β, c1·x to α
+// and c2·x·xᵀ to M, with (c0, c1, c2) a function of y alone. The
+// accumulator's one fold (foldBlock) needs nothing else from a task.
 //
 // Sensitivity must be a data-independent function of the dimensionality —
 // computing it from the records would itself leak — which is why each task
@@ -39,12 +47,23 @@ type Task interface {
 	Name() string
 	// Sensitivity returns Δ for feature dimensionality d.
 	Sensitivity(d int) float64
-	// Objective builds f̂_D(ω) as a dense quadratic.
-	Objective(ds *dataset.Dataset) *poly.Quadratic
+	// Coefficients returns the per-record coefficients for label y: the
+	// record adds c0 to β, c1·x to α and c2·x·xᵀ to M.
+	Coefficients(y float64) (c0, c1, c2 float64)
+	// FinalizeObjective applies the data-independent terms that depend only
+	// on the record count n (e.g. the logistic n·log 2 constant, the ridge
+	// penalty), after the accumulated matrix has been mirrored to full
+	// symmetric form.
+	FinalizeObjective(q *poly.Quadratic, n int)
 	// Validate checks the geometric preconditions the sensitivity bound
 	// relies on (unit-sphere features; target range).
 	Validate(ds *dataset.Dataset) error
 }
+
+// BlockTask is the name Task had while the block fold was an optional
+// extension of it. It remains only for perfbench/trace.go, which declares a
+// field of this type; the next change to the benchmark deletes it.
+type BlockTask = Task
 
 // normTolerance forgives float round-off when checking ‖x‖ ≤ 1.
 const normTolerance = 1e-9
@@ -61,30 +80,14 @@ func (LinearTask) Sensitivity(d int) float64 {
 	return 2 * (dd + 1) * (dd + 1)
 }
 
-// Objective returns the exact quadratic of §4.2:
-// M = XᵀX, α = −2Xᵀy, β = Σyᵢ².
-func (t LinearTask) Objective(ds *dataset.Dataset) *poly.Quadratic {
-	a := NewAccumulator(t, ds.D())
-	a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
-	return a.Quadratic()
+// Coefficients implements Task with the exact quadratic of §4.2,
+// (yᵢ − xᵢᵀω)² = yᵢ² − 2yᵢ·xᵢᵀω + ωᵀxᵢxᵢᵀω, so that M = XᵀX, α = −2Xᵀy,
+// β = Σyᵢ².
+func (LinearTask) Coefficients(y float64) (c0, c1, c2 float64) {
+	return y * y, -2 * y, 1
 }
 
-// AccumulateRecord implements RecordTask: xxᵀ on the upper triangle of M,
-// −2y·x on α, y² on β.
-func (LinearTask) AccumulateRecord(acc *poly.Quadratic, x []float64, y float64) {
-	for a, va := range x {
-		if va != 0 {
-			row := acc.M.Row(a)
-			for b := a; b < len(x); b++ {
-				row[b] += va * x[b]
-			}
-		}
-		acc.Alpha[a] -= 2 * y * va
-	}
-	acc.Beta += y * y
-}
-
-// FinalizeObjective implements RecordTask; the linear objective has no
+// FinalizeObjective implements Task; the linear objective has no
 // per-dataset terms.
 func (LinearTask) FinalizeObjective(*poly.Quadratic, int) {}
 
@@ -117,35 +120,17 @@ func (LogisticTask) Sensitivity(d int) float64 {
 	return dd*dd/4 + 3*dd
 }
 
-// Objective returns the truncated objective of §5.3:
+// Coefficients implements Task with the truncated objective of §5.3:
 // M = ⅛·XᵀX, α = Σᵢ(½−yᵢ)xᵢ, β = n·log 2, from the Taylor values
-// f₁⁽⁰⁾(0)=log 2, f₁⁽¹⁾(0)=½, f₁⁽²⁾(0)=¼.
-func (t LogisticTask) Objective(ds *dataset.Dataset) *poly.Quadratic {
-	a := NewAccumulator(t, ds.D())
-	a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
-	return a.Quadratic()
+// f₁⁽⁰⁾(0)=log 2, f₁⁽¹⁾(0)=½, f₁⁽²⁾(0)=¼. The constant n·log 2 belongs to
+// FinalizeObjective, because Σ log 2 over n records is not bitwise n·log 2.
+// The fold applies the ⅛ to x[a] as x[a]·0.125, which rounds exactly as
+// x[a]/8.
+func (LogisticTask) Coefficients(y float64) (c0, c1, c2 float64) {
+	return 0, 0.5 - y, 0.125
 }
 
-// AccumulateRecord implements RecordTask: ⅛xxᵀ on the upper triangle of M,
-// (½−y)·x on α. The constant n·log 2 belongs to FinalizeObjective. The ⅛
-// Taylor factor is applied to x[a] once per row as va/8 — an exact exponent
-// shift for every normal float — with the identical expression in the blocked
-// kernel (kernel.go), so the scalar and blocked paths stay bit-for-bit equal.
-func (LogisticTask) AccumulateRecord(acc *poly.Quadratic, x []float64, y float64) {
-	c := 0.5 - y
-	for a, va := range x {
-		if va != 0 {
-			va8 := va / 8
-			row := acc.M.Row(a)
-			for b := a; b < len(x); b++ {
-				row[b] += va8 * x[b]
-			}
-		}
-		acc.Alpha[a] += c * va
-	}
-}
-
-// FinalizeObjective implements RecordTask: β = n·log 2, from the order-0
+// FinalizeObjective implements Task: β = n·log 2, from the order-0
 // Taylor value f₁⁽⁰⁾(0) = log 2 summed over the n records.
 func (LogisticTask) FinalizeObjective(q *poly.Quadratic, n int) {
 	q.Beta += float64(n) * math.Ln2
@@ -172,19 +157,7 @@ func (LogisticTask) Validate(ds *dataset.Dataset) error {
 // Exposed for tests, which verify Δ dominates 2× this value over random
 // in-sphere tuples.
 func TupleCoefL1(task Task, x []float64, y float64) float64 {
-	one := dataset.New(&dataset.Schema{
-		Features: unitFeatures(len(x)),
-		Target:   dataset.Attribute{Name: "y", Min: -1, Max: 1},
-	})
-	one.Append(x, y)
-	p := task.Objective(one).ToPolynomial()
-	return p.CoefL1Norm(0)
-}
-
-func unitFeatures(d int) []dataset.Attribute {
-	fs := make([]dataset.Attribute, d)
-	for j := range fs {
-		fs[j] = dataset.Attribute{Name: fmt.Sprintf("x%d", j), Min: -1, Max: 1}
-	}
-	return fs
+	a := NewAccumulator(task, len(x))
+	a.AddRecord(x, y)
+	return a.Quadratic().ToPolynomial().CoefL1Norm(0)
 }

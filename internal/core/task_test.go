@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,14 @@ import (
 	"funcmech/internal/dataset"
 	"funcmech/internal/poly"
 )
+
+func unitFeatures(d int) []dataset.Attribute {
+	fs := make([]dataset.Attribute, d)
+	for j := range fs {
+		fs[j] = dataset.Attribute{Name: fmt.Sprintf("x%d", j), Min: -1, Max: 1}
+	}
+	return fs
+}
 
 func unitSchema(d int) *dataset.Schema {
 	return &dataset.Schema{
@@ -27,7 +36,7 @@ func figure2Dataset() *dataset.Dataset {
 }
 
 func TestLinearObjectiveFigure2Golden(t *testing.T) {
-	q := LinearTask{}.Objective(figure2Dataset())
+	q := ParallelObjective(LinearTask{}, figure2Dataset(), 1)
 	if got := q.M.At(0, 0); math.Abs(got-2.06) > 1e-12 {
 		t.Errorf("M = %v, want 2.06", got)
 	}
@@ -107,7 +116,7 @@ func TestLogisticObjectiveMatchesTaylorExpansion(t *testing.T) {
 		x, _ := randomSphereTuple(rng, d)
 		ds.Append(x, float64(rng.Intn(2)))
 	}
-	direct := LogisticTask{}.Objective(ds)
+	direct := ParallelObjective(LogisticTask{}, ds, 1)
 
 	sum := poly.NewPolynomial(d)
 	for i := 0; i < ds.N(); i++ {
@@ -159,7 +168,7 @@ func TestLogisticObjectiveBetaIsNLn2(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		ds.Append([]float64{0.1, 0.1}, float64(i%2))
 	}
-	q := LogisticTask{}.Objective(ds)
+	q := ParallelObjective(LogisticTask{}, ds, 1)
 	if want := 7 * math.Ln2; math.Abs(q.Beta-want) > 1e-12 {
 		t.Fatalf("β = %v, want %v", q.Beta, want)
 	}

@@ -134,7 +134,7 @@ func figure2Data() *dataset.Dataset {
 func runFigure2(cfg Config, w io.Writer) error {
 	ds := figure2Data()
 	task := core.LinearTask{}
-	q := task.Objective(ds)
+	q := core.ParallelObjective(task, ds, 1)
 	fmt.Fprintln(w, "Figure 2: linear objective and one FM-noised version (ε = 0.8)")
 	fmt.Fprintf(w, "  f_D(ω)  = %.6gω² + %.6gω + %.6g   (argmin %.6g = 117/206)\n",
 		q.M.At(0, 0), q.Alpha[0], q.Beta, 117.0/206.0)
@@ -163,7 +163,7 @@ func runFigure3(w io.Writer) error {
 	ds.Append([]float64{0}, 0)
 	ds.Append([]float64{1}, 1)
 
-	approx := core.LogisticTask{}.Objective(ds)
+	approx := core.ParallelObjective(core.LogisticTask{}, ds, 1)
 	fmt.Fprintln(w, "Figure 3: logistic objective f_D(ω) vs Taylor approximation f̂_D(ω)")
 	fmt.Fprintf(w, "  %6s  %10s  %10s\n", "ω", "f_D(ω)", "f̂_D(ω)")
 	for x := 0.0; x <= 2.0001; x += 0.25 {

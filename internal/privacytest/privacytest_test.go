@@ -69,7 +69,7 @@ func TestFunctionalMechanismCoefficientAudit(t *testing.T) {
 	eps := 1.0
 	delta := task.Sensitivity(1)
 	mech := func(ds *dataset.Dataset) Mechanism {
-		q := task.Objective(ds)
+		q := core.ParallelObjective(task, ds, 1)
 		l := noise.NewLaplace(delta, eps)
 		return func(rng *rand.Rand) float64 {
 			return core.Perturb(q, l, rng).Beta

@@ -8,8 +8,9 @@
 #              and checked in as scripts/bench_baseline_pr4.txt;
 #   current  — the suite as of this checkout (the reproducible SYRK kernel:
 #              AVX2 vector sweep or portable generic fold, swept across d
-#              in BenchmarkObjectiveDSweep, and the symmetric eigen solver
-#              in BenchmarkEigenSymmetric), measured by this run.
+#              in BenchmarkObjectiveDSweep, the one fold per task in
+#              BenchmarkFold, and the symmetric eigen solver in
+#              BenchmarkEigenSymmetric), measured by this run.
 #
 # plus a machine-readable summary of the headline series (ns/op and
 # allocs/op per benchmark, averaged across -count repetitions). CI runs this
@@ -37,6 +38,10 @@ go test -bench "$PATTERN" -benchmem -run '^$' -count "$COUNT" -timeout 60m . | t
 # benchmark lives in internal/linalg and joins the same output.
 echo "bench-report: running BenchmarkEigenSymmetric (count=$COUNT)" >&2
 go test -bench BenchmarkEigenSymmetric -benchmem -run '^$' -count "$COUNT" -timeout 60m ./internal/linalg | tee -a "$WORK/current.txt" >&2
+# Every task folds through the one SYRK fold in internal/core; its
+# per-task cost (linear, logistic, median at d = 14 and 64) joins too.
+echo "bench-report: running BenchmarkFold (count=$COUNT)" >&2
+go test -bench BenchmarkFold -benchmem -run '^$' -count "$COUNT" -timeout 60m ./internal/core | tee -a "$WORK/current.txt" >&2
 
 # summarize <file>: benchmark name → mean ns/op and allocs/op across reps.
 summarize() {
@@ -88,7 +93,7 @@ jq -n \
      bench: ("go test -bench <hot paths> -benchmem -run ^$ -count " + $count),
      baseline: {description: "pre-PR4: scalar per-record fold, slice-of-rows storage",
                 summary: $bsum[0], output: $baseline},
-     current:  {description: "blocked SYRK kernel over flat columnar storage (AVX2 vector sweep or portable generic fold, adaptive tiles, swept across d in BenchmarkObjectiveDSweep); fmbin binary ingest path (BenchmarkIngestBinary); observability probe threaded through the hot paths (free when no trace is attached); Householder–QL symmetric eigen solver behind spectral trimming (BenchmarkEigenSymmetric, internal/linalg)",
+     current:  {description: "blocked SYRK kernel over flat columnar storage (AVX2 vector sweep or portable generic fold, adaptive tiles, swept across d in BenchmarkObjectiveDSweep); fmbin binary ingest path (BenchmarkIngestBinary); observability probe threaded through the hot paths (free when no trace is attached); Householder–QL symmetric eigen solver behind spectral trimming (BenchmarkEigenSymmetric, internal/linalg); one fold for every task, each stating its per-record coefficients (BenchmarkFold, internal/core)",
                 summary: $csum[0], output: $current}
    }' > "$OUT"
 

@@ -86,7 +86,7 @@ func LookupTask(name string) (TaskInfo, bool) {
 
 // taskFor validates the fit options against the spec and instantiates the
 // task for one release.
-func taskFor(spec core.TaskSpec, cfg config) (core.BlockTask, error) {
+func taskFor(spec core.TaskSpec, cfg config) (core.Task, error) {
 	switch {
 	case cfg.ridge != 0 && !spec.AcceptsRidge:
 		return nil, errors.New("funcmech: WithRidge applies only to linear regression")
