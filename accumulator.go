@@ -168,7 +168,8 @@ func (s *flatScratch) ensure(xs, k, nb, row int) {
 // the row width is NumFeatures()+1 — and returns how many records were
 // folded. Unlike Add, the batch is all-or-nothing: every record is validated
 // (width by construction, NaN anywhere) before any is folded, so an error
-// leaves the accumulator untouched.
+// leaves the accumulator untouched. Errors number a record by its position
+// in the accumulator: the first record ever added is record 0.
 //
 // The fold is bit-identical to calling Add on each record in order: records
 // are clamped and normalized by the same per-record code, and the batch then
@@ -189,9 +190,9 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 	for i, v := range flat {
 		if math.IsNaN(v) {
 			if c := i % w; c < w-1 {
-				return 0, fmt.Errorf("funcmech: record %d: feature %q is NaN", i/w, a.schema.Features[c].Name)
+				return 0, fmt.Errorf("funcmech: record %d: feature %q is NaN", a.n+i/w, a.schema.Features[c].Name)
 			}
-			return 0, fmt.Errorf("funcmech: record %d: target %q is NaN", i/w, a.schema.Target.Name)
+			return 0, fmt.Errorf("funcmech: record %d: target %q is NaN", a.n+i/w, a.schema.Target.Name)
 		}
 	}
 

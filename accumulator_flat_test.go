@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"funcmech"
@@ -187,5 +188,32 @@ func TestAddFlatAllOrNothing(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("rejected batches mutated the accumulator")
+	}
+}
+
+// TestAddFlatNumbersRecordsInAccumulator: a NaN error names the record by its
+// position in the accumulator, whether it arrives through Add or AddFlat, and
+// the rejected record or batch is still not folded.
+func TestAddFlatNumbersRecordsInAccumulator(t *testing.T) {
+	acc, err := funcmech.NewAccumulator(incomeSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, _ := flatRecords(10, 7)
+	if _, err := acc.AddFlat(flat); err != nil {
+		t.Fatal(err)
+	}
+
+	err = acc.Add([]float64{30, math.NaN(), 40}, 20000)
+	if err == nil || !strings.Contains(err.Error(), "record 10:") {
+		t.Errorf("Add of a NaN feature after 10 records: err = %v, want record 10", err)
+	}
+	batch := []float64{30, 10, 40, 20000, 31, 10, 41, 21000, 32, 10, 42, math.NaN()}
+	_, err = acc.AddFlat(batch)
+	if err == nil || !strings.Contains(err.Error(), "record 12:") {
+		t.Errorf("AddFlat with a NaN target in its third row: err = %v, want record 12", err)
+	}
+	if acc.Len() != 10 {
+		t.Fatalf("rejected records were folded: Len = %d, want 10", acc.Len())
 	}
 }

@@ -1,9 +1,9 @@
 // Benchmarks, one per experiment of the paper's §7 evaluation (the IDs in
-// experiments.ExperimentIDs, which fmbench -list prints).
+// experiments.ExperimentIDs, which fmrun bench -list prints).
 //
 // The accuracy figures (F4–F6) benchmark one cross-validated sweep point at
 // reduced scale; the timing figures (F7–F9) map directly onto testing.B —
-// time/op of the Fit benchmarks *is* the series the paper plots. cmd/fmbench
+// time/op of the Fit benchmarks *is* the series the paper plots. fmrun bench
 // regenerates the full tables.
 package funcmech_test
 

@@ -1,27 +1,32 @@
-// Command fmrun fits an ε-differentially private regression on a CSV file
-// using the public funcmech API, printing the model weights and the privacy
-// report.
+// Command fmrun fits ε-differentially private regressions and runs the
+// paper's §7 evaluation harness:
 //
-// The schema — column names with their public domain bounds — is given on
-// the command line, because the bounds must be domain knowledge rather than
-// statistics of the file (computing them from the data would leak).
+//	fmrun fit    fit a registered task on a CSV file through the public API
+//	fmrun bench  regenerate the §7 figures' data series and the ablations
+//	fmrun point  evaluate every §7 method at one configuration
+//	fmrun gen    write a synthetic census dataset as CSV
 //
-// Usage:
+// Each subcommand has its own flags (fmrun <subcommand> -h). fit takes the
+// schema, column names with their public domain bounds, on the command line:
+// the bounds must be domain knowledge, because computing them from the file
+// would leak. It resolves -task through the task registry, so every
+// registered task is available. bench and point evaluate the paper's two
+// case studies, linear and logistic regression. -records=0 means the full
+// census cardinality (370k US / 190k Brazil).
 //
-//	fmrun -csv=data.csv -task=linear -epsilon=0.8 \
+//	fmrun fit -csv=data.csv -task=logistic -epsilon=0.8 -threshold=35000 \
 //	      -features='age:16:95,hours:0:99' -target='income:0:300000'
-//
-//	fmrun -csv=data.csv -task=logistic -epsilon=0.8 -threshold=35000 \
-//	      -features='age:16:95,hours:0:99' -target='income:0:300000'
-//
-// The task name is resolved through the funcmech task registry, so every
-// registered task — including median regression — is available without any
-// task-specific wiring here.
+//	fmrun bench -experiment=fig6 -records=0 -repeats=50   # paper scale
+//	fmrun bench -list                                     # experiment IDs
+//	fmrun point -profile=us -task=linear -dim=14 -records=0
+//	fmrun gen -profile=brazil -records=0 -o brazil.csv
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,82 +35,122 @@ import (
 	"funcmech/internal/core"
 )
 
-func main() {
+const usage = "usage: fmrun fit|bench|point|gen [flags]"
+
+// A command registers its flags on fs and returns what runs once they are
+// parsed.
+type command func(fs *flag.FlagSet) func(stdout io.Writer) error
+
+var commands = map[string]command{"fit": fit, "bench": bench, "point": point, "gen": gen}
+
+// errUsage reports missing required flags; run prints the flag set's usage.
+var errUsage = errors.New("missing required flags")
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches args to a subcommand and returns the exit status: 0 on
+// success, 1 when the subcommand fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || commands[args[0]] == nil {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	name := args[0]
+	fs := flag.NewFlagSet("fmrun "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exec := commands[name](fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	switch err := exec(stdout); {
+	case errors.Is(err, errUsage):
+		fs.Usage()
+		return 2
+	case err != nil:
+		fmt.Fprintf(stderr, "fmrun %s: %v\n", name, err)
+		return 1
+	}
+	return 0
+}
+
+func fit(fs *flag.FlagSet) func(io.Writer) error {
 	var (
-		csvPath   = flag.String("csv", "", "input CSV with a header row (required)")
-		task      = flag.String("task", core.TaskNameLinear, "registered task name (see funcmech.TaskNames)")
-		epsilon   = flag.Float64("epsilon", 0.8, "privacy budget ε")
-		features  = flag.String("features", "", "feature bounds, comma-separated name:min:max (required)")
-		target    = flag.String("target", "", "target bounds, name:min:max (required)")
-		threshold = flag.Float64("threshold", 0, "binarization threshold for boolean-target tasks (0 = target already boolean)")
+		csvPath   = fs.String("csv", "", "input CSV with a header row (required)")
+		task      = fs.String("task", core.TaskNameLinear, "registered task name (see funcmech.TaskNames)")
+		epsilon   = fs.Float64("epsilon", 0.8, "privacy budget ε")
+		features  = fs.String("features", "", "feature bounds, comma-separated name:min:max (required)")
+		target    = fs.String("target", "", "target bounds, name:min:max (required)")
+		threshold = fs.Float64("threshold", 0, "binarization threshold for boolean-target tasks (0 = target already boolean)")
 		//fmlint:ignore taskreg names the CLI flag, not a task
-		ridge = flag.Float64("ridge", 0, "ridge penalty weight, for tasks that take one")
-		seed  = flag.Int64("seed", 0, "noise seed (0 = random)")
-		exact = flag.Bool("exact", false, "also fit the non-private least-squares baseline for comparison")
+		ridge = fs.Float64("ridge", 0, "ridge penalty weight, for tasks that take one")
+		seed  = fs.Int64("seed", 0, "noise seed (0 = random)")
+		exact = fs.Bool("exact", false, "also fit the non-private least-squares baseline for comparison")
 	)
-	flag.Parse()
-
-	if *csvPath == "" || *features == "" || *target == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	schema, err := parseSchema(*features, *target)
-	if err != nil {
-		fail(err)
-	}
-	f, err := os.Open(*csvPath)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	ds, err := funcmech.ReadDatasetCSV(f, schema)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("loaded %d records × %d features from %s\n", ds.Len(), ds.NumFeatures(), *csvPath)
-
-	info, ok := funcmech.LookupTask(*task)
-	if !ok {
-		fail(fmt.Errorf("unknown task %q (registered tasks: %s)",
-			*task, strings.Join(funcmech.TaskNames(), ", ")))
-	}
-
-	var opts []funcmech.Option
-	if *seed != 0 {
-		opts = append(opts, funcmech.WithSeed(*seed))
-	}
-	if *threshold != 0 {
-		if !info.Boolean {
-			fail(fmt.Errorf("-threshold applies only to boolean-target tasks; %q trains on a %s target",
-				info.Name, info.TargetRule))
+	return func(w io.Writer) error {
+		if *csvPath == "" || *features == "" || *target == "" {
+			return errUsage
 		}
-		opts = append(opts, funcmech.WithBinarizeThreshold(*threshold))
-	}
-	if *ridge != 0 {
-		opts = append(opts, funcmech.WithRidge(*ridge))
-	}
-
-	model, report, err := funcmech.FitTask(ds, *task, *epsilon, opts...)
-	if err != nil {
-		fail(err)
-	}
-	printReport(report)
-	printWeights(schema, model.Weights())
-	if info.Boolean {
-		if rate, err := model.MisclassificationRate(ds); err == nil {
-			fmt.Printf("training misclassification rate: %.4f\n", rate)
+		schema, err := parseSchema(*features, *target)
+		if err != nil {
+			return err
 		}
-	} else {
-		fmt.Printf("training MSE (raw units): %.6g\n", model.MSE(ds))
-		fmt.Printf("training MAE (raw units): %.6g\n", model.MAE(ds))
+		f, err := os.Open(*csvPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		ds, err := funcmech.ReadDatasetCSV(f, schema)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "loaded %d records × %d features from %s\n", ds.Len(), ds.NumFeatures(), *csvPath)
+
+		info, ok := funcmech.LookupTask(*task)
+		if !ok {
+			return fmt.Errorf("unknown task %q (registered tasks: %s)",
+				*task, strings.Join(funcmech.TaskNames(), ", "))
+		}
+
+		var opts []funcmech.Option
+		if *seed != 0 {
+			opts = append(opts, funcmech.WithSeed(*seed))
+		}
+		if *threshold != 0 {
+			if !info.Boolean {
+				return fmt.Errorf("-threshold applies only to boolean-target tasks; %q trains on a %s target",
+					info.Name, info.TargetRule)
+			}
+			opts = append(opts, funcmech.WithBinarizeThreshold(*threshold))
+		}
+		if *ridge != 0 {
+			opts = append(opts, funcmech.WithRidge(*ridge))
+		}
+
+		model, report, err := funcmech.FitTask(ds, *task, *epsilon, opts...)
+		if err != nil {
+			return err
+		}
+		printReport(w, report)
+		printWeights(w, schema, model.Weights())
+		if info.Boolean {
+			if rate, err := model.MisclassificationRate(ds); err == nil {
+				fmt.Fprintf(w, "training misclassification rate: %.4f\n", rate)
+			}
+			return nil
+		}
+		fmt.Fprintf(w, "training MSE (raw units): %.6g\n", model.MSE(ds))
+		fmt.Fprintf(w, "training MAE (raw units): %.6g\n", model.MAE(ds))
 		if *exact {
 			base, err := funcmech.LinearRegressionExact(ds)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			fmt.Printf("non-private MSE (raw units): %.6g\n", base.MSE(ds))
+			fmt.Fprintf(w, "non-private MSE (raw units): %.6g\n", base.MSE(ds))
 		}
+		return nil
 	}
 }
 
@@ -142,19 +187,14 @@ func parseAttribute(spec string) (funcmech.Attribute, error) {
 	return funcmech.Attribute{Name: parts[0], Min: lo, Max: hi}, nil
 }
 
-func printReport(r *funcmech.Report) {
-	fmt.Printf("privacy: ε spent %.4g, sensitivity Δ %.4g, noise scale %.4g, λ %.4g, trimmed %d, resamples %d\n",
+func printReport(w io.Writer, r *funcmech.Report) {
+	fmt.Fprintf(w, "privacy: ε spent %.4g, sensitivity Δ %.4g, noise scale %.4g, λ %.4g, trimmed %d, resamples %d\n",
 		r.Epsilon, r.Delta, r.NoiseScale, r.Lambda, r.Trimmed, r.Resamples)
 }
 
-func printWeights(s funcmech.Schema, w []float64) {
-	fmt.Println("weights (normalized feature space):")
+func printWeights(w io.Writer, s funcmech.Schema, weights []float64) {
+	fmt.Fprintln(w, "weights (normalized feature space):")
 	for i, a := range s.Features {
-		fmt.Printf("  %-20s %+.6f\n", a.Name, w[i])
+		fmt.Fprintf(w, "  %-20s %+.6f\n", a.Name, weights[i])
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "fmrun: %v\n", err)
-	os.Exit(1)
 }

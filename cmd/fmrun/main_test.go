@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"funcmech/internal/census"
+	"funcmech/internal/dataset"
+	"funcmech/internal/experiments"
 )
 
 func TestParseAttribute(t *testing.T) {
@@ -68,5 +73,58 @@ func TestParseSchemaPreservesOrder(t *testing.T) {
 	}
 	if strings.Join(names, ",") != "b,a,c" {
 		t.Fatalf("order not preserved: %v", names)
+	}
+}
+
+// fmrun runs the dispatcher on args and returns its exit status with what it
+// wrote to stdout and stderr.
+func fmrun(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+func TestRunWithoutSubcommandPrintsUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"fmbench"}, {"-records", "5"}} {
+		code, _, stderr := fmrun(args...)
+		if code != 2 || !strings.Contains(stderr, usage) {
+			t.Errorf("fmrun %q = %d, stderr %q; want 2 and the usage line", args, code, stderr)
+		}
+	}
+}
+
+func TestRunGenWritesCensusCSV(t *testing.T) {
+	code, stdout, stderr := fmrun("gen", "-records", "50")
+	if code != 0 {
+		t.Fatalf("gen = %d: %s", code, stderr)
+	}
+	ds, err := dataset.ReadCSV(strings.NewReader(stdout), census.US().Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.N() != 50 {
+		t.Fatalf("read back %d records, want 50", ds.N())
+	}
+}
+
+func TestRunBenchList(t *testing.T) {
+	code, stdout, stderr := fmrun("bench", "-list")
+	if code != 0 {
+		t.Fatalf("bench -list = %d: %s", code, stderr)
+	}
+	if want := strings.Join(experiments.ExperimentIDs(), "\n") + "\n"; stdout != want {
+		t.Fatalf("bench -list printed %q, want %q", stdout, want)
+	}
+}
+
+func TestRunPointRejectsUnevaluatedTask(t *testing.T) {
+	code, _, stderr := fmrun("point", "-task", "median")
+	if code != 1 {
+		t.Fatalf("point -task median = %d, want 1", code)
+	}
+	for _, want := range []string{"linear", "logistic"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("point -task median stderr %q does not name %s", stderr, want)
+		}
 	}
 }

@@ -112,7 +112,7 @@
 // The public API wraps the internal packages, which mirror the paper:
 // internal/core implements Algorithms 1–2 and the §6 post-processing,
 // internal/baseline the DPME/FP/NoPrivacy/Truncated comparison methods,
-// internal/experiments the §7 evaluation harness (see cmd/fmbench), and
+// internal/experiments the §7 evaluation harness (see cmd/fmrun), and
 // internal/{linalg,noise,poly,dataset,census,histogram,regression} the
 // substrates they stand on. See the README's Layout table for the full
 // inventory, docs/ARCHITECTURE.md for the served-system map with the

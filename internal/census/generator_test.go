@@ -2,6 +2,7 @@ package census
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"funcmech/internal/dataset"
@@ -24,6 +25,18 @@ func TestProfileCardinalitiesMatchPaper(t *testing.T) {
 	}
 	if Brazil().Records != 190000 {
 		t.Errorf("Brazil records = %d, want 190000", Brazil().Records)
+	}
+}
+
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]string{"us": "US", "Brazil": "Brazil", "BRAZIL": "Brazil"} {
+		p, err := ProfileByName(name)
+		if err != nil || p.Name != want {
+			t.Errorf("ProfileByName(%q) = %q, %v; want %q", name, p.Name, err, want)
+		}
+	}
+	if _, err := ProfileByName("mexico"); err == nil || !strings.Contains(err.Error(), "want us or brazil") {
+		t.Errorf("ProfileByName(mexico) err = %v, want the accepted names", err)
 	}
 }
 

@@ -14,6 +14,11 @@
 // noisy histograms) is exercised identically to the real data.
 package census
 
+import (
+	"fmt"
+	"strings"
+)
+
 // IncomeModel holds the coefficients of the log-linear income equation
 //
 //	log(1+income) = Base + Edu·edu + AgeLin·a + AgeQuad·a² + Hours·hours
@@ -118,3 +123,14 @@ func Brazil() Profile {
 
 // Profiles returns both evaluation profiles in paper order.
 func Profiles() []Profile { return []Profile{US(), Brazil()} }
+
+// ProfileByName resolves a profile by its name, ignoring case: "us" or
+// "brazil".
+func ProfileByName(name string) (Profile, error) {
+	for _, p := range Profiles() {
+		if strings.EqualFold(p.Name, name) {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("unknown census profile %q (want us or brazil)", name)
+}

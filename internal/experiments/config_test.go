@@ -7,30 +7,28 @@ import (
 	"funcmech/internal/core"
 )
 
-// TestTaskByName: every registered task resolves to a measurement family by
-// its target rule, and unknown names enumerate the registry.
+// TestTaskByName: only the paper's two case studies resolve. Every other
+// name, the registry's median and ridge included, fails with an error that
+// names the two the harness evaluates.
 func TestTaskByName(t *testing.T) {
-	for _, name := range core.TaskNames() {
+	for name, want := range map[string]TaskKind{
+		core.TaskNameLinear:   TaskLinear,
+		core.TaskNameLogistic: TaskLogistic,
+	} {
 		kind, err := TaskByName(name)
-		if err != nil {
-			t.Fatalf("TaskByName(%q): %v", name, err)
-		}
-		spec, _ := core.LookupTask(name)
-		want := TaskLinear
-		if spec.Target == core.TargetBoolean {
-			want = TaskLogistic
-		}
-		if kind != want {
-			t.Errorf("TaskByName(%q) = %v, want %v", name, kind, want)
+		if err != nil || kind != want {
+			t.Errorf("TaskByName(%q) = %v, %v; want %v", name, kind, err, want)
 		}
 	}
-	_, err := TaskByName("quantile")
-	if err == nil {
-		t.Fatal("TaskByName invented a task")
-	}
-	for _, name := range core.TaskNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list registered task %q", err, name)
+	for _, name := range []string{core.TaskNameMedian, core.TaskNameRidge, "quantile", "Linear"} {
+		_, err := TaskByName(name)
+		if err == nil {
+			t.Fatalf("TaskByName(%q) resolved a task the harness does not evaluate", name)
+		}
+		for _, want := range []string{core.TaskNameLinear, core.TaskNameLogistic, name} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("TaskByName(%q) error %q does not name %q", name, err, want)
+			}
 		}
 	}
 }

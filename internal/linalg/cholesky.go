@@ -13,52 +13,19 @@ import (
 // handles it with regularization and spectral trimming.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
-// ErrSingular is returned by the LU solver for (numerically) singular systems.
-var ErrSingular = errors.New("linalg: matrix is singular")
-
 // CholeskyDecomposition holds the lower-triangular factor L with A = L·Lᵀ.
 type CholeskyDecomposition struct {
 	l *Matrix
 	n int
 }
 
-// cholBlockMin is the order below which factorization stays on the
-// unblocked left-looking loop. That loop's exact subtraction order is the
-// historical one, so every small-d refit (the case-study dimensionalities)
-// remains bit-for-bit unchanged; the blocked path's batched panel updates
-// round differently and only engage where cache behavior, not history,
-// dominates.
-const cholBlockMin = 64
-
-// cholBlock is the panel width of the blocked right-looking factorization:
-// 32 columns × 8 bytes = 256 bytes of panel per row, so a row's panel
-// segment plus the trailing row segment it updates stay within one L1
-// fill even at d in the hundreds.
-const cholBlock = 32
-
-// Cholesky factors the symmetric positive definite matrix a. Only the lower
-// triangle of a is read. It returns ErrNotPositiveDefinite when a pivot is
-// not strictly positive.
-//
-// Orders below cholBlockMin use an unblocked left-looking loop whose
-// per-entry IEEE operation order matches the historical implementation
-// exactly; larger orders use a cache-blocked right-looking factorization
-// (panel factor, panel triangular solve, row-dot trailing update) that
-// keeps the O(d³) work on contiguous row segments.
+// Cholesky factors the symmetric positive definite matrix a with the
+// left-looking loop, on row slices. Only the lower triangle of a is read. It
+// returns ErrNotPositiveDefinite when a pivot is not strictly positive.
 func Cholesky(a *Matrix) (*CholeskyDecomposition, error) {
 	if a.Rows() != a.Cols() {
 		panic(fmt.Sprintf("linalg: Cholesky on non-square %d×%d matrix", a.Rows(), a.Cols()))
 	}
-	if a.Rows() >= cholBlockMin {
-		return choleskyBlocked(a)
-	}
-	return choleskyUnblocked(a)
-}
-
-// choleskyUnblocked is the historical left-looking factorization, on row
-// slices instead of At/Set but with the identical operation order, so it is
-// bit-for-bit the same factor.
-func choleskyUnblocked(a *Matrix) (*CholeskyDecomposition, error) {
 	n := a.Rows()
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
@@ -79,62 +46,6 @@ func choleskyUnblocked(a *Matrix) (*CholeskyDecomposition, error) {
 				s -= li[k] * lj[k]
 			}
 			li[j] = s / diag
-		}
-	}
-	return &CholeskyDecomposition{l: l, n: n}, nil
-}
-
-// choleskyBlocked is the right-looking blocked factorization. Per panel of
-// cholBlock columns: factor the diagonal block (left-looking within the
-// panel), triangular-solve the rows below it, then apply the rank-cholBlock
-// trailing update as contiguous row dots. The trailing update batches what
-// the unblocked loop subtracts one column at a time, so the rounding —
-// while deterministic — differs from the unblocked path; Cholesky only
-// routes here above cholBlockMin.
-func choleskyBlocked(a *Matrix) (*CholeskyDecomposition, error) {
-	n := a.Rows()
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
-	}
-	for k := 0; k < n; k += cholBlock {
-		kb := cholBlock
-		if k+kb > n {
-			kb = n - k
-		}
-		// Factor the kb×kb diagonal block in place; previous panels'
-		// contributions were already subtracted by earlier trailing updates,
-		// so only columns within the panel participate.
-		for j := k; j < k+kb; j++ {
-			lj := l.Row(j)
-			d := lj[j] - Dot(lj[k:j], lj[k:j])
-			if d <= 0 || math.IsNaN(d) {
-				return nil, ErrNotPositiveDefinite
-			}
-			diag := math.Sqrt(d)
-			lj[j] = diag
-			for i := j + 1; i < k+kb; i++ {
-				li := l.Row(i)
-				li[j] = (li[j] - Dot(li[k:j], lj[k:j])) / diag
-			}
-		}
-		// Triangular solve: rows below the panel against the factored
-		// diagonal block, L[i][k:k+kb] · Ldiagᵀ⁻¹ row by row.
-		for i := k + kb; i < n; i++ {
-			li := l.Row(i)
-			for j := k; j < k+kb; j++ {
-				lj := l.Row(j)
-				li[j] = (li[j] - Dot(li[k:j], lj[k:j])) / lj[j]
-			}
-		}
-		// Trailing update: subtract the rank-kb outer product from the
-		// remaining lower triangle, one contiguous row dot per entry.
-		for i := k + kb; i < n; i++ {
-			li := l.Row(i)
-			panel := li[k : k+kb]
-			for j := k + kb; j <= i; j++ {
-				li[j] -= Dot(panel, l.Row(j)[k:k+kb])
-			}
 		}
 	}
 	return &CholeskyDecomposition{l: l, n: n}, nil
@@ -181,22 +92,6 @@ func (c *CholeskyDecomposition) SolveInto(dst, b []float64) []float64 {
 	return dst
 }
 
-// LogDet returns log(det A) = 2·Σ log L[i][i].
-func (c *CholeskyDecomposition) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.At(i, i))
-	}
-	return 2 * s
-}
-
-// IsPositiveDefinite reports whether the symmetric matrix a is numerically
-// positive definite (its Cholesky factorization succeeds).
-func IsPositiveDefinite(a *Matrix) bool {
-	_, err := Cholesky(a)
-	return err == nil
-}
-
 // SolveSPD solves A·x = b for symmetric positive definite A via Cholesky.
 func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	c, err := Cholesky(a)
@@ -204,13 +99,4 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return c.Solve(b), nil
-}
-
-// SolveSymmetric solves A·x = b for symmetric A: it tries the cheaper
-// Cholesky route first and falls back to pivoted LU for indefinite systems.
-func SolveSymmetric(a *Matrix, b []float64) ([]float64, error) {
-	if c, err := Cholesky(a); err == nil {
-		return c.Solve(b), nil
-	}
-	return SolveLU(a, b)
 }

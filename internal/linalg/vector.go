@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear algebra needed by the
 // functional mechanism: vectors, row-major matrices, an SPD Cholesky
-// factorization, an LU factorization with partial pivoting, and a symmetric
-// eigen-decomposition (Householder tridiagonalisation plus implicit QL).
+// factorization, and a symmetric eigen-decomposition (Householder
+// tridiagonalisation plus implicit QL).
 //
 // The package is self-contained (standard library only) and sized for the
 // regime the paper operates in: model dimensionality d ≤ a few dozen, so

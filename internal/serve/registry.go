@@ -64,16 +64,11 @@ func (r *Registry) Names() []string {
 
 // GenerateCensus builds a synthetic census dataset (the repository's stand-in
 // for the paper's IPUMS extracts) as a public *funcmech.Dataset. profile is
-// "us" or "brazil"; n ≤ 0 means the profile's full cardinality.
+// "us" or "brazil" in any case; n ≤ 0 means the profile's full cardinality.
 func GenerateCensus(profile string, n int, seed int64) (*funcmech.Dataset, error) {
-	var p census.Profile
-	switch profile {
-	case "us":
-		p = census.US()
-	case "brazil":
-		p = census.Brazil()
-	default:
-		return nil, fmt.Errorf("serve: unknown census profile %q (want us or brazil)", profile)
+	p, err := census.ProfileByName(profile)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if n <= 0 || n > p.Records {
 		n = p.Records

@@ -38,6 +38,12 @@
 #      directions: every backticked `METHOD /path` in a row's first cell is
 #      a registered pattern, and every registered pattern has a row.
 #
+#   8. The docs name only commands and packages that exist. The README.md
+#      Layout row for `cmd/` and the directories under cmd/ agree in BOTH
+#      directions, and every backticked cmd/<name> or internal/<name> in
+#      README.md and docs/*.md is a directory in the repo. (ROADMAP.md plans
+#      name past and future paths.)
+#
 # Run locally or in CI (the docs job); no dependencies beyond POSIX tools.
 set -euo pipefail
 
@@ -277,8 +283,44 @@ while IFS= read -r route; do
 done < "$WORK/src_routes"
 e="$(wc -l < "$WORK/src_routes" | tr -d ' ')"
 
+# --- 8. named commands and packages exist ---------------------------------
+for dir in cmd/*/; do basename "$dir"; done | sort > "$WORK/src_cmds"
+grep -E '^\| `cmd/` \|' README.md | sed -E 's/^\| `cmd\/` \|//' |
+  grep -oE '`[^`]+`' | tr -d '`' | sort > "$WORK/doc_cmds" || true
+if [ ! -s "$WORK/doc_cmds" ]; then
+  echo "check-docs: no \`cmd/\` row in the README.md Layout table" >&2
+  fail=1
+fi
+while IFS= read -r name; do
+  if ! grep -qxF "$name" "$WORK/src_cmds"; then
+    echo "check-docs: README.md's cmd/ row lists $name, but there is no cmd/$name" >&2
+    fail=1
+  fi
+done < "$WORK/doc_cmds"
+while IFS= read -r name; do
+  if ! grep -qxF "$name" "$WORK/doc_cmds"; then
+    echo "check-docs: cmd/$name exists, but README.md's cmd/ row does not list it" >&2
+    fail=1
+  fi
+done < "$WORK/src_cmds"
+c="$(wc -l < "$WORK/src_cmds" | tr -d ' ')"
+: > "$WORK/named_dirs"
+for doc in README.md docs/*.md; do
+  [ -f "$doc" ] || continue
+  grep -oE '`[^`]+`' "$doc" | grep -oE '(^|[^A-Za-z0-9_])(cmd|internal)/[A-Za-z0-9_-]+' |
+    sed -E 's/^[^A-Za-z0-9_]//' | sort -u > "$WORK/named" || true
+  while IFS= read -r dir; do
+    echo "$dir" >> "$WORK/named_dirs"
+    if [ ! -d "$dir" ]; then
+      echo "check-docs: $doc names $dir, but no such directory exists" >&2
+      fail=1
+    fi
+  done < "$WORK/named"
+done
+d="$(sort -u "$WORK/named_dirs" | wc -l | tr -d ' ')"
+
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL" >&2
   exit 1
 fi
-echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md)"
+echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist)"
