@@ -360,19 +360,20 @@ func schemasEqual(a, b Schema) bool {
 	return true
 }
 
-// fitCfg validates FitTaskFromAccumulator's option surface: options that
-// shape the per-record fold are fixed at accumulator creation and must not
-// reappear at fit time.
-func fitCfg(a *Accumulator, opts []Option) (config, error) {
-	cfg := buildConfig(opts)
-	if cfg.intercept {
-		return cfg, errors.New("funcmech: WithIntercept is fixed at accumulator creation")
+// resolve is the package-level resolve plus what a release from a adds:
+// options that shape the per-record fold were fixed at creation and must
+// not reappear, and an empty accumulator has nothing to release.
+func (a *Accumulator) resolve(task string, opts []Option) (release, error) {
+	r, err := resolve(task, opts)
+	switch {
+	case err != nil:
+		return r, err
+	case r.cfg.intercept:
+		return r, errors.New("funcmech: WithIntercept is fixed at accumulator creation")
+	case r.cfg.threshold != nil:
+		return r, errors.New("funcmech: WithBinarizeThreshold is fixed at accumulator creation")
+	case a.n == 0:
+		return r, errors.New("funcmech: accumulator has no records")
 	}
-	if cfg.threshold != nil {
-		return cfg, errors.New("funcmech: WithBinarizeThreshold is fixed at accumulator creation")
-	}
-	if a.Len() == 0 {
-		return cfg, errors.New("funcmech: accumulator has no records")
-	}
-	return cfg, nil
+	return r, nil
 }

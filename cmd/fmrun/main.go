@@ -1,7 +1,7 @@
 // Command fmrun fits ε-differentially private regressions and runs the
 // paper's §7 evaluation harness:
 //
-//	fmrun fit    fit a registered task on a CSV file through the public API
+//	fmrun fit    fit any task on a CSV file through the public API
 //	fmrun bench  regenerate the §7 figures' data series and the ablations
 //	fmrun point  evaluate every §7 method at one configuration
 //	fmrun gen    write a synthetic census dataset as CSV
@@ -9,10 +9,11 @@
 // Each subcommand has its own flags (fmrun <subcommand> -h). fit takes the
 // schema, column names with their public domain bounds, on the command line:
 // the bounds must be domain knowledge, because computing them from the file
-// would leak. It resolves -task through the task registry, so every
-// registered task is available. bench and point evaluate the paper's two
-// case studies, linear and logistic regression. -records=0 means the full
-// census cardinality (370k US / 190k Brazil).
+// would leak. It hands -task and its options to FitTask, so every task in
+// the table is available and the library decides which options it takes.
+// bench and point evaluate the paper's two case studies, linear and
+// logistic regression. -records=0 means the full census cardinality (370k
+// US / 190k Brazil).
 //
 //	fmrun fit -csv=data.csv -task=logistic -epsilon=0.8 -threshold=35000 \
 //	      -features='age:16:95,hours:0:99' -target='income:0:300000'
@@ -79,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func fit(fs *flag.FlagSet) func(io.Writer) error {
 	var (
 		csvPath   = fs.String("csv", "", "input CSV with a header row (required)")
-		task      = fs.String("task", core.TaskNameLinear, "registered task name (see funcmech.TaskNames)")
+		task      = fs.String("task", core.TaskNameLinear, "task name (see funcmech.TaskNames)")
 		epsilon   = fs.Float64("epsilon", 0.8, "privacy budget ε")
 		features  = fs.String("features", "", "feature bounds, comma-separated name:min:max (required)")
 		target    = fs.String("target", "", "target bounds, name:min:max (required)")
@@ -108,21 +109,11 @@ func fit(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		fmt.Fprintf(w, "loaded %d records × %d features from %s\n", ds.Len(), ds.NumFeatures(), *csvPath)
 
-		info, ok := funcmech.LookupTask(*task)
-		if !ok {
-			return fmt.Errorf("unknown task %q (registered tasks: %s)",
-				*task, strings.Join(funcmech.TaskNames(), ", "))
-		}
-
 		var opts []funcmech.Option
 		if *seed != 0 {
 			opts = append(opts, funcmech.WithSeed(*seed))
 		}
 		if *threshold != 0 {
-			if !info.Boolean {
-				return fmt.Errorf("-threshold applies only to boolean-target tasks; %q trains on a %s target",
-					info.Name, info.TargetRule)
-			}
 			opts = append(opts, funcmech.WithBinarizeThreshold(*threshold))
 		}
 		if *ridge != 0 {
@@ -133,6 +124,7 @@ func fit(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
+		info := model.Task()
 		printReport(w, report)
 		printWeights(w, schema, model.Weights())
 		if info.Boolean {

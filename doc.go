@@ -22,8 +22,11 @@
 //	estimate := model.Predict([]float64{41, 40}) // raw units in, raw units out
 //
 // LinearRegression and LogisticRegression are the paper's two case studies;
-// FitTask fits any task in the registry (TaskNames) by name. Every fit
+// FitTask fits any task in the task table (TaskNames) by name. Every fit
 // returns a *TaskModel, which Save persists and LoadModel reads back.
+// CheckRelease says, without touching data or budget, whether a release
+// request is well formed; FitTask, Session.Charge and the serving layer
+// all refuse exactly what it refuses.
 //
 // Attribute Min/Max bounds must be public domain knowledge (they calibrate
 // the normalization the privacy analysis requires); they must not be
@@ -40,9 +43,9 @@
 //
 // Within each shard the pass runs as a blocked, SYRK-style kernel over the
 // dataset's flat columnar storage (one contiguous row-major array, stride
-// d): records are processed in L1-resident tiles of 128, and the upper
-// triangle of the coefficient matrix is covered in 2×4 register blocks with
-// the record loop innermost. The blocking preserves bit-for-bit
+// d): records are processed in tiles sized per d by kernelTileRows to a
+// 64-KiB budget, and the upper triangle of the coefficient matrix is
+// covered in 2×4 register blocks with the record loop innermost. The blocking preserves bit-for-bit
 // reproducibility by construction — each coefficient cell still receives
 // its per-record contributions in exact arrival order, one IEEE-754
 // addition at a time; the registers only spread *distinct* cells across
@@ -57,7 +60,7 @@
 // polynomial coefficients, which are sums over records. An Accumulator
 // exploits that: records fold into the coefficient sums as they arrive and
 // are never retained, and FitTaskFromAccumulator releases a private model
-// for any registered task from the cached sums in O(d²), independent of how
+// for any task from the cached sums in O(d²), independent of how
 // many records were ever ingested.
 //
 // Incremental refits preserve the paper's ε guarantee unchanged, for two
@@ -77,10 +80,11 @@
 //
 // A Session's budget is in-memory; serving layers that must survive
 // restarts persist it and put it back with RestoreSpent. For crash safety —
-// where no graceful snapshot ever ran — Charge exposes the debit as its own
-// step so a caller can make it durable (e.g. a write-ahead log) before the
-// mechanism draws noise, and ReplaySpend re-applies journaled debits on
-// boot, clamped at the total. The resulting guarantee is one-sided by
+// where no graceful snapshot ever ran — Charge(task, ε, opts...) exposes
+// the debit as its own step so a caller can make it durable (e.g. a
+// write-ahead log) before the mechanism draws noise. It refuses, and debits
+// nothing for, any request CheckRelease refuses. ReplaySpend re-applies
+// journaled debits on boot, clamped at the total. The resulting guarantee is one-sided by
 // design: a crash may over-count ε-spend (a durable debit whose fit never
 // released), never under-count it. See internal/serve and internal/wal for
 // the served implementation.
@@ -91,11 +95,11 @@
 // replacing any single record of the training dataset, per the paper's
 // Theorem 1. Everything else the library reports (the Report struct) is
 // derived from public parameters or from the already-private coefficients.
-// Randomness comes from math/rand seeded via options — fine for research and
-// reproduction, but calibrate expectations accordingly: a production
-// deployment against a capable adversary would swap in a cryptographic
-// source and guard against floating-point side channels, which are outside
-// this library's scope (as they were outside the paper's).
+// A release with no WithSeed or WithRand draws its noise from a fresh
+// ChaCha8 stream keyed with 32 bytes from crypto/rand; WithSeed selects a
+// math/rand stream, for research and reproduction only. The Laplace sampler
+// is textbook inverse-CDF over float64, so floating-point side channels
+// remain outside this library's scope (as they were outside the paper's).
 //
 // These invariants are machine-checked, not just documented: the fmlint
 // analyzer suite (internal/lint, run via cmd/fmlint as a required CI gate)

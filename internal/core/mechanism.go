@@ -47,10 +47,10 @@ type Result struct {
 func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
 	// eps/opts are re-validated inside RunFromQuadratic; checking them here
 	// too keeps a bad request from paying for the O(n·d²) objective build.
-	if eps <= 0 {
+	if !(eps > 0) {
 		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := task.Validate(ds); err != nil {
@@ -75,10 +75,10 @@ func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Optio
 // preconditions Task.Validate would check on the raw records (unit-sphere
 // features, target range) — an ingestion layer enforces them per record.
 func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
-	if eps <= 0 {
+	if !(eps > 0) {
 		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
@@ -122,7 +122,7 @@ func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.R
 	case PostProcessResample:
 		// Lemma 5: repeating until bounded satisfies 2ε-DP.
 		res.EpsilonSpent = 2 * eps
-		for attempt := 0; attempt < opts.MaxResamples; attempt++ {
+		for attempt := 0; attempt < maxResamples; attempt++ {
 			noisy := perturb()
 			w, err := minimize(noisy)
 			if err == nil {
@@ -132,7 +132,7 @@ func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.R
 				return res, nil
 			}
 		}
-		return nil, fmt.Errorf("%w: still unbounded after %d resamples", ErrUnbounded, opts.MaxResamples)
+		return nil, fmt.Errorf("%w: still unbounded after %d resamples", ErrUnbounded, maxResamples)
 
 	case PostProcessRegularizeOnly, PostProcessRegularizeAndTrim:
 		noisy := perturb()

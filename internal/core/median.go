@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"funcmech/internal/dataset"
@@ -40,8 +39,8 @@ import (
 // matching LinearTask's, so the median release is no noisier per monomial
 // than the linear one.
 //
-// MedianTask is registered in this file's init — entirely through the same
-// extension surface any external task would use; no other package names it.
+// MedianTask is one row of the task table (registry.go) and names itself
+// nowhere else: it reached every layer above core through that row alone.
 type MedianTask struct{}
 
 // medianSmoothing is μ, the pseudo-Huber smoothing scale.
@@ -76,32 +75,5 @@ func (MedianTask) FinalizeObjective(*poly.Quadratic, int) {}
 // Validate checks the same geometric preconditions as LinearTask — the
 // sensitivity bound above assumes exactly ‖x‖₂ ≤ 1 and y ∈ [−1, 1].
 func (MedianTask) Validate(ds *dataset.Dataset) error {
-	if ds == nil || ds.N() == 0 {
-		return fmt.Errorf("core: empty dataset")
-	}
-	if n := dataset.MaxRowNorm(ds); n > 1+normTolerance {
-		return fmt.Errorf("core: feature vectors exceed the unit sphere (max ‖x‖₂ = %v); normalize first", n)
-	}
-	for i := 0; i < ds.N(); i++ {
-		if y := ds.Label(i); y < -1-normTolerance || y > 1+normTolerance {
-			return fmt.Errorf("core: median target must lie in [−1,1], record %d has %v", i, y)
-		}
-	}
-	return nil
-}
-
-func init() {
-	MustRegisterTask(TaskSpec{
-		Name:               TaskNameMedian,
-		Degree:             2,
-		Task:               MedianTask{},
-		Target:             TargetNormalized,
-		SensitivityFormula: "2(sqrt(1+mu^2) + d + d^2/(2mu)), mu = 1/2",
-		New: func(p TaskParams) (Task, error) {
-			if p.RidgeWeight != 0 {
-				return nil, fmt.Errorf("core: median regression does not take a ridge weight")
-			}
-			return MedianTask{}, nil
-		},
-	})
+	return validateRows(ds, TaskNameMedian, TargetNormalized)
 }

@@ -137,8 +137,6 @@ type Options struct {
 	// LambdaFactor scales the regularization weight: λ = LambdaFactor ×
 	// sd(Lap(Δ/ε)). The paper observes 4 works well (§6.1); 0 means 4.
 	LambdaFactor float64
-	// MaxResamples caps the Lemma 5 retry loop (0 means 64).
-	MaxResamples int
 	// Parallelism bounds the worker pool that accumulates the objective
 	// f̂_D(ω), the mechanism's only O(n·d²) step. 0 means
 	// runtime.GOMAXPROCS(0); 1 forces the serial sweep. Parallelism only
@@ -157,22 +155,21 @@ type Options struct {
 	Probe Probe
 }
 
+// maxResamples caps the Lemma 5 retry loop.
+const maxResamples = 64
+
 func (o Options) withDefaults() Options {
 	if o.LambdaFactor == 0 {
 		o.LambdaFactor = 4
 	}
-	if o.MaxResamples == 0 {
-		o.MaxResamples = 64
-	}
 	return o
 }
 
-func (o Options) validate() error {
+// Validate reports whether a run would refuse these options; Run and
+// RunFromQuadratic call it before touching the data or drawing noise.
+func (o Options) Validate() error {
 	if o.LambdaFactor < 0 {
 		return fmt.Errorf("core: negative LambdaFactor %v", o.LambdaFactor)
-	}
-	if o.MaxResamples < 0 {
-		return fmt.Errorf("core: negative MaxResamples %d", o.MaxResamples)
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("core: negative Parallelism %d", o.Parallelism)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -31,18 +32,39 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
-func TestRegisterTaskRejectsBadSpecs(t *testing.T) {
-	if err := RegisterTask(TaskSpec{}); err == nil {
-		t.Error("empty spec registered")
+// TestTaskTableWellFormed checks the invariants the static table's readers
+// rely on: rows sorted by unique name, every fold a row that folds itself
+// with the same per-record task, and a ridge policy New can honour.
+func TestTaskTableWellFormed(t *testing.T) {
+	specs := TaskSpecs()
+	for i, s := range specs {
+		if s.Name == "" || s.Task == nil || s.Degree <= 0 || s.SensitivityFormula == "" {
+			t.Errorf("row %d is incomplete: %+v", i, s)
+		}
+		if i > 0 && specs[i-1].Name >= s.Name {
+			t.Errorf("rows %q and %q are not in strictly increasing name order", specs[i-1].Name, s.Name)
+		}
+		fold, ok := LookupTask(s.Fold)
+		switch {
+		case !ok || fold.Fold != fold.Name:
+			t.Errorf("task %q folds into %q, which is not a fold-defining row", s.Name, s.Fold)
+		case fold.Task != s.Task || fold.Target != s.Target:
+			t.Errorf("task %q shares fold %q but not its per-record task and target rule", s.Name, s.Fold)
+		}
+		if s.Fold == s.Name && s.Task.Name() != s.Name {
+			t.Errorf("fold row %q carries task %q", s.Name, s.Task.Name())
+		}
+		if s.NeedsRidgeWeight && !s.AcceptsRidge {
+			t.Errorf("task %q needs a ridge weight it does not accept", s.Name)
+		}
+		// New turns a ridge weight into a RidgeTask, whose per-record
+		// coefficients are linear's.
+		if s.AcceptsRidge && s.Task != (LinearTask{}) {
+			t.Errorf("task %q accepts a ridge weight but does not fold as linear", s.Name)
+		}
 	}
-	if err := RegisterTask(TaskSpec{Name: "x", Degree: 2}); err == nil {
-		t.Error("spec without fold task registered")
-	}
-	if err := RegisterTask(TaskSpec{
-		Name: TaskNameLinear, Degree: 2, Task: LinearTask{},
-		New: func(TaskParams) (Task, error) { return LinearTask{}, nil },
-	}); err == nil {
-		t.Error("duplicate name registered")
+	if _, ok := LookupTask(""); ok {
+		t.Error("LookupTask resolved the empty name")
 	}
 }
 
@@ -54,17 +76,23 @@ func TestTaskSpecInstantiation(t *testing.T) {
 	if task, err := lin.New(TaskParams{RidgeWeight: 0.3}); err != nil || task != (RidgeTask{Weight: 0.3}) {
 		t.Errorf("linear.New(0.3) = %v, %v", task, err)
 	}
-	if _, err := lin.New(TaskParams{RidgeWeight: -1}); err == nil {
-		t.Error("linear.New(-1) accepted a negative weight")
+	for _, w := range []float64{-1, math.NaN()} {
+		if _, err := lin.New(TaskParams{RidgeWeight: w}); err == nil {
+			t.Errorf("linear.New(%v) accepted the weight", w)
+		}
 	}
 	ridge, _ := LookupTask(TaskNameRidge)
-	if _, err := ridge.New(TaskParams{}); err == nil {
-		t.Error("ridge.New({}) accepted a zero weight")
+	for _, w := range []float64{0, -1, math.NaN()} {
+		if _, err := ridge.New(TaskParams{RidgeWeight: w}); err == nil {
+			t.Errorf("ridge.New(%v) accepted the weight", w)
+		}
 	}
 	for _, name := range []string{TaskNameLogistic, TaskNameMedian} {
 		s, _ := LookupTask(name)
-		if _, err := s.New(TaskParams{RidgeWeight: 0.1}); err == nil {
-			t.Errorf("%s.New accepted a ridge weight", name)
+		for _, w := range []float64{0.1, -1, math.NaN()} {
+			if _, err := s.New(TaskParams{RidgeWeight: w}); err == nil {
+				t.Errorf("%s.New accepted ridge weight %v", name, w)
+			}
 		}
 		if task, err := s.New(TaskParams{}); err != nil || task == nil {
 			t.Errorf("%s.New({}) = %v, %v", name, task, err)

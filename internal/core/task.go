@@ -72,7 +72,7 @@ const normTolerance = 1e-9
 type LinearTask struct{}
 
 // Name implements Task.
-func (LinearTask) Name() string { return "linear" }
+func (LinearTask) Name() string { return TaskNameLinear }
 
 // Sensitivity returns the paper's §4.2 bound Δ = 2(1+2d+d²) = 2(d+1)².
 func (LinearTask) Sensitivity(d int) float64 {
@@ -93,18 +93,7 @@ func (LinearTask) FinalizeObjective(*poly.Quadratic, int) {}
 
 // Validate checks ‖xᵢ‖₂ ≤ 1 and yᵢ ∈ [−1, 1].
 func (LinearTask) Validate(ds *dataset.Dataset) error {
-	if ds == nil || ds.N() == 0 {
-		return fmt.Errorf("core: empty dataset")
-	}
-	if n := dataset.MaxRowNorm(ds); n > 1+normTolerance {
-		return fmt.Errorf("core: feature vectors exceed the unit sphere (max ‖x‖₂ = %v); normalize first", n)
-	}
-	for i := 0; i < ds.N(); i++ {
-		if y := ds.Label(i); y < -1-normTolerance || y > 1+normTolerance {
-			return fmt.Errorf("core: linear target must lie in [−1,1], record %d has %v", i, y)
-		}
-	}
-	return nil
+	return validateRows(ds, TaskNameLinear, TargetNormalized)
 }
 
 // LogisticTask is logistic regression (Definition 2) through the order-2
@@ -112,7 +101,7 @@ func (LinearTask) Validate(ds *dataset.Dataset) error {
 type LogisticTask struct{}
 
 // Name implements Task.
-func (LogisticTask) Name() string { return "logistic" }
+func (LogisticTask) Name() string { return TaskNameLogistic }
 
 // Sensitivity returns the paper's §5.3 bound Δ = d²/4 + 3d.
 func (LogisticTask) Sensitivity(d int) float64 {
@@ -138,15 +127,30 @@ func (LogisticTask) FinalizeObjective(q *poly.Quadratic, n int) {
 
 // Validate checks ‖xᵢ‖₂ ≤ 1 and yᵢ ∈ {0, 1}.
 func (LogisticTask) Validate(ds *dataset.Dataset) error {
+	return validateRows(ds, TaskNameLogistic, TargetBoolean)
+}
+
+// validateRows checks the geometric preconditions every task's Δ rests on:
+// a non-empty dataset, ‖xᵢ‖₂ ≤ 1, and labels that follow the task's target
+// rule — yᵢ ∈ [−1, 1] when normalized, yᵢ ∈ {0, 1} when boolean.
+func validateRows(ds *dataset.Dataset, task string, rule TargetRule) error {
 	if ds == nil || ds.N() == 0 {
 		return fmt.Errorf("core: empty dataset")
 	}
 	if n := dataset.MaxRowNorm(ds); n > 1+normTolerance {
 		return fmt.Errorf("core: feature vectors exceed the unit sphere (max ‖x‖₂ = %v); normalize first", n)
 	}
+	if rule == TargetBoolean {
+		for i := 0; i < ds.N(); i++ {
+			if y := ds.Label(i); y != 0 && y != 1 {
+				return fmt.Errorf("core: %s target must be boolean, record %d has %v", task, i, y)
+			}
+		}
+		return nil
+	}
 	for i := 0; i < ds.N(); i++ {
-		if y := ds.Label(i); y != 0 && y != 1 {
-			return fmt.Errorf("core: logistic target must be boolean, record %d has %v", i, y)
+		if y := ds.Label(i); y < -1-normTolerance || y > 1+normTolerance {
+			return fmt.Errorf("core: %s target must lie in [−1,1], record %d has %v", task, i, y)
 		}
 	}
 	return nil
@@ -154,10 +158,19 @@ func (LogisticTask) Validate(ds *dataset.Dataset) error {
 
 // TupleCoefL1 returns Σⱼ Σ_{φ∈Φⱼ} |λ_φt| for a single tuple under the given
 // task — the quantity whose doubled maximum is Δ (Algorithm 1, line 1).
-// Exposed for tests, which verify Δ dominates 2× this value over random
-// in-sphere tuples.
+// The monomial ωᵢωⱼ (i < j) has coefficient M[i][j] + M[j][i], as in
+// Quadratic.ToPolynomial. Exposed for tests, which verify that every task's
+// Δ dominates 2× this value over random and adversarial in-sphere tuples.
 func TupleCoefL1(task Task, x []float64, y float64) float64 {
 	a := NewAccumulator(task, len(x))
 	a.AddRecord(x, y)
-	return a.Quadratic().ToPolynomial().CoefL1Norm(0)
+	q := a.Quadratic()
+	s := math.Abs(q.Beta)
+	for i, ai := range q.Alpha {
+		s += math.Abs(ai) + math.Abs(q.M.At(i, i))
+		for j := i + 1; j < len(q.Alpha); j++ {
+			s += math.Abs(q.M.At(i, j) + q.M.At(j, i))
+		}
+	}
+	return s
 }

@@ -6,9 +6,11 @@
 package noise
 
 import (
+	cryptorand "crypto/rand"
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 )
 
 // Laplace is a zero-mean Laplace distribution with scale b:
@@ -96,3 +98,28 @@ func sign(x float64) float64 {
 // reproducible; DP guarantees are stated with respect to an idealized uniform
 // source, as is standard.
 func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// NewUnseededRand returns the generator for a release no caller seeded: a
+// math/rand/v2 ChaCha8 stream keyed with 32 bytes from crypto/rand, behind
+// the *rand.Rand the samplers take. A math/rand source would not do: it
+// reduces every seed modulo 2³¹−1, so an adversary who knows all records but
+// one could test each of its fewer than 2³¹ noise streams against a
+// release. It panics if the operating system cannot supply the key, because
+// noise drawn from a guessable key would void the guarantee.
+func NewUnseededRand() *rand.Rand {
+	var key [32]byte
+	if _, err := cryptorand.Read(key[:]); err != nil {
+		panic(fmt.Sprintf("noise: keying the unseeded noise source: %v", err))
+	}
+	return rand.New(chachaSource{randv2.NewChaCha8(key)})
+}
+
+// chachaSource adapts ChaCha8 to math/rand's Source64. It cannot be
+// reseeded: Seed panics rather than replace the key with a 63-bit one.
+type chachaSource struct{ c *randv2.ChaCha8 }
+
+func (s chachaSource) Uint64() uint64 { return s.c.Uint64() }
+
+func (s chachaSource) Int63() int64 { return int64(s.c.Uint64() & (1<<63 - 1)) }
+
+func (chachaSource) Seed(int64) { panic("noise: the unseeded noise source cannot be reseeded") }

@@ -3,6 +3,8 @@ package noise
 import (
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -171,4 +173,44 @@ func TestLaplaceTailBound(t *testing.T) {
 			t.Fatalf("non-finite sample %v at i=%d", x, i)
 		}
 	}
+}
+
+// The unseeded generator draws from ChaCha8, not from a math/rand source:
+// its source is the ChaCha8 adapter, and the adapter passes ChaCha8's
+// stream through unchanged (Int63 drops the top bit, as math/rand's own
+// source does).
+func TestUnseededRandIsChaCha8(t *testing.T) {
+	src := reflect.ValueOf(NewUnseededRand()).Elem().FieldByName("src").Elem().Type()
+	if src != reflect.TypeOf(chachaSource{}) {
+		t.Fatalf("unseeded source is %v, want the ChaCha8 adapter", src)
+	}
+	key := [32]byte{1, 2, 3}
+	ref := randv2.NewChaCha8(key)
+	s := chachaSource{randv2.NewChaCha8(key)}
+	for i := 0; i < 64; i++ {
+		want := ref.Uint64()
+		if i%2 == 0 {
+			if got := s.Uint64(); got != want {
+				t.Fatalf("draw %d: Uint64 = %#x, want %#x", i, got, want)
+			}
+		} else if got := s.Int63(); got != int64(want&(1<<63-1)) {
+			t.Fatalf("draw %d: Int63 = %#x, want %#x", i, got, want&(1<<63-1))
+		}
+	}
+}
+
+func TestUnseededRandInstancesDiffer(t *testing.T) {
+	a, b := NewUnseededRand(), NewUnseededRand()
+	if a.Uint64() == b.Uint64() {
+		t.Fatal("two unseeded generators gave the same first draw")
+	}
+}
+
+func TestUnseededRandSeedPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Seed reseeded the unseeded generator")
+		}
+	}()
+	NewUnseededRand().Seed(1)
 }

@@ -1,8 +1,8 @@
 // Package serve is the multi-tenant training service behind cmd/fmserve: a
 // long-lived HTTP/JSON layer over the public funcmech API.
 //
-// Three concerns shape the package, each mapped onto a primitive the library
-// already provides:
+// These concerns shape the package, each mapped onto a primitive the
+// library already provides:
 //
 //   - Datasets are registered once and shared read-only across requests
 //     (Registry). Registration is the only write; after that every fit reads
@@ -19,6 +19,13 @@
 //     is charged, so a client that gives up in the queue spends no ε; its
 //     Grant implements funcmech.Governor and widens the kernel only onto
 //     tokens free at that moment, so nothing waits after the charge.
+//   - Every fit and refit is released from one audited site,
+//     Server.release, the package's only function fmlint's
+//     chargebeforenoise analyzer audits as a noise release site. Both
+//     handlers first have funcmech.CheckRelease accept the model, ε and
+//     options — before admission and before the charge — so nothing the
+//     library refuses is ever charged; a refit also needs records in the
+//     merged fold it will release from.
 //   - Accounting is crash-safe through a write-ahead log (internal/wal):
 //     with a WAL attached, every fit and refit follows charge → journal →
 //     fit, the debit fsynced to disk before any noise is drawn, and boot

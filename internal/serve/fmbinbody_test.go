@@ -77,7 +77,7 @@ func TestBinaryIngestMatchesJSON(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("refit %s: status %d", name, resp.StatusCode)
 		}
-		weights = append(weights, decode[refitResponse](t, resp).Weights)
+		weights = append(weights, decode[releaseResponse](t, resp).Weights)
 	}
 	if len(weights[0]) == 0 {
 		t.Fatal("refit returned no weights")
@@ -168,7 +168,7 @@ func TestBinaryDatasetRegistration(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("fit %s: status %d", name, resp.StatusCode)
 		}
-		weights = append(weights, decode[fitResponse](t, resp).Weights)
+		weights = append(weights, decode[releaseResponse](t, resp).Weights)
 	}
 	for i := range weights[0] {
 		if weights[0][i] != weights[1][i] {

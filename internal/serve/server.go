@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"funcmech"
@@ -107,10 +106,10 @@ const (
 	codeUnknownTask = "unknown_task"
 )
 
-// writeOptionsError maps a fit/refit option-validation error to its wire
-// code: a task-registry miss gets the dedicated unknown_task code, anything
-// else is a plain invalid request. Option validation always runs before the
-// budget charge, so neither outcome consumes ε.
+// writeOptionsError maps a refusal of a fit or refit request's model, ε or
+// options to its wire code: an unknown task gets the dedicated unknown_task
+// code, anything else is a plain invalid request. The refusal always comes
+// before admission and the budget charge, so neither outcome consumes ε.
 func (s *Server) writeOptionsError(w http.ResponseWriter, err error) {
 	if errors.Is(err, funcmech.ErrUnknownTask) {
 		s.writeError(w, http.StatusBadRequest, codeUnknownTask, "%v", err)
@@ -398,6 +397,9 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // POST /v1/fit
 
+// fitOptions is /v1/fit's option surface. Whether the options are well
+// formed for the model is the library's call (funcmech.CheckRelease); only
+// the post_process vocabulary is the wire's own.
 type fitOptions struct {
 	// PostProcess is one of "regularize+trim" (default), "regularize",
 	// "resample" (costs 2ε), "none".
@@ -412,34 +414,14 @@ type fitOptions struct {
 type fitRequest struct {
 	Tenant  string     `json:"tenant"`
 	Dataset string     `json:"dataset"`
-	Model   string     `json:"model"` // a registered task name
+	Model   string     `json:"model"` // a task name
 	Epsilon float64    `json:"epsilon"`
 	Options fitOptions `json:"options"`
 }
 
-type reportJSON struct {
-	EpsilonSpent float64 `json:"epsilon_spent"`
-	Delta        float64 `json:"delta"`
-	NoiseScale   float64 `json:"noise_scale"`
-	Lambda       float64 `json:"lambda"`
-	Trimmed      int     `json:"trimmed"`
-	Resamples    int     `json:"resamples"`
-}
-
-type fitResponse struct {
-	Tenant           string     `json:"tenant"`
-	Dataset          string     `json:"dataset"`
-	Model            string     `json:"model"`
-	Weights          []float64  `json:"weights"`
-	Report           reportJSON `json:"report"`
-	EpsilonRemaining float64    `json:"epsilon_remaining"`
-	ElapsedMS        float64    `json:"elapsed_ms"`
-}
-
-// buildFitCore maps the option surface shared by /v1/fit and
-// /v1/streams/{name}/refit — post-processing, seed, and the model/ridge-weight
-// pairing — so the two endpoints cannot drift.
-func buildFitCore(postProcess string, seed *int64, model string, ridgeWeight float64) ([]funcmech.Option, error) {
+// releaseOptions maps the option fields /v1/fit and refits share onto
+// library options.
+func releaseOptions(postProcess string, seed *int64, ridgeWeight float64) ([]funcmech.Option, error) {
 	var opts []funcmech.Option
 	switch postProcess {
 	case "", "regularize+trim":
@@ -455,35 +437,14 @@ func buildFitCore(postProcess string, seed *int64, model string, ridgeWeight flo
 	if seed != nil {
 		opts = append(opts, funcmech.WithSeed(*seed))
 	}
-	spec, ok := funcmech.LookupTask(model)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (registered tasks: %s)",
-			funcmech.ErrUnknownTask, model, strings.Join(funcmech.TaskNames(), ", "))
-	}
-	switch {
-	case spec.NeedsRidgeWeight && ridgeWeight <= 0:
-		return nil, fmt.Errorf("model %q requires positive ridge_weight, got %v", model, ridgeWeight)
-	case !spec.NeedsRidgeWeight && ridgeWeight != 0:
-		return nil, fmt.Errorf("ridge_weight requires a model that takes one (%s)", strings.Join(ridgeModels(), ", "))
-	case spec.NeedsRidgeWeight:
+	if ridgeWeight != 0 {
 		opts = append(opts, funcmech.WithRidge(ridgeWeight))
 	}
 	return opts, nil
 }
 
-// ridgeModels lists the registered tasks that take a ridge_weight.
-func ridgeModels() []string {
-	var names []string
-	for _, t := range funcmech.Tasks() {
-		if t.NeedsRidgeWeight {
-			names = append(names, t.Name)
-		}
-	}
-	return names
-}
-
-func (o fitOptions) build(model string) ([]funcmech.Option, error) {
-	opts, err := buildFitCore(o.PostProcess, o.Seed, model, o.RidgeWeight)
+func (o fitOptions) build() ([]funcmech.Option, error) {
+	opts, err := releaseOptions(o.PostProcess, o.Seed, o.RidgeWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -494,21 +455,11 @@ func (o fitOptions) build(model string) ([]funcmech.Option, error) {
 		opts = append(opts, funcmech.WithParallelism(o.Parallelism))
 	}
 	if o.BinarizeThreshold != nil {
-		// buildFitCore above already resolved the model, so the lookup here
-		// cannot miss.
-		if spec, _ := funcmech.LookupTask(model); !spec.Boolean {
-			return nil, fmt.Errorf("binarize_threshold applies only to boolean-target models")
-		}
 		opts = append(opts, funcmech.WithBinarizeThreshold(*o.BinarizeThreshold))
 	}
 	return opts, nil
 }
 
-// handleFit is an audited noise release site: the fit below draws Laplace
-// noise only after chargeDurable has debited the session and journaled the
-// spend to the fsynced WAL.
-//
-//fmlint:releases-noise
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	var req fitRequest
@@ -529,16 +480,12 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, codeNotFound, "unknown dataset %q", req.Dataset)
 		return
 	}
-	// The probe attributes kernel vs solve vs noise time to this trace; with
-	// no trace on the context it degrades to the bare calls.
-	opts, err := req.Options.build(req.Model)
+	opts, err := req.Options.build()
+	if err == nil {
+		err = funcmech.CheckRelease(req.Model, req.Epsilon, opts...)
+	}
 	if err != nil {
 		s.writeOptionsError(w, err)
-		return
-	}
-	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))
-	if req.Epsilon <= 0 {
-		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "non-positive epsilon %v", req.Epsilon)
 		return
 	}
 
@@ -558,52 +505,101 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.fitsInFlight.Add(-1)
 		grant.Release()
 	}()
-	opts = append(opts, funcmech.WithGovernor(grant))
+	// The probe attributes kernel vs solve vs noise time to this trace; with
+	// no trace on the context it degrades to the bare calls.
+	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}), funcmech.WithGovernor(grant))
+	s.release(w, tr, releaseRequest{
+		tenant: tenant, model: req.Model, epsilon: req.Epsilon, opts: opts,
+		dataset: req.Dataset, ds: ds,
+	})
+}
 
+// releaseRequest is one release request that funcmech.CheckRelease has
+// accepted: a fit from a registered dataset (ds set) or a refit from a
+// stream's merged fold (st and acc set).
+type releaseRequest struct {
+	tenant  *Tenant
+	model   string
+	epsilon float64
+	opts    []funcmech.Option
+	dataset string
+	ds      *funcmech.Dataset
+	st      *stream.Stream
+	acc     *funcmech.Accumulator
+}
+
+// releaseResponse answers both release endpoints: a fit names its dataset,
+// a refit its stream and the records its fold covers.
+type releaseResponse struct {
+	Tenant           string           `json:"tenant"`
+	Dataset          string           `json:"dataset,omitempty"`
+	Stream           string           `json:"stream,omitempty"`
+	Model            string           `json:"model"`
+	RecordsCovered   int              `json:"records_covered,omitempty"`
+	Weights          []float64        `json:"weights"`
+	Report           *funcmech.Report `json:"report"`
+	EpsilonRemaining float64          `json:"epsilon_remaining"`
+	ElapsedMS        float64          `json:"elapsed_ms"`
+}
+
+// release is the service's one audited noise release site, behind both
+// /v1/fit and /v1/streams/{name}/refit: the fit draws Laplace noise only
+// after chargeDurable has debited the session and journaled the spend to
+// the fsynced WAL, so a crash anywhere below can only over-count the
+// tenant's spend. The fits run uncharged via the package-level functions
+// because the session was already debited here.
+//
+//fmlint:releases-noise
+func (s *Server) release(w http.ResponseWriter, tr *obs.Trace, rq releaseRequest) {
+	op, ref, outcomes := wal.OpFit, rq.dataset, s.metrics.fits
+	if rq.st != nil {
+		op, ref, outcomes = wal.OpRefit, rq.st.Name(), s.metrics.refits
+	}
 	start := time.Now()
-	// Charge-then-fit, with the debit journaled durably in between: once the
-	// WAL append returns, a crash anywhere below can only over-count the
-	// tenant's spend. The fits run uncharged via the package-level functions
-	// because the session was already debited here.
-	if err := s.chargeDurable(tr, tenant, wal.OpFit, req.Dataset, req.Epsilon, opts); err != nil {
-		s.metrics.fits.record(err)
-		s.writeChargeError(w, tenant, err)
+	if err := s.chargeDurable(tr, rq.tenant, op, ref, rq.model, rq.epsilon, rq.opts); err != nil {
+		outcomes.record(err)
+		s.writeChargeError(w, rq.tenant, err)
 		return
 	}
-	// The model name was resolved against the task registry during option
-	// validation above, so FitTask cannot miss here — every registered task
-	// is servable through this one call, with no per-task dispatch.
-	var weights []float64
-	m, report, err := funcmech.FitTask(ds, req.Model, req.Epsilon, opts...)
-	if err == nil {
-		weights = m.Weights()
+	var (
+		m      *funcmech.TaskModel
+		report *funcmech.Report
+		err    error
+	)
+	if rq.st == nil {
+		m, report, err = funcmech.FitTask(rq.ds, rq.model, rq.epsilon, rq.opts...)
+	} else {
+		m, report, err = funcmech.FitTaskFromAccumulator(rq.acc, rq.model, rq.epsilon, rq.opts...)
 	}
 	elapsed := time.Since(start)
-	if s.metrics.fits.record(err) {
+	if outcomes.record(err) && rq.st == nil {
 		s.metrics.fitSeconds.Observe(elapsed.Seconds())
 	}
-
 	if err != nil {
 		// The charge stands — a post-debit failure is itself data-dependent
 		// information, so refunding it would be unsound (see Session docs).
 		s.writeError(w, http.StatusUnprocessableEntity, codeFitFailed, "%v", err)
 		return
 	}
-	tenant.fits.Add(1)
-	writeJSON(w, http.StatusOK, fitResponse{
-		Tenant:  req.Tenant,
-		Dataset: req.Dataset,
-		Model:   req.Model,
-		Weights: weights,
-		Report: reportJSON{
-			EpsilonSpent: report.Epsilon,
-			Delta:        report.Delta,
-			NoiseScale:   report.NoiseScale,
-			Lambda:       report.Lambda,
-			Trimmed:      report.Trimmed,
-			Resamples:    report.Resamples,
-		},
-		EpsilonRemaining: tenant.Session.Remaining(),
+	rq.tenant.fits.Add(1)
+	resp := releaseResponse{
+		Tenant:           rq.tenant.Name,
+		Dataset:          rq.dataset,
+		Model:            rq.model,
+		Weights:          m.Weights(),
+		Report:           report,
+		EpsilonRemaining: rq.tenant.Session.Remaining(),
 		ElapsedMS:        ms(elapsed),
-	})
+	}
+	if rq.st != nil {
+		rq.st.RecordRefit(stream.RefitInfo{
+			Model:   rq.model,
+			Tenant:  rq.tenant.Name,
+			Epsilon: report.Epsilon,
+			Records: uint64(rq.acc.Len()),
+			At:      time.Now().UTC(),
+		})
+		resp.Stream, resp.RecordsCovered = rq.st.Name(), rq.acc.Len()
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -120,12 +120,12 @@ func TestFitLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fit: status %d", resp.StatusCode)
 	}
-	fit := decode[fitResponse](t, resp)
+	fit := decode[releaseResponse](t, resp)
 	if len(fit.Weights) != 3 { // 2 features + intercept
 		t.Fatalf("weights = %v, want 3 entries", fit.Weights)
 	}
-	if fit.Report.EpsilonSpent != 0.5 {
-		t.Fatalf("epsilon_spent = %v, want 0.5", fit.Report.EpsilonSpent)
+	if fit.Report.Epsilon != 0.5 {
+		t.Fatalf("epsilon_spent = %v, want 0.5", fit.Report.Epsilon)
 	}
 	if fit.EpsilonRemaining != 1.5 {
 		t.Fatalf("epsilon_remaining = %v, want 1.5", fit.EpsilonRemaining)
@@ -149,9 +149,9 @@ func TestFitLifecycle(t *testing.T) {
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("resample fit: status %d", resp3.StatusCode)
 	}
-	fit3 := decode[fitResponse](t, resp3)
-	if fit3.Report.EpsilonSpent != 0.5 {
-		t.Fatalf("resample epsilon_spent = %v, want 0.5", fit3.Report.EpsilonSpent)
+	fit3 := decode[releaseResponse](t, resp3)
+	if fit3.Report.Epsilon != 0.5 {
+		t.Fatalf("resample epsilon_spent = %v, want 0.5", fit3.Report.Epsilon)
 	}
 	if fit3.EpsilonRemaining != 1.0 {
 		t.Fatalf("epsilon_remaining = %v, want 1.0", fit3.EpsilonRemaining)
@@ -172,13 +172,16 @@ func TestFitModels(t *testing.T) {
 			Options: fitOptions{BinarizeThreshold: ptr(25.0), Seed: ptr(int64(2))}},
 		{Tenant: "acme", Dataset: "toy", Model: "median", Epsilon: 0.5,
 			Options: fitOptions{Seed: ptr(int64(3))}},
+		// linear takes an optional ridge weight, as WithRidge does.
+		{Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.5,
+			Options: fitOptions{RidgeWeight: 0.1, Seed: ptr(int64(4))}},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/v1/fit", c)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s fit: status %d", c.Model, resp.StatusCode)
 		}
-		fit := decode[fitResponse](t, resp)
+		fit := decode[releaseResponse](t, resp)
 		if len(fit.Weights) != 2 {
 			t.Fatalf("%s weights = %v", c.Model, fit.Weights)
 		}
@@ -267,21 +270,48 @@ func TestUnknownTaskEnumeratesRegistry(t *testing.T) {
 	}
 }
 
-// TestBuildFitCoreUnknownTaskIsTyped: the option-validation layer itself
-// (shared by /v1/fit and refit) classifies a registry miss with the
-// errors.Is-able sentinel that writeOptionsError maps to unknown_task.
-func TestBuildFitCoreUnknownTaskIsTyped(t *testing.T) {
-	_, err := buildFitCore("", nil, "quantile", 0)
-	if !errors.Is(err, funcmech.ErrUnknownTask) {
-		t.Fatalf("err = %v, want ErrUnknownTask", err)
+// TestCheckReleaseRefusalsAreTyped: the library check both release
+// endpoints run before admission classifies an unknown model with the
+// errors.Is-able sentinel that writeOptionsError maps to unknown_task, and
+// maps every other refusal to invalid_request.
+func TestCheckReleaseRefusalsAreTyped(t *testing.T) {
+	srv := New(Config{})
+	negative, err := fitOptions{Parallelism: -1}.build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := buildFitCore("", nil, "median", 0); err != nil {
-		t.Fatalf("median is registered but was rejected: %v", err)
+	for _, c := range []struct {
+		model string
+		opts  []funcmech.Option
+		code  string
+	}{
+		{"quantile", nil, codeUnknownTask},
+		{"median", negative, codeInvalidRequest},
+	} {
+		err := funcmech.CheckRelease(c.model, 0.1, c.opts...)
+		if err == nil {
+			t.Fatalf("%s: CheckRelease accepted the request", c.model)
+		}
+		if got := errors.Is(err, funcmech.ErrUnknownTask); got != (c.code == codeUnknownTask) {
+			t.Fatalf("%s: errors.Is(err, ErrUnknownTask) = %v for %v", c.model, got, err)
+		}
+		rec := httptest.NewRecorder()
+		srv.writeOptionsError(rec, err)
+		var body errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Error.Code != c.code {
+			t.Fatalf("%s: %d %q, want 400 %q", c.model, rec.Code, body.Error.Code, c.code)
+		}
+	}
+	if err := funcmech.CheckRelease("median", 0.1); err != nil {
+		t.Fatalf("median is a task but was refused: %v", err)
 	}
 }
 
 func TestFitErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	registerRowsDataset(t, ts.URL, "toy", 50)
 	createTenant(t, ts.URL, "acme", 1)
 
@@ -307,6 +337,15 @@ func TestFitErrors(t *testing.T) {
 		{"bad post_process", fitRequest{Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.1,
 			Options: fitOptions{PostProcess: "prayer"}},
 			http.StatusBadRequest, codeInvalidRequest},
+		{"negative parallelism", fitRequest{Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.1,
+			Options: fitOptions{Parallelism: -1}},
+			http.StatusBadRequest, codeInvalidRequest},
+		{"ridge_weight on logistic", fitRequest{Tenant: "acme", Dataset: "toy", Model: "logistic", Epsilon: 0.1,
+			Options: fitOptions{RidgeWeight: 0.5, BinarizeThreshold: ptr(25.0)}},
+			http.StatusBadRequest, codeInvalidRequest},
+		{"threshold on median", fitRequest{Tenant: "acme", Dataset: "toy", Model: "median", Epsilon: 0.1,
+			Options: fitOptions{BinarizeThreshold: ptr(25.0)}},
+			http.StatusBadRequest, codeInvalidRequest},
 		// No option selects a kernel: the retired tier switch is an unknown
 		// field to the strict decoder.
 		{"retired reproducible option", map[string]any{"tenant": "acme", "dataset": "toy", "model": "linear",
@@ -318,6 +357,7 @@ func TestFitErrors(t *testing.T) {
 			"epsilon": 0.1, "options": map[string]any{"lambda_factor": 2.0}},
 			http.StatusBadRequest, codeInvalidRequest},
 	}
+	acme, _ := srv.Tenants().Lookup("acme")
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/v1/fit", c.req)
 		if resp.StatusCode != c.status {
@@ -327,15 +367,10 @@ func TestFitErrors(t *testing.T) {
 		if body.Error.Code != c.code {
 			t.Fatalf("%s: code %q, want %q", c.name, body.Error.Code, c.code)
 		}
-	}
-	// None of the rejected requests may have consumed budget: every one
-	// failed validation before the session debit.
-	resp, err := http.Get(ts.URL + "/v1/tenants/acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := decode[tenantInfo](t, resp); info.EpsilonSpent != 0 {
-		t.Fatalf("validation failures consumed ε: spent = %v", info.EpsilonSpent)
+		// Every rejected request failed before the session debit.
+		if spent := acme.Session.Spent(); spent != 0 {
+			t.Fatalf("%s: rejected request consumed ε: spent = %v", c.name, spent)
+		}
 	}
 }
 
@@ -421,7 +456,7 @@ func TestTenantReadsNeverTorn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := tenant.Session.Charge(0.001); err != nil {
+				if _, err := tenant.Session.Charge("linear", 0.001); err != nil {
 					t.Error(err)
 					return
 				}

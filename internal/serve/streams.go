@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
-	"time"
 
 	"funcmech"
 	"funcmech/internal/obs"
@@ -213,30 +212,11 @@ type refitOptions struct {
 
 type refitRequest struct {
 	Tenant  string       `json:"tenant"`
-	Model   string       `json:"model"` // a registered task name
+	Model   string       `json:"model"` // a task name
 	Epsilon float64      `json:"epsilon"`
 	Options refitOptions `json:"options"`
 }
 
-type refitResponse struct {
-	Tenant           string     `json:"tenant"`
-	Stream           string     `json:"stream"`
-	Model            string     `json:"model"`
-	RecordsCovered   int        `json:"records_covered"`
-	Weights          []float64  `json:"weights"`
-	Report           reportJSON `json:"report"`
-	EpsilonRemaining float64    `json:"epsilon_remaining"`
-	ElapsedMS        float64    `json:"elapsed_ms"`
-}
-
-func (o refitOptions) build(model string) ([]funcmech.Option, error) {
-	return buildFitCore(o.PostProcess, o.Seed, model, o.RidgeWeight)
-}
-
-// handleRefit is an audited noise release site: the refit draws noise only
-// after chargeDurable has debited the session and journaled the spend.
-//
-//fmlint:releases-noise
 func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.streams.Lookup(r.PathValue("name"))
 	if !ok {
@@ -253,17 +233,21 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
-	opts, err := req.Options.build(req.Model)
+	opts, err := releaseOptions(req.Options.PostProcess, req.Options.Seed, req.Options.RidgeWeight)
+	if err == nil {
+		err = funcmech.CheckRelease(req.Model, req.Epsilon, opts...)
+	}
 	if err != nil {
 		s.writeOptionsError(w, err)
 		return
 	}
-	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))
-	if req.Epsilon <= 0 {
-		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "non-positive epsilon %v", req.Epsilon)
-		return
-	}
-	if st.Records() == 0 {
+	// The release reads this merged fold, so its record count — not the
+	// stream's sequence gauge, which WAL replay can advance past the folds
+	// a snapshot restored — decides whether there is anything to release.
+	accSpan := tr.StartSpan(obs.SpanDataset)
+	acc := st.Merged()
+	accSpan.End(obs.Int("records", int64(acc.Len())), obs.Str("source", "stream"))
+	if acc.Len() == 0 {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "stream %q has no records", st.Name())
 		return
 	}
@@ -272,55 +256,11 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	// merge, noise draw and spectral trim still cost CPU (a d = 64 refit's
 	// handler takes about 2 ms on a 2-vCPU Xeon, 1.0–1.3 ms of it the trim),
 	// and bounding them is still open. Budget enforcement is identical to
-	// /v1/fit — charge, journal the debit durably, and only then draw noise.
-	start := time.Now()
-	if err := s.chargeDurable(tr, tenant, wal.OpRefit, st.Name(), req.Epsilon, opts); err != nil {
-		s.metrics.refits.record(err)
-		s.writeChargeError(w, tenant, err)
-		return
-	}
-	accSpan := tr.StartSpan(obs.SpanDataset)
-	acc := st.Merged()
-	accSpan.End(obs.Int("records", int64(acc.Len())), obs.Str("source", "stream"))
-	// Like handleFit, the model resolved against the task registry during
-	// option validation, so every registered task refits through this one
-	// call over the stream's live fold for that task.
-	var weights []float64
-	m, report, err := funcmech.FitTaskFromAccumulator(acc, req.Model, req.Epsilon, opts...)
-	if err == nil {
-		weights = m.Weights()
-	}
-	elapsed := time.Since(start)
-	s.metrics.refits.record(err)
-
-	if err != nil {
-		// The charge stands; see handleFit.
-		s.writeError(w, http.StatusUnprocessableEntity, codeFitFailed, "%v", err)
-		return
-	}
-	tenant.fits.Add(1)
-	st.RecordRefit(stream.RefitInfo{
-		Model:   req.Model,
-		Tenant:  req.Tenant,
-		Epsilon: report.Epsilon,
-		Records: uint64(acc.Len()),
-		At:      time.Now().UTC(),
-	})
-	writeJSON(w, http.StatusOK, refitResponse{
-		Tenant:         req.Tenant,
-		Stream:         st.Name(),
-		Model:          req.Model,
-		RecordsCovered: acc.Len(),
-		Weights:        weights,
-		Report: reportJSON{
-			EpsilonSpent: report.Epsilon,
-			Delta:        report.Delta,
-			NoiseScale:   report.NoiseScale,
-			Lambda:       report.Lambda,
-			Trimmed:      report.Trimmed,
-			Resamples:    report.Resamples,
-		},
-		EpsilonRemaining: tenant.Session.Remaining(),
-		ElapsedMS:        ms(elapsed),
+	// /v1/fit: the same release site charges, journals, and only then draws
+	// noise.
+	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))
+	s.release(w, tr, releaseRequest{
+		tenant: tenant, model: req.Model, epsilon: req.Epsilon, opts: opts,
+		st: st, acc: acc,
 	})
 }

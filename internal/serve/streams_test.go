@@ -105,7 +105,7 @@ func TestStreamLifecycleOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("refit: status %d", resp.StatusCode)
 	}
-	fit := decode[refitResponse](t, resp)
+	fit := decode[releaseResponse](t, resp)
 	if fit.RecordsCovered != 120 || len(fit.Weights) != 3 { // 2 features + intercept
 		t.Fatalf("refit covered %d records with %d weights", fit.RecordsCovered, len(fit.Weights))
 	}
@@ -170,7 +170,7 @@ func TestRefitBitIdenticalToFitOverHTTP(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s fit: status %d", model, resp.StatusCode)
 		}
-		oneShot := decode[fitResponse](t, resp)
+		oneShot := decode[releaseResponse](t, resp)
 
 		// Path 2: refit from the stream's live fold for the same task.
 		resp = postJSON(t, ts.URL+"/v1/streams/live/refit", refitRequest{
@@ -180,7 +180,7 @@ func TestRefitBitIdenticalToFitOverHTTP(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s refit: status %d", model, resp.StatusCode)
 		}
-		refit := decode[refitResponse](t, resp)
+		refit := decode[releaseResponse](t, resp)
 
 		if len(oneShot.Weights) != len(refit.Weights) {
 			t.Fatalf("%s weight counts differ: %d vs %d", model, len(oneShot.Weights), len(refit.Weights))
@@ -278,6 +278,51 @@ func TestRefitRejectsFitTimeFoldOptions(t *testing.T) {
 	empty.Body.Close()
 	if empty.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 for empty-stream refit", empty.StatusCode)
+	}
+}
+
+// TestRefitRefusalsChargeNothing: every refit the library or the fold
+// refuses is a 400 before the charge. "hollow" is a stream whose sequence
+// gauge says 100 records while its fold holds none — the state WAL replay
+// leaves when the batches journaled after an empty-stream snapshot died
+// with the process.
+func TestRefitRefusalsChargeNothing(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	createTenant(t, ts.URL, "acme", 5)
+	createStream(t, ts.URL, streamRequest{Name: "s", Schema: testStreamSchema()})
+	resp := postJSON(t, ts.URL+"/v1/streams/s/ingest", ingestRequest{Rows: rowsJSON(t, syntheticRows(30, 6))})
+	resp.Body.Close()
+	createStream(t, ts.URL, streamRequest{Name: "hollow", Schema: testStreamSchema()})
+	hollow, _ := srv.Streams().Lookup("hollow")
+	hollow.AdvanceSeq(100, 1)
+
+	cases := []struct {
+		name, stream string
+		req          refitRequest
+		code         string
+	}{
+		{"unknown model", "s", refitRequest{Tenant: "acme", Model: "quantile", Epsilon: 0.1}, codeUnknownTask},
+		{"zero epsilon", "s", refitRequest{Tenant: "acme", Model: "linear"}, codeInvalidRequest},
+		{"negative epsilon", "s", refitRequest{Tenant: "acme", Model: "linear", Epsilon: -1}, codeInvalidRequest},
+		{"bad post_process", "s", refitRequest{Tenant: "acme", Model: "linear", Epsilon: 0.1,
+			Options: refitOptions{PostProcess: "prayer"}}, codeInvalidRequest},
+		{"ridge_weight on logistic", "s", refitRequest{Tenant: "acme", Model: "logistic", Epsilon: 0.1,
+			Options: refitOptions{RidgeWeight: 0.5}}, codeInvalidRequest},
+		{"empty fold", "hollow", refitRequest{Tenant: "acme", Model: "linear", Epsilon: 0.1}, codeInvalidRequest},
+	}
+	acme, _ := srv.Tenants().Lookup("acme")
+	for _, c := range cases {
+		resp := postJSON(t, ts.URL+"/v1/streams/"+c.stream+"/refit", c.req)
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 400", c.name, resp.StatusCode)
+		}
+		if body := decode[errorResponse](t, resp); body.Error.Code != c.code {
+			t.Fatalf("%s: code %q, want %q", c.name, body.Error.Code, c.code)
+		}
+		if spent := acme.Session.Spent(); spent != 0 {
+			t.Fatalf("%s: refused refit consumed ε: spent = %v", c.name, spent)
+		}
 	}
 }
 

@@ -37,13 +37,14 @@ func (s *Server) UseWAL(l *wal.Log) {
 // WAL returns the attached journal (nil without one).
 func (s *Server) WAL() *wal.Log { return s.wlog }
 
-// chargeDurable debits the tenant's session and, with a WAL attached,
-// journals the debited cost before returning. op is wal.OpFit or
-// wal.OpRefit; ref names the dataset or stream the release reads. The
-// journal append (fsynced with -wal-fsync) is timed as a wal_fsync span on
-// tr — this is the durability cost a fit pays before any noise is drawn.
-func (s *Server) chargeDurable(tr *obs.Trace, t *Tenant, op, ref string, epsilon float64, opts []funcmech.Option) error {
-	cost, err := t.Session.Charge(epsilon, opts...)
+// chargeDurable debits the tenant's session for releasing task at ε and,
+// with a WAL attached, journals the debited cost before returning. op is
+// wal.OpFit or wal.OpRefit; ref names the dataset or stream the release
+// reads. The journal append (fsynced with -wal-fsync) is timed as a
+// wal_fsync span on tr — this is the durability cost a fit pays before any
+// noise is drawn.
+func (s *Server) chargeDurable(tr *obs.Trace, t *Tenant, op, ref, task string, epsilon float64, opts []funcmech.Option) error {
+	cost, err := t.Session.Charge(task, epsilon, opts...)
 	if err != nil {
 		return err
 	}

@@ -91,7 +91,8 @@ func WithProbe(p Probe) Option {
 }
 
 // WithSeed makes the mechanism's noise deterministic — for reproduction and
-// tests. Without a seed (or WithRand), a random seed is drawn. For models
+// tests. Without a seed (or WithRand), each release draws from a fresh
+// ChaCha8 stream keyed from crypto/rand. For models
 // that are bit-identical across machines, combine with WithParallelism(1);
 // otherwise the objective's summation order follows the core count.
 func WithSeed(seed int64) Option {
@@ -113,7 +114,9 @@ func WithBinarizeThreshold(t float64) Option {
 // WithRidge adds an L2 penalty weight·‖ω‖² to the linear-regression
 // objective before perturbation (Hoerl–Kennard shrinkage as a modelling
 // choice, distinct from the §6.1 noise-repair ridge). The penalty involves
-// no data, so the privacy calibration is unchanged. Linear regression only.
+// no data, so the privacy calibration is unchanged. Only tasks whose
+// TaskInfo.AcceptsRidge is set take it ("linear" optionally, "ridge"
+// mandatorily); the weight must not be negative.
 func WithRidge(weight float64) Option {
 	return func(c *config) { c.ridge = weight }
 }
@@ -133,33 +136,40 @@ func buildConfig(opts []Option) config {
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.rng == nil {
-		if c.hasSeed {
-			c.rng = noise.NewRand(c.seed)
-		} else {
-			//fmlint:ignore nakedrand documented default: unseeded fits draw a fresh stream; callers wanting reproducibility pass WithSeed
-			c.rng = rand.New(rand.NewSource(rand.Int63()))
-		}
-	}
 	return c
 }
 
+// noiseSource returns the generator a release draws its noise from:
+// WithRand's, WithSeed's, or else a fresh ChaCha8 stream keyed from
+// crypto/rand. Only a release that draws noise builds one.
+func (c config) noiseSource() *rand.Rand {
+	switch {
+	case c.rng != nil:
+		return c.rng
+	case c.hasSeed:
+		return noise.NewRand(c.seed)
+	}
+	return noise.NewUnseededRand()
+}
+
 // Report describes what one differentially private fit consumed and did.
+// Its JSON form is the "report" object of the serving layer's release
+// responses.
 type Report struct {
 	// Epsilon is the privacy budget actually spent: ε, or 2ε under
 	// Resample.
-	Epsilon float64
+	Epsilon float64 `json:"epsilon_spent"`
 	// Delta is the coefficient sensitivity (2(d+1)² linear, d²/4+3d
 	// logistic).
-	Delta float64
+	Delta float64 `json:"delta"`
 	// NoiseScale is Δ/ε, the Laplace scale per coefficient.
-	NoiseScale float64
+	NoiseScale float64 `json:"noise_scale"`
 	// Lambda is the §6.1 ridge weight applied (0 when none).
-	Lambda float64
+	Lambda float64 `json:"lambda"`
 	// Trimmed counts eigenvalues removed by §6.2 spectral trimming.
-	Trimmed int
+	Trimmed int `json:"trimmed"`
 	// Resamples counts Lemma 5 retries.
-	Resamples int
+	Resamples int `json:"resamples"`
 }
 
 func reportFrom(res *core.Result) *Report {

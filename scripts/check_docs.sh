@@ -44,6 +44,12 @@
 #      README.md and docs/*.md is a directory in the repo. (ROADMAP.md plans
 #      name past and future paths.)
 #
+#   9. The option lists in the README.md endpoint rows for `POST /v1/fit`
+#      and `POST /v1/streams/{name}/refit` (the parenthesized list of
+#      backticked names, `epsilon` aside) and the JSON tags of the strict
+#      decoders' option structs (fitOptions in internal/serve/server.go,
+#      refitOptions in internal/serve/streams.go) agree in BOTH directions.
+#
 # Run locally or in CI (the docs job); no dependencies beyond POSIX tools.
 set -euo pipefail
 
@@ -319,8 +325,40 @@ for doc in README.md docs/*.md; do
 done
 d="$(sort -u "$WORK/named_dirs" | wc -l | tr -d ' ')"
 
+# --- 9. README option lists <-> the strict decoders' option structs --------
+o=0
+for spec in "POST /v1/fit|fitOptions|internal/serve/server.go" \
+            "POST /v1/streams/{name}/refit|refitOptions|internal/serve/streams.go"; do
+  route="${spec%%|*}"
+  struct="${spec#*|}"; struct="${struct%%|*}"
+  optsrc="${spec##*|}"
+  grep -F "| \`$route\` |" README.md |
+    grep -oE '\(`[a-z_]+`(, `[a-z_]+`)*\)' | grep -oE '`[a-z_]+`' | tr -d '`' |
+    grep -vx epsilon | sort -u > "$WORK/doc_opts" || true
+  sed -n "/^type $struct struct {/,/^}/p" "$optsrc" |
+    grep -oE 'json:"[a-z_]+' | sed 's/^json:"//' | sort -u > "$WORK/src_opts"
+  if [ ! -s "$WORK/doc_opts" ] || [ ! -s "$WORK/src_opts" ]; then
+    echo "check-docs: could not extract the $route options from README.md or $struct from $optsrc" >&2
+    fail=1
+    continue
+  fi
+  while IFS= read -r opt; do
+    if ! grep -qx "$opt" "$WORK/src_opts"; then
+      echo "check-docs: README.md lists option $opt for $route, but $struct in $optsrc has no such field" >&2
+      fail=1
+    fi
+  done < "$WORK/doc_opts"
+  while IFS= read -r opt; do
+    if ! grep -qx "$opt" "$WORK/doc_opts"; then
+      echo "check-docs: $struct in $optsrc decodes option $opt, but README.md's $route row does not list it" >&2
+      fail=1
+    fi
+  done < "$WORK/src_opts"
+  o=$((o + $(wc -l < "$WORK/src_opts" | tr -d ' ')))
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL" >&2
   exit 1
 fi
-echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist)"
+echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist; $o fit and refit options match README.md)"

@@ -1,10 +1,6 @@
 package funcmech
 
-import (
-	"fmt"
-
-	"funcmech/internal/noise"
-)
+import "funcmech/internal/noise"
 
 // Session tracks a total privacy budget across multiple analyses of the same
 // underlying population — the sequential-composition discipline of
@@ -19,9 +15,11 @@ import (
 //	_, _, err = s.FitTask(ds, "median", 0.1)        // ErrBudgetExhausted
 //
 // Note the Resample post-processing option costs 2ε (Lemma 5); the session
-// charges the doubled amount. A fit that fails after the debit (e.g. a
-// validation error) still consumes its budget: whether the pipeline errored
-// is itself data-dependent information, so refunding it would be unsound.
+// charges the doubled amount. A request the library refuses for its task or
+// options (CheckRelease) is refused before the debit and costs nothing. A
+// fit that fails after the debit (e.g. a record outside the target rule)
+// still consumes its budget: whether the pipeline errored on the data is
+// itself data-dependent information, so refunding it would be unsound.
 //
 // A Session is safe for concurrent use: the accountant debits atomically
 // before any fit touches the data (charge-then-fit), so goroutines racing on
@@ -68,21 +66,22 @@ func (s *Session) Total() float64 { return s.budget.Total() }
 // a concurrent charge landed between reads.
 func (s *Session) Snapshot() (total, spent, remaining float64) { return s.budget.Snapshot() }
 
-// Charge computes the true cost of a fit with the given options (Resample
-// doubles it, Lemma 5), debits the accountant, and returns the cost that was
-// debited. It exists for serving layers that must interpose a durability
-// step between the debit and the fit — charge, journal the returned cost to
-// a write-ahead log, then run the fit uncharged via the package-level
-// functions — so a crash after the debit can only ever over-count the spend.
-// A non-positive ε wraps ErrInvalidSpend; exhaustion wraps
-// ErrBudgetExhausted and leaves the accountant unchanged.
-func (s *Session) Charge(epsilon float64, opts ...Option) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("funcmech: %w: non-positive ε %v", ErrInvalidSpend, epsilon)
+// Charge computes the true cost of releasing task at ε with the given
+// options (Resample doubles it, Lemma 5), debits the accountant, and returns
+// the cost that was debited. It exists for serving layers that must
+// interpose a durability step between the debit and the fit — charge,
+// journal the returned cost to a write-ahead log, then run the fit
+// uncharged via the package-level functions — so a crash after the debit
+// can only ever over-count the spend. It refuses, and debits nothing for,
+// whatever CheckRelease refuses: an unknown task wraps ErrUnknownTask, a
+// non-positive ε wraps ErrInvalidSpend. Exhaustion wraps ErrBudgetExhausted
+// and leaves the accountant unchanged.
+func (s *Session) Charge(task string, epsilon float64, opts ...Option) (float64, error) {
+	if err := CheckRelease(task, epsilon, opts...); err != nil {
+		return 0, err
 	}
 	cost := epsilon
-	cfg := buildConfig(opts)
-	if cfg.opts.PostProcess == Resample {
+	if buildConfig(opts).opts.PostProcess == Resample {
 		cost = 2 * epsilon
 	}
 	if err := s.budget.Spend(cost); err != nil {
@@ -98,9 +97,10 @@ func (s *Session) Charge(epsilon float64, opts ...Option) (float64, error) {
 // forgiveness. See the serving layer's write-ahead log.
 func (s *Session) ReplaySpend(cost float64) { s.budget.ReplaySpend(cost) }
 
-// FitTask is FitTask debited against the session budget.
+// FitTask is FitTask debited against the session budget. A request
+// FitTask would refuse for its task or options is refused before the debit.
 func (s *Session) FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if _, err := s.Charge(epsilon, opts...); err != nil {
+	if _, err := s.Charge(task, epsilon, opts...); err != nil {
 		return nil, nil, err
 	}
 	return FitTask(ds, task, epsilon, opts...)
@@ -109,9 +109,14 @@ func (s *Session) FitTask(ds *Dataset, task string, epsilon float64, opts ...Opt
 // FitTaskFromAccumulator is FitTaskFromAccumulator debited against the
 // session budget. A refit is charged exactly like a one-shot fit: noise is
 // drawn fresh per release, so every release costs its full ε under
-// sequential composition even though no record is rescanned.
+// sequential composition even though no record is rescanned. A request
+// refused for its task or options, for fold-shaping options given again, or
+// against an empty accumulator debits nothing.
 func (s *Session) FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if _, err := s.Charge(epsilon, opts...); err != nil {
+	if _, err := a.resolve(task, opts); err != nil {
+		return nil, nil, err
+	}
+	if _, err := s.Charge(task, epsilon, opts...); err != nil {
 		return nil, nil, err
 	}
 	return FitTaskFromAccumulator(a, task, epsilon, opts...)

@@ -11,14 +11,14 @@ import (
 )
 
 // This file is the task-generic fit surface: every regression family the
-// mechanism can release is described by a core.TaskSpec in the task
-// registry, and FitTask / FitTaskFromAccumulator resolve a task by name and
-// run the shared pipeline — normalize per the spec's target rule, build the
-// spec's degree-2 objective, perturb, solve. Every fit returns a TaskModel,
-// and the paper's two case studies (LinearRegression, LogisticRegression)
-// are FitTask under their task names, so registering a new task makes it
-// fittable, servable and persistable everywhere without touching any of the
-// layers above.
+// mechanism can release is a core.TaskSpec row of the static task table,
+// and FitTask / FitTaskFromAccumulator resolve a task by name and run the
+// shared pipeline — normalize per the spec's target rule, build the spec's
+// degree-2 objective, perturb, solve. Every fit returns a TaskModel, and the
+// paper's two case studies (LinearRegression, LogisticRegression) are
+// FitTask under their task names, so adding a row makes a task fittable,
+// servable and persistable everywhere without touching any of the layers
+// above.
 
 // ErrUnknownTask is returned when a task name does not resolve in the
 // registry. Callers can match it with errors.Is; the message enumerates the
@@ -84,41 +84,69 @@ func LookupTask(name string) (TaskInfo, bool) {
 	return infoFromSpec(s), true
 }
 
-// taskFor validates the fit options against the spec and instantiates the
-// task for one release.
-func taskFor(spec core.TaskSpec, cfg config) (core.Task, error) {
-	switch {
-	case cfg.ridge != 0 && !spec.AcceptsRidge:
-		return nil, errors.New("funcmech: WithRidge applies only to linear regression")
-	case cfg.ridge < 0:
-		return nil, fmt.Errorf("funcmech: negative ridge weight %v", cfg.ridge)
-	case cfg.ridge == 0 && spec.NeedsRidgeWeight:
-		return nil, fmt.Errorf("funcmech: task %q requires a positive WithRidge weight", spec.Name)
+// release is one release request the library has accepted: the task row,
+// the task instantiated for this release, and the options it runs with.
+type release struct {
+	spec core.TaskSpec
+	task core.Task
+	cfg  config
+}
+
+// resolve is the one place that decides whether a release request is well
+// formed, before any data is touched or ε charged: the task must be in the
+// table, the core options valid, the ridge weight one the row's policy
+// takes, and a binarize threshold only given to a boolean-target task.
+// CheckRelease, Session.Charge, the fits and the exact baselines all ask
+// it.
+func resolve(name string, opts []Option) (release, error) {
+	spec, ok := core.LookupTask(name)
+	if !ok {
+		return release{}, unknownTask(name)
+	}
+	cfg := buildConfig(opts)
+	if err := cfg.opts.Validate(); err != nil {
+		return release{}, fmt.Errorf("funcmech: %w", err)
+	}
+	if cfg.threshold != nil && spec.Target != core.TargetBoolean {
+		return release{}, fmt.Errorf("funcmech: WithBinarizeThreshold applies only to boolean-target tasks; %q trains on a %s target", spec.Name, spec.Target)
 	}
 	task, err := spec.New(core.TaskParams{RidgeWeight: cfg.ridge})
 	if err != nil {
-		return nil, fmt.Errorf("funcmech: %w", err)
+		return release{}, fmt.Errorf("funcmech: %w", err)
 	}
-	return task, nil
+	return release{spec: spec, task: task, cfg: cfg}, nil
+}
+
+// CheckRelease reports whether the library would refuse to release task at
+// privacy budget epsilon with opts — an unknown task (wrapping
+// ErrUnknownTask), a non-positive ε (wrapping ErrInvalidSpend), or options
+// the task does not take — without touching data or budget. Session.Charge
+// refuses exactly what it refuses, so a serving layer that checks a request
+// here first never charges for a release FitTask would refuse for its task
+// or options. An accepted request can still fail on its data.
+func CheckRelease(task string, epsilon float64, opts ...Option) error {
+	if _, err := resolve(task, opts); err != nil {
+		return err
+	}
+	if !(epsilon > 0) {
+		return fmt.Errorf("funcmech: %w: non-positive ε %v", ErrInvalidSpend, epsilon)
+	}
+	return nil
 }
 
 // prepareTask derives the normalized training representation the spec's
 // target rule prescribes: boolean targets are binarized (optionally) and
 // checked, normalized targets are scaled into [−1, 1].
 func prepareTask(ds *Dataset, spec core.TaskSpec, cfg config) (*dataset.Dataset, *dataset.Normalizer, error) {
-	boolean := spec.Target == core.TargetBoolean
 	inner := ds.inner
 	if cfg.threshold != nil {
-		if !boolean {
-			return nil, nil, errors.New("funcmech: WithBinarizeThreshold applies only to boolean-target tasks")
-		}
 		inner = inner.BinarizeTarget(*cfg.threshold)
 	}
 	if cfg.intercept {
 		inner = withInterceptColumn(inner)
 	}
 	nz := dataset.NewNormalizer(inner.Schema)
-	if !boolean {
+	if spec.Target != core.TargetBoolean {
 		return nz.NormalizeForLinear(inner), nz, nil
 	}
 	norm, err := nz.NormalizeForLogistic(inner)
@@ -132,15 +160,17 @@ func prepareTask(ds *Dataset, spec core.TaskSpec, cfg config) (*dataset.Dataset,
 // non-private baselines: it returns the normalized training set and a model
 // carrying everything but the weights.
 func exactTask(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, error) {
-	spec, _ := core.LookupTask(task)
-	cfg := buildConfig(opts)
-	norm, nz, err := prepareTask(ds, spec, cfg)
+	r, err := resolve(task, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	norm, nz, err := prepareTask(ds, r.spec, r.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &TaskModel{
-		task: infoFromSpec(spec), nz: nz, schema: ds.Schema(),
-		threshold: cfg.threshold, intercept: cfg.intercept,
+		task: infoFromSpec(r.spec), nz: nz, schema: ds.Schema(),
+		threshold: r.cfg.threshold, intercept: r.cfg.intercept,
 	}, norm, nil
 }
 
@@ -256,32 +286,28 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 	return float64(wrong) / float64(n), nil
 }
 
-// FitTask fits an ε-differentially private model for the named registered
-// task over ds — the single entry point LinearRegression, LogisticRegression
-// and the serving layers resolve every fit through. The dataset stays in raw
-// units; the schema's public bounds drive the normalization the privacy
-// analysis requires. Unknown names wrap ErrUnknownTask.
+// FitTask fits an ε-differentially private model for the named task over
+// ds — the single entry point LinearRegression, LogisticRegression and the
+// serving layers resolve every fit through. The dataset stays in raw units;
+// the schema's public bounds drive the normalization the privacy analysis
+// requires. It refuses whatever CheckRelease refuses; unknown names wrap
+// ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	spec, ok := core.LookupTask(task)
-	if !ok {
-		return nil, nil, unknownTask(task)
-	}
-	cfg := buildConfig(opts)
-	ct, err := taskFor(spec, cfg)
+	r, err := resolve(task, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	norm, nz, err := prepareTask(ds, spec, cfg)
+	norm, nz, err := prepareTask(ds, r.spec, r.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.Run(ct, norm, epsilon, cfg.rng, cfg.opts)
+	res, err := core.Run(r.task, norm, epsilon, r.cfg.noiseSource(), r.cfg.opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &TaskModel{
-		task: infoFromSpec(spec), weights: res.Weights, nz: nz, schema: ds.Schema(),
-		threshold: cfg.threshold, intercept: cfg.intercept,
+		task: infoFromSpec(r.spec), weights: res.Weights, nz: nz, schema: ds.Schema(),
+		threshold: r.cfg.threshold, intercept: r.cfg.intercept,
 	}, reportFrom(res), nil
 }
 
@@ -302,31 +328,23 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 // threshold, for boolean-target tasks) or absent from a restored snapshot
 // that predates the task fails with the poisoning error.
 func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	spec, ok := core.LookupTask(task)
-	if !ok {
-		return nil, nil, unknownTask(task)
-	}
-	cfg, err := fitCfg(a, opts)
+	r, err := a.resolve(task, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	ct, err := taskFor(spec, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	f := a.fold(spec.Fold)
+	f := a.fold(r.spec.Fold)
 	if f == nil {
-		return nil, nil, fmt.Errorf("funcmech: accumulator has no fold for task %q", spec.Name)
+		return nil, nil, fmt.Errorf("funcmech: accumulator has no fold for task %q", r.spec.Name)
 	}
 	if f.err != nil {
 		return nil, nil, f.err
 	}
-	res, err := core.RunFromQuadratic(ct, f.acc.QuadraticAs(ct), epsilon, cfg.rng, cfg.opts)
+	res, err := core.RunFromQuadratic(r.task, f.acc.QuadraticAs(r.task), epsilon, r.cfg.noiseSource(), r.cfg.opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &TaskModel{
-		task: infoFromSpec(spec), weights: res.Weights, nz: a.nz, schema: a.Schema(),
+		task: infoFromSpec(r.spec), weights: res.Weights, nz: a.nz, schema: a.Schema(),
 		threshold: a.threshold, intercept: a.intercept,
 	}, reportFrom(res), nil
 }
