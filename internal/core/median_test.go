@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"funcmech/internal/dataset"
 	"funcmech/internal/poly"
@@ -17,6 +18,21 @@ func TestMedianSensitivityGolden(t *testing.T) {
 		if got := (MedianTask{}).Sensitivity(d); math.Abs(got-want) > 1e-12 {
 			t.Errorf("Δ(%d) = %v, want %v", d, got, want)
 		}
+	}
+}
+
+// Property: Δ dominates 2·Σ|λ_φt| over random in-sphere tuples — the
+// inequality the median release's privacy proof rests on, checked through
+// the same TupleCoefL1 machinery as the built-in tasks.
+func TestMedianSensitivityDominatesTupleCoefficientsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d := 1 + rng.Intn(8)
+		x, y := randomSphereTuple(rng, d)
+		return 2*TupleCoefL1(MedianTask{}, x, y) <= (MedianTask{}).Sensitivity(d)+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
