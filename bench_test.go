@@ -8,12 +8,15 @@
 package funcmech_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -26,6 +29,7 @@ import (
 	"funcmech/internal/fmbin"
 	"funcmech/internal/noise"
 	"funcmech/internal/regression"
+	"funcmech/internal/serve"
 	"funcmech/internal/stream"
 )
 
@@ -500,6 +504,35 @@ func BenchmarkIngestBinary(b *testing.B) {
 	b.ReportMetric(float64(batch), "records/op")
 	b.ReportMetric(float64(len(frame))/batch, "wire_bytes/record")
 	b.ReportMetric(float64(len(jsonBody))/float64(len(frame)), "json_reduction_x")
+}
+
+// BenchmarkIngestJSON measures one JSON ingest request inside the server:
+// routing, the one-pass body decode, the governor gate and the fold of a
+// census-shaped 512-row body into a stream, with no WAL. Requests go
+// straight to the handler, so no socket is timed.
+func BenchmarkIngestJSON(b *testing.B) {
+	const batch = 512
+	srv := serve.New(serve.Config{})
+	if _, err := srv.Streams().Create("census", stream.Config{Schema: streamSchema()}); err != nil {
+		b.Fatal(err)
+	}
+	rows := streamRows(batch)
+	var flat []float64
+	for _, row := range rows {
+		flat = append(flat, row...)
+	}
+	body := jsonIngestBody(b, flat, len(rows[0]))
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/census/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportMetric(batch, "records/op")
 }
 
 // TestFmbinWireReduction pins the wire-format acceptance criterion without

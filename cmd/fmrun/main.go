@@ -88,7 +88,7 @@ func fit(fs *flag.FlagSet) func(io.Writer) error {
 		//fmlint:ignore taskreg names the CLI flag, not a task
 		ridge = fs.Float64("ridge", 0, "ridge penalty weight, for tasks that take one")
 		seed  = fs.Int64("seed", 0, "noise seed (0 = random)")
-		exact = fs.Bool("exact", false, "also fit the non-private least-squares baseline for comparison")
+		exact = fs.Bool("exact", false, "also fit the non-private least-squares baseline, with the same -ridge, for comparison")
 	)
 	return func(w io.Writer) error {
 		if *csvPath == "" || *features == "" || *target == "" {
@@ -136,7 +136,7 @@ func fit(fs *flag.FlagSet) func(io.Writer) error {
 		fmt.Fprintf(w, "training MSE (raw units): %.6g\n", model.MSE(ds))
 		fmt.Fprintf(w, "training MAE (raw units): %.6g\n", model.MAE(ds))
 		if *exact {
-			base, err := funcmech.LinearRegressionExact(ds)
+			base, err := funcmech.LinearRegressionExact(ds, opts...)
 			if err != nil {
 				return err
 			}

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"funcmech"
 	"funcmech/internal/census"
 	"funcmech/internal/dataset"
 	"funcmech/internal/experiments"
@@ -126,5 +131,47 @@ func TestRunPointRejectsUnevaluatedTask(t *testing.T) {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("point -task median stderr %q does not name %s", stderr, want)
 		}
+	}
+}
+
+// TestRunFitExactBaselineTakesRidge: `fit -task ridge -exact` compares the
+// private ridge fit with the non-private ridge fit, not with unpenalized
+// least squares.
+func TestRunFitExactBaselineTakesRidge(t *testing.T) {
+	schema, err := parseSchema("x1:0:10,x2:0:5", "y:0:50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := funcmech.NewDataset(schema)
+	csv := "x1,x2,y\n"
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 500; i++ {
+		x1, x2 := rng.Float64()*10, rng.Float64()*5
+		y := 3*x1 + 2*x2 + rng.Float64()
+		ds.Append([]float64{x1, x2}, y)
+		csv += fmt.Sprintf("%v,%v,%v\n", x1, x2, y)
+	}
+	path := filepath.Join(t.TempDir(), "toy.csv")
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := fmrun("fit", "-csv", path, "-features", "x1:0:10,x2:0:5", "-target", "y:0:50",
+		"-task", "ridge", "-ridge", "100", "-exact", "-seed", "1")
+	if code != 0 {
+		t.Fatalf("fit = %d: %s", code, stderr)
+	}
+	mse := func(opts ...funcmech.Option) string {
+		m, err := funcmech.LinearRegressionExact(ds, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("non-private MSE (raw units): %.6g\n", m.MSE(ds))
+	}
+	ridged, plain := mse(funcmech.WithRidge(100)), mse()
+	if ridged == plain {
+		t.Fatalf("the ridge penalty does not change the baseline's MSE: %q", ridged)
+	}
+	if !strings.Contains(stdout, ridged) {
+		t.Fatalf("fit output lacks the ridge baseline %q:\n%s", ridged, stdout)
 	}
 }

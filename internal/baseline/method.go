@@ -49,7 +49,7 @@ func (NoPrivacy) Private() bool { return false }
 
 // FitLinear implements Method via the closed-form least-squares solution.
 func (NoPrivacy) FitLinear(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	m, err := regression.FitLinear(ds)
+	m, err := regression.FitLinear(ds, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func fitOnSynthetic(syn *dataset.Dataset, d int, logistic bool) ([]float64, erro
 		}
 		return m.Weights, nil
 	}
-	m, err := regression.FitLinear(syn)
+	m, err := regression.FitLinear(syn, nil)
 	if err != nil {
 		return make([]float64, d), nil
 	}

@@ -28,14 +28,19 @@ func LinearObjective(ds *dataset.Dataset) *poly.Quadratic {
 }
 
 // FitLinear computes the exact least-squares solution by minimizing
-// LinearObjective — the NoPrivacy baseline for linear regression. Singular
-// Gram matrices (collinear features) fall back to a minimal ridge so the
-// baseline stays defined on degenerate folds.
-func FitLinear(ds *dataset.Dataset) (*LinearModel, error) {
+// LinearObjective — the NoPrivacy baseline for linear regression. A non-nil
+// finalize first adds a task's data-independent terms to the objective (a
+// ridge penalty), given the record count. Singular Gram matrices (collinear
+// features) fall back to a minimal ridge so the baseline stays defined on
+// degenerate folds.
+func FitLinear(ds *dataset.Dataset, finalize func(q *poly.Quadratic, n int)) (*LinearModel, error) {
 	if err := checkFitInput(ds); err != nil {
 		return nil, err
 	}
 	q := LinearObjective(ds)
+	if finalize != nil {
+		finalize(q, ds.N())
+	}
 	w, err := MinimizeQuadratic(q)
 	if errors.Is(err, ErrUnboundedObjective) {
 		// XᵀX is PSD by construction, so failure means numerical rank

@@ -46,7 +46,7 @@ func TestLinearObjectiveFigure2Golden(t *testing.T) {
 
 func TestFitLinearFigure2Golden(t *testing.T) {
 	// Paper §4.2: ω* = 117/206.
-	m, err := FitLinear(figure2Dataset())
+	m, err := FitLinear(figure2Dataset(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func syntheticLinear(rng *rand.Rand, n, d int, noiseStd float64) (*dataset.Datas
 func TestFitLinearRecoversNoiselessWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds, truth := syntheticLinear(rng, 200, 4, 0)
-	m, err := FitLinear(ds)
+	m, err := FitLinear(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFitLinearRecoversNoiselessWeights(t *testing.T) {
 func TestFitLinearNoisyCloseToTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds, truth := syntheticLinear(rng, 5000, 3, 0.1)
-	m, err := FitLinear(ds)
+	m, err := FitLinear(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFitLinearCollinearFeatures(t *testing.T) {
 		v := float64(i)/10 - 1
 		ds.Append([]float64{v, v}, 2*v)
 	}
-	m, err := FitLinear(ds)
+	m, err := FitLinear(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFitLinearCollinearFeatures(t *testing.T) {
 }
 
 func TestFitLinearEmptyDataset(t *testing.T) {
-	if _, err := FitLinear(dataset.New(linSchema(1))); err == nil {
+	if _, err := FitLinear(dataset.New(linSchema(1)), nil); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
@@ -135,7 +135,7 @@ func gdProblem(seed int64) *dataset.Dataset {
 func TestFitLinearMatchesGDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := gdProblem(seed)
-		m, err := FitLinear(ds)
+		m, err := FitLinear(ds, nil)
 		if err != nil {
 			return false
 		}
@@ -163,7 +163,7 @@ func TestGradientDescentConvergesOnWellConditionedQuadratic(t *testing.T) {
 	if ds.D() != 4 || ds.N() != 145 {
 		t.Fatalf("test setup: drew d = %d, n = %d, want 4 and 145", ds.D(), ds.N())
 	}
-	m, err := FitLinear(ds)
+	m, err := FitLinear(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFitLinearIsMinimumProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := 1 + rng.Intn(4)
 		ds, _ := syntheticLinear(rng, 50, d, 0.3)
-		m, err := FitLinear(ds)
+		m, err := FitLinear(ds, nil)
 		if err != nil {
 			return false
 		}

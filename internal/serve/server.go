@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -134,10 +135,23 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 	writeJSON(w, status, errorResponse{Error: apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
+// decodeBody decodes the request body — one JSON value, then nothing but
+// whitespace, within maxBodyBytes — into v, refusing unknown fields. On
+// error the response has already been written.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// Decode stops at the end of the first value; a second value or
+		// stray bytes after it would otherwise be dropped unread.
+		if _, terr := dec.Token(); terr == nil {
+			err = errors.New("trailing data after the JSON body")
+		} else if terr != io.EOF {
+			err = fmt.Errorf("after the JSON body: %w", terr)
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "bad request body: %v", err)
 		return false
 	}

@@ -610,3 +610,70 @@ func TestAbandonedQueuedFitIsNotCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJSONBodiesRejectTrailingBytes: every JSON-body route reads exactly one
+// JSON value and then nothing but whitespace. A body with anything after
+// its value is a 400 invalid_request that changes nothing — in particular
+// a fit or refit charges no ε — while the same bodies with only trailing
+// whitespace succeed.
+func TestJSONBodiesRejectTrailingBytes(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	registerRowsDataset(t, ts.URL, "toy", 50)
+	createTenant(t, ts.URL, "acme", 4)
+	createStream(t, ts.URL, streamRequest{Name: "s", Schema: testStreamSchema()})
+	resp := postJSON(t, ts.URL+"/v1/streams/s/ingest", ingestRequest{Rows: rowsJSON(t, syntheticRows(40, 9))})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed ingest: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	st, _ := srv.Streams().Lookup("s")
+	acme, _ := srv.Tenants().Lookup("acme")
+	records, _ := st.Counts()
+
+	routes := []struct{ name, path, body string }{
+		{"tenants", "/v1/tenants", `{"name":"c","budget":1}`},
+		{"streams", "/v1/streams", `{"name":"s2","schema":{"features":[{"name":"x","min":0,"max":1}],"target":{"name":"y","min":0,"max":1}}}`},
+		{"datasets", "/v1/datasets", `{"name":"d2","generate":{"profile":"us","n":100,"seed":1}}`},
+		{"fit", "/v1/fit", `{"tenant":"acme","dataset":"toy","model":"linear","epsilon":0.5}`},
+		{"refit", "/v1/streams/s/refit", `{"tenant":"acme","model":"linear","epsilon":0.5}`},
+		{"ingest", "/v1/streams/s/ingest", `{"rows":[[0.5,0.5,1]]}`},
+	}
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e) // success bodies carry no error code
+		return resp.StatusCode, e.Error.Code
+	}
+	for _, rt := range routes {
+		for _, trailer := range []string{"garbage", ` {"rows":[[1,1,1]]}`, `]`, ` "x"`, "\n0"} {
+			if status, code := post(rt.path, rt.body+trailer); status != http.StatusBadRequest || code != codeInvalidRequest {
+				t.Errorf("%s with trailer %q: %d %q, want 400 %q", rt.name, trailer, status, code, codeInvalidRequest)
+			}
+		}
+	}
+	if _, ok := srv.Tenants().Lookup("c"); ok {
+		t.Error("a tenant body with trailing bytes created the tenant")
+	}
+	if _, ok := srv.Streams().Lookup("s2"); ok {
+		t.Error("a stream body with trailing bytes created the stream")
+	}
+	if _, ok := srv.Registry().Lookup("d2"); ok {
+		t.Error("a dataset body with trailing bytes registered the dataset")
+	}
+	if spent := acme.Session.Spent(); spent != 0 {
+		t.Errorf("fit and refit bodies with trailing bytes charged ε = %v, want 0", spent)
+	}
+	if got, _ := st.Counts(); got != records {
+		t.Errorf("ingest bodies with trailing bytes folded %d records", got-records)
+	}
+	for _, rt := range routes {
+		if status, _ := post(rt.path, rt.body+" \r\n\t"); status != http.StatusOK && status != http.StatusCreated {
+			t.Errorf("%s with trailing whitespace: status %d, want success", rt.name, status)
+		}
+	}
+}

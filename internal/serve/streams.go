@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"log"
 	"net/http"
 
@@ -105,15 +104,6 @@ func (s *Server) handleListStreams(w http.ResponseWriter, _ *http.Request) {
 
 // POST /v1/streams/{name}/ingest
 
-type ingestRequest struct {
-	// Rows are raw records: the feature vector in schema order with the
-	// target appended. Out-of-bounds values clamp to the schema's public
-	// bounds; NaN anywhere rejects the whole batch. Kept raw here and parsed
-	// by the pooled flat decoder (ingestdecode.go), so the hot ingest path
-	// allocates no per-record slices.
-	Rows json.RawMessage `json:"rows"`
-}
-
 type ingestResponse struct {
 	Stream   string `json:"stream"`
 	Accepted int    `json:"accepted"`
@@ -130,28 +120,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	want := len(st.Config().Schema.Features) + 1
 	bufp := ingestBufPool.Get().(*[]float64)
 	defer ingestBufPool.Put(bufp)
+	// The JSON body is {"rows": [...]}: raw records, each the feature vector
+	// in schema order with the target appended. Out-of-bounds values clamp
+	// to the schema's public bounds. Binary negotiation (docs/FORMAT.md)
+	// carries the same rows as the columns of one fmbin frame.
 	var flat []float64
 	if isFmbinRequest(r) {
-		// Binary negotiation (docs/FORMAT.md): the body is one fmbin frame
-		// whose columns are the same feature-vector-plus-target rows the
-		// JSON shape carries.
 		flat, ok = s.decodeFrameBody(w, r, want, (*bufp)[:0])
-		*bufp = flat // keep the grown capacity for the next request
-		if !ok {
-			return
-		}
 	} else {
-		var req ingestRequest
-		if !s.decodeBody(w, r, &req) {
-			return
-		}
-		var err error
-		flat, err = parseFlatRows(req.Rows, want, (*bufp)[:0])
-		*bufp = flat // keep the grown capacity for the next request
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "stream %q: %v", st.Name(), err)
-			return
-		}
+		flat, ok = s.decodeJSONIngestBody(w, r, want, (*bufp)[:0])
+	}
+	*bufp = flat // keep the grown capacity for the next request
+	if !ok {
+		return
 	}
 
 	// The fold is the ingest path's O(batch·d²) CPU cost; it takes one

@@ -8,8 +8,13 @@ import (
 	"testing"
 )
 
-// rowsJSON marshals rows the way clients send them; ingestRequest keeps the
-// field raw for the pooled flat decoder.
+// ingestRequest is the JSON ingest body as clients send it. The server has
+// no such type: it scans the body in one pass (ingestdecode.go).
+type ingestRequest struct {
+	Rows json.RawMessage `json:"rows"`
+}
+
+// rowsJSON marshals rows the way clients send them.
 func rowsJSON(t *testing.T, rows [][]float64) json.RawMessage {
 	t.Helper()
 	b, err := json.Marshal(rows)

@@ -14,13 +14,14 @@ func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskModel,
 
 // LinearRegressionExact fits the non-private least-squares model on the same
 // normalized representation — the NoPrivacy baseline, useful for measuring
-// the privacy cost on your own data.
+// the privacy cost on your own data. With WithRidge it minimizes the same
+// penalized objective LinearRegression perturbs.
 func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, err := exactTask(ds, core.TaskNameLinear, opts)
+	m, norm, task, err := exactTask(ds, core.TaskNameLinear, opts)
 	if err != nil {
 		return nil, err
 	}
-	fit, err := regression.FitLinear(norm)
+	fit, err := regression.FitLinear(norm, task.FinalizeObjective)
 	if err != nil {
 		return nil, err
 	}

@@ -157,21 +157,21 @@ func prepareTask(ds *Dataset, spec core.TaskSpec, cfg config) (*dataset.Dataset,
 }
 
 // exactTask prepares ds for the named task exactly as FitTask does, for the
-// non-private baselines: it returns the normalized training set and a model
-// carrying everything but the weights.
-func exactTask(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, error) {
+// non-private baselines: it returns the normalized training set, the task
+// the options resolve to and a model carrying everything but the weights.
+func exactTask(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, core.Task, error) {
 	r, err := resolve(task, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	norm, nz, err := prepareTask(ds, r.spec, r.cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	return &TaskModel{
 		task: infoFromSpec(r.spec), nz: nz, schema: ds.Schema(),
 		threshold: r.cfg.threshold, intercept: r.cfg.intercept,
-	}, norm, nil
+	}, norm, r.task, nil
 }
 
 // TaskModel is the model every fit releases: the private weights plus the
