@@ -3,7 +3,7 @@ package funcmech
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"funcmech/internal/core"
@@ -34,10 +34,10 @@ type taskFold struct {
 // task family (linear — shared by ridge — logistic, median, …), so every
 // registered task can be refitted over the same ingested records.
 //
-// Records are validated against the schema and clamped to its public bounds
-// exactly as the one-shot fit paths do, so a fit from an accumulator is
-// bit-identical to the corresponding one-shot fit over the same records in
-// the same order (at a fixed seed; see FitTaskFromAccumulator).
+// Records are checked against the schema and go through the record rule the
+// one-shot fit paths use, so a fit from an accumulator is bit-identical to
+// the corresponding one-shot fit over the same records in the same order
+// (at a fixed seed; see FitTaskFromAccumulator).
 //
 // The accumulated coefficients are raw sums over records with no noise
 // added: an Accumulator (and anything serialized from it via Save) is as
@@ -49,45 +49,29 @@ type taskFold struct {
 // use one per goroutine and Merge (see internal/stream for the sharded
 // serving-layer discipline).
 type Accumulator struct {
-	schema    Schema
-	intercept bool
-	threshold *float64
-
-	nz    *dataset.Normalizer // over the augmented schema
-	d     int                 // augmented dimensionality
+	rule  *dataset.Normalizer // the record rule: raw schema, intercept, threshold
 	n     int                 // records folded
 	folds []*taskFold         // registry fold order (sorted by key)
 }
 
 // NewAccumulator returns an empty accumulator for the schema, with one fold
 // per registered task family. Of the fit options only WithIntercept and
-// WithBinarizeThreshold apply — they shape the per-record fold, so they are
+// WithBinarizeThreshold apply — they shape the record rule, so they are
 // fixed for the accumulator's lifetime and must not be passed again at fit
 // time. Without a threshold, boolean-target folds are maintained only while
 // every target is exactly 0 or 1.
 func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
-	if err := s.Validate(); err != nil {
+	cfg := buildConfig(opts)
+	rule, err := dataset.NewRule(*s.Clone(), cfg.intercept, cfg.threshold)
+	if err != nil {
 		return nil, err
 	}
-	cfg := buildConfig(opts)
-	inner := s.internal()
-	if cfg.intercept {
-		inner.Features = append(inner.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
-	}
-	d := inner.D()
 	specs := core.FoldSpecs()
 	folds := make([]*taskFold, 0, len(specs))
 	for _, spec := range specs {
-		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: core.NewAccumulator(spec.Task, d)})
+		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: core.NewAccumulator(spec.Task, rule.D())})
 	}
-	return &Accumulator{
-		schema:    s,
-		intercept: cfg.intercept,
-		threshold: cfg.threshold,
-		nz:        dataset.NewNormalizer(inner),
-		d:         d,
-		folds:     folds,
-	}, nil
+	return &Accumulator{rule: rule, folds: folds}, nil
 }
 
 // fold returns the fold registered under key, or nil.
@@ -101,16 +85,16 @@ func (a *Accumulator) fold(key string) *taskFold {
 }
 
 // Add folds one raw record into every fold's coefficients. Features are
-// clamped to the schema's public bounds and normalized exactly as the
-// one-shot fit paths normalize them; normalized-target folds clamp the
-// target into its domain, boolean-target folds binarize it with the
-// accumulator's threshold when one was configured. NaN values are rejected
-// (they would poison the sums irreversibly); infinities clamp to the domain
-// edge like any other out-of-domain value. The record goes through AddFlat
-// as a batch of one.
+// clamped to the schema's public bounds and normalized by the record rule
+// the one-shot fit paths use; normalized-target folds clamp the target into
+// its domain, boolean-target folds binarize it with the accumulator's
+// threshold when one was configured. NaN values are rejected (they would
+// poison the sums irreversibly); infinities clamp to the domain edge like
+// any other out-of-domain value. The record goes through AddFlat as a batch
+// of one.
 func (a *Accumulator) Add(features []float64, target float64) error {
-	if len(features) != len(a.schema.Features) {
-		return fmt.Errorf("funcmech: record has %d features, schema has %d", len(features), len(a.schema.Features))
+	if len(features) != a.NumFeatures() {
+		return fmt.Errorf("funcmech: record has %d features, schema has %d", len(features), a.NumFeatures())
 	}
 	row := make([]float64, len(features)+1)
 	copy(row, features)
@@ -120,22 +104,21 @@ func (a *Accumulator) Add(features []float64, target float64) error {
 }
 
 // flatScratch is the reusable workspace of one AddFlat call: the normalized
-// flat feature block, the shared normalized-label column, one boolean-label
-// column per boolean fold (with its poisoning cut), and one augmented-row
-// buffer. Pooling it makes batch ingestion allocation-free per record (and,
-// once the pool is warm, per batch).
+// flat feature block, the shared normalized-label column, and one
+// boolean-label column per boolean fold (with its poisoning cut). Pooling it
+// makes batch ingestion allocation-free per record (and, once the pool is
+// warm, per batch).
 type flatScratch struct {
 	xs   []float64
 	yl   []float64
 	yg   []float64 // nb stacked columns of k labels
-	row  []float64
 	cuts []int
 	errs []error
 }
 
 var flatScratchPool = sync.Pool{New: func() any { return new(flatScratch) }}
 
-func (s *flatScratch) ensure(xs, k, nb, row int) {
+func (s *flatScratch) ensure(xs, k, nb int) {
 	if cap(s.xs) < xs {
 		s.xs = make([]float64, xs)
 	}
@@ -148,10 +131,6 @@ func (s *flatScratch) ensure(xs, k, nb, row int) {
 		s.yg = make([]float64, nb*k)
 	}
 	s.yg = s.yg[:nb*k]
-	if cap(s.row) < row {
-		s.row = make([]float64, row)
-	}
-	s.row = s.row[:row]
 	if cap(s.cuts) < nb {
 		s.cuts = make([]int, nb)
 		s.errs = make([]error, nb)
@@ -166,35 +145,28 @@ func (s *flatScratch) ensure(xs, k, nb, row int) {
 // AddFlat folds a batch of records given as flat row-major storage — each
 // record is its feature vector in schema order with the target appended, so
 // the row width is NumFeatures()+1 — and returns how many records were
-// folded. Unlike Add, the batch is all-or-nothing: every record is validated
-// (width by construction, NaN anywhere) before any is folded, so an error
-// leaves the accumulator untouched. Errors number a record by its position
-// in the accumulator: the first record ever added is record 0.
+// folded. Unlike Add, the batch is all-or-nothing: Schema.CheckBatch
+// refuses a ragged batch or a NaN anywhere before any record is folded, so
+// an error leaves the accumulator untouched. Errors number a record by its
+// position in the accumulator: the first record ever added is record 0.
 //
 // The fold is bit-identical to calling Add on each record in order: records
-// are clamped and normalized by the same per-record code, and the batch then
-// flows through the blocked objective kernel, which preserves per-coefficient
-// record order exactly. Scratch space is pooled, so steady-state batch
-// ingestion performs no per-record allocations.
+// go through the same record rule, and the batch then flows through the
+// blocked objective kernel, which preserves per-coefficient record order
+// exactly. Scratch space is pooled, so steady-state batch ingestion performs
+// no per-record allocations.
 //
 //fm:noalloc
 func (a *Accumulator) AddFlat(flat []float64) (int, error) {
-	w := len(a.schema.Features) + 1
-	if len(flat)%w != 0 {
-		return 0, fmt.Errorf("funcmech: flat batch of %d values is not a multiple of %d (features + target)", len(flat), w)
+	raw := a.rule.Schema()
+	k, err := raw.CheckBatch(flat, a.n)
+	if err != nil {
+		return 0, fmt.Errorf("funcmech: %w", err)
 	}
-	k := len(flat) / w
 	if k == 0 {
 		return 0, nil
 	}
-	for i, v := range flat {
-		if math.IsNaN(v) {
-			if c := i % w; c < w-1 {
-				return 0, fmt.Errorf("funcmech: record %d: feature %q is NaN", a.n+i/w, a.schema.Features[c].Name)
-			}
-			return 0, fmt.Errorf("funcmech: record %d: target %q is NaN", a.n+i/w, a.schema.Target.Name)
-		}
-	}
+	w, d := raw.D()+1, a.rule.D()
 
 	nb := 0
 	for _, f := range a.folds {
@@ -204,58 +176,41 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 	}
 	sc := flatScratchPool.Get().(*flatScratch)
 	defer flatScratchPool.Put(sc)
-	sc.ensure(k*a.d, k, nb, a.d)
+	sc.ensure(k*d, k, nb)
 
 	// Resolve boolean labels up front: the fold below is grouped by
-	// objective, and a non-boolean target without a threshold poisons a
-	// boolean fold from that record on (exactly Add's semantics).
+	// objective, and a target the rule cannot label poisons a boolean fold
+	// from that record on (exactly Add's semantics).
 	bi := 0
 	for _, f := range a.folds {
 		if f.rule != core.TargetBoolean {
 			continue
 		}
-		yg := sc.yg[bi*k : (bi+1)*k]
 		cut := 0
 		if f.err == nil {
-			cut = k
-			for i := 0; i < k; i++ {
-				target := flat[(i+1)*w-1]
-				switch {
-				case a.threshold != nil:
-					yg[i] = 0
-					if target > *a.threshold {
-						yg[i] = 1
-					}
-				case target != 0 && target != 1:
-					sc.errs[bi] = fmt.Errorf("funcmech: record %d target %v is not boolean and the accumulator has no binarize threshold; %s refits are unavailable", a.n+i, target, f.key)
-					cut = i
-				default:
-					yg[i] = target
-				}
-				if sc.errs[bi] != nil {
+			for cut < k {
+				y, err := a.rule.Label(f.rule, flat[(cut+1)*w-1])
+				if err != nil {
+					sc.errs[bi] = fmt.Errorf("funcmech: record %d: %v; %s refits are unavailable", a.n+cut, err, f.key)
 					break
 				}
+				sc.yg[bi*k+cut] = y
+				cut++
 			}
 		}
 		sc.cuts[bi] = cut
 		bi++
 	}
 	for i := 0; i < k; i++ {
-		features := flat[i*w : i*w+w-1]
-		if a.intercept {
-			copy(sc.row, features)
-			sc.row[len(features)] = 1
-			features = sc.row
-		}
-		a.nz.NormalizeRowInto(sc.xs[i*a.d:(i+1)*a.d], features)
-		sc.yl[i] = a.nz.NormalizeLabel(flat[(i+1)*w-1])
+		a.rule.NormalizeRowInto(sc.xs[i*d:(i+1)*d], flat[i*w:(i+1)*w-1])
+		sc.yl[i] = a.rule.NormalizeLabel(flat[(i+1)*w-1])
 	}
 
 	bi = 0
 	for _, f := range a.folds {
 		if f.rule == core.TargetBoolean {
 			if cut := sc.cuts[bi]; cut > 0 {
-				f.acc.AddFlat(sc.xs[:cut*a.d], sc.yg[bi*k:bi*k+cut])
+				f.acc.AddFlat(sc.xs[:cut*d], sc.yg[bi*k:bi*k+cut])
 			}
 			if f.err == nil {
 				f.err = sc.errs[bi]
@@ -274,24 +229,20 @@ func (a *Accumulator) Len() int { return a.n }
 
 // NumFeatures returns the raw feature dimensionality (without the intercept
 // column).
-func (a *Accumulator) NumFeatures() int { return len(a.schema.Features) }
+func (a *Accumulator) NumFeatures() int { return a.rule.Schema().D() }
 
 // Schema returns a copy of the accumulator's raw schema.
-func (a *Accumulator) Schema() Schema {
-	s := Schema{Target: a.schema.Target}
-	s.Features = append(s.Features, a.schema.Features...)
-	return s
-}
+func (a *Accumulator) Schema() Schema { return *a.rule.Schema().Clone() }
 
 // Intercept reports whether the accumulator folds an intercept column.
-func (a *Accumulator) Intercept() bool { return a.intercept }
+func (a *Accumulator) Intercept() bool { return a.rule.Intercept() }
 
 // BinarizeThreshold returns the configured binarize threshold, if any.
 func (a *Accumulator) BinarizeThreshold() (float64, bool) {
-	if a.threshold == nil {
-		return 0, false
+	if t := a.rule.Threshold(); t != nil {
+		return *t, true
 	}
-	return *a.threshold, true
+	return 0, false
 }
 
 // Clone returns a deep copy sharing no mutable state with a.
@@ -325,16 +276,16 @@ func (a *Accumulator) Merge(o *Accumulator) error {
 }
 
 func (a *Accumulator) compatible(o *Accumulator) error {
-	if a.intercept != o.intercept {
+	if a.rule.Intercept() != o.rule.Intercept() {
 		return errors.New("funcmech: merging accumulators with different intercept settings")
 	}
-	switch {
-	case (a.threshold == nil) != (o.threshold == nil):
+	switch at, ot := a.rule.Threshold(), o.rule.Threshold(); {
+	case (at == nil) != (ot == nil):
 		return errors.New("funcmech: merging accumulators with different binarize thresholds")
-	case a.threshold != nil && *a.threshold != *o.threshold:
-		return fmt.Errorf("funcmech: merging accumulators with different binarize thresholds (%v vs %v)", *a.threshold, *o.threshold)
+	case at != nil && *at != *ot:
+		return fmt.Errorf("funcmech: merging accumulators with different binarize thresholds (%v vs %v)", *at, *ot)
 	}
-	if !schemasEqual(a.schema, o.schema) {
+	if as, os := a.rule.Schema(), o.rule.Schema(); as.Target != os.Target || !slices.Equal(as.Features, os.Features) {
 		return errors.New("funcmech: merging accumulators with different schemas")
 	}
 	if len(a.folds) != len(o.folds) {
@@ -346,18 +297,6 @@ func (a *Accumulator) compatible(o *Accumulator) error {
 		}
 	}
 	return nil
-}
-
-func schemasEqual(a, b Schema) bool {
-	if a.Target != b.Target || len(a.Features) != len(b.Features) {
-		return false
-	}
-	for i := range a.Features {
-		if a.Features[i] != b.Features[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // resolve is the package-level resolve plus what a release from a adds:

@@ -79,17 +79,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func fit(fs *flag.FlagSet) func(io.Writer) error {
 	var (
-		csvPath   = fs.String("csv", "", "input CSV with a header row (required)")
-		task      = fs.String("task", core.TaskNameLinear, "task name (see funcmech.TaskNames)")
-		epsilon   = fs.Float64("epsilon", 0.8, "privacy budget ε")
-		features  = fs.String("features", "", "feature bounds, comma-separated name:min:max (required)")
-		target    = fs.String("target", "", "target bounds, name:min:max (required)")
-		threshold = fs.Float64("threshold", 0, "binarization threshold for boolean-target tasks (0 = target already boolean)")
+		csvPath  = fs.String("csv", "", "input CSV with a header row (required)")
+		task     = fs.String("task", core.TaskNameLinear, "task name (see funcmech.TaskNames)")
+		epsilon  = fs.Float64("epsilon", 0.8, "privacy budget ε")
+		features = fs.String("features", "", "feature bounds, comma-separated name:min:max (required)")
+		target   = fs.String("target", "", "target bounds, name:min:max (required)")
 		//fmlint:ignore taskreg names the CLI flag, not a task
 		ridge = fs.Float64("ridge", 0, "ridge penalty weight, for tasks that take one")
 		seed  = fs.Int64("seed", 0, "noise seed (0 = random)")
 		exact = fs.Bool("exact", false, "also fit the non-private least-squares baseline, with the same -ridge, for comparison")
+
+		threshold *float64 // nil until -threshold is given, so 0 is a threshold like any other
 	)
+	fs.Func("threshold", "binarization threshold for boolean-target tasks (unset = target already boolean)", func(v string) error {
+		t, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return err
+		}
+		threshold = &t
+		return nil
+	})
 	return func(w io.Writer) error {
 		if *csvPath == "" || *features == "" || *target == "" {
 			return errUsage
@@ -113,7 +122,7 @@ func fit(fs *flag.FlagSet) func(io.Writer) error {
 		if *seed != 0 {
 			opts = append(opts, funcmech.WithSeed(*seed))
 		}
-		if *threshold != 0 {
+		if threshold != nil {
 			opts = append(opts, funcmech.WithBinarizeThreshold(*threshold))
 		}
 		if *ridge != 0 {

@@ -175,3 +175,32 @@ func TestRunFitExactBaselineTakesRidge(t *testing.T) {
 		t.Fatalf("fit output lacks the ridge baseline %q:\n%s", ridged, stdout)
 	}
 }
+
+// TestRunFitThresholdZero: an explicit `-threshold 0` binarizes a [−1, 1]
+// target at 0 instead of being taken for "no threshold".
+func TestRunFitThresholdZero(t *testing.T) {
+	csv := "x1,x2,y\n"
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 400; i++ {
+		x1, x2 := rng.Float64(), rng.Float64()
+		csv += fmt.Sprintf("%v,%v,%v\n", x1, x2, x1-x2+0.2*rng.NormFloat64())
+	}
+	path := filepath.Join(t.TempDir(), "signed.csv")
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"fit", "-csv", path, "-features", "x1:0:1,x2:0:1", "-target", "y:-1:1", "-task", "logistic", "-seed", "1"}
+	if code, _, _ := fmrun(args...); code != 1 {
+		t.Fatalf("fit of a [−1, 1] target with no threshold = %d, want 1", code)
+	}
+	code, stdout, stderr := fmrun(append(args, "-threshold", "0")...)
+	if code != 0 {
+		t.Fatalf("fit -threshold 0 = %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "training misclassification rate") {
+		t.Fatalf("fit -threshold 0 printed no misclassification rate:\n%s", stdout)
+	}
+	if code, _, _ := fmrun(append(args, "-threshold", "zero")...); code != 2 {
+		t.Fatalf("fit -threshold zero = %d, want the usage status 2", code)
+	}
+}

@@ -9,32 +9,15 @@ import (
 
 // Attribute describes one column of a dataset together with its public
 // domain bounds. The bounds drive normalization and must be domain
-// knowledge, not statistics of the sensitive data.
-type Attribute struct {
-	Name string
-	Min  float64
-	Max  float64
-}
+// knowledge, not statistics of the sensitive data. Width returns Max − Min.
+type Attribute = dataset.Attribute
 
 // Schema is a dataset layout: feature attributes plus the regression target.
-type Schema struct {
-	Features []Attribute
-	Target   Attribute
-}
-
-func (s Schema) internal() *dataset.Schema {
-	out := &dataset.Schema{
-		Target: dataset.Attribute{Name: s.Target.Name, Min: s.Target.Min, Max: s.Target.Max},
-	}
-	for _, a := range s.Features {
-		out.Features = append(out.Features, dataset.Attribute{Name: a.Name, Min: a.Min, Max: a.Max})
-	}
-	return out
-}
-
-// Validate reports whether the schema is usable (non-empty domains, unique
-// names).
-func (s Schema) Validate() error { return s.internal().Validate() }
+// Validate reports whether it is usable (non-empty domains, unique names);
+// CheckBatch is the raw-batch check every ingestion entry point applies.
+// The library copies a Schema (Clone) wherever it keeps one, so a caller's
+// later edits never reach a dataset, an accumulator or a model.
+type Schema = dataset.Schema
 
 // Dataset is an in-memory training table in raw (un-normalized) units.
 type Dataset struct {
@@ -44,7 +27,7 @@ type Dataset struct {
 // NewDataset returns an empty dataset with the given schema. It panics on an
 // invalid schema (programming error); use Schema.Validate to check first.
 func NewDataset(s Schema) *Dataset {
-	return &Dataset{inner: dataset.New(s.internal())}
+	return &Dataset{inner: dataset.New(s.Clone())}
 }
 
 // Append adds one record: a feature vector in schema order plus the target
@@ -70,14 +53,7 @@ func (d *Dataset) Len() int { return d.inner.N() }
 func (d *Dataset) NumFeatures() int { return d.inner.D() }
 
 // Schema returns a copy of the dataset's schema.
-func (d *Dataset) Schema() Schema {
-	in := d.inner.Schema
-	s := Schema{Target: Attribute{Name: in.Target.Name, Min: in.Target.Min, Max: in.Target.Max}}
-	for _, a := range in.Features {
-		s.Features = append(s.Features, Attribute{Name: a.Name, Min: a.Min, Max: a.Max})
-	}
-	return s
-}
+func (d *Dataset) Schema() Schema { return *d.inner.Schema.Clone() }
 
 // Record returns the i-th feature vector (a copy) and target value.
 func (d *Dataset) Record(i int) ([]float64, float64) {
@@ -93,38 +69,12 @@ func (d *Dataset) Record(i int) ([]float64, float64) {
 func (d *Dataset) WriteCSV(w io.Writer) error { return dataset.WriteCSV(w, d.inner) }
 
 // ReadDatasetCSV parses a dataset written by WriteCSV; the header must match
-// the schema's column names in order.
+// the schema's column names in order. A cell that does not parse, or parses
+// to NaN, is refused with its line and column.
 func ReadDatasetCSV(r io.Reader, s Schema) (*Dataset, error) {
-	inner, err := dataset.ReadCSV(r, s.internal())
+	inner, err := dataset.ReadCSV(r, s.Clone())
 	if err != nil {
 		return nil, err
 	}
 	return &Dataset{inner: inner}, nil
-}
-
-// interceptName is the synthetic column WithIntercept appends.
-const interceptName = "(intercept)"
-
-// withInterceptColumn returns a copy of inner with an always-one feature
-// appended. The new column's public domain is [0,1], so after normalization
-// it contributes the constant 1/√(d+1) — the bias basis function — while
-// keeping every row inside the unit sphere.
-func withInterceptColumn(inner *dataset.Dataset) *dataset.Dataset {
-	s := inner.Schema.Clone()
-	s.Features = append(s.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
-	out := dataset.NewWithCapacity(s, inner.N())
-	for i := 0; i < inner.N(); i++ {
-		row := out.AppendAlloc(inner.Label(i))
-		copy(row, inner.Row(i))
-		row[inner.D()] = 1
-	}
-	return out
-}
-
-// augmentRow appends the intercept's raw value to a feature vector.
-func augmentRow(features []float64) []float64 {
-	out := make([]float64, len(features)+1)
-	copy(out, features)
-	out[len(features)] = 1
-	return out
 }

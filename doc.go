@@ -32,6 +32,18 @@
 // the normalization the privacy analysis requires); they must not be
 // computed from the sensitive data itself.
 //
+// # Records
+//
+// One record rule turns a raw record into a training record: the
+// WithIntercept column, features clamped to the public bounds and scaled
+// into the unit sphere, and the label under the task's target rule (with
+// WithBinarizeThreshold for a boolean target). FitTask's one training
+// copy, every Accumulator fold and every TaskModel evaluation apply it.
+// Schema.CheckBatch refuses a ragged or NaN raw batch at Accumulator.AddFlat
+// and the serving layer's ingest and dataset registration, and a fit
+// refuses by record a NaN it meets. Schema and Attribute are aliases of the
+// internal dataset package's types: one schema type serves every layer.
+//
 // # Performance
 //
 // A fit's dominant cost on large datasets is accumulating the objective's

@@ -17,14 +17,9 @@ func main() {
 	raw := census.GenerateN(profile, 50_000, 1)
 
 	// Re-pack the internal dataset through the public API, as a user with
-	// their own records would.
-	var schema funcmech.Schema
-	for _, a := range raw.Schema.Features {
-		schema.Features = append(schema.Features, funcmech.Attribute{Name: a.Name, Min: a.Min, Max: a.Max})
-	}
-	schema.Target = funcmech.Attribute{
-		Name: raw.Schema.Target.Name, Min: raw.Schema.Target.Min, Max: raw.Schema.Target.Max,
-	}
+	// their own records would. The census schema is a funcmech.Schema: the
+	// library has one schema type.
+	schema := *raw.Schema
 	train := funcmech.NewDataset(schema)
 	test := funcmech.NewDataset(schema)
 	for i := 0; i < raw.N(); i++ {

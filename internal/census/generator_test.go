@@ -217,7 +217,7 @@ func TestNormalizationPipelineOnCensus(t *testing.T) {
 	ds := GenerateN(US(), 1000, 17)
 	nz := dataset.NewNormalizer(ds.Schema)
 	norm := nz.NormalizeForLinear(ds)
-	if got := dataset.MaxRowNorm(norm); got > 1+1e-9 {
+	if got, _ := dataset.MaxRowNorm(norm); got > 1+1e-9 {
 		t.Fatalf("normalized census exceeds unit sphere: %v", got)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"funcmech/internal/dataset"
 )
 
 // Canonical task names. Every task-name string literal in the module lives
@@ -16,29 +18,16 @@ const (
 )
 
 // TargetRule says how a task derives its per-record training label from the
-// raw target value — the property the ingestion layers need so they can fold
-// records for a task they know nothing else about.
-type TargetRule int
+// raw target value. The rule itself — and the record rule that applies it —
+// lives with the normalization in internal/dataset; the task table names a
+// rule per row.
+type TargetRule = dataset.TargetRule
 
+// The target rules, re-exported from internal/dataset.
 const (
-	// TargetNormalized: the raw target is clamped to the schema's public
-	// bounds and affinely mapped into [−1, 1] (the §4.2 precondition).
-	TargetNormalized TargetRule = iota
-	// TargetBoolean: the raw target must be exactly 0 or 1, or a binarize
-	// threshold must be configured to derive the label (§5's setting).
-	TargetBoolean
+	TargetNormalized = dataset.TargetNormalized
+	TargetBoolean    = dataset.TargetBoolean
 )
-
-// String returns the rule's documentation name.
-func (r TargetRule) String() string {
-	switch r {
-	case TargetNormalized:
-		return "normalized [−1,1]"
-	case TargetBoolean:
-		return "boolean {0,1}"
-	}
-	return fmt.Sprintf("TargetRule(%d)", int(r))
-}
 
 // TaskParams carries the per-fit parameters a task instantiation may accept.
 type TaskParams struct {

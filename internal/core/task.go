@@ -132,24 +132,21 @@ func (LogisticTask) Validate(ds *dataset.Dataset) error {
 
 // validateRows checks the geometric preconditions every task's Δ rests on:
 // a non-empty dataset, ‖xᵢ‖₂ ≤ 1, and labels that follow the task's target
-// rule — yᵢ ∈ [−1, 1] when normalized, yᵢ ∈ {0, 1} when boolean.
+// rule — yᵢ ∈ [−1, 1] when normalized, yᵢ ∈ {0, 1} when boolean. Every test
+// is written so that NaN fails it, and the error names the record.
 func validateRows(ds *dataset.Dataset, task string, rule TargetRule) error {
 	if ds == nil || ds.N() == 0 {
 		return fmt.Errorf("core: empty dataset")
 	}
-	if n := dataset.MaxRowNorm(ds); n > 1+normTolerance {
-		return fmt.Errorf("core: feature vectors exceed the unit sphere (max ‖x‖₂ = %v); normalize first", n)
-	}
-	if rule == TargetBoolean {
-		for i := 0; i < ds.N(); i++ {
-			if y := ds.Label(i); y != 0 && y != 1 {
-				return fmt.Errorf("core: %s target must be boolean, record %d has %v", task, i, y)
-			}
-		}
-		return nil
+	if n, i := dataset.MaxRowNorm(ds); !(n <= 1+normTolerance) {
+		return fmt.Errorf("core: record %d: feature vector outside the unit sphere (‖x‖₂ = %v); normalize first", i, n)
 	}
 	for i := 0; i < ds.N(); i++ {
-		if y := ds.Label(i); y < -1-normTolerance || y > 1+normTolerance {
+		y := ds.Label(i)
+		switch {
+		case rule == TargetBoolean && y != 0 && y != 1:
+			return fmt.Errorf("core: %s target must be boolean, record %d has %v", task, i, y)
+		case rule != TargetBoolean && !(y >= -1-normTolerance && y <= 1+normTolerance):
 			return fmt.Errorf("core: %s target must lie in [−1,1], record %d has %v", task, i, y)
 		}
 	}

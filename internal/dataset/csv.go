@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -36,7 +38,9 @@ func WriteCSV(w io.Writer, ds *Dataset) error {
 
 // ReadCSV parses a dataset written by WriteCSV. The header must contain
 // every schema feature followed by the target, in schema order; this keeps
-// file and schema honest about which columns mean what.
+// file and schema honest about which columns mean what. A cell that does
+// not parse as a number, or parses as NaN, is refused with its line and
+// column.
 func ReadCSV(r io.Reader, s *Schema) (*Dataset, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -56,6 +60,7 @@ func ReadCSV(r io.Reader, s *Schema) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: CSV target column is %q, schema expects %q", header[s.D()], s.Target.Name)
 	}
 	ds := New(s)
+	row := make([]float64, s.D()+1)
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -64,17 +69,15 @@ func ReadCSV(r io.Reader, s *Schema) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading CSV line %d: %w", line, err)
 		}
-		row := make([]float64, s.D())
 		for j := range row {
 			row[j], err = strconv.ParseFloat(rec[j], 64)
+			if err == nil && math.IsNaN(row[j]) {
+				err = errors.New("NaN is not a value")
+			}
 			if err != nil {
-				return nil, fmt.Errorf("dataset: CSV line %d column %q: %w", line, s.Features[j].Name, err)
+				return nil, fmt.Errorf("dataset: CSV line %d column %q: %w", line, header[j], err)
 			}
 		}
-		y, err := strconv.ParseFloat(rec[s.D()], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: CSV line %d target: %w", line, err)
-		}
-		ds.Append(row, y)
+		ds.Append(row[:s.D()], row[s.D()])
 	}
 }

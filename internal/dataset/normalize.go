@@ -5,59 +5,141 @@ import (
 	"math"
 )
 
-// Normalizer rescales records into the geometry the paper's sensitivity
-// analysis assumes (§3, footnote 1):
+// TargetRule says how a task derives its per-record training label from the
+// raw target value — the property the ingestion layers need so they can fold
+// records for a task they know nothing else about.
+type TargetRule int
+
+const (
+	// TargetNormalized: the raw target is clamped to the schema's public
+	// bounds and affinely mapped into [−1, 1] (the §4.2 precondition).
+	TargetNormalized TargetRule = iota
+	// TargetBoolean: the raw target must be exactly 0 or 1, or a binarize
+	// threshold must be configured to derive the label (§5's setting).
+	TargetBoolean
+)
+
+// String returns the rule's documentation name.
+func (r TargetRule) String() string {
+	switch r {
+	case TargetNormalized:
+		return "normalized [−1,1]"
+	case TargetBoolean:
+		return "boolean {0,1}"
+	}
+	return fmt.Sprintf("TargetRule(%d)", int(r))
+}
+
+// Normalizer is the record rule: the one place a raw record becomes a
+// training record, so every fit, fold and evaluation sees the geometry the
+// paper's sensitivity analysis assumes (§3, footnote 1). It appends the
+// intercept column when configured — an always-one "(intercept)" feature
+// with public domain [0, 1], so normalized it is the constant 1/√D, the
+// bias basis function — then rescales each feature by the schema's public
+// bounds,
 //
-//	x_ij → (x_ij − α_j) / ((β_j − α_j)·√d)
+//	x_ij → (x_ij − α_j) / ((β_j − α_j)·√D)
 //
-// which places every feature vector inside the d-dimensional unit sphere
-// (each coordinate lands in [0, 1/√d]), and, for linear regression,
+// with D the training dimensionality (d, or d+1 with the intercept), which
+// places every feature vector inside the D-dimensional unit sphere (each
+// coordinate lands in [0, 1/√D]). The label follows the task's TargetRule:
+// a normalized target maps as
 //
-//	y → 2·(y − α_y)/(β_y − α_y) − 1 ∈ [−1, 1].
+//	y → 2·(y − α_y)/(β_y − α_y) − 1 ∈ [−1, 1],
+//
+// a boolean target is (y > t) under a binarize threshold t and must be
+// exactly 0 or 1 without one.
 //
 // The α/β bounds come from the schema — public domain knowledge — so
-// applying the normalizer consumes no privacy budget. Out-of-domain values
-// are clamped, a per-record operation that cannot reveal anything about
-// other records.
+// applying the rule consumes no privacy budget. Out-of-domain values,
+// infinities included, are clamped, a per-record operation that cannot
+// reveal anything about other records. The rule does not scan for NaN:
+// Schema.CheckBatch refuses it at ingestion, and a NaN that reaches a
+// training copy fails the task's Validate pass.
 type Normalizer struct {
-	schema *Schema
-	sqrtD  float64
+	schema    Schema // the raw schema: the caller's public bounds
+	threshold *float64
+	d         int // training dimensionality D: schema.D(), plus the intercept column
+	sqrtD     float64
 }
 
-// NewNormalizer builds a normalizer for the given schema.
+// NewNormalizer returns the plain record rule over s: no intercept column
+// and no binarize threshold. It panics on an invalid schema.
 func NewNormalizer(s *Schema) *Normalizer {
-	if err := s.Validate(); err != nil {
+	nz, err := NewRule(*s, false, nil)
+	if err != nil {
 		panic(err)
 	}
-	return &Normalizer{schema: s, sqrtD: math.Sqrt(float64(s.D()))}
+	return nz
 }
 
+// NewRule returns the record rule over the raw schema s: with intercept an
+// always-one column is appended to every feature vector, and with a
+// non-nil threshold boolean-target labels are derived as (y > *threshold).
+func NewRule(s Schema, intercept bool, threshold *float64) (*Normalizer, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	d := s.D()
+	if intercept {
+		d++
+	}
+	return &Normalizer{schema: s, threshold: threshold, d: d, sqrtD: math.Sqrt(float64(d))}, nil
+}
+
+// Schema returns the raw schema the rule was built over (shared, not
+// copied).
+//
+//fm:noalloc
+func (nz *Normalizer) Schema() Schema { return nz.schema }
+
+// Intercept reports whether the rule appends the intercept column.
+func (nz *Normalizer) Intercept() bool { return nz.d > nz.schema.D() }
+
+// Threshold returns the binarize threshold, or nil.
+func (nz *Normalizer) Threshold() *float64 { return nz.threshold }
+
+// D returns the training dimensionality: the raw feature count, plus one
+// with the intercept column.
+//
+//fm:noalloc
+func (nz *Normalizer) D() int { return nz.d }
+
 // NormalizeRow maps a raw feature vector into the unit sphere. The result is
-// a new slice.
+// a new slice of length D().
 func (nz *Normalizer) NormalizeRow(x []float64) []float64 {
-	out := make([]float64, len(x))
+	out := make([]float64, nz.d)
 	nz.NormalizeRowInto(out, x)
 	return out
 }
 
 // NormalizeRowInto is NormalizeRow writing into dst (len D()) instead of
-// allocating — the per-record primitive of the flat ingest and fit-prep
-// paths, which normalize whole batches into pooled or pre-sized flat storage.
-// dst and x may alias.
+// allocating — the per-record primitive of the flat ingest, fit and
+// evaluation paths, which normalize into pooled, pre-sized or reused
+// storage. dst may alias x.
+//
+//fm:noalloc
 func (nz *Normalizer) NormalizeRowInto(dst, x []float64) {
-	if len(x) != nz.schema.D() {
-		panic(fmt.Sprintf("dataset: NormalizeRow with %d features, schema has %d", len(x), nz.schema.D()))
+	features := nz.schema.Features
+	if len(x) != len(features) {
+		panic(fmt.Sprintf("dataset: NormalizeRow with %d features, schema has %d", len(x), len(features)))
 	}
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("dataset: NormalizeRowInto dst has %d entries, want %d", len(dst), len(x)))
+	if len(dst) != nz.d {
+		panic(fmt.Sprintf("dataset: NormalizeRowInto dst has %d entries, want %d", len(dst), nz.d))
 	}
-	for j, a := range nz.schema.Features {
+	row := dst[:len(x)] // one bounds check here keeps the loop free of them
+	for j, a := range features {
 		v := clamp(x[j], a.Min, a.Max)
-		dst[j] = (v - a.Min) / (a.Width() * nz.sqrtD)
+		row[j] = (v - a.Min) / (a.Width() * nz.sqrtD)
+	}
+	if nz.d > len(x) {
+		dst[len(x)] = 1 / nz.sqrtD // the intercept: always one, over its [0, 1] domain
 	}
 }
 
 // NormalizeLabel maps a raw target value into [−1, 1].
+//
+//fm:noalloc
 func (nz *Normalizer) NormalizeLabel(y float64) float64 {
 	a := nz.schema.Target
 	v := clamp(y, a.Min, a.Max)
@@ -70,38 +152,74 @@ func (nz *Normalizer) DenormalizeLabel(y float64) float64 {
 	return a.Min + (y+1)/2*a.Width()
 }
 
-// NormalizeForLinear returns a copy of ds with features in the unit sphere
-// and the target mapped into [−1, 1] — the precondition of Definition 1.
-// The returned dataset's schema carries the normalized domains.
-func (nz *Normalizer) NormalizeForLinear(ds *Dataset) *Dataset {
-	out := NewWithCapacity(nz.normalizedSchema(Attribute{Name: ds.Schema.Target.Name, Min: -1, Max: 1}), ds.N())
-	for i := 0; i < ds.N(); i++ {
-		nz.NormalizeRowInto(out.AppendAlloc(nz.NormalizeLabel(ds.Label(i))), ds.Row(i))
+// Label derives the training label of raw target y under rule. A boolean
+// label refuses NaN before it binarizes — (NaN > t) is false, so a
+// threshold alone would quietly make it 0 — and, without a threshold,
+// anything but 0 or 1. The error carries no record number or package
+// prefix; callers add their own.
+//
+//fm:noalloc
+func (nz *Normalizer) Label(rule TargetRule, y float64) (float64, error) {
+	switch {
+	case rule == TargetNormalized:
+		return nz.NormalizeLabel(y), nil
+	case math.IsNaN(y):
+		return 0, fmt.Errorf("target %q is NaN", nz.schema.Target.Name)
+	case nz.threshold != nil:
+		if y > *nz.threshold {
+			return 1, nil
+		}
+		return 0, nil
+	case y == 0 || y == 1:
+		return y, nil
 	}
-	return out
+	return 0, fmt.Errorf("target %v is not boolean and no binarize threshold is set", y)
 }
 
-// NormalizeForLogistic returns a copy of ds with features in the unit sphere
-// and the target passed through unchanged; the target must already be
-// boolean {0, 1} (Definition 2) — use Dataset.BinarizeTarget first.
-func (nz *Normalizer) NormalizeForLogistic(ds *Dataset) (*Dataset, error) {
-	out := NewWithCapacity(nz.normalizedSchema(Attribute{Name: ds.Schema.Target.Name, Min: 0, Max: 1}), ds.N())
+// Normalize returns the training copy of ds under the rule for a task with
+// the given target rule: one pass, one n×D allocation. The returned
+// dataset's schema carries the normalized domains. It fails, naming the
+// record, when a label cannot be derived (see Label).
+func (nz *Normalizer) Normalize(ds *Dataset, rule TargetRule) (*Dataset, error) {
+	target := Attribute{Name: nz.schema.Target.Name, Min: -1, Max: 1}
+	if rule == TargetBoolean {
+		target.Min = 0
+	}
+	s := &Schema{Target: target, Features: make([]Attribute, 0, nz.d)}
+	for _, a := range nz.schema.Features {
+		s.Features = append(s.Features, Attribute{Name: a.Name, Min: 0, Max: 1 / nz.sqrtD})
+	}
+	if nz.Intercept() {
+		s.Features = append(s.Features, Attribute{Name: "(intercept)", Min: 0, Max: 1 / nz.sqrtD})
+	}
+	out := NewWithCapacity(s, ds.N())
+	var err error
 	for i := 0; i < ds.N(); i++ {
 		y := ds.Label(i)
-		if y != 0 && y != 1 {
-			return nil, fmt.Errorf("dataset: logistic target must be boolean, record %d has y=%v", i, y)
+		if rule == TargetNormalized {
+			y = nz.NormalizeLabel(y) // Label's first case, inlined into the fit's one pass
+		} else if y, err = nz.Label(rule, y); err != nil {
+			return nil, fmt.Errorf("dataset: record %d: %w", i, err)
 		}
 		nz.NormalizeRowInto(out.AppendAlloc(y), ds.Row(i))
 	}
 	return out, nil
 }
 
-func (nz *Normalizer) normalizedSchema(target Attribute) *Schema {
-	s := &Schema{Target: target}
-	for _, a := range nz.schema.Features {
-		s.Features = append(s.Features, Attribute{Name: a.Name, Min: 0, Max: 1 / nz.sqrtD})
-	}
-	return s
+// NormalizeForLinear returns a copy of ds with features in the unit sphere
+// and the target mapped into [−1, 1] — the precondition of Definition 1:
+// Normalize under TargetNormalized.
+func (nz *Normalizer) NormalizeForLinear(ds *Dataset) *Dataset {
+	out, _ := nz.Normalize(ds, TargetNormalized) // a normalized label never fails
+	return out
+}
+
+// NormalizeForLogistic returns a copy of ds with features in the unit sphere
+// and the boolean target of Definition 2: Normalize under TargetBoolean.
+// Without a threshold on the rule the target must already be 0 or 1 — use
+// Dataset.BinarizeTarget first.
+func (nz *Normalizer) NormalizeForLogistic(ds *Dataset) (*Dataset, error) {
+	return nz.Normalize(ds, TargetBoolean)
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -115,18 +233,23 @@ func clamp(v, lo, hi float64) float64 {
 }
 
 // MaxRowNorm returns the largest Euclidean feature-vector norm in ds — the
-// quantity the paper requires to be ≤ 1. Exposed so callers (and tests) can
-// assert the invariant after normalization.
-func MaxRowNorm(ds *Dataset) float64 {
+// quantity the paper requires to be ≤ 1 — and the first record holding it.
+// A row holding NaN has norm NaN and is returned at once, so a bound test
+// written !(norm ≤ limit) refuses it. An empty dataset gives (0, −1).
+func MaxRowNorm(ds *Dataset) (float64, int) {
 	var m float64
+	at := -1
 	for i := 0; i < ds.N(); i++ {
 		var s float64
 		for _, v := range ds.Row(i) {
 			s += v * v
 		}
-		if s > m {
-			m = s
+		if math.IsNaN(s) {
+			return s, i
+		}
+		if at < 0 || s > m {
+			m, at = s, i
 		}
 	}
-	return math.Sqrt(m)
+	return math.Sqrt(m), at
 }

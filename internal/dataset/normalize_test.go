@@ -51,7 +51,7 @@ func TestNormalizeForLinearInvariants(t *testing.T) {
 	ds := smallDataset(t)
 	nz := NewNormalizer(ds.Schema)
 	norm := nz.NormalizeForLinear(ds)
-	if got := MaxRowNorm(norm); got > 1+1e-12 {
+	if got, _ := MaxRowNorm(norm); got > 1+1e-12 {
 		t.Fatalf("max row norm %v > 1", got)
 	}
 	for i := 0; i < norm.N(); i++ {
@@ -72,7 +72,7 @@ func TestNormalizeForLogisticRejectsNonBoolean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MaxRowNorm(norm); got > 1+1e-12 {
+	if got, _ := MaxRowNorm(norm); got > 1+1e-12 {
 		t.Fatalf("max row norm %v > 1", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestNormalizationInvariantProperty(t *testing.T) {
 			ds.Append(row, s.Target.Min+rng.Float64()*s.Target.Width())
 		}
 		norm := NewNormalizer(s).NormalizeForLinear(ds)
-		if MaxRowNorm(norm) > 1+1e-9 {
+		if got, _ := MaxRowNorm(norm); got > 1+1e-9 {
 			return false
 		}
 		for i := 0; i < norm.N(); i++ {
@@ -135,7 +135,7 @@ func TestNormalizationMonotoneProperty(t *testing.T) {
 
 func TestMaxRowNormEmpty(t *testing.T) {
 	ds := New(testSchema())
-	if got := MaxRowNorm(ds); got != 0 {
+	if got, _ := MaxRowNorm(ds); got != 0 {
 		t.Fatalf("MaxRowNorm(empty) = %v", got)
 	}
 }

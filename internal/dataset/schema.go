@@ -1,9 +1,11 @@
 // Package dataset provides the tabular-data substrate for the functional
-// mechanism: attribute schemas with public domain bounds, the normalization
-// the paper's sensitivity analysis requires (every feature vector inside the
-// d-dimensional unit sphere, the target in [−1,1] or {0,1}), CSV
-// serialization, subset sampling, dimensionality projection, and k-fold
-// cross-validation splits.
+// mechanism: attribute schemas with public domain bounds, the record rule
+// that turns a raw record into a training record (normalization into the
+// geometry the paper's sensitivity analysis requires — every feature vector
+// inside the d-dimensional unit sphere, the target in [−1,1] or {0,1} — plus
+// the optional intercept column and binarize threshold), CSV serialization,
+// subset sampling, dimensionality projection, and k-fold cross-validation
+// splits.
 //
 // Normalization uses the *schema's* domain bounds, never data-derived
 // minima/maxima: the bounds are public knowledge (paper §3, footnote 1), so
@@ -13,6 +15,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 )
 
 // Attribute describes one column: its name and the public [Min, Max] domain
@@ -46,10 +49,10 @@ type Schema struct {
 }
 
 // D returns the number of feature attributes d.
-func (s *Schema) D() int { return len(s.Features) }
+func (s Schema) D() int { return len(s.Features) }
 
 // Validate checks every attribute and uniqueness of names.
-func (s *Schema) Validate() error {
+func (s Schema) Validate() error {
 	if len(s.Features) == 0 {
 		return fmt.Errorf("dataset: schema has no features")
 	}
@@ -72,8 +75,35 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
+// CheckBatch is the one check of a raw batch: flat row-major records, each
+// its feature vector in schema order with the target appended, so the row
+// width is D()+1. It refuses a ragged batch and a NaN anywhere — NaN would
+// poison coefficient sums irreversibly and slips through every range test —
+// and returns the number of records. Infinities pass: the record rule clamps
+// them to the domain edge like any out-of-domain value. Errors name a record
+// as first plus its index in the batch and carry no package prefix; callers
+// add their own context.
+//
+//fm:noalloc
+func (s Schema) CheckBatch(flat []float64, first int) (int, error) {
+	w := len(s.Features) + 1
+	if len(flat)%w != 0 {
+		return 0, fmt.Errorf("batch of %d values is not a multiple of %d (features + target)", len(flat), w)
+	}
+	for i, v := range flat {
+		if !math.IsNaN(v) {
+			continue
+		}
+		if c := i % w; c < w-1 {
+			return 0, fmt.Errorf("record %d: feature %q is NaN", first+i/w, s.Features[c].Name)
+		}
+		return 0, fmt.Errorf("record %d: target %q is NaN", first+i/w, s.Target.Name)
+	}
+	return len(flat) / w, nil
+}
+
 // FeatureIndex returns the position of the named feature, or −1.
-func (s *Schema) FeatureIndex(name string) int {
+func (s Schema) FeatureIndex(name string) int {
 	for i, a := range s.Features {
 		if a.Name == name {
 			return i
@@ -84,7 +114,7 @@ func (s *Schema) FeatureIndex(name string) int {
 
 // Project returns a new schema restricted to the named features (in the
 // given order), keeping the same target. Unknown names are an error.
-func (s *Schema) Project(names []string) (*Schema, error) {
+func (s Schema) Project(names []string) (*Schema, error) {
 	out := &Schema{Target: s.Target}
 	for _, n := range names {
 		i := s.FeatureIndex(n)
@@ -97,7 +127,7 @@ func (s *Schema) Project(names []string) (*Schema, error) {
 }
 
 // Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
+func (s Schema) Clone() *Schema {
 	out := &Schema{Target: s.Target}
 	out.Features = append([]Attribute(nil), s.Features...)
 	return out

@@ -120,9 +120,6 @@ func CloneVec(v []float64) []float64 {
 	return out
 }
 
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // EqualApprox reports whether a and b have the same length and agree
 // entrywise within tol.
 func EqualApprox(a, b []float64, tol float64) bool {

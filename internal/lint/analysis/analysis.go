@@ -58,23 +58,14 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
 
-	byPath map[string]*Package
-
 	mu    sync.Mutex
 	cache map[string]any
 }
 
-// NewProgram assembles a Program and its path index.
+// NewProgram assembles a Program.
 func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	return &Program{Fset: fset, Packages: pkgs, byPath: byPath, cache: map[string]any{}}
+	return &Program{Fset: fset, Packages: pkgs, cache: map[string]any{}}
 }
-
-// ByPath returns the loaded package with the given import path, or nil.
-func (p *Program) ByPath(path string) *Package { return p.byPath[path] }
 
 // Cached memoizes a program-wide computation (e.g. the call graph) under
 // key. The lock is dropped while build runs so one cached computation may

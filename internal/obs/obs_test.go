@@ -101,6 +101,29 @@ func TestRecorderRingBounds(t *testing.T) {
 	}
 }
 
+// TestRecordedTraceIsSealed: the ring keeps the trace itself and renders
+// it on read, so recording seals it — a span left open, ended late or
+// started late changes nothing the ring shows.
+func TestRecordedTraceIsSealed(t *testing.T) {
+	r := NewRecorder(2, nil)
+	tr := NewTrace("sealed")
+	tr.StartSpan(SpanHandler).End()
+	open := tr.StartSpan(SpanKernel)
+	r.Record(tr)
+	first := r.Snapshot()
+	time.Sleep(2 * time.Millisecond)
+	open.End(Str("late", "yes"))
+	tr.StartSpan(SpanNoise).End()
+	second := r.Snapshot()
+	if len(first) != 1 || len(second) != 1 {
+		t.Fatalf("snapshots hold %d and %d traces, want 1", len(first), len(second))
+	}
+	a, b := first[0], second[0]
+	if len(b.Spans) != 2 || a.DurationMS != b.DurationMS || a.Spans[1].DurationMS != b.Spans[1].DurationMS || b.Spans[1].Attrs != nil {
+		t.Fatalf("the recorded trace changed after Record:\nfirst  %+v\nsecond %+v", a, b)
+	}
+}
+
 func TestCounterAndVecExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("fm_test_total", "Test counter.")

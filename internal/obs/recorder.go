@@ -11,9 +11,13 @@ import (
 // Recorder keeps the last N completed traces in a ring and optionally emits
 // each as one structured JSON log line. A nil *Recorder is valid and drops
 // everything, so instrumented code never branches on "is tracing on".
+//
+// The ring holds the sealed traces themselves and renders them only when
+// read (Snapshot, GET /v1/debug/traces), so a request nobody inspects pays
+// for no rendering.
 type Recorder struct {
 	mu     sync.Mutex
-	ring   []TraceView
+	ring   []*Trace
 	next   int
 	filled bool
 	logger *slog.Logger
@@ -25,7 +29,7 @@ func NewRecorder(capacity int, logger *slog.Logger) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{ring: make([]TraceView, capacity), logger: logger}
+	return &Recorder{ring: make([]*Trace, capacity), logger: logger}
 }
 
 // SetLogger installs (or, with nil, removes) the structured log emitter.
@@ -37,22 +41,25 @@ func (r *Recorder) SetLogger(logger *slog.Logger) {
 	r.logger = logger
 }
 
-// Record stores the finished trace and, when a logger is configured, emits
-// it as a single JSON line. Attributes have already passed the closed Attr
-// vocabulary; the log line carries only what the spans carry.
+// Record seals the finished trace — it takes no further spans, so what the
+// ring renders later is what was recorded — stores it and, when a logger is
+// configured, emits it as a single JSON line. Attributes have already
+// passed the closed Attr vocabulary; the log line carries only what the
+// spans carry.
 func (r *Recorder) Record(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
-	v := t.View()
+	t.seal()
 	r.mu.Lock()
-	r.ring[r.next] = v
+	r.ring[r.next] = t
 	r.next++
 	if r.next == len(r.ring) {
 		r.next, r.filled = 0, true
 	}
 	r.mu.Unlock()
 	if r.logger != nil {
+		v := t.View()
 		attrs := make([]slog.Attr, 0, 4+len(v.Spans))
 		attrs = append(attrs,
 			slog.String("trace_id", v.ID),
@@ -78,14 +85,18 @@ func (r *Recorder) Snapshot() []TraceView {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []TraceView
+	var held []*Trace
 	if r.filled {
-		out = make([]TraceView, 0, len(r.ring))
-		out = append(out, r.ring[r.next:]...)
-		out = append(out, r.ring[:r.next]...)
-	} else {
-		out = append(out, r.ring[:r.next]...)
+		held = append(held, r.ring[r.next:]...)
+	}
+	held = append(held, r.ring[:r.next]...)
+	r.mu.Unlock()
+	if held == nil {
+		return nil
+	}
+	out := make([]TraceView, len(held))
+	for i, t := range held {
+		out[i] = t.View()
 	}
 	return out
 }
@@ -98,7 +109,5 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 		traces = []TraceView{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{"traces": traces})
+	_ = json.NewEncoder(w).Encode(map[string]any{"traces": traces})
 }

@@ -24,6 +24,11 @@ type Trace struct {
 	endpoint string
 	status   int
 	spans    []spanRecord
+
+	// doneNS is the offset at which the Recorder sealed the trace, or -1
+	// while it is live. A sealed trace takes no new spans, ends no open
+	// ones and renders open spans up to doneNS, so its view never changes.
+	doneNS int64
 }
 
 // spanRecord is one completed (or still-open) section of a trace.
@@ -36,7 +41,7 @@ type spanRecord struct {
 
 // NewTrace starts a trace with the given request id.
 func NewTrace(id string) *Trace {
-	return &Trace{id: id, start: time.Now()}
+	return &Trace{id: id, start: time.Now(), doneNS: -1}
 }
 
 // NewID returns a fresh 16-hex-character request id.
@@ -82,9 +87,12 @@ func (t *Trace) StartSpan(name string) Span {
 	}
 	now := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.doneNS >= 0 {
+		return Span{}
+	}
 	idx := len(t.spans)
 	t.spans = append(t.spans, spanRecord{name: name, startNS: now, endNS: -1})
-	t.mu.Unlock()
 	return Span{tr: t, idx: idx}
 }
 
@@ -97,6 +105,10 @@ func (s Span) End(attrs ...Attr) {
 	}
 	now := time.Since(s.tr.start).Nanoseconds()
 	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	if s.tr.doneNS >= 0 {
+		return
+	}
 	rec := &s.tr.spans[s.idx]
 	if rec.endNS < 0 {
 		rec.endNS = now
@@ -104,7 +116,17 @@ func (s Span) End(attrs ...Attr) {
 	if len(attrs) > 0 {
 		rec.attrs = append(rec.attrs, attrs...)
 	}
-	s.tr.mu.Unlock()
+}
+
+// seal freezes the trace at the current offset; see doneNS. Sealing twice
+// keeps the first seal.
+func (t *Trace) seal() {
+	now := time.Since(t.start).Nanoseconds()
+	t.mu.Lock()
+	if t.doneNS < 0 {
+		t.doneNS = now
+	}
+	t.mu.Unlock()
 }
 
 // SpanView is the externally visible form of a span, used by the debug
@@ -126,7 +148,8 @@ type TraceView struct {
 	Spans      []SpanView `json:"spans"`
 }
 
-// View snapshots the trace. Open spans report the duration so far.
+// View snapshots the trace. Open spans report the duration so far, or up
+// to the seal once the trace is recorded.
 func (t *Trace) View() TraceView {
 	if t == nil {
 		return TraceView{}
@@ -134,6 +157,9 @@ func (t *Trace) View() TraceView {
 	now := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.doneNS >= 0 {
+		now = t.doneNS
+	}
 	v := TraceView{
 		ID:       t.id,
 		Endpoint: t.endpoint,

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"math"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 
 	"funcmech/internal/fmbin"
@@ -183,5 +185,41 @@ func TestBinaryDatasetRegistration(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestBinaryDatasetRegistrationRefusesNaN: an fmbin frame can carry NaN,
+// which JSON cannot. Registration refuses such a dataset with a 400, so no
+// fit is ever charged for data it cannot train on: the name stays free and
+// a fit against it costs the tenant nothing.
+func TestBinaryDatasetRegistrationRefusesNaN(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	createTenant(t, ts.URL, "acme", 4)
+	schemaParam, err := json.Marshal(testStreamSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []int{0, 2} { // a feature, then the target
+		rows := syntheticRows(50, 3)
+		rows[17][col] = math.NaN()
+		resp := postFrame(t, ts.URL+"/v1/datasets?name=nan&schema="+url.QueryEscape(string(schemaParam)), encodeFrame(t, rows, true))
+		body := decode[errorResponse](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != codeInvalidRequest {
+			t.Fatalf("NaN in column %d: status %d code %q, want 400 %s", col, resp.StatusCode, body.Error.Code, codeInvalidRequest)
+		}
+		if !strings.Contains(body.Error.Message, "record 17") {
+			t.Errorf("NaN in column %d: message %q does not name record 17", col, body.Error.Message)
+		}
+	}
+	if _, ok := srv.Registry().Lookup("nan"); ok {
+		t.Fatal("a dataset holding NaN was registered")
+	}
+	resp := postJSON(t, ts.URL+"/v1/fit", fitRequest{Tenant: "acme", Dataset: "nan", Model: "linear", Epsilon: 0.5})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("fit on the refused dataset: status %d, want 404", resp.StatusCode)
+	}
+	if tn, _ := srv.Tenants().Lookup("acme"); tn.Session.Spent() != 0 {
+		t.Fatalf("tenant spent %v after the refused registration, want 0", tn.Session.Spent())
 	}
 }

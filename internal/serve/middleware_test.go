@@ -257,7 +257,7 @@ func TestStatsHistogramSumsToFitCounter(t *testing.T) {
 	srv, h := newObsTestServer(t, 2)
 	// Targets in [0, 50] are not 0/1 labels, so a logistic fit on this
 	// dataset is charged and then fails.
-	ds := funcmech.NewDataset(schemaFromJSON(*testStreamSchema()))
+	ds := funcmech.NewDataset(*testStreamSchema())
 	for _, r := range syntheticRows(50, 1) {
 		ds.Append(r[:2], r[2])
 	}
@@ -307,7 +307,7 @@ func TestStatsRefitOutcomes(t *testing.T) {
 	if _, err := srv.Tenants().Create("beta", 0.3); err != nil {
 		t.Fatal(err)
 	}
-	st, err := srv.Streams().Create("readings", stream.Config{Schema: schemaFromJSON(*testStreamSchema())})
+	st, err := srv.Streams().Create("readings", stream.Config{Schema: *testStreamSchema()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"funcmech"
 	"funcmech/internal/census"
-	"funcmech/internal/dataset"
 )
 
 // Registry holds the datasets the service can fit against, keyed by name.
@@ -73,25 +72,8 @@ func GenerateCensus(profile string, n int, seed int64) (*funcmech.Dataset, error
 	if n <= 0 || n > p.Records {
 		n = p.Records
 	}
-	return fromInternal(census.GenerateN(p, n, seed)), nil
-}
-
-// fromInternal copies an internal dataset into the public wrapper the
-// funcmech entry points accept.
-func fromInternal(inner *dataset.Dataset) *funcmech.Dataset {
-	s := funcmech.Schema{
-		Target: funcmech.Attribute{
-			Name: inner.Schema.Target.Name,
-			Min:  inner.Schema.Target.Min,
-			Max:  inner.Schema.Target.Max,
-		},
-	}
-	for _, a := range inner.Schema.Features {
-		s.Features = append(s.Features, funcmech.Attribute{Name: a.Name, Min: a.Min, Max: a.Max})
-	}
-	out := funcmech.NewDataset(s)
-	for i := 0; i < inner.N(); i++ {
-		out.Append(inner.Row(i), inner.Label(i))
-	}
-	return out
+	inner := census.GenerateN(p, n, seed)
+	ds := funcmech.NewDataset(*inner.Schema)
+	ds.AppendBatch(inner.FlatRows(0, inner.N()), inner.Labels())
+	return ds, nil
 }

@@ -122,9 +122,7 @@ func (s *Server) writeOptionsError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers already sent; nothing useful left to do on error
+	_ = json.NewEncoder(w).Encode(v) // headers already sent; nothing useful left to do on error
 }
 
 // writeError writes the typed error envelope and counts the refusal by its
@@ -169,17 +167,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // POST /v1/datasets
 
-type attributeJSON struct {
-	Name string  `json:"name"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-type schemaJSON struct {
-	Features []attributeJSON `json:"features"`
-	Target   attributeJSON   `json:"target"`
-}
-
 type generateJSON struct {
 	Profile string `json:"profile"`
 	N       int    `json:"n"`
@@ -192,8 +179,8 @@ type datasetRequest struct {
 	Generate *generateJSON `json:"generate,omitempty"`
 	// Schema+Rows register inline data: each row is the feature vector in
 	// schema order with the target appended as the last element.
-	Schema *schemaJSON `json:"schema,omitempty"`
-	Rows   [][]float64 `json:"rows,omitempty"`
+	Schema *funcmech.Schema `json:"schema,omitempty"`
+	Rows   [][]float64      `json:"rows,omitempty"`
 }
 
 type datasetInfo struct {
@@ -266,12 +253,11 @@ func (s *Server) handleRegisterDatasetBinary(w http.ResponseWriter, r *http.Requ
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: binary registration requires a schema query parameter", name)
 		return
 	}
-	var sj schemaJSON
-	if err := json.Unmarshal([]byte(rawSchema), &sj); err != nil {
+	var schema funcmech.Schema
+	if err := json.Unmarshal([]byte(rawSchema), &schema); err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: bad schema parameter: %v", name, err)
 		return
 	}
-	schema := schemaFromJSON(sj)
 	if err := schema.Validate(); err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: %v", name, err)
 		return
@@ -281,12 +267,16 @@ func (s *Server) handleRegisterDatasetBinary(w http.ResponseWriter, r *http.Requ
 	if !ok {
 		return
 	}
-	if len(flat) == 0 {
+	rows, err := schema.CheckBatch(flat, 0)
+	switch {
+	case err != nil:
+		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: %v", name, err)
+		return
+	case rows == 0:
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: no rows supplied", name)
 		return
 	}
 	ds := funcmech.NewDataset(schema)
-	rows := len(flat) / want
 	ds.Grow(rows)
 	for i := 0; i < rows; i++ {
 		row := flat[i*want : (i+1)*want]
@@ -299,20 +289,7 @@ func (s *Server) handleRegisterDatasetBinary(w http.ResponseWriter, r *http.Requ
 	writeJSON(w, http.StatusCreated, datasetInfo{Name: name, Records: ds.Len(), Features: ds.NumFeatures()})
 }
 
-// schemaFromJSON converts the wire schema to the public type; validity is
-// checked by the consumer (Schema.Validate or stream creation).
-func schemaFromJSON(sj schemaJSON) funcmech.Schema {
-	schema := funcmech.Schema{
-		Target: funcmech.Attribute{Name: sj.Target.Name, Min: sj.Target.Min, Max: sj.Target.Max},
-	}
-	for _, a := range sj.Features {
-		schema.Features = append(schema.Features, funcmech.Attribute{Name: a.Name, Min: a.Min, Max: a.Max})
-	}
-	return schema
-}
-
-func datasetFromRows(sj schemaJSON, rows [][]float64) (*funcmech.Dataset, error) {
-	schema := schemaFromJSON(sj)
+func datasetFromRows(schema funcmech.Schema, rows [][]float64) (*funcmech.Dataset, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}

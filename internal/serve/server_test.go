@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -48,12 +49,12 @@ func registerRowsDataset(t *testing.T, base, name string, n int) {
 	}
 	req := datasetRequest{
 		Name: name,
-		Schema: &schemaJSON{
-			Features: []attributeJSON{
+		Schema: &funcmech.Schema{
+			Features: []funcmech.Attribute{
 				{Name: "x1", Min: 0, Max: 10},
 				{Name: "x2", Min: 0, Max: 5},
 			},
-			Target: attributeJSON{Name: "y", Min: 0, Max: 50},
+			Target: funcmech.Attribute{Name: "y", Min: 0, Max: 50},
 		},
 		Rows: rows,
 	}
@@ -105,6 +106,26 @@ func TestHealthz(t *testing.T) {
 	got := decode[map[string]any](t, resp)
 	if got["status"] != "ok" {
 		t.Fatalf("healthz = %v", got)
+	}
+}
+
+// TestResponsesAreCompact: JSON bodies, the trace ring's included, are one
+// line each — no indentation to build on the hot ingest acknowledgement.
+func TestResponsesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/healthz", "/v1/debug/traces"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := bytes.Count(body, []byte("\n")); lines != 1 || bytes.HasPrefix(body, []byte("{\n")) {
+			t.Errorf("GET %s: body %q is not one compact line", path, body)
+		}
 	}
 }
 
@@ -381,9 +402,9 @@ func TestRegistryConflictsAndGeneration(t *testing.T) {
 	// Duplicate name → 409.
 	resp := postJSON(t, ts.URL+"/v1/datasets", datasetRequest{
 		Name: "toy",
-		Schema: &schemaJSON{
-			Features: []attributeJSON{{Name: "x", Min: 0, Max: 1}},
-			Target:   attributeJSON{Name: "y", Min: 0, Max: 1},
+		Schema: &funcmech.Schema{
+			Features: []funcmech.Attribute{{Name: "x", Min: 0, Max: 1}},
+			Target:   funcmech.Attribute{Name: "y", Min: 0, Max: 1},
 		},
 		Rows: [][]float64{{0.5, 1}},
 	})
@@ -407,9 +428,9 @@ func TestRegistryConflictsAndGeneration(t *testing.T) {
 	// A schema with no rows is a validation error, not a conflict.
 	resp = postJSON(t, ts.URL+"/v1/datasets", datasetRequest{
 		Name: "hollow",
-		Schema: &schemaJSON{
-			Features: []attributeJSON{{Name: "x", Min: 0, Max: 1}},
-			Target:   attributeJSON{Name: "y", Min: 0, Max: 1},
+		Schema: &funcmech.Schema{
+			Features: []funcmech.Attribute{{Name: "x", Min: 0, Max: 1}},
+			Target:   funcmech.Attribute{Name: "y", Min: 0, Max: 1},
 		},
 	})
 	if resp.StatusCode != http.StatusBadRequest {

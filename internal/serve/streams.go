@@ -20,8 +20,8 @@ import (
 // POST /v1/streams
 
 type streamRequest struct {
-	Name   string      `json:"name"`
-	Schema *schemaJSON `json:"schema"`
+	Name   string           `json:"name"`
+	Schema *funcmech.Schema `json:"schema"`
 	// Intercept and BinarizeThreshold shape the per-record fold, so they are
 	// fixed at stream creation (refits must not pass them again).
 	Intercept         bool     `json:"intercept,omitempty"`
@@ -76,7 +76,7 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.streams.Create(req.Name, stream.Config{
-		Schema:            schemaFromJSON(*req.Schema),
+		Schema:            *req.Schema,
 		Intercept:         req.Intercept,
 		BinarizeThreshold: req.BinarizeThreshold,
 		Shards:            req.Shards,

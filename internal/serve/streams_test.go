@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"funcmech"
 )
 
 // ingestRequest is the JSON ingest body as clients send it. The server has
@@ -24,13 +26,13 @@ func rowsJSON(t *testing.T, rows [][]float64) json.RawMessage {
 	return b
 }
 
-func testStreamSchema() *schemaJSON {
-	return &schemaJSON{
-		Features: []attributeJSON{
+func testStreamSchema() *funcmech.Schema {
+	return &funcmech.Schema{
+		Features: []funcmech.Attribute{
 			{Name: "x1", Min: 0, Max: 10},
 			{Name: "x2", Min: 0, Max: 5},
 		},
-		Target: attributeJSON{Name: "y", Min: 0, Max: 50},
+		Target: funcmech.Attribute{Name: "y", Min: 0, Max: 50},
 	}
 }
 

@@ -28,7 +28,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"regexp"
 	"sync"
 	"sync/atomic"
@@ -145,9 +144,6 @@ func (s *Stream) Name() string { return s.name }
 
 // Config returns the stream's immutable configuration.
 func (s *Stream) Config() Config { return s.cfg }
-
-// Created returns the stream's creation time.
-func (s *Stream) Created() time.Time { return s.created }
 
 // Records returns the total records ingested.
 func (s *Stream) Records() uint64 {
@@ -279,20 +275,13 @@ func (s *Stream) IngestFlat(flat []float64) (int, error) {
 
 // IngestFlatGated is IngestFlat with the admission gate of IngestGated.
 func (s *Stream) IngestFlatGated(flat []float64, gate func() (release func())) (int, error) {
-	want := len(s.cfg.Schema.Features) + 1
 	if len(flat) == 0 {
 		return 0, fmt.Errorf("stream %q: empty ingest batch", s.name)
 	}
-	if len(flat)%want != 0 {
-		return 0, fmt.Errorf("stream %q: flat batch of %d values is not a multiple of %d features + target",
-			s.name, len(flat), want)
+	rows, err := s.cfg.Schema.CheckBatch(flat, 0)
+	if err != nil {
+		return 0, fmt.Errorf("stream %q: %w", s.name, err)
 	}
-	for i, v := range flat {
-		if math.IsNaN(v) { // NaN would poison the sums irreversibly
-			return 0, fmt.Errorf("stream %q: row %d column %d is NaN", s.name, i/want, i%want)
-		}
-	}
-	rows := len(flat) / want
 
 	sh := s.shards[s.cursor.Add(1)%uint64(len(s.shards))]
 	sh.mu.Lock()

@@ -17,11 +17,14 @@ func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskModel,
 // the privacy cost on your own data. With WithRidge it minimizes the same
 // penalized objective LinearRegression perturbs.
 func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, task, err := exactTask(ds, core.TaskNameLinear, opts)
+	m, norm, r, err := trainingCopy(ds, core.TaskNameLinear, opts)
+	if err == nil {
+		err = r.task.Validate(norm) // the check core.Run makes for FitTask
+	}
 	if err != nil {
 		return nil, err
 	}
-	fit, err := regression.FitLinear(norm, task.FinalizeObjective)
+	fit, err := regression.FitLinear(norm, r.task.FinalizeObjective)
 	if err != nil {
 		return nil, err
 	}

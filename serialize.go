@@ -37,10 +37,10 @@ const envelopeVersion = 1
 func (m *TaskModel) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(modelEnvelope{
 		Kind:      m.task.Name,
-		Schema:    m.schema,
+		Schema:    m.rule.Schema(),
 		Weights:   m.weights,
-		Intercept: m.intercept,
-		Threshold: m.threshold,
+		Intercept: m.rule.Intercept(),
+		Threshold: m.rule.Threshold(),
 		Version:   envelopeVersion,
 	})
 }
@@ -64,24 +64,14 @@ func LoadModel(r io.Reader) (*TaskModel, error) {
 	if env.Threshold != nil && spec.Target != core.TargetBoolean {
 		return nil, fmt.Errorf("funcmech: %s model carries a binarize threshold, which only boolean-target tasks take", env.Kind)
 	}
-	if err := env.Schema.Validate(); err != nil {
+	rule, err := dataset.NewRule(env.Schema, env.Intercept, env.Threshold)
+	if err != nil {
 		return nil, fmt.Errorf("funcmech: stored schema invalid: %w", err)
 	}
-	inner := env.Schema.internal()
-	if env.Intercept {
-		inner.Features = append(inner.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
+	if len(env.Weights) != rule.D() {
+		return nil, fmt.Errorf("funcmech: model has %d weights for %d features", len(env.Weights), rule.D())
 	}
-	if len(env.Weights) != inner.D() {
-		return nil, fmt.Errorf("funcmech: model has %d weights for %d features", len(env.Weights), inner.D())
-	}
-	return &TaskModel{
-		task:      infoFromSpec(spec),
-		weights:   env.Weights,
-		nz:        dataset.NewNormalizer(inner),
-		schema:    env.Schema,
-		threshold: env.Threshold,
-		intercept: env.Intercept,
-	}, nil
+	return &TaskModel{task: infoFromSpec(spec), weights: env.Weights, rule: rule}, nil
 }
 
 // taskBlock is one fold's scalar state in a version-4 accumulator envelope;
@@ -162,9 +152,9 @@ func (a *Accumulator) Save(w io.Writer) error {
 	}
 	return json.NewEncoder(w).Encode(accumulatorEnvelope{
 		Kind:      accumulatorKind,
-		Schema:    a.schema,
-		Intercept: a.intercept,
-		Threshold: a.threshold,
+		Schema:    a.rule.Schema(),
+		Intercept: a.rule.Intercept(),
+		Threshold: a.rule.Threshold(),
 		Records:   a.n,
 		Tasks:     tasks,
 		Coeffs:    frame,
@@ -234,8 +224,9 @@ func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 		}
 		col[name] = j
 	}
-	packed := a.d * (a.d + 1) / 2
-	flat, err := decodeCoeffFrame(env, len(names), a.d+packed)
+	d := a.rule.D()
+	packed := d * (d + 1) / 2
+	flat, err := decodeCoeffFrame(env, len(names), d+packed)
 	if err != nil {
 		return err
 	}
@@ -252,12 +243,12 @@ func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 		if tb.N > env.Records || (tb.Error == "" && tb.N != env.Records) {
 			return fmt.Errorf("funcmech: %s fold holds %d records, envelope holds %d", f.key, tb.N, env.Records)
 		}
-		st := core.AccumulatorState{N: tb.N, Beta: tb.Beta, Alpha: make([]float64, a.d), MU: make([]float64, packed)}
-		for r := 0; r < a.d; r++ {
+		st := core.AccumulatorState{N: tb.N, Beta: tb.Beta, Alpha: make([]float64, d), MU: make([]float64, packed)}
+		for r := 0; r < d; r++ {
 			st.Alpha[r] = flat[r*cols+j]
 		}
 		for r := 0; r < packed; r++ {
-			st.MU[r] = flat[(a.d+r)*cols+j]
+			st.MU[r] = flat[(d+r)*cols+j]
 		}
 		if f.acc, err = core.AccumulatorFromState(f.acc.Task(), st); err != nil {
 			return fmt.Errorf("funcmech: restoring %s coefficients: %w", f.key, err)

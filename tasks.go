@@ -7,18 +7,19 @@ import (
 
 	"funcmech/internal/core"
 	"funcmech/internal/dataset"
+	"funcmech/internal/linalg"
 	"funcmech/internal/regression"
 )
 
 // This file is the task-generic fit surface: every regression family the
 // mechanism can release is a core.TaskSpec row of the static task table,
 // and FitTask / FitTaskFromAccumulator resolve a task by name and run the
-// shared pipeline — normalize per the spec's target rule, build the spec's
-// degree-2 objective, perturb, solve. Every fit returns a TaskModel, and the
-// paper's two case studies (LinearRegression, LogisticRegression) are
-// FitTask under their task names, so adding a row makes a task fittable,
-// servable and persistable everywhere without touching any of the layers
-// above.
+// shared pipeline — one training copy under the record rule and the spec's
+// target rule, the spec's degree-2 objective, perturb, solve. Every fit
+// returns a TaskModel, and the paper's two case studies (LinearRegression,
+// LogisticRegression) are FitTask under their task names, so adding a row
+// makes a task fittable, servable and persistable everywhere without
+// touching any of the layers above.
 
 // ErrUnknownTask is returned when a task name does not resolve in the
 // registry. Callers can match it with errors.Is; the message enumerates the
@@ -134,57 +135,34 @@ func CheckRelease(task string, epsilon float64, opts ...Option) error {
 	return nil
 }
 
-// prepareTask derives the normalized training representation the spec's
-// target rule prescribes: boolean targets are binarized (optionally) and
-// checked, normalized targets are scaled into [−1, 1].
-func prepareTask(ds *Dataset, spec core.TaskSpec, cfg config) (*dataset.Dataset, *dataset.Normalizer, error) {
-	inner := ds.inner
-	if cfg.threshold != nil {
-		inner = inner.BinarizeTarget(*cfg.threshold)
-	}
-	if cfg.intercept {
-		inner = withInterceptColumn(inner)
-	}
-	nz := dataset.NewNormalizer(inner.Schema)
-	if spec.Target != core.TargetBoolean {
-		return nz.NormalizeForLinear(inner), nz, nil
-	}
-	norm, err := nz.NormalizeForLogistic(inner)
-	if err != nil {
-		return nil, nil, err
-	}
-	return norm, nz, nil
-}
-
-// exactTask prepares ds for the named task exactly as FitTask does, for the
-// non-private baselines: it returns the normalized training set, the task
-// the options resolve to and a model carrying everything but the weights.
-func exactTask(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, core.Task, error) {
+// trainingCopy resolves a fit of task over ds and makes the fit's one
+// training copy under its record rule, for FitTask and the exact baselines.
+// It returns the model (everything but the weights), the copy and the
+// resolved release.
+func trainingCopy(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, release, error) {
 	r, err := resolve(task, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, r, err
 	}
-	norm, nz, err := prepareTask(ds, r.spec, r.cfg)
+	rule, err := dataset.NewRule(*ds.inner.Schema, r.cfg.intercept, r.cfg.threshold)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, r, err
 	}
-	return &TaskModel{
-		task: infoFromSpec(r.spec), nz: nz, schema: ds.Schema(),
-		threshold: r.cfg.threshold, intercept: r.cfg.intercept,
-	}, norm, r.task, nil
+	norm, err := rule.Normalize(ds.inner, r.spec.Target)
+	if err != nil {
+		return nil, nil, r, err
+	}
+	return &TaskModel{task: infoFromSpec(r.spec), rule: rule}, norm, r, nil
 }
 
 // TaskModel is the model every fit releases: the private weights plus the
-// interpretation rules (normalization, target rule, threshold) the task spec
-// prescribes, so one type serves every registered task. It predicts in the
-// caller's raw units, and Save persists it for LoadModel.
+// record rule (schema bounds, intercept, binarize threshold) and target
+// rule the fit trained under, so one type serves every registered task. It
+// predicts in the caller's raw units, and Save persists it for LoadModel.
 type TaskModel struct {
-	task      TaskInfo
-	weights   []float64
-	nz        *dataset.Normalizer
-	schema    Schema
-	threshold *float64
-	intercept bool
+	task    TaskInfo
+	weights []float64
+	rule    *dataset.Normalizer
 }
 
 // Task returns the registered task this model was fitted for.
@@ -201,66 +179,77 @@ func (m *TaskModel) Weights() []float64 {
 // in raw units for normalized-target tasks, P(target = 1) for boolean-target
 // tasks.
 func (m *TaskModel) Predict(features []float64) float64 {
-	if m.intercept {
-		features = augmentRow(features)
-	}
-	x := m.nz.NormalizeRow(features)
+	return m.predict(m.rule.NormalizeRow(features))
+}
+
+// predict is Predict over a feature vector already under the record rule.
+func (m *TaskModel) predict(x []float64) float64 {
+	t := linalg.Dot(x, m.weights)
 	if m.task.Boolean {
-		return (&regression.LogisticModel{Weights: m.weights}).Probability(x)
+		return regression.Sigmoid(t)
 	}
-	return m.nz.DenormalizeLabel((&regression.LinearModel{Weights: m.weights}).Predict(x))
+	return m.rule.DenormalizeLabel(t)
 }
 
 // Classify thresholds a boolean-target task's probability at 1/2.
 func (m *TaskModel) Classify(features []float64) bool { return m.Predict(features) > 0.5 }
 
+// meanOver returns the mean of f(x, y) over ds's records — NaN over none —
+// with x the record's feature vector under the record rule and y its raw
+// target. Every record is normalized into one reused row, so an evaluation
+// allocates a constant amount whatever the record count.
+func (m *TaskModel) meanOver(ds *Dataset, f func(x []float64, y float64) float64) float64 {
+	n := ds.Len()
+	x := make([]float64, m.rule.D())
+	var s float64
+	for i := 0; i < n; i++ {
+		m.rule.NormalizeRowInto(x, ds.inner.Row(i))
+		s += f(x, ds.inner.Label(i))
+	}
+	return s / float64(n)
+}
+
 // MSE returns the mean squared prediction error over ds in raw target units
 // (meaningful for normalized-target tasks).
 func (m *TaskModel) MSE(ds *Dataset) float64 {
-	n := ds.Len()
-	if n == 0 {
+	if ds.Len() == 0 {
 		return 0
 	}
-	var s float64
-	for i := 0; i < n; i++ {
-		r := ds.inner.Label(i) - m.Predict(ds.inner.Row(i))
-		s += r * r
-	}
-	return s / float64(n)
+	return m.meanOver(ds, func(x []float64, y float64) float64 {
+		r := y - m.predict(x)
+		return r * r
+	})
 }
 
 // MAE returns the mean absolute prediction error over ds in raw target
 // units — the loss median regression optimizes.
 func (m *TaskModel) MAE(ds *Dataset) float64 {
-	n := ds.Len()
-	if n == 0 {
+	if ds.Len() == 0 {
 		return 0
 	}
-	var s float64
-	for i := 0; i < n; i++ {
-		r := ds.inner.Label(i) - m.Predict(ds.inner.Row(i))
+	return m.meanOver(ds, func(x []float64, y float64) float64 {
+		r := y - m.predict(x)
 		if r < 0 {
 			r = -r
 		}
-		s += r
-	}
-	return s / float64(n)
+		return r
+	})
 }
 
 // NormalizedMSE returns the mean squared error in the paper's normalized
 // units (target in [−1,1]) — the quantity Figures 4–6 plot. Like MSE it is
-// meaningful for normalized-target tasks.
+// meaningful for normalized-target tasks. An empty dataset gives NaN.
 func (m *TaskModel) NormalizedMSE(ds *Dataset) float64 {
-	inner := ds.inner
-	if m.intercept {
-		inner = withInterceptColumn(inner)
-	}
-	return (&regression.LinearModel{Weights: m.weights}).MSE(m.nz.NormalizeForLinear(inner))
+	return m.meanOver(ds, func(x []float64, y float64) float64 {
+		r := m.rule.NormalizeLabel(y) - linalg.Dot(x, m.weights)
+		return r * r
+	})
 }
 
 // MisclassificationRate returns the fraction of records in ds classified
-// incorrectly. Raw targets are binarized with the model's threshold when
-// one was configured; otherwise they must be 0 or 1. A normalized-target
+// incorrectly. Raw targets become labels under the model's record rule:
+// binarized with its threshold when one was configured, otherwise they
+// must be 0 or 1; a NaN target is refused either way. A normalized-target
 // model predicts no class, so it returns an error.
 func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 	if !m.task.Boolean {
@@ -270,16 +259,15 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 	if n == 0 {
 		return 0, errors.New("funcmech: empty dataset")
 	}
+	x := make([]float64, m.rule.D())
 	wrong := 0
 	for i := 0; i < n; i++ {
-		y := ds.inner.Label(i)
-		positive := y == 1
-		if m.threshold != nil {
-			positive = y > *m.threshold
-		} else if y != 0 && y != 1 {
-			return 0, fmt.Errorf("funcmech: record %d target %v is not boolean; fit with WithBinarizeThreshold or supply 0/1 targets", i, y)
+		y, err := m.rule.Label(core.TargetBoolean, ds.inner.Label(i))
+		if err != nil {
+			return 0, fmt.Errorf("funcmech: record %d: %w", i, err)
 		}
-		if m.Classify(ds.inner.Row(i)) != positive {
+		m.rule.NormalizeRowInto(x, ds.inner.Row(i))
+		if (m.predict(x) > 0.5) != (y == 1) {
 			wrong++
 		}
 	}
@@ -289,15 +277,13 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 // FitTask fits an ε-differentially private model for the named task over
 // ds — the single entry point LinearRegression, LogisticRegression and the
 // serving layers resolve every fit through. The dataset stays in raw units;
-// the schema's public bounds drive the normalization the privacy analysis
-// requires. It refuses whatever CheckRelease refuses; unknown names wrap
-// ErrUnknownTask.
+// the record rule (the schema's public bounds, WithIntercept,
+// WithBinarizeThreshold) makes the fit's one normalized training copy,
+// which the privacy analysis requires. It refuses whatever CheckRelease
+// refuses, and data the task cannot train on: a target its rule cannot
+// label, or a NaN anywhere. Unknown names wrap ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	r, err := resolve(task, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	norm, nz, err := prepareTask(ds, r.spec, r.cfg)
+	m, norm, r, err := trainingCopy(ds, task, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -305,10 +291,8 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 	if err != nil {
 		return nil, nil, err
 	}
-	return &TaskModel{
-		task: infoFromSpec(r.spec), weights: res.Weights, nz: nz, schema: ds.Schema(),
-		threshold: r.cfg.threshold, intercept: r.cfg.intercept,
-	}, reportFrom(res), nil
+	m.weights = res.Weights
+	return m, reportFrom(res), nil
 }
 
 // FitTaskFromAccumulator fits an ε-differentially private model for the
@@ -343,8 +327,5 @@ func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts .
 	if err != nil {
 		return nil, nil, err
 	}
-	return &TaskModel{
-		task: infoFromSpec(r.spec), weights: res.Weights, nz: a.nz, schema: a.Schema(),
-		threshold: a.threshold, intercept: a.intercept,
-	}, reportFrom(res), nil
+	return &TaskModel{task: infoFromSpec(r.spec), weights: res.Weights, rule: a.rule}, reportFrom(res), nil
 }
