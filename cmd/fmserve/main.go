@@ -1,61 +1,28 @@
-// Command fmserve runs the multi-tenant training service: a long-lived
-// HTTP/JSON server that registers datasets once, tracks a lifetime privacy
-// budget per tenant (every fit debits it atomically; exhaustion yields a
-// typed 402), and serves ε-differentially private fits of every registered
-// task (linear, ridge, logistic, median; funcmech.TaskNames) with the full
-// public option surface. One governor of -worker-cap tokens (default
-// GOMAXPROCS) bounds fits in flight, ingest folds and extra kernel workers
-// together, so concurrent tenants cannot oversubscribe the machine; a fit
-// waits for its token before it is charged.
+// Command fmserve runs the multi-tenant training service of internal/serve:
+// a long-lived HTTP/JSON server that registers datasets once, tracks a
+// lifetime privacy budget per tenant (every fit debits it atomically;
+// exhaustion yields a typed 402), serves ε-differentially private fits of
+// every registered task, and refits from streams of ingested records
+// without rescanning them.
 //
-// Beyond one-shot fits, streams accept records continuously
-// (POST /v1/streams, /v1/streams/{name}/ingest) and serve private refits
-// from live coefficient accumulators with no dataset rescan
-// (/v1/streams/{name}/refit). Ingest and dataset registration accept both
-// JSON bodies (the default) and the fmbin binary frame under
-// Content-Type: application/x-fmbin — see docs/FORMAT.md and cmd/fmbin for
-// encoding batches from the shell. With -snapshot-dir the stream state is
-// persisted — periodically when -snapshot-every > 0, and always on graceful
-// shutdown — and restored on boot, so a restarted server refits without
-// re-ingesting a single record; snapshots store their coefficient payloads
-// as compressed fmbin frames (accumulator envelope v4, the only version
-// that restores: a snapshot holding any other stops the boot).
-//
-// With -wal-dir the privacy accounting is crash-safe: every budget debit is
-// appended to a write-ahead log (fsynced per commit unless -wal-fsync=false)
-// before any noise is drawn, and boot replays the journal after restoring
-// the snapshots — load tenants.json, replay the live segments, then apply
-// -tenant flags — so a kill -9 can only ever over-count a tenant's lifetime
-// ε-spend, never under-count it. Snapshot passes fold the journal into
-// tenants.json and compact the covered segments, keeping the log bounded.
+// This command keeps only flags, listeners and signals. Durable state is
+// internal/serve's: serve.Open restores the snapshots (-snapshot-dir) and
+// replays the write-ahead log (-wal-dir), a ticker calls Checkpoint every
+// -snapshot-every, and after SIGINT/SIGTERM drains in-flight requests,
+// Server.Close runs the final snapshot pass. The README's fmserve flag
+// table, which scripts/check_docs.sh checks against the flags defined here,
+// documents every flag and its default; its Serving, Streaming, Durability
+// and Observability sections document the endpoints.
 //
 // Usage:
 //
 //	fmserve -addr=:8080 -gen income=us:30000:1 -tenant acme=2.0
-//	fmserve -addr=:8080 -worker-cap=8
 //	fmserve -addr=:8080 -snapshot-dir=/var/lib/fmserve -snapshot-every=30s \
 //	        -wal-dir=/var/lib/fmserve/wal
 //
-// Datasets and tenants can also be created at runtime via POST /v1/datasets
-// and POST /v1/tenants. On SIGINT/SIGTERM the server stops accepting
-// requests and drains in-flight fits before exiting (see -drain-timeout).
 // The public listener closes a connection that takes more than 10 s to send
-// its request headers, and a keep-alive connection idle for 2 minutes.
-//
-// Observability: every request carries a trace id (X-Request-Id, generated
-// when absent) and records spans for queueing, kernel work, the solve, the
-// noise draw and the WAL fsync; GET /v1/debug/traces returns the most recent
-// traces and -trace-log emits each as one JSON line. GET /metrics serves the
-// counters, gauges and latency histograms in Prometheus text format —
-// including per-tenant ε-spend — and is the service's only counter surface;
+// its request headers, and a keep-alive connection idle for 2 minutes;
 // -debug-addr binds net/http/pprof on a separate, operator-only listener.
-// See docs/OBSERVABILITY.md.
-//
-// Endpoints: GET /healthz, GET /metrics, GET /v1/debug/traces,
-// POST/GET /v1/datasets, POST/GET /v1/tenants, GET /v1/tenants/{name},
-// POST /v1/fit, POST/GET /v1/streams, POST /v1/streams/{name}/ingest,
-// POST /v1/streams/{name}/refit. See the README's Serving and Streaming
-// sections for the request and response shapes.
 package main
 
 import (
@@ -77,8 +44,6 @@ import (
 
 	"funcmech"
 	"funcmech/internal/serve"
-	"funcmech/internal/stream"
-	"funcmech/internal/wal"
 )
 
 // Slow-client bounds on the public listener: a connection that has not
@@ -114,7 +79,11 @@ func main() {
 	})
 	flag.Parse()
 
-	srv := serve.New(serve.Config{WorkerCap: *workerCap})
+	srv, err := serve.Open(serve.Config{WorkerCap: *workerCap},
+		serve.Storage{SnapshotDir: *snapshotDir, WALDir: *walDir, Fsync: *walFsync})
+	if err != nil {
+		fatal(fmt.Errorf("fmserve: %w", err))
+	}
 	for _, spec := range gens {
 		name, ds, err := parseGen(spec)
 		if err != nil {
@@ -125,70 +94,22 @@ func main() {
 		}
 		log.Printf("fmserve: dataset %q registered (%d records × %d features)", name, ds.Len(), ds.NumFeatures())
 	}
-	// Boot order is load-bearing for the accounting: restore the snapshots
-	// (streams, then tenants.json — persisted lifetime ε-spend is
-	// authoritative), replay the write-ahead log's live segments over them,
-	// and only then apply the -tenant flags. A flag re-declaring a restored
-	// or replayed tenant must never reset its accounting.
-	var store *stream.Store
-	var budgetsLSN uint64
-	if *snapshotDir != "" {
-		var err error
-		if store, err = stream.NewStore(*snapshotDir); err != nil {
-			fatal(err)
-		}
-		n, err := store.LoadAll(srv.Streams())
-		if err != nil {
-			fatal(fmt.Errorf("fmserve: restoring snapshots: %w", err))
-		}
-		records, batches := srv.Streams().Totals()
-		log.Printf("fmserve: restored %d stream(s) from %s (%d records over %d batches, no re-ingest needed)",
-			n, store.Dir(), records, batches)
-		var nt int
-		nt, budgetsLSN, err = srv.Tenants().LoadBudgets(store.Dir())
-		if err != nil {
-			fatal(fmt.Errorf("fmserve: restoring tenant budgets: %w", err))
-		}
-		if nt > 0 {
-			log.Printf("fmserve: restored %d tenant budget(s) from %s (lifetime ε-spend preserved, wal lsn %d covered)",
-				nt, store.Dir(), budgetsLSN)
-		}
-	}
-	var wlog *wal.Log
-	if *walDir != "" {
-		applied, last, err := srv.ReplayWAL(*walDir, budgetsLSN)
-		if err != nil {
-			fatal(fmt.Errorf("fmserve: replaying wal: %w", err))
-		}
-		// The next LSN must clear everything any snapshot claims to cover,
-		// even if compaction emptied the journal itself.
-		floor := max(last, budgetsLSN)
-		for _, st := range srv.Streams().All() {
-			floor = max(floor, st.WALLSN())
-		}
-		if wlog, err = wal.Open(*walDir, wal.Options{Fsync: *walFsync, Floor: floor}); err != nil {
-			fatal(fmt.Errorf("fmserve: opening wal: %w", err))
-		}
-		srv.UseWAL(wlog)
-		log.Printf("fmserve: wal replay applied %d event(s) from %s (last lsn %d, fsync=%v)",
-			applied, *walDir, wlog.LastLSN(), *walFsync)
-	}
+	// Declare never resets a restored or replayed accountant: the same
+	// lifetime budget keeps it, a different one stops the boot.
 	for _, spec := range tenants {
 		name, budget, err := parseTenant(spec)
 		if err != nil {
 			fatal(err)
 		}
-		if t, ok := srv.Tenants().Lookup(name); ok {
-			if t.Session.Total() != budget {
-				fatal(fmt.Errorf("fmserve: -tenant %q=%v conflicts with restored lifetime budget %v", name, budget, t.Session.Total()))
-			}
-			log.Printf("fmserve: tenant %q already restored from snapshot; keeping persisted ε-spend %v", name, t.Session.Spent())
-			continue
+		t, created, err := srv.Tenants().Declare(name, budget)
+		if err != nil {
+			fatal(fmt.Errorf("fmserve: -tenant: %w", err))
 		}
-		if _, err := srv.Tenants().Create(name, budget); err != nil {
-			fatal(err)
+		if created {
+			log.Printf("fmserve: tenant %q created (lifetime ε = %v)", name, budget)
+		} else {
+			log.Printf("fmserve: tenant %q already restored; keeping persisted ε-spend %v", name, t.Session.Spent())
 		}
-		log.Printf("fmserve: tenant %q created (lifetime ε = %v)", name, budget)
 	}
 
 	if *traceLog {
@@ -231,37 +152,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// One snapshot pass: read the journal position FIRST, then collect state —
-	// every charge journaled at or below that LSN was already debited, so the
-	// snapshots necessarily fold it in and replay may skip it. Only when the
-	// whole pass persisted does compaction fold the covered segments away.
-	snapshotPass := func() error {
-		var covered uint64
-		if wlog != nil {
-			covered = wlog.LastLSN()
-		}
-		if err := store.SaveAll(srv.Streams(), covered); err != nil {
-			return fmt.Errorf("fmserve: stream snapshot: %w", err)
-		}
-		if err := srv.Tenants().SaveBudgets(store.Dir(), covered); err != nil {
-			return fmt.Errorf("fmserve: tenant-budget snapshot: %w", err)
-		}
-		if wlog != nil {
-			if n, err := wlog.Compact(covered); err != nil {
-				log.Printf("fmserve: wal compaction failed: %v", err)
-			} else if n > 0 {
-				log.Printf("fmserve: wal compacted %d segment(s) up to lsn %d", n, covered)
-			}
-		}
-		return nil
-	}
-
-	snapDone := make(chan struct{})
-	close(snapDone)
-	if store != nil && *snapshotEvery > 0 {
-		snapDone = make(chan struct{})
+	if *snapshotDir != "" && *snapshotEvery > 0 {
+		// Nothing waits for this goroutine: Checkpoint serializes with Close.
 		go func() {
-			defer close(snapDone)
 			t := time.NewTicker(*snapshotEvery)
 			defer t.Stop()
 			for {
@@ -269,7 +162,7 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if err := snapshotPass(); err != nil {
+					if err := srv.Checkpoint(); err != nil {
 						log.Printf("fmserve: periodic snapshot failed: %v", err)
 					}
 				}
@@ -293,22 +186,13 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-	if store != nil {
-		// Final snapshot after the drain, so every ingested batch survives
-		// the restart. Wait out any periodic pass still in flight first — a
-		// stale save finishing later would rename over the final one. With
-		// nothing in flight, the pass covers the journal's last LSN exactly,
-		// so the next boot's replay is a no-op (idempotent restart).
-		<-snapDone
-		if err := snapshotPass(); err != nil {
-			fatal(fmt.Errorf("fmserve: final snapshot failed: %w", err))
-		}
-		log.Printf("fmserve: stream snapshots and tenant budgets saved to %s", store.Dir())
+	// The final snapshot comes after the drain, so every ingested batch
+	// survives the restart.
+	if err := srv.Close(); err != nil {
+		fatal(fmt.Errorf("fmserve: %w", err))
 	}
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			fatal(fmt.Errorf("fmserve: closing wal: %w", err))
-		}
+	if *snapshotDir != "" {
+		log.Printf("fmserve: stream snapshots and tenant budgets saved to %s", *snapshotDir)
 	}
 	log.Printf("fmserve: drained, bye")
 }

@@ -3,6 +3,7 @@ package noise
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -11,8 +12,9 @@ import (
 var ErrBudgetExhausted = errors.New("noise: privacy budget exhausted")
 
 // ErrInvalidSpend is returned by Budget.Spend for a request that is not a
-// valid ε amount (non-positive). It is typed so a serving layer can map it to
-// a client error (the request was malformed) instead of a server failure.
+// valid ε amount (not finite and positive). It is typed so a serving layer
+// can map it to a client error (the request was malformed) instead of a
+// server failure.
 var ErrInvalidSpend = errors.New("noise: invalid spend")
 
 // Budget is a sequential-composition privacy accountant: mechanisms draw
@@ -28,10 +30,11 @@ type Budget struct {
 	spent float64
 }
 
-// NewBudget returns an accountant for a total budget of eps.
+// NewBudget returns an accountant for a total budget of eps, which must be
+// finite and positive.
 func NewBudget(eps float64) *Budget {
-	if eps <= 0 {
-		panic(fmt.Sprintf("noise: non-positive total budget %v", eps))
+	if !(eps > 0) || math.IsInf(eps, 1) { // NaN fails eps > 0
+		panic(fmt.Sprintf("noise: total budget %v is not finite and positive", eps))
 	}
 	return &Budget{total: eps}
 }
@@ -39,8 +42,8 @@ func NewBudget(eps float64) *Budget {
 // Spend consumes eps from the budget or returns ErrBudgetExhausted (leaving
 // the budget unchanged).
 func (b *Budget) Spend(eps float64) error {
-	if eps <= 0 {
-		return fmt.Errorf("%w: non-positive spend %v", ErrInvalidSpend, eps)
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return fmt.Errorf("%w: spend %v is not finite and positive", ErrInvalidSpend, eps)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -60,7 +63,7 @@ func (b *Budget) Spend(eps float64) error {
 // forgiven).
 func (b *Budget) RestoreSpent(spent float64) error {
 	const slack = 1e-12
-	if spent < 0 || spent > b.total+slack {
+	if !(spent >= 0 && spent <= b.total+slack) { // NaN fails both
 		return fmt.Errorf("noise: restored spend %v outside [0, %v]", spent, b.total)
 	}
 	b.mu.Lock()
@@ -74,9 +77,10 @@ func (b *Budget) RestoreSpent(spent float64) error {
 // a journaled debit may have raced a snapshot that already folded it in, so
 // re-applying can push the sum past the total — clamping keeps the invariant
 // spent ≤ total while erring on the side of over-counting, which costs
-// utility, never privacy. Non-positive amounts are ignored.
+// utility, never privacy. Amounts that are not positive, NaN included, are
+// ignored; +Inf exhausts the budget, the conservative reading.
 func (b *Budget) ReplaySpend(eps float64) {
-	if eps <= 0 {
+	if !(eps > 0) {
 		return
 	}
 	b.mu.Lock()

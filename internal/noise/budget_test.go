@@ -38,8 +38,13 @@ func TestBudgetRejectsNonPositiveSpend(t *testing.T) {
 	if err := b.Spend(0); !errors.Is(err, ErrInvalidSpend) {
 		t.Errorf("Spend(0) = %v, want ErrInvalidSpend", err)
 	}
-	if err := b.Spend(-0.1); !errors.Is(err, ErrInvalidSpend) {
-		t.Errorf("Spend(-0.1) = %v, want ErrInvalidSpend", err)
+	for _, eps := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		if err := b.Spend(eps); !errors.Is(err, ErrInvalidSpend) {
+			t.Errorf("Spend(%v) = %v, want ErrInvalidSpend", eps, err)
+		}
+	}
+	if b.Spent() != 0 {
+		t.Errorf("Spent = %v after refused spends, want 0", b.Spent())
 	}
 	// The two failure modes stay distinguishable: a malformed amount is not
 	// an exhausted budget, and vice versa.
@@ -79,12 +84,16 @@ func TestBudgetReplaySpend(t *testing.T) {
 }
 
 func TestNewBudgetRejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBudget(0) must panic")
-		}
-	}()
-	NewBudget(0)
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBudget(%v) must panic", eps)
+				}
+			}()
+			NewBudget(eps)
+		}()
+	}
 }
 
 func TestBudgetLemma5DoubleSpend(t *testing.T) {

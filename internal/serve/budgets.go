@@ -9,23 +9,23 @@ import (
 	"time"
 
 	"funcmech"
-	"funcmech/internal/wal"
 )
 
 // Durable tenant budget accounting. A tenant's ε-budget is a lifetime
 // commitment over the data, so the Session accountants must survive process
 // restarts: without persistence, a restart would silently reset every
 // tenant's spend to zero while the stream state (and therefore the data's
-// exposure) survives via -snapshot-dir. This file persists the accountants
-// alongside the stream snapshots — one atomically-replaced tenants.json —
-// and restores them on boot.
+// exposure) survives in the stream snapshots. This file holds the format of
+// tenants.json, the one atomically-replaced file that persists the
+// accountants beside the stream snapshots; Checkpoint writes it atomically
+// and durably (wal.WriteFileAtomic) and Open restores it (wal.go).
 //
 // Snapshots alone are only as durable as their cadence: ε spent after the
 // last snapshot and before a hard kill would be forgotten. The write-ahead
 // log (internal/wal) closes that gap — every charge is journaled durably
-// before any noise is drawn, boot replays the journal records the snapshot
-// does not cover (the wal_lsn gate below), and snapshot passes compact the
-// journal they fold in. A crash can therefore only over-count a tenant's
+// before any noise is drawn, Open replays the journal records the snapshot
+// does not cover (the wal_lsn gate below), and Checkpoint compacts the
+// journal it folds in. A crash can therefore only over-count a tenant's
 // lifetime spend, never under-count it.
 
 // tenantBudget is one tenant's persisted accountant state.
@@ -51,17 +51,17 @@ type budgetsEnvelope struct {
 const (
 	budgetsKind    = "tenant-budgets"
 	budgetsVersion = 1
-	// BudgetsFile is the snapshot-directory file name holding the tenant
+	// budgetsFile is the snapshot-directory file name holding the tenant
 	// accountants, next to the *.stream.json stream snapshots.
-	BudgetsFile = "tenants.json"
+	budgetsFile = "tenants.json"
 )
 
-// WriteBudgets serializes every tenant's accountant state. walLSN is the
+// writeBudgets serializes every tenant's accountant state. walLSN is the
 // highest write-ahead-log LSN the caller read *before* this call (0 without
 // a WAL): every charge journaled at or below it was debited before its
 // journal record existed, so the spends read here necessarily include it —
 // the ordering that lets replay skip covered records without under-counting.
-func (ts *Tenants) WriteBudgets(w io.Writer, walLSN uint64) error {
+func (ts *Tenants) writeBudgets(w io.Writer, walLSN uint64) error {
 	env := budgetsEnvelope{
 		Kind:    budgetsKind,
 		WALLSN:  walLSN,
@@ -78,15 +78,14 @@ func (ts *Tenants) WriteBudgets(w io.Writer, walLSN uint64) error {
 	return json.NewEncoder(w).Encode(env)
 }
 
-// ReadBudgets restores tenant accountants from WriteBudgets output into the
-// directory: missing tenants are created with their persisted total, already
-// registered tenants (e.g. from -tenant flags processed before the restore)
-// get their spend restored — the persisted spend is authoritative, because
-// accounting is a lifetime property of the data. It returns how many tenants
-// were restored along with the write-ahead-log LSN the snapshot covers (the
-// replay gate for journaled charges). Version mismatches surface
-// funcmech.ErrVersionMismatch.
-func (ts *Tenants) ReadBudgets(r io.Reader) (int, uint64, error) {
+// readBudgets restores tenant accountants from writeBudgets output into the
+// directory: each persisted tenant is declared with its persisted total
+// (Declare) and gets its spend restored — the persisted spend is
+// authoritative, because accounting is a lifetime property of the data. It
+// returns how many tenants were restored along with the write-ahead-log LSN
+// the snapshot covers (the replay gate for journaled charges). Version
+// mismatches surface funcmech.ErrVersionMismatch.
+func (ts *Tenants) readBudgets(r io.Reader) (int, uint64, error) {
 	var env budgetsEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return 0, 0, fmt.Errorf("serve: decoding tenant budgets: %w", err)
@@ -100,17 +99,11 @@ func (ts *Tenants) ReadBudgets(r io.Reader) (int, uint64, error) {
 	}
 	restored := 0
 	for _, tb := range env.Tenants {
-		t, ok := ts.Lookup(tb.Name)
-		if !ok {
-			var err error
-			if t, err = ts.Create(tb.Name, tb.Total); err != nil {
-				return restored, env.WALLSN, fmt.Errorf("serve: restoring tenant %q: %w", tb.Name, err)
-			}
-		} else if t.Session.Total() != tb.Total {
-			return restored, env.WALLSN, fmt.Errorf("serve: tenant %q budget %v disagrees with persisted lifetime budget %v",
-				tb.Name, t.Session.Total(), tb.Total)
+		t, _, err := ts.Declare(tb.Name, tb.Total)
+		if err == nil {
+			err = t.Session.RestoreSpent(tb.Spent)
 		}
-		if err := t.Session.RestoreSpent(tb.Spent); err != nil {
+		if err != nil {
 			return restored, env.WALLSN, fmt.Errorf("serve: restoring tenant %q: %w", tb.Name, err)
 		}
 		restored++
@@ -118,23 +111,11 @@ func (ts *Tenants) ReadBudgets(r io.Reader) (int, uint64, error) {
 	return restored, env.WALLSN, nil
 }
 
-// SaveBudgets writes the tenant accountants to dir/tenants.json atomically
-// and durably (wal.WriteFileAtomic: temp file, fsync, rename, directory
-// fsync — without the last step the rename itself is not durable across
-// power loss), mirroring the stream snapshot discipline. walLSN is the
-// journal position the snapshot covers; see WriteBudgets for the required
-// read ordering.
-func (ts *Tenants) SaveBudgets(dir string, walLSN uint64) error {
-	return wal.WriteFileAtomic(filepath.Join(dir, BudgetsFile), func(w io.Writer) error {
-		return ts.WriteBudgets(w, walLSN)
-	})
-}
-
-// LoadBudgets restores tenant accountants from dir/tenants.json. A missing
+// loadBudgets restores tenant accountants from dir/tenants.json. A missing
 // file is not an error (first boot); it returns how many tenants were
 // restored and the write-ahead-log LSN the file covers.
-func (ts *Tenants) LoadBudgets(dir string) (int, uint64, error) {
-	f, err := os.Open(filepath.Join(dir, BudgetsFile))
+func (ts *Tenants) loadBudgets(dir string) (int, uint64, error) {
+	f, err := os.Open(filepath.Join(dir, budgetsFile))
 	if os.IsNotExist(err) {
 		return 0, 0, nil
 	}
@@ -142,5 +123,5 @@ func (ts *Tenants) LoadBudgets(dir string) (int, uint64, error) {
 		return 0, 0, fmt.Errorf("serve: %w", err)
 	}
 	defer f.Close()
-	return ts.ReadBudgets(f)
+	return ts.readBudgets(f)
 }

@@ -11,7 +11,12 @@ import (
 )
 
 func TestBudgetsRoundTrip(t *testing.T) {
-	ts := NewTenants()
+	dir := t.TempDir()
+	s, err := Open(Config{}, Storage{SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := s.Tenants()
 	a, err := ts.Create("acme", 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -22,16 +27,14 @@ func TestBudgetsRoundTrip(t *testing.T) {
 	if err := a.Session.RestoreSpent(0.75); err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	if err := ts.SaveBudgets(dir, 0); err != nil {
+	if err := s.Close(); err != nil { // the final Checkpoint writes tenants.json
 		t.Fatal(err)
 	}
 
 	// Fresh directory, nothing pre-registered: both tenants come back with
 	// total and spend intact.
 	back := NewTenants()
-	n, _, err := back.LoadBudgets(dir)
+	n, _, err := back.loadBudgets(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestBudgetsRestoreIntoExistingTenant(t *testing.T) {
 	a, _ := ts.Create("acme", 2.0)
 	_ = a.Session.RestoreSpent(1.25)
 	var buf bytes.Buffer
-	if err := ts.WriteBudgets(&buf, 0); err != nil {
+	if err := ts.writeBudgets(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,7 +70,7 @@ func TestBudgetsRestoreIntoExistingTenant(t *testing.T) {
 	if _, err := back.Create("acme", 2.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := back.ReadBudgets(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, _, err := back.readBudgets(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := back.Lookup("acme")
@@ -80,14 +83,14 @@ func TestBudgetsRestoreIntoExistingTenant(t *testing.T) {
 	if _, err := conflicted.Create("acme", 5.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := conflicted.ReadBudgets(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, _, err := conflicted.readBudgets(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("conflicting budget: expected error")
 	}
 }
 
 func TestBudgetsLoadMissingFileIsFirstBoot(t *testing.T) {
 	ts := NewTenants()
-	n, _, err := ts.LoadBudgets(t.TempDir())
+	n, _, err := ts.loadBudgets(t.TempDir())
 	if err != nil || n != 0 {
 		t.Fatalf("missing file: n=%d err=%v, want 0/nil", n, err)
 	}
@@ -95,10 +98,10 @@ func TestBudgetsLoadMissingFileIsFirstBoot(t *testing.T) {
 
 func TestBudgetsVersionMismatchTyped(t *testing.T) {
 	ts := NewTenants()
-	if _, _, err := ts.ReadBudgets(strings.NewReader(`{"kind":"tenant-budgets","version":99,"tenants":[]}`)); !errors.Is(err, funcmech.ErrVersionMismatch) {
+	if _, _, err := ts.readBudgets(strings.NewReader(`{"kind":"tenant-budgets","version":99,"tenants":[]}`)); !errors.Is(err, funcmech.ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
-	if _, _, err := ts.ReadBudgets(strings.NewReader(`{"kind":"other","version":1}`)); err == nil {
+	if _, _, err := ts.readBudgets(strings.NewReader(`{"kind":"other","version":1}`)); err == nil {
 		t.Fatal("wrong kind: expected error")
 	}
 }

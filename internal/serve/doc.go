@@ -44,7 +44,8 @@
 // data-sensitivity table consolidating this package's durability and
 // privacy notes.
 //
-// Server wires the four into an http.Handler with typed JSON errors;
-// cmd/fmserve adds flags, signal handling, boot-time restore/replay and
-// graceful drain.
+// Server wires the four into an http.Handler with typed JSON errors. Open
+// restores one from its snapshots and journal, Checkpoint saves it and
+// compacts the journal, and Close runs the final pass (wal.go); cmd/fmserve
+// adds only flags, listeners, signals and a ticker that calls Checkpoint.
 package serve

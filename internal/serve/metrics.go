@@ -112,8 +112,8 @@ func newMetrics(s *Server) *metrics {
 		return batches
 	})
 	reg.NewCounterFunc(metricWALAppendsTotal, "WAL events journaled by this process.", func() uint64 {
-		if l := s.WAL(); l != nil {
-			return l.Appends()
+		if s.wlog != nil {
+			return s.wlog.Appends()
 		}
 		return 0
 	})
@@ -137,14 +137,14 @@ func newMetrics(s *Server) *metrics {
 		return float64(m.fitsInFlight.Load())
 	})
 	reg.NewGaugeFunc(metricWALLastLSN, "Last assigned WAL log sequence number.", func() float64 {
-		if l := s.WAL(); l != nil {
-			return float64(l.LastLSN())
+		if s.wlog != nil {
+			return float64(s.wlog.LastLSN())
 		}
 		return 0
 	})
 	reg.NewGaugeFunc(metricWALSegments, "WAL segment files, active included.", func() float64 {
-		if l := s.WAL(); l != nil {
-			return float64(l.Segments())
+		if s.wlog != nil {
+			return float64(s.wlog.Segments())
 		}
 		return 0
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"funcmech"
@@ -25,14 +26,17 @@ type Config struct {
 
 // Server is the multi-tenant training service: an http.Handler over a
 // dataset registry, a stream registry, a tenant directory and a parallelism
-// governor. Construct with New, preload via Registry/Tenants/Streams, mount
-// Handler.
+// governor. Construct with Open (durable state, see wal.go) or New, preload
+// via Registry/Tenants/Streams, mount Handler.
 type Server struct {
 	registry *Registry
 	streams  *stream.Registry
 	tenants  *Tenants
 	governor *Governor
-	wlog     *wal.Log // optional write-ahead log; see wal.go
+	wlog     *wal.Log      // optional write-ahead log; see wal.go
+	store    *stream.Store // optional snapshot directory; see Open
+	ckptMu   sync.Mutex    // serializes Checkpoint and Close
+	closed   bool          // set by Close, under ckptMu
 	start    time.Time
 	mux      *http.ServeMux
 	metrics  *metrics      // Prometheus families behind GET /metrics
@@ -70,7 +74,7 @@ func New(cfg Config) *Server {
 // Registry returns the dataset registry, for startup preloading.
 func (s *Server) Registry() *Registry { return s.registry }
 
-// Streams returns the stream registry, for snapshot restore and persistence.
+// Streams returns the stream registry.
 func (s *Server) Streams() *stream.Registry { return s.streams }
 
 // Tenants returns the tenant directory, for startup preloading.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,7 +36,7 @@ func (t *Tenant) Exhausted() int64 { return t.exhausted.Load() }
 type Tenants struct {
 	mu   sync.RWMutex
 	all  map[string]*Tenant
-	wlog *wal.Log // when set, registrations are journaled before they exist
+	wlog *wal.Log // set by Server.UseWAL: registrations are journaled first
 }
 
 // NewTenants returns an empty directory.
@@ -43,44 +44,48 @@ func NewTenants() *Tenants {
 	return &Tenants{all: make(map[string]*Tenant)}
 }
 
-// UseWAL makes every subsequent Create journal a registration event before
-// the tenant becomes visible. The journal must be attached after boot-time
-// restore/replay (those recreate tenants the journal already knows about)
-// and before any live traffic.
-func (ts *Tenants) UseWAL(l *wal.Log) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.wlog = l
-}
-
-// Create registers a tenant with the given lifetime ε. The budget must be
-// positive; duplicate names are an error (a tenant's budget is a lifetime
-// commitment — re-creating one would reset its privacy accounting). With a
-// WAL attached, the registration is journaled durably first: a tenant whose
-// charges the journal can prove must itself be provable from the journal,
-// or replay of those charges would have no accountant to debit. The fsync
-// happens under the directory lock — registration is rare, correctness is
-// not negotiable.
+// Create registers a new tenant with the given lifetime ε; a name already
+// registered is an error, whatever its budget (POST /v1/tenants answers it
+// with 409). See Declare for the rules both share.
 func (ts *Tenants) Create(name string, budget float64) (*Tenant, error) {
-	if name == "" {
-		return nil, fmt.Errorf("serve: empty tenant name")
-	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("serve: tenant %q: non-positive budget %v", name, budget)
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if _, ok := ts.all[name]; ok {
+	t, created, err := ts.Declare(name, budget)
+	if err == nil && !created {
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
 	}
+	return t, err
+}
+
+// Declare is the one lifetime-total rule, for tenants.json restore, journal
+// replay and the -tenant flag alike: an absent tenant is created (created =
+// true), one with the same total is returned unchanged, spend and all, and
+// any other total is an error — changing a lifetime budget would reset its
+// accounting. The total must be finite and positive. With a WAL attached,
+// the registration is journaled durably first, under the directory lock:
+// replay of a tenant's charges needs the tenant.
+func (ts *Tenants) Declare(name string, total float64) (t *Tenant, created bool, err error) {
+	if name == "" {
+		return nil, false, fmt.Errorf("serve: empty tenant name")
+	}
+	if !(total > 0) || math.IsInf(total, 1) { // NaN fails total > 0
+		return nil, false, fmt.Errorf("serve: tenant %q: budget %v is not a finite positive ε", name, total)
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if old, ok := ts.all[name]; ok {
+		if old.Session.Total() != total {
+			return nil, false, fmt.Errorf("serve: tenant %q budget %v conflicts with its lifetime budget %v",
+				name, total, old.Session.Total())
+		}
+		return old, false, nil
+	}
 	if ts.wlog != nil {
-		if _, err := ts.wlog.Append(wal.Event{Kind: wal.EventTenant, Tenant: name, Total: budget}); err != nil {
-			return nil, fmt.Errorf("%w tenant %q: %v", errWALAppend, name, err)
+		if _, err := ts.wlog.Append(wal.Event{Kind: wal.EventTenant, Tenant: name, Total: total}); err != nil {
+			return nil, false, fmt.Errorf("%w tenant %q: %v", errWALAppend, name, err)
 		}
 	}
-	t := &Tenant{Name: name, Session: funcmech.NewSession(budget)}
+	t = &Tenant{Name: name, Session: funcmech.NewSession(total)}
 	ts.all[name] = t
-	return t, nil
+	return t, true, nil
 }
 
 // Lookup returns the tenant registered under name, or false.

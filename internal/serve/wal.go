@@ -3,22 +3,143 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
+	"path/filepath"
 
 	"funcmech"
 	"funcmech/internal/obs"
+	"funcmech/internal/stream"
 	"funcmech/internal/wal"
 )
 
-// Crash-safe accounting. With a write-ahead log attached, the fit and refit
-// handlers follow a charge → journal → fit discipline: the tenant's session
-// is debited in memory, the debit is appended (and fsynced, with -wal-fsync)
-// to the journal, and only then does the mechanism draw noise. A crash at
-// any point can therefore only over-count a tenant's lifetime ε — a debit
-// whose fit never completed — never under-count it, which is the side a
-// privacy guarantee must err on. Boot runs the complement: restore the
-// snapshots, then ReplayWAL applies every journaled event the snapshots do
-// not cover.
+// The durability protocol, in one place. A crash may only ever over-count
+// a tenant's lifetime ε. With a journal attached, fits and refits follow
+// charge → journal → fit: the session is debited, the debit is appended
+// (fsynced with Storage.Fsync), and only then is noise drawn. Open runs the
+// complement at boot, Checkpoint folds the journal into the snapshots, and
+// Close is the final Checkpoint.
+
+// Storage names the directories of a Server's durable state; either may be
+// empty. Without SnapshotDir nothing is snapshotted, so nothing compacts
+// the journal.
+type Storage struct {
+	SnapshotDir string // stream snapshots (*.stream.json) and tenants.json
+	WALDir      string // the write-ahead log's segments
+	Fsync       bool   // sync the journal on every append
+}
+
+// ErrClosed is returned by Checkpoint and Close after Close.
+var ErrClosed = errors.New("serve: server closed")
+
+// Open returns a Server restored from st: the stream snapshots and
+// tenants.json, then the journal events above the LSNs they cover. It
+// attaches the journal with its next LSN above every LSN a snapshot claims,
+// even when compaction left no record behind. A boot refused by a snapshot
+// or by the replay writes nothing.
+func Open(cfg Config, st Storage) (*Server, error) {
+	s := New(cfg)
+	var covered uint64 // the LSN tenants.json folds in
+	if st.SnapshotDir != "" {
+		store, err := stream.NewStore(st.SnapshotDir)
+		if err != nil {
+			return nil, err
+		}
+		n, err := store.LoadAll(s.streams)
+		if err != nil {
+			return nil, fmt.Errorf("serve: restoring snapshots: %w", err)
+		}
+		nt, lsn, err := s.tenants.loadBudgets(st.SnapshotDir)
+		if err != nil {
+			return nil, fmt.Errorf("serve: restoring tenant budgets: %w", err)
+		}
+		records, batches := s.streams.Totals()
+		log.Printf("serve: restored %d stream(s) from %s (%d records over %d batches, no re-ingest needed) and %d tenant budget(s) covering wal lsn %d",
+			n, st.SnapshotDir, records, batches, nt, lsn)
+		s.store, covered = store, lsn
+	}
+	if st.WALDir == "" {
+		return s, nil
+	}
+	applied, last, err := s.replayWAL(st.WALDir, covered)
+	if err != nil {
+		return nil, fmt.Errorf("serve: replaying wal: %w", err)
+	}
+	floor := max(last, covered)
+	for _, str := range s.streams.All() {
+		floor = max(floor, str.WALLSN())
+	}
+	l, err := wal.Open(st.WALDir, wal.Options{Fsync: st.Fsync, Floor: floor})
+	if err != nil {
+		return nil, fmt.Errorf("serve: opening wal: %w", err)
+	}
+	s.UseWAL(l)
+	log.Printf("serve: wal replay applied %d event(s) from %s (last lsn %d, fsync=%v)", applied, st.WALDir, l.LastLSN(), st.Fsync)
+	return s, nil
+}
+
+// Checkpoint is the one snapshot pass. It reads the journal's last LSN
+// before it collects the state it saves as covering that LSN, so every
+// charge journaled at or below it is in the saved spend; it compacts the
+// covered segments only once the whole pass is durable. Passes are
+// serialized, so none renames an older snapshot over a newer one. After
+// Close it returns ErrClosed and writes nothing.
+func (s *Server) Checkpoint() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	return s.checkpointLocked()
+}
+
+func (s *Server) checkpointLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.store == nil {
+		return nil
+	}
+	var covered uint64
+	if s.wlog != nil {
+		covered = s.wlog.LastLSN()
+	}
+	if err := s.store.SaveAll(s.streams, covered); err != nil {
+		return fmt.Errorf("serve: stream snapshot: %w", err)
+	}
+	budgets := filepath.Join(s.store.Dir(), budgetsFile)
+	if err := wal.WriteFileAtomic(budgets, func(w io.Writer) error {
+		return s.tenants.writeBudgets(w, covered)
+	}); err != nil {
+		return fmt.Errorf("serve: tenant-budget snapshot: %w", err)
+	}
+	if s.wlog != nil {
+		// A failed compaction only keeps redundant segments.
+		if n, err := s.wlog.Compact(covered); err != nil {
+			log.Printf("serve: wal compaction failed: %v", err)
+		} else if n > 0 {
+			log.Printf("serve: wal compacted %d segment(s) up to lsn %d", n, covered)
+		}
+	}
+	return nil
+}
+
+// Close runs the final Checkpoint and closes the journal. Called once
+// requests have drained, its pass covers the journal's last LSN, so the
+// next Open replays nothing.
+func (s *Server) Close() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	err := s.checkpointLocked()
+	if errors.Is(err, ErrClosed) {
+		return err
+	}
+	s.closed = true
+	if s.wlog != nil {
+		if cerr := s.wlog.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("serve: closing wal: %w", cerr)
+		}
+	}
+	return err
+}
 
 // errWALAppend marks a privacy event whose journal append failed. For a
 // charge, the in-memory debit stands (conservative) but the fit is refused —
@@ -27,15 +148,15 @@ import (
 // it to 500: it is a server-side durability failure, not a client error.
 var errWALAppend = errors.New("serve: journaling")
 
-// UseWAL attaches the write-ahead log to the server and its tenant
-// directory. Attach after boot-time restore and replay, before serving.
+// UseWAL attaches the write-ahead log to a Server built with New (Open
+// attaches its own), before it serves: from then on every charge and tenant
+// registration is journaled before it takes effect.
 func (s *Server) UseWAL(l *wal.Log) {
 	s.wlog = l
-	s.tenants.UseWAL(l)
+	s.tenants.mu.Lock()
+	defer s.tenants.mu.Unlock()
+	s.tenants.wlog = l
 }
-
-// WAL returns the attached journal (nil without one).
-func (s *Server) WAL() *wal.Log { return s.wlog }
 
 // chargeDurable debits the tenant's session for releasing task at ε and,
 // with a WAL attached, journals the debited cost before returning. op is
@@ -82,13 +203,11 @@ func (s *Server) writeChargeError(w http.ResponseWriter, t *Tenant, err error) {
 	}
 }
 
-// ReplayWAL applies the journal in dir to the server's restored state:
-// tenant registrations recreate missing tenants, charges above
+// replayWAL applies the journal in dir to the restored state before it is
+// attached: tenant registrations go through Declare, charges above
 // budgetsCovered (the LSN tenants.json folds in) are re-debited, and ingest
-// sequences above each stream's own covered LSN advance that stream's
-// gauges. Call after snapshot restore and before UseWAL; it returns how
-// many events were applied and the last valid LSN in the journal (the floor
-// for reopening the log).
+// sequences above each stream's own covered LSN advance its gauges. It
+// returns how many events were applied and the journal's last valid LSN.
 //
 // A charge for a tenant the journal cannot account for fails the replay —
 // booting anyway would serve traffic against an accountant known to be
@@ -96,21 +215,17 @@ func (s *Server) writeChargeError(w http.ResponseWriter, t *Tenant, err error) {
 // state (unlike accounting) is only as durable as its snapshots, and a
 // recreated stream's own snapshot LSN keeps a dead incarnation's events
 // from leaking into it.
-func (s *Server) ReplayWAL(dir string, budgetsCovered uint64) (applied int, last uint64, err error) {
+func (s *Server) replayWAL(dir string, budgetsCovered uint64) (applied int, last uint64, err error) {
 	last, err = wal.Replay(dir, func(ev wal.Event) error {
 		switch ev.Kind {
 		case wal.EventTenant:
-			if t, ok := s.tenants.Lookup(ev.Tenant); ok {
-				if t.Session.Total() != ev.Total {
-					return fmt.Errorf("serve: journaled tenant %q budget %v disagrees with restored lifetime budget %v",
-						ev.Tenant, ev.Total, t.Session.Total())
-				}
-				return nil
-			}
-			if _, err := s.tenants.Create(ev.Tenant, ev.Total); err != nil {
+			_, created, err := s.tenants.Declare(ev.Tenant, ev.Total)
+			if err != nil {
 				return fmt.Errorf("serve: replaying tenant %q: %w", ev.Tenant, err)
 			}
-			applied++
+			if created {
+				applied++
+			}
 		case wal.EventCharge:
 			if ev.LSN <= budgetsCovered {
 				return nil // tenants.json already folds this debit in

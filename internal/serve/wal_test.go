@@ -13,17 +13,24 @@ import (
 	"funcmech/internal/wal"
 )
 
-// newWALServer is newTestServer with a journal attached, as fmserve would
-// after boot.
-func newWALServer(t *testing.T, dir string) (*Server, *httptest.Server, *wal.Log) {
+// openServer is newTestServer for a Server restored by Open from st, as
+// fmserve boots. Dropping the returned Server without Close is a crash.
+func openServer(t *testing.T, st Storage) (*Server, *httptest.Server) {
 	t.Helper()
-	l, err := wal.Open(dir, wal.Options{Fsync: true})
+	s, err := Open(Config{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Config{})
-	s.UseWAL(l)
-	return s, ts, l
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// newWALServer is openServer over a journal alone, as fmserve -wal-dir.
+func newWALServer(t *testing.T, dir string) (*Server, *httptest.Server, *wal.Log) {
+	t.Helper()
+	s, ts := openServer(t, Storage{WALDir: dir, Fsync: true})
+	return s, ts, s.wlog
 }
 
 func ingestRows(t *testing.T, base, name string, rows [][]float64) {
@@ -51,7 +58,7 @@ func streamRows(n int) [][]float64 {
 // sequence must all be provable from disk.
 func TestWALJournalsEveryPrivacyEvent(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, l := newWALServer(t, dir)
+	s, ts, _ := newWALServer(t, dir)
 	createTenant(t, ts.URL, "acme", 4.0)
 	registerRowsDataset(t, ts.URL, "toy", 200)
 	createStream(t, ts.URL, streamRequest{Name: "readings", Schema: testStreamSchema()})
@@ -78,7 +85,7 @@ func TestWALJournalsEveryPrivacyEvent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("refit: status %d", resp.StatusCode)
 	}
-	if err := l.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,35 +135,25 @@ func TestWALJournalsEveryPrivacyEvent(t *testing.T) {
 // TestWALCrashRecoveryExactSpend is the headline bug: no snapshot was ever
 // written, the process dies hard, and the restarted server must still know
 // the tenant and its exact ε-spend — and keep enforcing the lifetime budget
-// where the pre-WAL code would happily have re-spent it.
+// where the pre-WAL code would happily have re-spent it. These are the
+// first two phases of scripts/e2e_crash.sh.
 func TestWALCrashRecoveryExactSpend(t *testing.T) {
-	dir := t.TempDir()
-	_, ts, _ := newWALServer(t, dir)
+	st := Storage{SnapshotDir: t.TempDir(), WALDir: t.TempDir(), Fsync: true}
+	_, ts := openServer(t, st)
 	createTenant(t, ts.URL, "acme", 4.0)
 	registerRowsDataset(t, ts.URL, "toy", 200)
 	for i := 0; i < 3; i++ {
-		resp := postJSON(t, ts.URL+"/v1/fit", fitRequest{
-			Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.5,
-		})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fit %d: status %d", i, resp.StatusCode)
+		if code := fitStatus(t, ts.URL, "acme", 0.5, ""); code != http.StatusOK {
+			t.Fatalf("fit %d: status %d", i, code)
 		}
 	}
 	// kill -9: no drain, no snapshot, no Close. Every charge was fsynced
 	// before its fit drew noise, so the journal alone carries the truth.
+	if applied, last, err := New(Config{}).replayWAL(st.WALDir, 0); err != nil || applied != 4 || last == 0 {
+		t.Fatalf("replay applied %d events up to lsn %d (err %v), want 1 registration + 3 charges", applied, last, err)
+	}
 
-	s2 := New(Config{})
-	applied, last, err := s2.ReplayWAL(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 4 { // 1 registration + 3 charges
-		t.Fatalf("replay applied %d events, want 4", applied)
-	}
-	if last == 0 {
-		t.Fatal("replay saw an empty journal")
-	}
+	s2, ts2 := openServer(t, st)
 	tenant, ok := s2.Tenants().Lookup("acme")
 	if !ok {
 		t.Fatal("tenant not recreated from journal")
@@ -169,8 +166,6 @@ func TestWALCrashRecoveryExactSpend(t *testing.T) {
 	}
 
 	// The recovered accountant keeps enforcing: 2.5 remain, so 3.0 must 402.
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
 	registerRowsDataset(t, ts2.URL, "toy", 200)
 	resp := postJSON(t, ts2.URL+"/v1/fit", fitRequest{
 		Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 3.0,
@@ -181,57 +176,79 @@ func TestWALCrashRecoveryExactSpend(t *testing.T) {
 	}
 }
 
+// fitStatus posts one linear fit on dataset "toy" and returns its status.
+func fitStatus(t *testing.T, base, tenant string, eps float64, post string) int {
+	t.Helper()
+	resp := postJSON(t, base+"/v1/fit", fitRequest{
+		Tenant: tenant, Dataset: "toy", Model: "linear", Epsilon: eps,
+		Options: fitOptions{PostProcess: post},
+	})
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// spentOf returns a tenant's recovered spend, failing if it is unknown.
+func spentOf(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	tenant, ok := s.Tenants().Lookup(name)
+	if !ok {
+		t.Fatalf("tenant %q missing after boot", name)
+	}
+	return tenant.Session.Spent()
+}
+
 // TestWALReplayIdempotentAcrossSnapshotBoundary covers the wal_lsn gate: a
-// budgets snapshot folds a prefix of the journal in, replay applies only the
-// suffix, and a second boot reproduces the identical spend.
+// Checkpoint folds a prefix of the journal into tenants.json, replay applies
+// only the suffix, and every later boot — after a crash or a Close —
+// reproduces the identical spend (e2e_crash.sh's clean-restart phases).
 func TestWALReplayIdempotentAcrossSnapshotBoundary(t *testing.T) {
-	dir := t.TempDir()
-	snapDir := t.TempDir()
-	s1, ts, l := newWALServer(t, dir)
+	st := Storage{SnapshotDir: t.TempDir(), WALDir: t.TempDir(), Fsync: true}
+	s1, ts := openServer(t, st)
 	createTenant(t, ts.URL, "acme", 4.0)
 	registerRowsDataset(t, ts.URL, "toy", 200)
-	fit := func() {
-		resp := postJSON(t, ts.URL+"/v1/fit", fitRequest{
-			Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 0.25,
-		})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fit: status %d", resp.StatusCode)
+	createStream(t, ts.URL, streamRequest{Name: "readings", Schema: testStreamSchema()})
+	ingestRows(t, ts.URL, "readings", streamRows(30))
+	for i := 0; i < 2; i++ {
+		if code := fitStatus(t, ts.URL, "acme", 0.25, ""); code != http.StatusOK {
+			t.Fatalf("fit: status %d", code)
 		}
 	}
-	fit()
-	fit()
-	covered := l.LastLSN() // read BEFORE collecting state — the required order
-	if err := s1.Tenants().SaveBudgets(snapDir, covered); err != nil {
+	if err := s1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	fit() // journaled but not snapshotted: only replay can recover it
+	covered := s1.wlog.LastLSN()
+	// Journaled but not snapshotted: only replay can recover it.
+	if code := fitStatus(t, ts.URL, "acme", 0.25, ""); code != http.StatusOK {
+		t.Fatalf("fit: status %d", code)
+	}
 
-	boot := func() float64 {
-		s := New(Config{})
-		_, lsn, err := s.Tenants().LoadBudgets(snapDir)
-		if err != nil {
-			t.Fatal(err)
+	s, ts := openServer(t, st)
+	if _, lsn, err := NewTenants().loadBudgets(st.SnapshotDir); err != nil || lsn != covered {
+		t.Fatalf("tenants.json covers wal lsn %d (err %v), want %d", lsn, err, covered)
+	}
+	if got := spentOf(t, s, "acme"); got != 0.75 {
+		t.Fatalf("recovered spend = %v, want exactly 0.75 (2 snapshotted + 1 replayed)", got)
+	}
+	// Only Close's final pass can save these.
+	ingestRows(t, ts.URL, "readings", streamRows(10))
+	for _, restart := range []string{"clean", "clean", "crash"} {
+		if restart == "clean" {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if lsn != covered {
-			t.Fatalf("loaded wal_lsn %d, want %d", lsn, covered)
+		s, _ = openServer(t, st)
+		if got := spentOf(t, s, "acme"); got != 0.75 {
+			t.Fatalf("spend after a %s restart = %v, want 0.75 (replay not idempotent)", restart, got)
 		}
-		if _, _, err := s.ReplayWAL(dir, lsn); err != nil {
-			t.Fatal(err)
-		}
-		tenant, ok := s.Tenants().Lookup("acme")
+		readings, ok := s.Streams().Lookup("readings")
 		if !ok {
-			t.Fatal("tenant missing after boot")
+			t.Fatalf("stream lost in a %s restart", restart)
 		}
-		return tenant.Session.Spent()
-	}
-	first := boot()
-	second := boot()
-	if first != 0.75 {
-		t.Fatalf("recovered spend = %v, want exactly 0.75 (2 snapshotted + 1 replayed)", first)
-	}
-	if second != first {
-		t.Fatalf("replay not idempotent: %v then %v", first, second)
+		if readings.Records() != 40 || readings.Merged().Len() != 40 {
+			t.Fatalf("stream after a %s restart: %d records, %d folded; want 40",
+				restart, readings.Records(), readings.Merged().Len())
+		}
 	}
 }
 
@@ -251,7 +268,7 @@ func TestWALIngestReplayRespectsStreamIncarnations(t *testing.T) {
 	// Incarnation 2: replay skips the orphan events (no such stream), the
 	// name is recreated, 10 records arrive, and a snapshot covers them.
 	s2 := New(Config{})
-	if _, _, err := s2.ReplayWAL(dir, 0); err != nil {
+	if _, _, err := s2.replayWAL(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s2.Streams().Lookup("readings"); ok {
@@ -287,7 +304,7 @@ func TestWALIngestReplayRespectsStreamIncarnations(t *testing.T) {
 	if _, err := store.LoadAll(s3.Streams()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s3.ReplayWAL(dir, 0); err != nil {
+	if _, _, err := s3.replayWAL(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := s3.Streams().Lookup("readings")
@@ -319,7 +336,7 @@ func TestWALIngestReplayRespectsStreamIncarnations(t *testing.T) {
 	if _, err := store.LoadAll(s4.Streams()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s4.ReplayWAL(dir, 0); err != nil {
+	if _, _, err := s4.replayWAL(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	st4, _ := s4.Streams().Lookup("readings")

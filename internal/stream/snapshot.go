@@ -138,7 +138,7 @@ func ReadSnapshot(r io.Reader) (*Stream, error) {
 
 // Store persists streams under a directory, one atomically-replaced file per
 // stream (<name>.stream.json; stream names are filename-safe by
-// construction). It is the substrate for fmserve's -snapshot-dir.
+// construction). It is the substrate for serve.Storage's SnapshotDir.
 type Store struct {
 	dir string
 }

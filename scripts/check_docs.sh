@@ -50,6 +50,12 @@
 #      decoders' option structs (fitOptions in internal/serve/server.go,
 #      refitOptions in internal/serve/streams.go) agree in BOTH directions.
 #
+#  10. The README.md fmserve flag table (between <!-- fmserve-flags:begin -->
+#      and <!-- fmserve-flags:end -->) and the flags cmd/fmserve/main.go
+#      defines (every flag.*("name", ...) call) agree in BOTH directions:
+#      every backticked -name in a row's first cell is a defined flag, and
+#      every defined flag has a row.
+#
 # Run locally or in CI (the docs job); no dependencies beyond POSIX tools.
 set -euo pipefail
 
@@ -357,8 +363,31 @@ for spec in "POST /v1/fit|fitOptions|internal/serve/server.go" \
   o=$((o + $(wc -l < "$WORK/src_opts" | tr -d ' ')))
 done
 
+# --- 10. README fmserve flag table <-> the flags cmd/fmserve defines -------
+flagsrc=cmd/fmserve/main.go
+grep -oE 'flag\.[A-Za-z]+\("[a-z-]+"' "$flagsrc" | sed -E 's/^[^"]*"([^"]+)"$/\1/' | sort -u > "$WORK/src_flags"
+sed -n '/<!-- fmserve-flags:begin -->/,/<!-- fmserve-flags:end -->/p' README.md |
+  grep -E '^\| `-' | sed -E 's/^\| `-([^`]+)`.*/\1/' | sort > "$WORK/doc_flags"
+if [ ! -s "$WORK/src_flags" ] || [ ! -s "$WORK/doc_flags" ]; then
+  echo "check-docs: could not extract flags from $flagsrc or the fmserve flag table from README.md" >&2
+  fail=1
+fi
+while IFS= read -r name; do
+  if ! grep -qxF "$name" "$WORK/src_flags"; then
+    echo "check-docs: README.md documents fmserve flag -$name, but $flagsrc defines no such flag" >&2
+    fail=1
+  fi
+done < "$WORK/doc_flags"
+while IFS= read -r name; do
+  if ! grep -qxF "$name" "$WORK/doc_flags"; then
+    echo "check-docs: $flagsrc defines flag -$name, but README.md's fmserve flag table has no row for it" >&2
+    fail=1
+  fi
+done < "$WORK/src_flags"
+f="$(wc -l < "$WORK/src_flags" | tr -d ' ')"
+
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL" >&2
   exit 1
 fi
-echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist; $o fit and refit options match README.md)"
+echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist; $o fit and refit options match README.md; $f fmserve flags match README.md)"

@@ -15,6 +15,9 @@
 #   3. SIGTERM (snapshot + WAL compaction), restart: replay is idempotent —
 #      same spend, same stream sequence numbers
 #   4. one more clean restart repeats the same assertions
+#   5. a charge after that restart, whose boot found the sealed segments
+#      compacted away, survives a kill -9: its LSN must clear everything
+#      tenants.json claims to cover, or the next replay would skip it
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -208,6 +211,16 @@ SERVER_PID=""
 [ "$drain_status" = 0 ] || fail "server exited $drain_status on second SIGTERM"
 start_server
 check_clean_restart "second clean restart"
+
+echo "e2e-crash: phase 5 — a charge after the compacting restart survives kill -9"
+code=$(fit acme 0.5 "$WORKDIR/fit-floor.json")
+[ "$code" = 200 ] || fail "post-restart fit returned $code: $(cat "$WORKDIR/fit-floor.json")"
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+start_server
+spent=$(spent_of acme)
+[ "$spent" = 3.5 ] || fail "acme epsilon_spent after kill -9 = $spent, want exactly 3.5 (the charge's LSN was below tenants.json's wal_lsn)"
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || true

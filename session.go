@@ -39,7 +39,7 @@ var ErrBudgetExhausted = noise.ErrBudgetExhausted
 var ErrInvalidSpend = noise.ErrInvalidSpend
 
 // NewSession returns a session with the given total ε. It panics for a
-// non-positive budget (a programming error).
+// budget that is not finite and positive (a programming error).
 func NewSession(totalEpsilon float64) *Session {
 	return &Session{budget: noise.NewBudget(totalEpsilon)}
 }

@@ -213,3 +213,30 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionRefusesNonFiniteBudgets: NaN fails every comparison, so an
+// accountant that only refused amounts <= 0 let a NaN total or a NaN
+// restored or replayed spend through, and then admitted every charge.
+func TestSessionRefusesNonFiniteBudgets(t *testing.T) {
+	for _, total := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSession(%v) must panic", total)
+				}
+			}()
+			funcmech.NewSession(total)
+		}()
+	}
+	s := funcmech.NewSession(1)
+	if err := s.RestoreSpent(math.NaN()); err == nil {
+		t.Error("RestoreSpent(NaN) accepted")
+	}
+	s.ReplaySpend(math.NaN())
+	if got := s.Spent(); got != 0 {
+		t.Fatalf("Spent = %v after RestoreSpent(NaN) and ReplaySpend(NaN), want 0", got)
+	}
+	if _, err := s.Charge("linear", 1000); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+		t.Fatalf("Charge(1000) on a session of 1: err = %v, want ErrBudgetExhausted", err)
+	}
+}
