@@ -15,9 +15,9 @@ import (
 // that share per-record contributions share a fold: ridge refits from the
 // linear fold because its penalty is data-independent.
 type taskFold struct {
-	key  string          // the fold's registry name
-	rule core.TargetRule // how the raw target becomes this fold's label
-	acc  *core.Accumulator
+	key  string            // the fold's registry name
+	rule core.TargetRule   // how the raw target becomes this fold's label
+	acc  *core.Accumulator // n, α, β, and M unless the fold shares the Gram
 
 	// err, once set, poisons the fold: a record arrived whose label could
 	// not be derived under the fold's target rule (or a restored snapshot
@@ -32,7 +32,11 @@ type taskFold struct {
 // step needs only these sums (paper Algorithm 1), and maintaining them is a
 // streaming monoid fold. One accumulator maintains a fold per registered
 // task family (linear — shared by ridge — logistic, median, …), so every
-// registered task can be refitted over the same ingested records.
+// registered task can be refitted over the same ingested records. The
+// families whose M is the Gram XᵀX up to a constant factor
+// (core.TaskSpec.SharesGram) keep only their own n, α and β and finalize
+// over one Gram the accumulator folds once per batch; the rest (median,
+// which weights x·xᵀ per record) keep a whole fold each.
 //
 // Records are checked against the schema and go through the record rule the
 // one-shot fit paths use, so a fit from an accumulator is bit-identical to
@@ -51,6 +55,7 @@ type taskFold struct {
 type Accumulator struct {
 	rule  *dataset.Normalizer // the record rule: raw schema, intercept, threshold
 	n     int                 // records folded
+	gram  *core.Accumulator   // XᵀX over every record: the M of every fold that shares it
 	folds []*taskFold         // registry fold order (sorted by key)
 }
 
@@ -69,9 +74,9 @@ func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
 	specs := core.FoldSpecs()
 	folds := make([]*taskFold, 0, len(specs))
 	for _, spec := range specs {
-		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: core.NewAccumulator(spec.Task, rule.D())})
+		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: core.NewFold(spec, rule.D())})
 	}
-	return &Accumulator{rule: rule, folds: folds}, nil
+	return &Accumulator{rule: rule, gram: core.NewGram(rule.D()), folds: folds}, nil
 }
 
 // fold returns the fold registered under key, or nil.
@@ -206,6 +211,7 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 		sc.yl[i] = a.rule.NormalizeLabel(flat[(i+1)*w-1])
 	}
 
+	a.gram.AddGram(sc.xs)
 	bi = 0
 	for _, f := range a.folds {
 		if f.rule == core.TargetBoolean {
@@ -248,6 +254,7 @@ func (a *Accumulator) BinarizeThreshold() (float64, bool) {
 // Clone returns a deep copy sharing no mutable state with a.
 func (a *Accumulator) Clone() *Accumulator {
 	out := *a
+	out.gram = a.gram.Clone()
 	out.folds = make([]*taskFold, len(a.folds))
 	for i, f := range a.folds {
 		cp := *f
@@ -264,6 +271,7 @@ func (a *Accumulator) Merge(o *Accumulator) error {
 	if err := a.compatible(o); err != nil {
 		return err
 	}
+	a.gram.Merge(o.gram)
 	for i, f := range a.folds {
 		of := o.folds[i]
 		f.acc.Merge(of.acc)

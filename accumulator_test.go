@@ -2,13 +2,16 @@ package funcmech_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"funcmech"
+	"funcmech/internal/fmbin"
 )
 
 // ingest feeds every record of ds into acc, failing the test on error.
@@ -323,6 +326,79 @@ func TestAccumulatorSaveLoadRoundTrip(t *testing.T) {
 	m6, _, _ := funcmech.FitTaskFromAccumulator(acc, "linear", 0.9, funcmech.WithSeed(10))
 	m7, _, _ := funcmech.FitTaskFromAccumulator(old, "linear", 0.9, funcmech.WithSeed(10))
 	sameWeights(t, "batch folds after restoring a fast_math envelope", m6.Weights(), m7.Weights())
+}
+
+// TestSaveWritesSharedFoldColumns: Save writes the logistic column as ⅛ of
+// the linear column bit for bit — the one Gram both share, scaled as
+// logistic's finalization scales it, which over normal-range records is
+// what logistic's per-record ⅛ fold wrote — so snapshots keep their
+// meaning whichever way the folds are kept. A loaded snapshot refits all
+// four tasks bit-identically at fixed seeds.
+func TestSaveWritesSharedFoldColumns(t *testing.T) {
+	acc, err := funcmech.NewAccumulator(incomeSchema(),
+		funcmech.WithIntercept(), funcmech.WithBinarizeThreshold(55000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, acc, incomeDataset(800, 58))
+	var buf bytes.Buffer
+	if err := acc.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	var env struct {
+		Tasks  map[string]json.RawMessage `json:"tasks"`
+		Coeffs []byte                     `json:"coeffs"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	flat, cols, err := fmbin.Decode(env.Coeffs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range env.Tasks {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	lin, logit := slices.Index(names, "linear"), slices.Index(names, "logistic")
+	d := acc.NumFeatures() + 1 // the intercept column
+	rows := d + d*(d+1)/2
+	if lin < 0 || logit < 0 || cols != len(names) || len(flat) != cols*rows {
+		t.Fatalf("envelope folds %v, frame %d×%d values", names, cols, len(flat)/max(cols, 1))
+	}
+	for r := d; r < rows; r++ {
+		want := flat[r*cols+lin] * 0.125
+		if got := flat[r*cols+logit]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("logistic M entry %d = %v, want ⅛ of linear's, %v", r-d, got, want)
+		}
+	}
+
+	back, err := funcmech.LoadAccumulator(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		task string
+		opts []funcmech.Option
+	}{
+		{"linear", nil},
+		{"ridge", []funcmech.Option{funcmech.WithRidge(0.5)}},
+		{"logistic", nil},
+		{"median", nil},
+	} {
+		opts := append(tc.opts, funcmech.WithSeed(21))
+		m1, _, err := funcmech.FitTaskFromAccumulator(acc, tc.task, 0.9, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, _, err := funcmech.FitTaskFromAccumulator(back, tc.task, 0.9, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWeights(t, tc.task+" after restore", m1.Weights(), m2.Weights())
+	}
 }
 
 // TestVersionMismatchIsTyped: both envelope kinds reject unknown versions

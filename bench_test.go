@@ -423,6 +423,35 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestFold measures the public stream fold alone: 1,024 raw
+// records per op through Accumulator.AddFlat, with a binarize threshold so
+// every fold is live — the shared Gram, the linear and logistic α/β passes
+// and the median fold. d = 13 and d = 63 are the feature counts of the
+// ingest_json_d14 and refit_fmbin_d64 workloads.
+func BenchmarkIngestFold(b *testing.B) {
+	const batch = 1024
+	for _, d := range []int{13, 63} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			flat := telemetryFlat(batch, d+1, int64(d))
+			acc, err := funcmech.NewAccumulator(telemetrySchema(d), funcmech.WithBinarizeThreshold(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := acc.AddFlat(flat); err != nil { // warm the scratch pools
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := acc.AddFlat(flat); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(batch, "records/op")
+		})
+	}
+}
+
 // telemetrySchema and telemetryFlat model the sparse-update sensor corpus
 // the binary wire format targets: full-precision channels where only a
 // couple change per record. That shape is where JSON hurts most (~20 ASCII

@@ -9,7 +9,8 @@ import (
 // accumulating a batch is a symmetric rank-k update — BLAS's SYRK — of a
 // left operand of c2-scaled rows against the raw rows. The fold
 // (Accumulator.foldBlock) builds the left operand once per tile; while every
-// c2 in the tile is 1 (linear, ridge) the raw tile is its own left operand.
+// c2 in the tile is 1 (linear, ridge, logistic, and a Gram) the raw tile is
+// its own left operand.
 // The kernel borrows SYRK's blocking scheme:
 //
 //   - Records are processed in tiles of kernelTileRows(d) rows, so one tile
@@ -32,9 +33,11 @@ import (
 // record-by-record sweep; kernel_vec_test.go and columnar_test.go pin this
 // down.
 //
-// The scaled left operand rounds exactly as the per-record products it
-// replaces: logistic's x[a]·0.125 is the exact power-of-two shift x[a]/8,
-// and median's x[a]·c2 is the same single rounding its per-record fold made.
+// Only median scales the left operand: its x[a]·c2 is the same single
+// rounding its per-record fold made. Every other task's c2 is 1, so its M
+// is the Gram XᵀX, which a stream folds once for all of them (NewGram);
+// logistic's ⅛ scales the summed Gram in its FinalizeObjective instead of
+// each x[a].
 //
 // On amd64 with AVX2 the interior register blocks run hand-vectorized
 // (kernel_vec.go / kernel_avx_amd64.s) with the vector lanes spread across

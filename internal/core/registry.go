@@ -52,6 +52,11 @@ type TaskSpec struct {
 	Fold string
 	// Target is the label-derivation rule the ingestion layers apply.
 	Target TargetRule
+	// SharesGram marks a task whose per-record c2 is 1 for every label, so
+	// that its unfinalized M is the Gram XᵀX: an accumulator folds the Gram
+	// once for every such fold, and each keeps only its n, α and β (see
+	// NewFold). Any factor on M belongs to the task's FinalizeObjective.
+	SharesGram bool
 	// AcceptsRidge reports whether the task takes an optional ridge weight,
 	// which New turns into a RidgeTask over the row's (linear) fold;
 	// NeedsRidgeWeight additionally makes a positive weight mandatory.
@@ -91,6 +96,7 @@ var taskTable = [...]TaskSpec{
 		Task:               LinearTask{},
 		Fold:               TaskNameLinear,
 		Target:             TargetNormalized,
+		SharesGram:         true,
 		AcceptsRidge:       true,
 		SensitivityFormula: "2(d+1)^2",
 	},
@@ -100,6 +106,7 @@ var taskTable = [...]TaskSpec{
 		Task:               LogisticTask{},
 		Fold:               TaskNameLogistic,
 		Target:             TargetBoolean,
+		SharesGram:         true,
 		SensitivityFormula: "d^2/4 + 3d",
 	},
 	{
@@ -116,6 +123,7 @@ var taskTable = [...]TaskSpec{
 		Task:               LinearTask{},
 		Fold:               TaskNameLinear,
 		Target:             TargetNormalized,
+		SharesGram:         true,
 		AcceptsRidge:       true,
 		NeedsRidgeWeight:   true,
 		SensitivityFormula: "2(d+1)^2",

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"funcmech/internal/linalg"
+	"funcmech/internal/poly"
 )
 
 func TestRegistryBuiltins(t *testing.T) {
@@ -17,6 +22,15 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 	if want := []string{TaskNameLinear, TaskNameLogistic, TaskNameMedian}; !reflect.DeepEqual(folds, want) {
 		t.Fatalf("fold specs = %v, want %v", folds, want)
+	}
+	var gram []string
+	for _, s := range FoldSpecs() {
+		if s.SharesGram {
+			gram = append(gram, s.Name)
+		}
+	}
+	if want := []string{TaskNameLinear, TaskNameLogistic}; !reflect.DeepEqual(gram, want) {
+		t.Fatalf("folds sharing the Gram = %v, want %v", gram, want)
 	}
 	ridge, ok := LookupTask(TaskNameRidge)
 	if !ok || ridge.Fold != TaskNameLinear {
@@ -32,12 +46,74 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// gramShareError reports why row s may not share the Gram: a label its
+// target rule allows — random values in [−1, 1], ±1 and 0, or {0, 1} for a
+// boolean target — at which the task's c2 is not 1, or a finalization that
+// is not exactly gramScale times the Gram, the scaling StateOver and
+// GramFromState apply to a snapshot column. A row without the mark passes.
+func gramShareError(s TaskSpec, rng *rand.Rand) error {
+	if !s.SharesGram {
+		return nil
+	}
+	labels := []float64{0, 1}
+	if s.Target != TargetBoolean {
+		labels = append(labels, -1)
+		for range 200 {
+			labels = append(labels, rng.Float64()*2-1)
+		}
+	}
+	for _, y := range labels {
+		if _, _, c2 := s.Task.Coefficients(y); c2 != 1 {
+			return fmt.Errorf("c2 = %v at label %v, want 1", c2, y)
+		}
+	}
+	const d = 5
+	gram := linalg.NewMatrix(d, d)
+	for a := 0; a < d; a++ {
+		for b := a; b < d; b++ {
+			v := rng.NormFloat64()
+			gram.Set(a, b, v)
+			gram.Set(b, a, v)
+		}
+	}
+	q := &poly.Quadratic{M: gram.Clone(), Alpha: make([]float64, d)}
+	s.Task.FinalizeObjective(q, 1+rng.Intn(1000))
+	scale := gramScale(s.Task)
+	for a := 0; a < d; a++ {
+		for b := 0; b < d; b++ {
+			if want := gram.At(a, b) * scale; math.Float64bits(q.M.At(a, b)) != math.Float64bits(want) {
+				return fmt.Errorf("finalized M[%d,%d] = %v, not %v × the Gram's %v", a, b, q.M.At(a, b), scale, gram.At(a, b))
+			}
+		}
+	}
+	return nil
+}
+
+// TestGramShareCheckCatchesLabelDependentCurvature is the negative control
+// for gramShareError: a row marked SharesGram whose task is median's, with
+// its label-dependent c2, is caught, and so is one whose finalization adds
+// a ridge penalty rather than scaling the Gram.
+func TestGramShareCheckCatchesLabelDependentCurvature(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, task := range []Task{MedianTask{}, RidgeTask{Weight: 0.5}} {
+		row := TaskSpec{Name: "marked", Task: task, Fold: "marked", Target: TargetNormalized, SharesGram: true}
+		if err := gramShareError(row, rng); err == nil {
+			t.Errorf("a %s row marked SharesGram passed the check", task.Name())
+		}
+	}
+}
+
 // TestTaskTableWellFormed checks the invariants the static table's readers
 // rely on: rows sorted by unique name, every fold a row that folds itself
-// with the same per-record task, and a ridge policy New can honour.
+// with the same per-record task, a ridge policy New can honour, and a
+// SharesGram mark only where the task's c2 is 1 for every label.
 func TestTaskTableWellFormed(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	specs := TaskSpecs()
 	for i, s := range specs {
+		if err := gramShareError(s, rng); err != nil {
+			t.Errorf("task %q is marked SharesGram, but %v", s.Name, err)
+		}
 		if s.Name == "" || s.Task == nil || s.Degree <= 0 || s.SensitivityFormula == "" {
 			t.Errorf("row %d is incomplete: %+v", i, s)
 		}
@@ -48,8 +124,8 @@ func TestTaskTableWellFormed(t *testing.T) {
 		switch {
 		case !ok || fold.Fold != fold.Name:
 			t.Errorf("task %q folds into %q, which is not a fold-defining row", s.Name, s.Fold)
-		case fold.Task != s.Task || fold.Target != s.Target:
-			t.Errorf("task %q shares fold %q but not its per-record task and target rule", s.Name, s.Fold)
+		case fold.Task != s.Task || fold.Target != s.Target || fold.SharesGram != s.SharesGram:
+			t.Errorf("task %q shares fold %q but not its per-record task, target rule and Gram", s.Name, s.Fold)
 		}
 		if s.Fold == s.Name && s.Task.Name() != s.Name {
 			t.Errorf("fold row %q carries task %q", s.Name, s.Task.Name())

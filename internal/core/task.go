@@ -52,8 +52,8 @@ type Task interface {
 	Coefficients(y float64) (c0, c1, c2 float64)
 	// FinalizeObjective applies the data-independent terms that depend only
 	// on the record count n (e.g. the logistic n·log 2 constant, the ridge
-	// penalty), after the accumulated matrix has been mirrored to full
-	// symmetric form.
+	// penalty) and any constant factor on M (logistic's ⅛), after the
+	// accumulated matrix has been mirrored to full symmetric form.
 	FinalizeObjective(q *poly.Quadratic, n int)
 	// Validate checks the geometric preconditions the sensitivity bound
 	// relies on (unit-sphere features; target range).
@@ -97,7 +97,9 @@ func (LinearTask) Validate(ds *dataset.Dataset) error {
 }
 
 // LogisticTask is logistic regression (Definition 2) through the order-2
-// Taylor truncation of Algorithm 2.
+// Taylor truncation of Algorithm 2. Its per-record c2 is 1, so its
+// unfinalized M is the Gram XᵀX that linear regression folds too, and the
+// ⅛ of §5.3 lives in FinalizeObjective, beside the n·log 2 constant.
 type LogisticTask struct{}
 
 // Name implements Task.
@@ -109,19 +111,26 @@ func (LogisticTask) Sensitivity(d int) float64 {
 	return dd*dd/4 + 3*dd
 }
 
+// logisticCurvature is ½·f₁⁽²⁾(0) = ⅛, the factor on XᵀX in the truncated
+// objective.
+const logisticCurvature = 0.125
+
 // Coefficients implements Task with the truncated objective of §5.3:
 // M = ⅛·XᵀX, α = Σᵢ(½−yᵢ)xᵢ, β = n·log 2, from the Taylor values
-// f₁⁽⁰⁾(0)=log 2, f₁⁽¹⁾(0)=½, f₁⁽²⁾(0)=¼. The constant n·log 2 belongs to
-// FinalizeObjective, because Σ log 2 over n records is not bitwise n·log 2.
-// The fold applies the ⅛ to x[a] as x[a]·0.125, which rounds exactly as
-// x[a]/8.
+// f₁⁽⁰⁾(0)=log 2, f₁⁽¹⁾(0)=½, f₁⁽²⁾(0)=¼. A record contributes x·xᵀ to M
+// (c2 = 1) and nothing to β: the ⅛ and the n·log 2 are data-independent,
+// so FinalizeObjective applies both.
 func (LogisticTask) Coefficients(y float64) (c0, c1, c2 float64) {
-	return 0, 0.5 - y, 0.125
+	return 0, 0.5 - y, 1
 }
 
-// FinalizeObjective implements Task: β = n·log 2, from the order-0
-// Taylor value f₁⁽⁰⁾(0) = log 2 summed over the n records.
+// FinalizeObjective implements Task: M = ⅛·XᵀX and β = n·log 2. The ⅛ =
+// 2⁻³ scales the summed Gram, which rounds exactly like a per-record
+// (⅛·xₐ)·x_b wherever no product and no partial sum is subnormal. The
+// constant is n·log 2 rather than a per-record sum, because Σ log 2 over n
+// records is not bitwise n·log 2.
 func (LogisticTask) FinalizeObjective(q *poly.Quadratic, n int) {
+	q.M = q.M.ScaleMat(logisticCurvature)
 	q.Beta += float64(n) * math.Ln2
 }
 

@@ -98,7 +98,8 @@ type shard struct {
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // MaxShards bounds a stream's ingest parallelism. Each shard owns a full
-// accumulator (two d×d coefficient matrices), and shard counts beyond the
+// accumulator (two d×d coefficient matrices: the Gram that every fold with
+// a per-record c2 of 1 shares, and median's), and shard counts beyond the
 // core count buy nothing, so the bound exists to keep a client-supplied
 // shard count from becoming a memory-exhaustion vector.
 const MaxShards = 64

@@ -9,8 +9,11 @@
 #   current  — the suite as of this checkout (the reproducible SYRK kernel:
 #              AVX2 vector sweep or portable generic fold, swept across d
 #              in BenchmarkObjectiveDSweep, the one fold per task in
-#              BenchmarkFold, and the symmetric eigen solver in
-#              BenchmarkEigenSymmetric), measured by this run.
+#              BenchmarkFold, the public stream fold — one shared Gram plus
+#              median's weighted fold per batch — in BenchmarkIngestFold,
+#              which the BenchmarkIngest pattern selects, and the symmetric
+#              eigen solver in BenchmarkEigenSymmetric), measured by this
+#              run.
 #
 # plus a machine-readable summary of the headline series (ns/op and
 # allocs/op per benchmark, averaged across -count repetitions). CI runs this

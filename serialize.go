@@ -120,14 +120,17 @@ const accumulatorVersion = 4
 
 // Save writes the accumulator's full state as a version-4 envelope — JSON
 // metadata with a named block per fold around a compressed fmbin coefficient
-// frame; LoadAccumulator inverts it bit-exactly. See accumulatorEnvelope for
-// the sensitivity caveat.
+// frame; LoadAccumulator inverts it bit-exactly. A fold that shares the Gram
+// writes the Gram scaled by the factor its task's finalization applies
+// (core.Accumulator.StateOver), which is the M a fold that applied the
+// factor per record would hold. See accumulatorEnvelope for the
+// sensitivity caveat.
 func (a *Accumulator) Save(w io.Writer) error {
 	cols := len(a.folds)
 	states := make([]core.AccumulatorState, cols)
 	tasks := make(map[string]taskBlock, cols)
 	for j, f := range a.folds {
-		st := f.acc.State()
+		st := f.acc.StateOver(a.gram)
 		states[j] = st
 		tb := taskBlock{N: st.N, Beta: st.Beta}
 		if f.err != nil {
@@ -207,7 +210,9 @@ func LoadAccumulator(r io.Reader) (*Accumulator, error) {
 }
 
 // restoreTaskFolds restores the envelope's folds: one named block and one
-// frame column per fold, in sorted fold-name order.
+// frame column per fold, in sorted fold-name order. The Gram comes from the
+// first intact column of a fold that shares it, in fold order the linear
+// one; the other sharing folds take only their n, α and β.
 func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 	if env.Records < 0 {
 		return fmt.Errorf("funcmech: accumulator envelope has negative record count %d", env.Records)
@@ -231,6 +236,7 @@ func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 		return err
 	}
 	cols := len(names)
+	gram := false
 	for _, f := range a.folds {
 		j, ok := col[f.key]
 		if !ok {
@@ -250,11 +256,15 @@ func restoreTaskFolds(a *Accumulator, env *accumulatorEnvelope) error {
 		for r := 0; r < packed; r++ {
 			st.MU[r] = flat[(d+r)*cols+j]
 		}
-		if f.acc, err = core.AccumulatorFromState(f.acc.Task(), st); err != nil {
+		if err := f.acc.Restore(st); err != nil {
 			return fmt.Errorf("funcmech: restoring %s coefficients: %w", f.key, err)
 		}
 		if tb.Error != "" {
 			f.err = errors.New(tb.Error)
+		}
+		// The first intact fold that shares the Gram carries it.
+		if f.acc.SharesGram() && f.err == nil && !gram {
+			a.gram, gram = core.GramFromState(f.acc.Task(), st), true
 		}
 	}
 	a.n = env.Records

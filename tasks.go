@@ -323,7 +323,7 @@ func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts .
 	if f.err != nil {
 		return nil, nil, f.err
 	}
-	res, err := core.RunFromQuadratic(r.task, f.acc.QuadraticAs(r.task), epsilon, r.cfg.noiseSource(), r.cfg.opts)
+	res, err := core.RunFromQuadratic(r.task, f.acc.QuadraticOver(a.gram, r.task), epsilon, r.cfg.noiseSource(), r.cfg.opts)
 	if err != nil {
 		return nil, nil, err
 	}
