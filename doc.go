@@ -40,9 +40,11 @@
 // WithBinarizeThreshold for a boolean target). FitTask's one training
 // copy, every Accumulator fold and every TaskModel evaluation apply it.
 // Schema.CheckBatch refuses a ragged or NaN raw batch at Accumulator.AddFlat
-// and the serving layer's ingest and dataset registration, and a fit
-// refuses by record a NaN it meets. Schema and Attribute are aliases of the
-// internal dataset package's types: one schema type serves every layer.
+// and the serving layer's ingest and dataset registration, and the rule
+// refuses a NaN by record as it makes a fit's training copy; every record it
+// accepts lies in the domain the sensitivity bounds assume. Schema and
+// Attribute are aliases of the internal dataset package's types: one schema
+// type serves every layer.
 //
 // # Performance
 //

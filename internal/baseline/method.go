@@ -15,7 +15,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"funcmech/internal/core"
@@ -47,18 +46,15 @@ func (NoPrivacy) Name() string { return "NoPrivacy" }
 // Private implements Method.
 func (NoPrivacy) Private() bool { return false }
 
-// FitLinear implements Method via the closed-form least-squares solution.
+// FitLinear implements Method via the closed-form least-squares solution:
+// the minimizer of the §4.2 objective the functional mechanism perturbs.
 func (NoPrivacy) FitLinear(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	m, err := regression.FitLinear(ds, nil)
-	if err != nil {
-		return nil, err
-	}
-	return m.Weights, nil
+	return regression.MinimizeExact(core.ParallelObjective(core.LinearTask{}, ds, 1), ds.N())
 }
 
 // FitLogistic implements Method via Newton-Raphson on the exact likelihood.
 func (NoPrivacy) FitLogistic(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	m, err := regression.FitLogistic(ds, regression.LogisticOptions{})
+	m, err := regression.FitLogistic(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -84,20 +80,7 @@ func (Truncated) FitLinear(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]
 
 // FitLogistic minimizes the §5.3 truncated objective without perturbation.
 func (Truncated) FitLogistic(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	if err := (core.LogisticTask{}).Validate(ds); err != nil {
-		return nil, err
-	}
-	q := core.ParallelObjective(core.LogisticTask{}, ds, 1)
-	w, err := regression.MinimizeQuadratic(q)
-	if err != nil {
-		// ⅛XᵀX is PSD; only numerical rank deficiency lands here.
-		q.M.AddDiagonal(1e-9 * (1 + q.M.MaxAbs()))
-		w, err = regression.MinimizeQuadratic(q)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("baseline: truncated logistic: %w", err)
-	}
-	return w, nil
+	return regression.MinimizeExact(core.ParallelObjective(core.LogisticTask{}, ds, 1), ds.N())
 }
 
 // FM is the functional mechanism adapted to the Method interface.
@@ -143,15 +126,15 @@ func fitOnSynthetic(syn *dataset.Dataset, d int, logistic bool) ([]float64, erro
 	if logistic {
 		// Cell centers land strictly inside (0,1); snap to booleans.
 		bin := syn.BinarizeTarget(0.5)
-		m, err := regression.FitLogistic(bin, regression.LogisticOptions{})
+		m, err := regression.FitLogistic(bin)
 		if err != nil {
 			return make([]float64, d), nil
 		}
 		return m.Weights, nil
 	}
-	m, err := regression.FitLinear(syn, nil)
+	w, err := NoPrivacy{}.FitLinear(syn, 0, nil)
 	if err != nil {
 		return make([]float64, d), nil
 	}
-	return m.Weights, nil
+	return w, nil
 }

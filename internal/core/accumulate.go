@@ -255,21 +255,16 @@ func (a *Accumulator) Merge(o *Accumulator) {
 // terms are applied. The accumulator itself is left untouched, so streaming
 // can continue and Quadratic can be called again later.
 func (a *Accumulator) Quadratic() *poly.Quadratic {
-	return a.QuadraticAs(a.task)
+	return a.QuadraticOver(nil, a.task)
 }
 
-// QuadraticAs finalizes the accumulated coefficients under a different task.
-// This is only sound when the two tasks share Coefficients — the use case
-// is RidgeTask, whose per-record contributions are exactly LinearTask's and
-// which differs only in its data-independent finalization, so one live
-// accumulator can serve both plain and penalized refits.
-func (a *Accumulator) QuadraticAs(task Task) *poly.Quadratic {
-	return a.QuadraticOver(nil, task)
-}
-
-// QuadraticOver is QuadraticAs for a fold that may share the Gram: its M is
-// gram's when it has none of its own, and its n, α and β are its own. gram
-// must have folded the same records; it is unused when a has its own M.
+// QuadraticOver finalizes the accumulated coefficients under task, which
+// may differ from the task a folds: that is sound when the two share
+// Coefficients, as RidgeTask shares LinearTask's and differs only in its
+// data-independent finalization, so one live accumulator serves both plain
+// and penalized refits. A fold that shares the Gram takes gram's M and its
+// own n, α and β; gram must have folded the same records, and it is unused
+// (nil will do) when a has its own M.
 func (a *Accumulator) QuadraticOver(gram *Accumulator, task Task) *poly.Quadratic {
 	m := a.q.M
 	if m == nil {
@@ -320,14 +315,12 @@ type AccumulatorState struct {
 // packedUpperLen returns d(d+1)/2, the packed upper-triangle size.
 func packedUpperLen(d int) int { return d * (d + 1) / 2 }
 
-// State returns a deep copy of the accumulator's content in packed form.
-func (a *Accumulator) State() AccumulatorState { return a.StateOver(nil) }
-
-// StateOver is State for a fold that may share the Gram. A sharing fold's
-// M is gram's, scaled by the factor its task's finalization applies: the M
-// a fold that scaled each record by that factor would hold, so a snapshot
-// reads the same however the fold is kept. The scaling is exact wherever
-// no entry is subnormal. gram is unused when a has its own M.
+// StateOver returns a deep copy of the accumulator's content in packed
+// form. A fold that shares the Gram packs gram's M, scaled by the factor
+// its task's finalization applies: the M a fold that scaled each record by
+// that factor would hold, so a snapshot reads the same however the fold is
+// kept. The scaling is exact wherever no entry is subnormal. gram is
+// unused (nil will do) when a has its own M.
 func (a *Accumulator) StateOver(gram *Accumulator) AccumulatorState {
 	m, scale := a.q.M, 1.0
 	if m == nil {
@@ -350,24 +343,11 @@ func (a *Accumulator) StateOver(gram *Accumulator) AccumulatorState {
 	return st
 }
 
-// AccumulatorFromState rebuilds an accumulator from a snapshot taken with
-// State. The task must match the one the coefficients were accumulated
-// under; that correspondence is the caller's responsibility (the state
-// carries no task tag).
-func AccumulatorFromState(task Task, st AccumulatorState) (*Accumulator, error) {
-	if len(st.Alpha) == 0 {
-		return nil, fmt.Errorf("core: accumulator state has no coefficients")
-	}
-	a := NewAccumulator(task, len(st.Alpha))
-	if err := a.Restore(st); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // Restore replaces a's content with a snapshot taken with StateOver from an
-// accumulator of the same task and kind. A fold that shares the Gram takes
-// n, α and β; its M is the Gram's, which GramFromState rebuilds.
+// accumulator of the same task and kind; that correspondence is the
+// caller's responsibility (the state carries no task tag). A fold that
+// shares the Gram takes n, α and β; its M is the Gram's, which
+// GramFromState rebuilds.
 func (a *Accumulator) Restore(st AccumulatorState) error {
 	d := a.d
 	switch {

@@ -118,8 +118,9 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestAccumulatorStateRoundTrip: State → AccumulatorFromState reproduces the
-// finalized objective bit-for-bit and keeps accumulating correctly.
+// TestAccumulatorStateRoundTrip: StateOver → Restore into a new accumulator
+// reproduces the finalized objective bit-for-bit and keeps accumulating
+// correctly.
 func TestAccumulatorStateRoundTrip(t *testing.T) {
 	for _, task := range propertyTasks() {
 		t.Run(task.Name(), func(t *testing.T) {
@@ -127,8 +128,8 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 			a := NewAccumulator(task, ds.D())
 			a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: 80})
 
-			back, err := AccumulatorFromState(task, a.State())
-			if err != nil {
+			back := NewAccumulator(task, ds.D())
+			if err := back.Restore(a.StateOver(nil)); err != nil {
 				t.Fatal(err)
 			}
 			if back.N() != a.N() || back.Dim() != a.Dim() {
@@ -148,20 +149,20 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAccumulatorFromStateRejectsCorruptState: shape errors must be caught,
-// not panic downstream.
+// TestAccumulatorFromStateRejectsCorruptState: Restore must catch shape
+// errors, not panic downstream.
 func TestAccumulatorFromStateRejectsCorruptState(t *testing.T) {
 	good := NewAccumulator(LinearTask{}, 3)
 	good.AddRecord([]float64{0.1, 0.2, 0.3}, 0.5)
 
 	cases := map[string]AccumulatorState{
 		"empty":        {},
-		"negative n":   func() AccumulatorState { s := good.State(); s.N = -1; return s }(),
-		"no matrix":    func() AccumulatorState { s := good.State(); s.MU = nil; return s }(),
-		"short packed": func() AccumulatorState { s := good.State(); s.MU = s.MU[:2]; return s }(),
+		"negative n":   func() AccumulatorState { s := good.StateOver(nil); s.N = -1; return s }(),
+		"no matrix":    func() AccumulatorState { s := good.StateOver(nil); s.MU = nil; return s }(),
+		"short packed": func() AccumulatorState { s := good.StateOver(nil); s.MU = s.MU[:2]; return s }(),
 	}
 	for name, st := range cases {
-		if _, err := AccumulatorFromState(LinearTask{}, st); err == nil {
+		if err := NewAccumulator(LinearTask{}, 3).Restore(st); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -179,7 +180,7 @@ func TestQuadraticAsRidge(t *testing.T) {
 	direct := NewAccumulator(ridge, ds.D())
 	direct.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
 
-	if worst, ok := quadraticsClose(lin.QuadraticAs(ridge), direct.Quadratic(), 0); !ok {
-		t.Fatalf("QuadraticAs(ridge) ≠ ridge accumulation: worst discrepancy %v (want exact)", worst)
+	if worst, ok := quadraticsClose(lin.QuadraticOver(nil, ridge), direct.Quadratic(), 0); !ok {
+		t.Fatalf("QuadraticOver(nil, ridge) ≠ ridge accumulation: worst discrepancy %v (want exact)", worst)
 	}
 }

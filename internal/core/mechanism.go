@@ -41,6 +41,12 @@ type Result struct {
 // approximation embedded in the task's Objective) on ds with privacy budget
 // eps, drawing noise from rng.
 //
+// ds must be a training copy made by the record rule (dataset.Normalizer)
+// under the target rule of the task's table row: the task's Δ holds only
+// for records in the domain that rule guarantees, and Run does not scan the
+// records to check it. Run refuses, before the O(n·d²) objective build, a
+// non-positive eps, invalid options and an empty dataset.
+//
 // The returned weights are ε-differentially private (2ε under
 // PostProcessResample); everything after the perturbation step is
 // post-processing of the noisy coefficients and consumes no further budget.
@@ -53,8 +59,8 @@ func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Optio
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if err := task.Validate(ds); err != nil {
-		return nil, err
+	if ds == nil || ds.N() == 0 {
+		return nil, fmt.Errorf("core: empty dataset")
 	}
 	exact := governedObjective(task, ds, opts.Parallelism, opts.Governor, opts.Probe)
 	return RunFromQuadratic(task, exact, eps, rng, opts)
@@ -71,9 +77,10 @@ func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Optio
 // records by the same accumulation Run would perform (so its coefficients
 // have the task's sensitivity Δ), the fresh Laplace draws happen here, and
 // only the perturbed minimizer leaves. The exact coefficients themselves are
-// never part of the release. The caller is responsible for the geometric
-// preconditions Task.Validate would check on the raw records (unit-sphere
-// features, target range) — an ingestion layer enforces them per record.
+// never part of the release. As for Run, the records folded into exact must
+// be training records made by the record rule (dataset.Normalizer) under the
+// task's target rule, which puts each inside the unit sphere with its label
+// in range; an ingestion layer applies that rule per record.
 func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"funcmech/internal/dataset"
 	"funcmech/internal/poly"
 )
 
@@ -25,7 +24,8 @@ import (
 //	g″(0)  = μ² / (y² + μ²)^{3/2}          → M (·½ on each x_a·x_b)
 //
 // Sensitivity. With ‖x‖₂ ≤ 1 (so |x_a| ≤ 1) and y ∈ [−1, 1] (the same
-// preconditions as LinearTask, enforced by Validate), the per-tuple
+// domain as LinearTask's: the record rule under the normalized target rule
+// its task-table row names puts every record there), the per-tuple
 // coefficient L1 norm is bounded term by term:
 //
 //	|g(0)|        ≤ √(1 + μ²)              (one constant monomial)
@@ -71,9 +71,3 @@ func (MedianTask) Coefficients(y float64) (c0, c1, c2 float64) {
 // FinalizeObjective implements Task; every term of the median objective is
 // per-record.
 func (MedianTask) FinalizeObjective(*poly.Quadratic, int) {}
-
-// Validate checks the same geometric preconditions as LinearTask — the
-// sensitivity bound above assumes exactly ‖x‖₂ ≤ 1 and y ∈ [−1, 1].
-func (MedianTask) Validate(ds *dataset.Dataset) error {
-	return validateRows(ds, TaskNameMedian, TargetNormalized)
-}

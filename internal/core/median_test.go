@@ -111,25 +111,6 @@ func TestMedianBlockMatchesScalarBitwise(t *testing.T) {
 	}
 }
 
-func TestMedianValidateRejectsBadGeometry(t *testing.T) {
-	big := dataset.New(&dataset.Schema{
-		Features: []dataset.Attribute{{Name: "x", Min: -10, Max: 10}},
-		Target:   dataset.Attribute{Name: "y", Min: -1, Max: 1},
-	})
-	big.Append([]float64{5}, 0)
-	if err := (MedianTask{}).Validate(big); err == nil {
-		t.Error("expected error for out-of-sphere features")
-	}
-	badY := dataset.New(unitSchema(1))
-	badY.Append([]float64{0.5}, 3)
-	if err := (MedianTask{}).Validate(badY); err == nil {
-		t.Error("expected error for out-of-range target")
-	}
-	if err := (MedianTask{}).Validate(dataset.New(unitSchema(1))); err == nil {
-		t.Error("expected error for empty dataset")
-	}
-}
-
 // minimizer1D solves the d=1 quadratic β + αω + Mω² exactly: ω* = −α/(2M).
 func minimizer1D(q *poly.Quadratic) float64 { return -q.Alpha[0] / (2 * q.M.At(0, 0)) }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"funcmech/internal/dataset"
 	"funcmech/internal/poly"
 )
 
@@ -37,21 +36,11 @@ func (RidgeTask) Coefficients(y float64) (c0, c1, c2 float64) {
 }
 
 // FinalizeObjective implements Task, adding the data-independent
-// penalty Weight·I once per objective (not per shard).
+// penalty Weight·I once per objective (not per shard). A negative weight is
+// a programming error (TaskSpec.New refuses one) and panics.
 func (r RidgeTask) FinalizeObjective(q *poly.Quadratic, n int) {
-	r.checkWeight()
-	q.M.AddDiagonal(r.Weight)
-}
-
-func (r RidgeTask) checkWeight() {
 	if r.Weight < 0 {
 		panic(fmt.Sprintf("core: negative ridge weight %v", r.Weight))
 	}
-}
-
-// Validate matches LinearTask's preconditions; a negative penalty weight is
-// a programming error and panics here, before the mechanism's record sweep.
-func (r RidgeTask) Validate(ds *dataset.Dataset) error {
-	r.checkWeight()
-	return LinearTask{}.Validate(ds)
+	q.M.AddDiagonal(r.Weight)
 }

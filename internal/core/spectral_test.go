@@ -138,7 +138,7 @@ func TestSpectralTrimMatchesDirectSolveOnPDProperty(t *testing.T) {
 			}
 		}
 		q := poly.NewQuadratic(d)
-		q.M = linalg.Gram(x).AddDiagonal(0.3)
+		q.M = x.T().Mul(x).AddDiagonal(0.3)
 		for j := range q.Alpha {
 			q.Alpha[j] = rng.NormFloat64()
 		}

@@ -22,10 +22,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"funcmech/internal/dataset"
 	"funcmech/internal/poly"
 )
 
@@ -41,7 +39,10 @@ import (
 //
 // Sensitivity must be a data-independent function of the dimensionality —
 // computing it from the records would itself leak — which is why each task
-// carries the paper's closed-form bound.
+// carries the paper's closed-form bound. The bound holds for records in the
+// normalized domain, ‖x‖₂ ≤ 1 with the label in the range of the task's
+// target rule; the record rule (dataset.Normalizer) puts every record it
+// accepts there, under the rule its task-table row names (TaskSpec.Target).
 type Task interface {
 	// Name identifies the task ("linear", "logistic").
 	Name() string
@@ -55,18 +56,12 @@ type Task interface {
 	// penalty) and any constant factor on M (logistic's ⅛), after the
 	// accumulated matrix has been mirrored to full symmetric form.
 	FinalizeObjective(q *poly.Quadratic, n int)
-	// Validate checks the geometric preconditions the sensitivity bound
-	// relies on (unit-sphere features; target range).
-	Validate(ds *dataset.Dataset) error
 }
 
 // BlockTask is the name Task had while the block fold was an optional
 // extension of it. It remains only for perfbench/trace.go, which declares a
 // field of this type; the next change to the benchmark deletes it.
 type BlockTask = Task
-
-// normTolerance forgives float round-off when checking ‖x‖ ≤ 1.
-const normTolerance = 1e-9
 
 // LinearTask is least-squares linear regression (Definition 1).
 type LinearTask struct{}
@@ -90,11 +85,6 @@ func (LinearTask) Coefficients(y float64) (c0, c1, c2 float64) {
 // FinalizeObjective implements Task; the linear objective has no
 // per-dataset terms.
 func (LinearTask) FinalizeObjective(*poly.Quadratic, int) {}
-
-// Validate checks ‖xᵢ‖₂ ≤ 1 and yᵢ ∈ [−1, 1].
-func (LinearTask) Validate(ds *dataset.Dataset) error {
-	return validateRows(ds, TaskNameLinear, TargetNormalized)
-}
 
 // LogisticTask is logistic regression (Definition 2) through the order-2
 // Taylor truncation of Algorithm 2. Its per-record c2 is 1, so its
@@ -132,34 +122,6 @@ func (LogisticTask) Coefficients(y float64) (c0, c1, c2 float64) {
 func (LogisticTask) FinalizeObjective(q *poly.Quadratic, n int) {
 	q.M = q.M.ScaleMat(logisticCurvature)
 	q.Beta += float64(n) * math.Ln2
-}
-
-// Validate checks ‖xᵢ‖₂ ≤ 1 and yᵢ ∈ {0, 1}.
-func (LogisticTask) Validate(ds *dataset.Dataset) error {
-	return validateRows(ds, TaskNameLogistic, TargetBoolean)
-}
-
-// validateRows checks the geometric preconditions every task's Δ rests on:
-// a non-empty dataset, ‖xᵢ‖₂ ≤ 1, and labels that follow the task's target
-// rule — yᵢ ∈ [−1, 1] when normalized, yᵢ ∈ {0, 1} when boolean. Every test
-// is written so that NaN fails it, and the error names the record.
-func validateRows(ds *dataset.Dataset, task string, rule TargetRule) error {
-	if ds == nil || ds.N() == 0 {
-		return fmt.Errorf("core: empty dataset")
-	}
-	if n, i := dataset.MaxRowNorm(ds); !(n <= 1+normTolerance) {
-		return fmt.Errorf("core: record %d: feature vector outside the unit sphere (‖x‖₂ = %v); normalize first", i, n)
-	}
-	for i := 0; i < ds.N(); i++ {
-		y := ds.Label(i)
-		switch {
-		case rule == TargetBoolean && y != 0 && y != 1:
-			return fmt.Errorf("core: %s target must be boolean, record %d has %v", task, i, y)
-		case rule != TargetBoolean && !(y >= -1-normTolerance && y <= 1+normTolerance):
-			return fmt.Errorf("core: %s target must lie in [−1,1], record %d has %v", task, i, y)
-		}
-	}
-	return nil
 }
 
 // TupleCoefL1 returns Σⱼ Σ_{φ∈Φⱼ} |λ_φt| for a single tuple under the given

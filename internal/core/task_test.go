@@ -206,35 +206,6 @@ func TestLogisticObjectiveMatchesTaylorExpansion(t *testing.T) {
 	}
 }
 
-func TestLinearValidateRejectsBadGeometry(t *testing.T) {
-	big := dataset.New(&dataset.Schema{
-		Features: []dataset.Attribute{{Name: "x", Min: -10, Max: 10}},
-		Target:   dataset.Attribute{Name: "y", Min: -1, Max: 1},
-	})
-	big.Append([]float64{5}, 0) // ‖x‖ = 5 > 1
-	if err := (LinearTask{}).Validate(big); err == nil {
-		t.Error("expected error for out-of-sphere features")
-	}
-
-	badY := dataset.New(unitSchema(1))
-	badY.Append([]float64{0.5}, 3)
-	if err := (LinearTask{}).Validate(badY); err == nil {
-		t.Error("expected error for out-of-range target")
-	}
-
-	if err := (LinearTask{}).Validate(dataset.New(unitSchema(1))); err == nil {
-		t.Error("expected error for empty dataset")
-	}
-}
-
-func TestLogisticValidateRejectsNonBoolean(t *testing.T) {
-	ds := dataset.New(unitSchema(1))
-	ds.Append([]float64{0.5}, 0.5)
-	if err := (LogisticTask{}).Validate(ds); err == nil {
-		t.Error("expected error for fractional target")
-	}
-}
-
 func TestTaskNames(t *testing.T) {
 	if (LinearTask{}).Name() != "linear" || (LogisticTask{}).Name() != "logistic" {
 		t.Fatal("task names wrong")

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -173,6 +174,20 @@ func TestSchemaValidate(t *testing.T) {
 		}},
 		{"unnamed", &Schema{
 			Features: []Attribute{{Name: "", Min: 0, Max: 1}},
+			Target:   Attribute{Name: "y", Min: 0, Max: 1},
+		}},
+		// The record rule would compute (v − Min) or 2·(v − Min) as +Inf,
+		// and a feature or label of NaN or Inf, from a value in the domain.
+		{"domain too wide", &Schema{
+			Features: []Attribute{{Name: "a", Min: -1e308, Max: 1e308}},
+			Target:   Attribute{Name: "y", Min: 0, Max: 1},
+		}},
+		{"target domain too wide", &Schema{
+			Features: []Attribute{{Name: "a", Min: 0, Max: 1}},
+			Target:   Attribute{Name: "y", Min: 0, Max: math.MaxFloat64},
+		}},
+		{"infinite bound", &Schema{
+			Features: []Attribute{{Name: "a", Min: math.Inf(-1), Max: 0}},
 			Target:   Attribute{Name: "y", Min: 0, Max: 1},
 		}},
 	}

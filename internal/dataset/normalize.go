@@ -53,9 +53,11 @@ func (r TargetRule) String() string {
 // The α/β bounds come from the schema — public domain knowledge — so
 // applying the rule consumes no privacy budget. Out-of-domain values,
 // infinities included, are clamped, a per-record operation that cannot
-// reveal anything about other records. The rule does not scan for NaN:
-// Schema.CheckBatch refuses it at ingestion, and a NaN that reaches a
-// training copy fails the task's Validate pass.
+// reveal anything about other records. A NaN cannot be clamped: Normalize
+// refuses it by record as it writes the training copy, and
+// Schema.CheckBatch refuses it at ingestion, before NormalizeRowInto.
+// Every record the rule accepts therefore lands with ‖x‖₂ ≤ 1 and its
+// label in the target rule's range, the domain the tasks' Δ assume.
 type Normalizer struct {
 	schema    Schema // the raw schema: the caller's public bounds
 	threshold *float64
@@ -152,19 +154,19 @@ func (nz *Normalizer) DenormalizeLabel(y float64) float64 {
 	return a.Min + (y+1)/2*a.Width()
 }
 
-// Label derives the training label of raw target y under rule. A boolean
-// label refuses NaN before it binarizes — (NaN > t) is false, so a
-// threshold alone would quietly make it 0 — and, without a threshold,
-// anything but 0 or 1. The error carries no record number or package
-// prefix; callers add their own.
+// Label derives the training label of raw target y under rule. It refuses
+// NaN under either rule — a clamp passes NaN through, and (NaN > t) is
+// false, so a threshold alone would quietly make it 0 — and, for a boolean
+// label without a threshold, anything but 0 or 1. The error carries no
+// record number or package prefix; callers add their own.
 //
 //fm:noalloc
 func (nz *Normalizer) Label(rule TargetRule, y float64) (float64, error) {
 	switch {
-	case rule == TargetNormalized:
-		return nz.NormalizeLabel(y), nil
 	case math.IsNaN(y):
 		return 0, fmt.Errorf("target %q is NaN", nz.schema.Target.Name)
+	case rule == TargetNormalized:
+		return nz.NormalizeLabel(y), nil
 	case nz.threshold != nil:
 		if y > *nz.threshold {
 			return 1, nil
@@ -179,7 +181,8 @@ func (nz *Normalizer) Label(rule TargetRule, y float64) (float64, error) {
 // Normalize returns the training copy of ds under the rule for a task with
 // the given target rule: one pass, one n×D allocation. The returned
 // dataset's schema carries the normalized domains. It fails, naming the
-// record, when a label cannot be derived (see Label).
+// record as Schema.CheckBatch does, on a NaN feature and when a label
+// cannot be derived (see Label).
 func (nz *Normalizer) Normalize(ds *Dataset, rule TargetRule) (*Dataset, error) {
 	target := Attribute{Name: nz.schema.Target.Name, Min: -1, Max: 1}
 	if rule == TargetBoolean {
@@ -195,22 +198,32 @@ func (nz *Normalizer) Normalize(ds *Dataset, rule TargetRule) (*Dataset, error) 
 	out := NewWithCapacity(s, ds.N())
 	var err error
 	for i := 0; i < ds.N(); i++ {
-		y := ds.Label(i)
-		if rule == TargetNormalized {
-			y = nz.NormalizeLabel(y) // Label's first case, inlined into the fit's one pass
+		x, y := ds.Row(i), ds.Label(i)
+		for j, v := range x {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("dataset: record %d: feature %q is NaN", i, nz.schema.Features[j].Name)
+			}
+		}
+		if rule == TargetNormalized && !math.IsNaN(y) {
+			y = nz.NormalizeLabel(y) // Label's common case, inlined into the fit's one pass
 		} else if y, err = nz.Label(rule, y); err != nil {
 			return nil, fmt.Errorf("dataset: record %d: %w", i, err)
 		}
-		nz.NormalizeRowInto(out.AppendAlloc(y), ds.Row(i))
+		nz.NormalizeRowInto(out.AppendAlloc(y), x)
 	}
 	return out, nil
 }
 
 // NormalizeForLinear returns a copy of ds with features in the unit sphere
 // and the target mapped into [−1, 1] — the precondition of Definition 1:
-// Normalize under TargetNormalized.
+// Normalize under TargetNormalized, for data that holds no NaN (generated
+// census data): it panics on one, as NewNormalizer panics on an invalid
+// schema.
 func (nz *Normalizer) NormalizeForLinear(ds *Dataset) *Dataset {
-	out, _ := nz.Normalize(ds, TargetNormalized) // a normalized label never fails
+	out, err := nz.Normalize(ds, TargetNormalized)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -230,26 +243,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// MaxRowNorm returns the largest Euclidean feature-vector norm in ds — the
-// quantity the paper requires to be ≤ 1 — and the first record holding it.
-// A row holding NaN has norm NaN and is returned at once, so a bound test
-// written !(norm ≤ limit) refuses it. An empty dataset gives (0, −1).
-func MaxRowNorm(ds *Dataset) (float64, int) {
-	var m float64
-	at := -1
-	for i := 0; i < ds.N(); i++ {
-		var s float64
-		for _, v := range ds.Row(i) {
-			s += v * v
-		}
-		if math.IsNaN(s) {
-			return s, i
-		}
-		if at < 0 || s > m {
-			m, at = s, i
-		}
-	}
-	return math.Sqrt(m), at
 }

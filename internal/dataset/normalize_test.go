@@ -1,11 +1,30 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// maxRowNorm returns the largest Euclidean norm of a feature vector in ds,
+// the quantity the paper requires to be at most 1, or NaN when a row holds
+// one.
+func maxRowNorm(ds *Dataset) float64 {
+	var m float64
+	for i := 0; i < ds.N(); i++ {
+		var s float64
+		for _, v := range ds.Row(i) {
+			s += v * v
+		}
+		if !(s <= m) {
+			m = s
+		}
+	}
+	return math.Sqrt(m)
+}
 
 func TestNormalizeRowKnown(t *testing.T) {
 	nz := NewNormalizer(testSchema())
@@ -51,7 +70,7 @@ func TestNormalizeForLinearInvariants(t *testing.T) {
 	ds := smallDataset(t)
 	nz := NewNormalizer(ds.Schema)
 	norm := nz.NormalizeForLinear(ds)
-	if got, _ := MaxRowNorm(norm); got > 1+1e-12 {
+	if got := maxRowNorm(norm); !(got <= 1+1e-12) {
 		t.Fatalf("max row norm %v > 1", got)
 	}
 	for i := 0; i < norm.N(); i++ {
@@ -72,42 +91,85 @@ func TestNormalizeForLogisticRejectsNonBoolean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := MaxRowNorm(norm); got > 1+1e-12 {
+	if got := maxRowNorm(norm); !(got <= 1+1e-12) {
 		t.Fatalf("max row norm %v > 1", got)
 	}
 }
 
-// Property: paper §3 footnote 1 invariant — after normalization every
-// feature vector lies inside the unit sphere and every linear label in
-// [−1,1], for arbitrary schemas and in-domain data.
+// Property: paper §3 footnote 1 invariant — every record the rule accepts
+// lands with its feature vector inside the unit sphere and its label in the
+// target rule's range: [−1, 1] when normalized, {0, 1} under a binarize
+// threshold. It holds for arbitrary schemas up to d = 64, the widest domain
+// Attribute.Validate accepts included, with or without the intercept
+// column, and for raw values in the domain, out of it on either side, and
+// infinite. This is the guarantee the tasks' Δ assume, so nothing between
+// the rule and the fold re-checks it.
 func TestNormalizationInvariantProperty(t *testing.T) {
+	const widest = math.MaxFloat64 / 4 // [−widest, widest] is as wide as a domain may be
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := 1 + rng.Intn(14)
-		s := &Schema{Target: Attribute{Name: "y", Min: -5 + rng.Float64(), Max: 5 + rng.Float64()}}
-		for j := 0; j < d; j++ {
+		d := 1 + rng.Intn(64)
+		domain := func(name string) Attribute {
+			if rng.Intn(8) == 0 {
+				return Attribute{Name: name, Min: -widest, Max: widest}
+			}
 			lo := rng.NormFloat64() * 100
-			s.Features = append(s.Features, Attribute{
-				Name: "f" + string(rune('a'+j)),
-				Min:  lo,
-				Max:  lo + 0.1 + rng.Float64()*100,
-			})
+			return Attribute{Name: name, Min: lo, Max: lo + 0.1 + rng.Float64()*100}
+		}
+		s := &Schema{Target: domain("y")}
+		for j := 0; j < d; j++ {
+			s.Features = append(s.Features, domain(fmt.Sprintf("f%d", j)))
+		}
+		if s.Validate() != nil {
+			return false
+		}
+		raw := func(a Attribute) float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return a.Min - rng.ExpFloat64()*a.Width()
+			case 1:
+				return a.Max + rng.ExpFloat64()*a.Width()
+			case 2:
+				return math.Inf(1)
+			case 3:
+				return math.Inf(-1)
+			}
+			return a.Min + rng.Float64()*a.Width()
 		}
 		ds := New(s)
 		for i := 0; i < 20; i++ {
 			row := make([]float64, d)
 			for j, a := range s.Features {
-				row[j] = a.Min + rng.Float64()*a.Width()
+				row[j] = raw(a)
 			}
-			ds.Append(row, s.Target.Min+rng.Float64()*s.Target.Width())
+			ds.Append(row, raw(s.Target))
 		}
-		norm := NewNormalizer(s).NormalizeForLinear(ds)
-		if got, _ := MaxRowNorm(norm); got > 1+1e-9 {
-			return false
-		}
-		for i := 0; i < norm.N(); i++ {
-			if y := norm.Label(i); y < -1-1e-9 || y > 1+1e-9 {
+		intercept := rng.Intn(2) == 0
+		threshold := s.Target.Min + rng.Float64()*s.Target.Width()
+		for _, rule := range []TargetRule{TargetNormalized, TargetBoolean} {
+			var th *float64
+			if rule == TargetBoolean {
+				th = &threshold
+			}
+			nz, err := NewRule(*s, intercept, th)
+			if err != nil {
 				return false
+			}
+			norm, err := nz.Normalize(ds, rule)
+			if err != nil || norm.N() != ds.N() || norm.D() != nz.D() {
+				return false
+			}
+			if got := maxRowNorm(norm); !(got <= 1+1e-9) {
+				return false
+			}
+			for i := 0; i < norm.N(); i++ {
+				y := norm.Label(i)
+				if rule == TargetBoolean && y != 0 && y != 1 {
+					return false
+				}
+				if rule == TargetNormalized && !(y >= -1-1e-9 && y <= 1+1e-9) {
+					return false
+				}
 			}
 		}
 		return true
@@ -115,6 +177,63 @@ func TestNormalizationInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNormalizeRefusesNaN: a NaN cannot be clamped into the domain, so the
+// record rule refuses a NaN feature or target as it writes the training
+// copy, naming the record and the column as Schema.CheckBatch does, under
+// either target rule and with or without the intercept column and a
+// binarize threshold.
+func TestNormalizeRefusesNaN(t *testing.T) {
+	threshold := 0.5
+	type rule struct {
+		target    TargetRule
+		intercept bool
+		threshold *float64
+	}
+	rules := []rule{
+		{TargetNormalized, false, nil},
+		{TargetNormalized, true, nil},
+		{TargetBoolean, false, nil},
+		{TargetBoolean, true, nil},
+		{TargetBoolean, false, &threshold},
+		{TargetBoolean, true, &threshold},
+	}
+	columns := []string{`feature "age"`, `feature "hours"`, `target "income"`}
+	for _, r := range rules {
+		nz, err := NewRule(*testSchema(), r.intercept, r.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for col, name := range columns {
+			ds := New(testSchema())
+			for i := 0; i < 6; i++ {
+				row, y := []float64{20 + float64(i), 40}, float64(i%2)
+				if i == 3 {
+					if col < len(row) {
+						row[col] = math.NaN()
+					} else {
+						y = math.NaN()
+					}
+				}
+				ds.Append(row, y)
+			}
+			want := fmt.Sprintf("record 3: %s is NaN", name)
+			norm, err := nz.Normalize(ds, r.target)
+			if err == nil || norm != nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s rule (intercept %v, threshold %v) with a NaN %s: err %v; want a refusal containing %q",
+					r.target, r.intercept, r.threshold != nil, name, err, want)
+			}
+		}
+	}
+	ds := New(testSchema())
+	ds.Append([]float64{math.NaN(), 40}, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("NormalizeForLinear accepted a NaN feature")
+		}
+	}()
+	NewNormalizer(testSchema()).NormalizeForLinear(ds)
 }
 
 // Property: normalization is monotone per coordinate.
@@ -130,12 +249,5 @@ func TestNormalizationMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxRowNormEmpty(t *testing.T) {
-	ds := New(testSchema())
-	if got, _ := MaxRowNorm(ds); got != 0 {
-		t.Fatalf("MaxRowNorm(empty) = %v", got)
 	}
 }

@@ -21,6 +21,9 @@ import (
 // Attribute describes one column: its name and the public [Min, Max] domain
 // used for normalization. Values outside the domain are clamped on
 // normalization (a record-level operation that cannot leak other records).
+// The domain must be non-empty and finite enough that 2·(Max − Min) does not
+// overflow: then the record rule maps every clamped value into range with
+// no intermediate Inf, and so no NaN.
 type Attribute struct {
 	Name string
 	Min  float64
@@ -37,6 +40,9 @@ func (a Attribute) Validate() error {
 	}
 	if !(a.Max > a.Min) {
 		return fmt.Errorf("dataset: attribute %q has empty domain [%v, %v]", a.Name, a.Min, a.Max)
+	}
+	if math.IsInf(2*a.Width(), 1) {
+		return fmt.Errorf("dataset: attribute %q has domain [%v, %v], too wide to normalize", a.Name, a.Min, a.Max)
 	}
 	return nil
 }

@@ -242,7 +242,7 @@ func runTaylor(cfg Config, w io.Writer) error {
 		d := 2 + trial%4
 		n := 500 + 300*trial
 		ds := randomLogistic(rng, n, d)
-		exact, err := regression.FitLogistic(ds, regression.LogisticOptions{})
+		exact, err := regression.FitLogistic(ds)
 		if err != nil {
 			return err
 		}

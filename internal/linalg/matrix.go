@@ -139,18 +139,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// TMulVec returns mᵀ·v as a new vector without materializing the transpose.
-func (m *Matrix) TMulVec(v []float64) []float64 {
-	if m.rows != len(v) {
-		panic(fmt.Sprintf("linalg: TMulVec shape mismatch %d×%d by %d", m.rows, m.cols, len(v)))
-	}
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		AXPY(v[i], m.data[i*m.cols:(i+1)*m.cols], out)
-	}
-	return out
-}
-
 // AddMat returns m+b as a new matrix.
 func (m *Matrix) AddMat(b *Matrix) *Matrix {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -272,26 +260,6 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 // QuadraticForm returns ωᵀ·m·ω for a square m.
 func (m *Matrix) QuadraticForm(w []float64) float64 {
 	return Dot(w, m.MulVec(w))
-}
-
-// Gram returns XᵀX where the rows of x are observations. This is the
-// second-order coefficient matrix of both regression objectives in the paper
-// (up to a constant factor).
-func Gram(x *Matrix) *Matrix {
-	out := NewMatrix(x.cols, x.cols)
-	for r := 0; r < x.rows; r++ {
-		row := x.data[r*x.cols : (r+1)*x.cols]
-		for i, vi := range row {
-			if vi == 0 {
-				continue
-			}
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, vj := range row {
-				orow[j] += vi * vj
-			}
-		}
-	}
-	return out
 }
 
 // MaxAbs returns the largest absolute entry of m.

@@ -21,7 +21,7 @@ func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 func randomSPD(rng *rand.Rand, n int) *Matrix {
 	// XᵀX + I with X an (n+2)×n Gaussian matrix is SPD almost surely.
 	x := randomMatrix(rng, n+2, n)
-	return Gram(x).AddDiagonal(1)
+	return x.T().Mul(x).AddDiagonal(1)
 }
 
 func TestNewMatrixFromRows(t *testing.T) {
@@ -61,23 +61,6 @@ func TestTranspose(t *testing.T) {
 	at := a.T()
 	if at.Rows() != 3 || at.Cols() != 2 || at.At(2, 0) != 3 || at.At(0, 1) != 4 {
 		t.Fatalf("T() wrong:\n%v", at)
-	}
-}
-
-func TestTMulVecMatchesExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomMatrix(rng, 5, 3)
-	v := []float64{1, -2, 0.5, 3, -1}
-	if got, want := a.TMulVec(v), a.T().MulVec(v); !EqualApprox(got, want, 1e-12) {
-		t.Fatalf("TMulVec = %v, want %v", got, want)
-	}
-}
-
-func TestGram(t *testing.T) {
-	x := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	want := x.T().Mul(x)
-	if got := Gram(x); !got.EqualApproxMat(want, 1e-12) {
-		t.Fatalf("Gram =\n%v want\n%v", got, want)
 	}
 }
 
@@ -136,12 +119,13 @@ func TestTransposeProductProperty(t *testing.T) {
 	}
 }
 
-// Property: Gram matrices are symmetric positive semi-definite.
+// Property: Gram matrices XᵀX are symmetric positive semi-definite.
 func TestGramPSDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, d := 1+rng.Intn(10), 1+rng.Intn(6)
-		g := Gram(randomMatrix(rng, n, d))
+		x := randomMatrix(rng, n, d)
+		g := x.T().Mul(x)
 		if !g.IsSymmetric(1e-10) {
 			return false
 		}

@@ -33,8 +33,8 @@ func (q *Quadratic) Eval(w []float64) float64 {
 // everywhere a Quadratic is built — the accumulator mirrors its upper
 // triangle at finalize, Perturb splits cross-term noise across both mirrored
 // entries, and QuadraticFromPolynomial splits cross-term coefficients evenly
-// — so the general form (M+Mᵀ)ω collapses to 2Mω and a single matrix-vector
-// product instead of the previous MulVec+TMulVec pair. (The built-in solves
+// — so the general form (M+Mᵀ)ω collapses to 2Mω, a single matrix-vector
+// product rather than one by M and one by Mᵀ. (The built-in solves
 // go through the Cholesky closed form, not this gradient; the halved cost
 // matters for callers that iterate, e.g. a gradient-descent solve over a
 // dense quadratic.)

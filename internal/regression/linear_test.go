@@ -1,4 +1,4 @@
-package regression
+package regression_test
 
 import (
 	"math"
@@ -6,9 +6,28 @@ import (
 	"testing"
 	"testing/quick"
 
+	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/linalg"
+	"funcmech/internal/poly"
+	"funcmech/internal/regression"
 )
+
+// linearObjective is the §4.2 objective the linear task's fold builds, the
+// one the functional mechanism perturbs and the NoPrivacy baseline
+// minimizes.
+func linearObjective(ds *dataset.Dataset) *poly.Quadratic {
+	return core.ParallelObjective(core.LinearTask{}, ds, 1)
+}
+
+// fitLinear is the NoPrivacy baseline's exact least-squares fit.
+func fitLinear(ds *dataset.Dataset) (*regression.LinearModel, error) {
+	w, err := regression.MinimizeExact(linearObjective(ds), ds.N())
+	if err != nil {
+		return nil, err
+	}
+	return &regression.LinearModel{Weights: w}, nil
+}
 
 func linSchema(d int) *dataset.Schema {
 	s := &dataset.Schema{Target: dataset.Attribute{Name: "y", Min: -1, Max: 1}}
@@ -32,7 +51,7 @@ func figure2Dataset() *dataset.Dataset {
 
 func TestLinearObjectiveFigure2Golden(t *testing.T) {
 	// Paper §4.2: f_D(ω) = 2.06ω² − 2.34ω + 1.25.
-	q := LinearObjective(figure2Dataset())
+	q := linearObjective(figure2Dataset())
 	if got := q.M.At(0, 0); math.Abs(got-2.06) > 1e-12 {
 		t.Errorf("M = %v, want 2.06", got)
 	}
@@ -46,7 +65,7 @@ func TestLinearObjectiveFigure2Golden(t *testing.T) {
 
 func TestFitLinearFigure2Golden(t *testing.T) {
 	// Paper §4.2: ω* = 117/206.
-	m, err := FitLinear(figure2Dataset(), nil)
+	m, err := fitLinear(figure2Dataset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +93,7 @@ func syntheticLinear(rng *rand.Rand, n, d int, noiseStd float64) (*dataset.Datas
 func TestFitLinearRecoversNoiselessWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds, truth := syntheticLinear(rng, 200, 4, 0)
-	m, err := FitLinear(ds, nil)
+	m, err := fitLinear(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +108,7 @@ func TestFitLinearRecoversNoiselessWeights(t *testing.T) {
 func TestFitLinearNoisyCloseToTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds, truth := syntheticLinear(rng, 5000, 3, 0.1)
-	m, err := FitLinear(ds, nil)
+	m, err := fitLinear(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +125,7 @@ func TestFitLinearCollinearFeatures(t *testing.T) {
 		v := float64(i)/10 - 1
 		ds.Append([]float64{v, v}, 2*v)
 	}
-	m, err := FitLinear(ds, nil)
+	m, err := fitLinear(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +135,7 @@ func TestFitLinearCollinearFeatures(t *testing.T) {
 }
 
 func TestFitLinearEmptyDataset(t *testing.T) {
-	if _, err := FitLinear(dataset.New(linSchema(1)), nil); err == nil {
+	if _, err := fitLinear(dataset.New(linSchema(1))); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
@@ -135,12 +154,12 @@ func gdProblem(seed int64) *dataset.Dataset {
 func TestFitLinearMatchesGDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := gdProblem(seed)
-		m, err := FitLinear(ds, nil)
+		m, err := fitLinear(ds)
 		if err != nil {
 			return false
 		}
-		q := LinearObjective(ds)
-		w, err := GradientDescent(q.Eval, q.Gradient, make([]float64, ds.D()), GDOptions{MaxIters: 5000, Tol: 1e-10})
+		q := linearObjective(ds)
+		w, err := regression.GradientDescent(q.Eval, q.Gradient, make([]float64, ds.D()), regression.GDOptions{MaxIters: 5000, Tol: 1e-10})
 		if err != nil {
 			return false
 		}
@@ -163,14 +182,14 @@ func TestGradientDescentConvergesOnWellConditionedQuadratic(t *testing.T) {
 	if ds.D() != 4 || ds.N() != 145 {
 		t.Fatalf("test setup: drew d = %d, n = %d, want 4 and 145", ds.D(), ds.N())
 	}
-	m, err := FitLinear(ds, nil)
+	m, err := fitLinear(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := LinearObjective(ds)
+	q := linearObjective(ds)
 	grads := 0
 	grad := func(w []float64) []float64 { grads++; return q.Gradient(w) }
-	w, err := GradientDescent(q.Eval, grad, make([]float64, ds.D()), GDOptions{MaxIters: 5000, Tol: 1e-10})
+	w, err := regression.GradientDescent(q.Eval, grad, make([]float64, ds.D()), regression.GDOptions{MaxIters: 5000, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +208,11 @@ func TestFitLinearIsMinimumProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := 1 + rng.Intn(4)
 		ds, _ := syntheticLinear(rng, 50, d, 0.3)
-		m, err := FitLinear(ds, nil)
+		m, err := fitLinear(ds)
 		if err != nil {
 			return false
 		}
-		q := LinearObjective(ds)
+		q := linearObjective(ds)
 		best := q.Eval(m.Weights)
 		for trial := 0; trial < 50; trial++ {
 			w := make([]float64, d)
@@ -212,7 +231,7 @@ func TestFitLinearIsMinimumProperty(t *testing.T) {
 }
 
 func TestLinearModelMSEKnown(t *testing.T) {
-	m := &LinearModel{Weights: []float64{1}}
+	m := &regression.LinearModel{Weights: []float64{1}}
 	ds := dataset.New(linSchema(1))
 	ds.Append([]float64{0.5}, 1)  // residual 0.5
 	ds.Append([]float64{0.25}, 0) // residual −0.25
@@ -223,7 +242,7 @@ func TestLinearModelMSEKnown(t *testing.T) {
 }
 
 func TestLinearModelMSEEmptyNaN(t *testing.T) {
-	m := &LinearModel{Weights: []float64{1}}
+	m := &regression.LinearModel{Weights: []float64{1}}
 	if got := m.MSE(dataset.New(linSchema(1))); !math.IsNaN(got) {
 		t.Fatalf("MSE on empty = %v, want NaN", got)
 	}

@@ -1,6 +1,7 @@
 package regression
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -55,44 +56,28 @@ func logisticHessian(ds *dataset.Dataset, w []float64) *linalg.Matrix {
 	return h
 }
 
-// LogisticOptions tunes FitLogistic.
-type LogisticOptions struct {
-	// MaxNewtonIters bounds the Newton phase (default 50).
-	MaxNewtonIters int
-	// Tol is the stopping threshold on the gradient infinity norm
-	// (default 1e-8, scaled by n).
-	Tol float64
-}
-
-func (o LogisticOptions) withDefaults() LogisticOptions {
-	if o.MaxNewtonIters <= 0 {
-		o.MaxNewtonIters = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
-	}
-	return o
-}
+// The Newton phase of FitLogistic: its iteration budget, and its stopping
+// threshold on the gradient infinity norm per record.
+const (
+	maxNewtonIters = 50
+	newtonTol      = 1e-8
+)
 
 // FitLogistic computes the maximum-likelihood logistic model — the
 // NoPrivacy baseline for Definition 2 — by damped Newton–Raphson with an
 // Armijo line search, falling back to gradient descent when the Hessian is
-// (numerically) singular, e.g. on separable data.
-func FitLogistic(ds *dataset.Dataset, opt LogisticOptions) (*LogisticModel, error) {
-	if err := checkFitInput(ds); err != nil {
-		return nil, err
+// (numerically) singular, e.g. on separable data. ds's labels must be 0 or
+// 1, as the record rule's boolean labels and Dataset.BinarizeTarget make
+// them.
+func FitLogistic(ds *dataset.Dataset) (*LogisticModel, error) {
+	if ds.N() == 0 {
+		return nil, errors.New("regression: empty dataset")
 	}
-	for i := 0; i < ds.N(); i++ {
-		if y := ds.Label(i); y != 0 && y != 1 {
-			return nil, fmt.Errorf("regression: logistic target must be boolean, record %d has %v", i, y)
-		}
-	}
-	opt = opt.withDefaults()
-	tol := opt.Tol * float64(ds.N())
+	tol := newtonTol * float64(ds.N())
 
 	w := make([]float64, ds.D())
 	loss := LogisticLoss(ds, w)
-	for iter := 0; iter < opt.MaxNewtonIters; iter++ {
+	for iter := 0; iter < maxNewtonIters; iter++ {
 		g := LogisticGradient(ds, w)
 		if linalg.NormInf(g) < tol {
 			return &LogisticModel{Weights: w}, nil

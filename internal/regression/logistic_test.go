@@ -40,7 +40,7 @@ func TestFitLogisticRecoversDirection(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	truth := []float64{2, -1.5, 0.5}
 	ds := syntheticLogistic(rng, 8000, 3, truth)
-	m, err := FitLogistic(ds, LogisticOptions{})
+	m, err := FitLogistic(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFitLogisticBeatsChance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	truth := []float64{3, 3}
 	ds := syntheticLogistic(rng, 2000, 2, truth)
-	m, err := FitLogistic(ds, LogisticOptions{})
+	m, err := FitLogistic(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFitLogisticBeatsChance(t *testing.T) {
 func TestFitLogisticGradientNearZeroAtOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := syntheticLogistic(rng, 500, 2, []float64{1, -1})
-	m, err := FitLogistic(ds, LogisticOptions{})
+	m, err := FitLogistic(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFitLogisticSeparableData(t *testing.T) {
 		}
 		ds.Append([]float64{v}, y)
 	}
-	m, err := FitLogistic(ds, LogisticOptions{MaxNewtonIters: 10})
+	m, err := FitLogistic(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +100,8 @@ func TestFitLogisticSeparableData(t *testing.T) {
 	}
 }
 
-func TestFitLogisticRejectsNonBoolean(t *testing.T) {
-	ds := dataset.New(logSchema(1))
-	ds.Append([]float64{0.5}, 0.7)
-	if _, err := FitLogistic(ds, LogisticOptions{}); err == nil {
-		t.Fatal("expected error for non-boolean target")
-	}
-}
-
 func TestFitLogisticEmptyDataset(t *testing.T) {
-	if _, err := FitLogistic(dataset.New(logSchema(1)), LogisticOptions{}); err == nil {
+	if _, err := FitLogistic(dataset.New(logSchema(1))); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
@@ -163,7 +155,7 @@ func TestFitLogisticImprovesOnZeroProperty(t *testing.T) {
 			truth[j] = rng.NormFloat64() * 2
 		}
 		ds := syntheticLogistic(rng, 100, d, truth)
-		m, err := FitLogistic(ds, LogisticOptions{})
+		m, err := FitLogistic(ds)
 		if err != nil {
 			return false
 		}

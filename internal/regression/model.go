@@ -6,7 +6,6 @@
 package regression
 
 import (
-	"fmt"
 	"math"
 
 	"funcmech/internal/dataset"
@@ -92,27 +91,4 @@ func Log1pExp(z float64) float64 {
 		return math.Exp(z)
 	}
 	return math.Log1p(math.Exp(z))
-}
-
-// designMatrix packs the feature rows of ds into a matrix.
-func designMatrix(ds *dataset.Dataset) *linalg.Matrix {
-	if ds.N() == 0 {
-		panic("regression: empty dataset")
-	}
-	x := linalg.NewMatrix(ds.N(), ds.D())
-	for i := 0; i < ds.N(); i++ {
-		copy(x.Row(i), ds.Row(i))
-	}
-	return x
-}
-
-// checkFitInput validates the common preconditions of the Fit functions.
-func checkFitInput(ds *dataset.Dataset) error {
-	if ds == nil || ds.N() == 0 {
-		return fmt.Errorf("regression: empty dataset")
-	}
-	if ds.D() == 0 {
-		return fmt.Errorf("regression: dataset has no features")
-	}
-	return nil
 }

@@ -39,6 +39,30 @@ func MinimizeQuadratic(q *poly.Quadratic) ([]float64, error) {
 	return w, nil
 }
 
+// MinimizeExact returns argmin of q, a noise-free objective folded from n
+// records: the solve of the exact baselines (NoPrivacy's least squares and
+// the Truncated logistic objective). It refuses n = 0, since no records
+// determine no model. q's M is a positive multiple of Σ x·xᵀ, plus any
+// ridge, so it is positive semidefinite and a failed solve means numerical
+// rank deficiency (collinear features, a degenerate fold); a ridge of
+// 1e-9·(1 + max|M|) then restores strict positive definiteness without
+// visibly moving the minimizer. q is not modified.
+func MinimizeExact(q *poly.Quadratic, n int) ([]float64, error) {
+	if n == 0 {
+		return nil, errors.New("regression: empty dataset")
+	}
+	w, err := MinimizeQuadratic(q)
+	if errors.Is(err, ErrUnboundedObjective) {
+		qr := q.Clone()
+		qr.M.AddDiagonal(1e-9 * (1 + q.M.MaxAbs()))
+		w, err = MinimizeQuadratic(qr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("regression: exact fit: %w", err)
+	}
+	return w, nil
+}
+
 // GDOptions tunes GradientDescent.
 type GDOptions struct {
 	// MaxIters bounds the outer iterations (default 500).

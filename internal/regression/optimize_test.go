@@ -58,7 +58,7 @@ func TestMinimizeQuadraticProperty(t *testing.T) {
 				x.Set(i, j, rng.NormFloat64())
 			}
 		}
-		q.M = linalg.Gram(x).AddDiagonal(0.5)
+		q.M = x.T().Mul(x).AddDiagonal(0.5)
 		for j := range q.Alpha {
 			q.Alpha[j] = rng.NormFloat64()
 		}

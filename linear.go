@@ -18,16 +18,13 @@ func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskModel,
 // penalized objective LinearRegression perturbs.
 func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
 	m, norm, r, err := trainingCopy(ds, core.TaskNameLinear, opts)
-	if err == nil {
-		err = r.task.Validate(norm) // the check core.Run makes for FitTask
-	}
 	if err != nil {
 		return nil, err
 	}
-	fit, err := regression.FitLinear(norm, r.task.FinalizeObjective)
+	w, err := regression.MinimizeExact(core.ParallelObjective(r.task, norm, 1), norm.N())
 	if err != nil {
 		return nil, err
 	}
-	m.weights = fit.Weights
+	m.weights = w
 	return m, nil
 }

@@ -16,14 +16,11 @@ func LogisticRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskMode
 // LogisticRegressionExact fits the non-private maximum-likelihood model on
 // the same normalized representation — the NoPrivacy baseline.
 func LogisticRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, r, err := trainingCopy(ds, core.TaskNameLogistic, opts)
-	if err == nil {
-		err = r.task.Validate(norm) // the check core.Run makes for FitTask
-	}
+	m, norm, _, err := trainingCopy(ds, core.TaskNameLogistic, opts)
 	if err != nil {
 		return nil, err
 	}
-	fit, err := regression.FitLogistic(norm, regression.LogisticOptions{})
+	fit, err := regression.FitLogistic(norm)
 	if err != nil {
 		return nil, err
 	}

@@ -30,9 +30,9 @@ func withNaN(n int, seed int64, at, col int) *funcmech.Dataset {
 }
 
 // TestFitTaskRefusesNaN: a NaN feature or target never reaches a release.
-// The training copy carries a NaN feature or a NaN normalized label into
-// the task's Validate pass, which refuses it by record; a binarize
-// threshold refuses a NaN target before (NaN > t) could quietly make it 0.
+// The record rule refuses it by record as it makes the training copy, under
+// either target rule; a binarize threshold refuses a NaN target before
+// (NaN > t) could quietly make it 0.
 func TestFitTaskRefusesNaN(t *testing.T) {
 	fits := []struct {
 		task string
@@ -59,10 +59,10 @@ func TestFitTaskRefusesNaN(t *testing.T) {
 	}
 }
 
-// TestExactBaselinesRefuseNaN: the non-private baselines run the task's
-// Validate pass over their training copy, as FitTask's core.Run does, so a
-// NaN feature is refused by record instead of yielding zero weights or an
-// unrelated solver error.
+// TestExactBaselinesRefuseNaN: the non-private baselines make their
+// training copy under the same record rule as FitTask, so a NaN feature is
+// refused by record instead of yielding zero weights or an unrelated solver
+// error.
 func TestExactBaselinesRefuseNaN(t *testing.T) {
 	ds := withNaN(200, 3, 41, 1)
 	if m, err := funcmech.LinearRegressionExact(ds); err == nil || !strings.Contains(err.Error(), "record 41") {
@@ -149,6 +149,25 @@ func TestEvaluationAllocatesPerCall(t *testing.T) {
 	}
 }
 
+// TestEvaluationOverNoRecordsIsNaN: a mean over no records has no value, so
+// MSE, MAE and NormalizedMSE over an empty dataset are NaN, not a perfect 0.
+func TestEvaluationOverNoRecordsIsNaN(t *testing.T) {
+	m, _, err := funcmech.FitTask(incomeDataset(200, 5), "linear", 1, funcmech.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := funcmech.NewDataset(incomeSchema())
+	for name, got := range map[string]float64{
+		"MSE":           m.MSE(empty),
+		"MAE":           m.MAE(empty),
+		"NormalizedMSE": m.NormalizedMSE(empty),
+	} {
+		if !math.IsNaN(got) {
+			t.Errorf("%s over no records = %v, want NaN", name, got)
+		}
+	}
+}
+
 // TestLogisticFitMakesOneTrainingCopy: a logistic fit with an intercept and
 // a binarize threshold makes its n×(d+1) training copy in one pass — no
 // binarized copy, no augmented copy — so it allocates less than two copies'
@@ -200,18 +219,25 @@ func fuzzValue(b byte, lo, hi float64) float64 {
 	return lo + (hi-lo)*float64(b)/255
 }
 
-// FuzzRecordContract: the one-shot fit and the streaming fold apply the same
-// record rule. For every task, FitTask at parallelism 1 and
-// FitTaskFromAccumulator after AddFlat of the same raw rows either both
-// refuse or release bit-identical weights at a fixed seed — whatever the
-// rows hold (NaN, ±Inf, out-of-bounds values, non-boolean targets) and with
-// the intercept and the binarize threshold on or off.
+// FuzzRecordContract: the one-shot fit, the streaming fold and the exact
+// baselines apply the same record rule. For every task, FitTask at
+// parallelism 1 and FitTaskFromAccumulator after AddFlat of the same raw
+// rows either both refuse or release bit-identical weights at a fixed seed
+// — whatever the rows hold (NaN, ±Inf, out-of-bounds values, non-boolean
+// targets) and with the intercept and the binarize threshold on or off —
+// and the task's exact baseline, given the same rows and options, refuses
+// whatever FitTask refuses.
 func FuzzRecordContract(f *testing.F) {
 	f.Add([]byte{2, 10, 20, 30, 40, 50, 60, 70, 80, 90}, false, false)
 	f.Add([]byte{3, 9, 17, 25, 6, 33, 41, 49, 5, 57, 65, 73, 6, 81, 89, 97, 5}, true, false)
 	f.Add([]byte{1, 1, 3, 2, 4, 7, 255, 12, 200}, true, true)
 	f.Add([]byte{2, 10, 20, 0, 40, 50, 60, 70, 80, 90}, false, true)
 	f.Add([]byte{4, 8, 16, 32, 64, 128, 9, 10, 11, 12, 13}, false, true)
+	exact := map[string]func(*funcmech.Dataset, ...funcmech.Option) (*funcmech.TaskModel, error){
+		"linear":   funcmech.LinearRegressionExact,
+		"ridge":    funcmech.LinearRegressionExact, // with the fit's WithRidge
+		"logistic": funcmech.LogisticRegressionExact,
+	}
 	f.Fuzz(func(t *testing.T, data []byte, intercept, thresholded bool) {
 		if len(data) < 2 || len(data) > 401 {
 			return
@@ -259,6 +285,11 @@ func FuzzRecordContract(f *testing.F) {
 				fitOpts = append(fitOpts, funcmech.WithBinarizeThreshold(0.5))
 			}
 			one, _, oneErr := funcmech.FitTask(ds, task.Name, 1, fitOpts...)
+			if fit := exact[task.Name]; fit != nil {
+				if m, err := fit(ds, fitOpts...); oneErr != nil && err == nil {
+					t.Fatalf("%s over %d rows: FitTask refused (%v), its exact baseline fitted %v", task.Name, n, oneErr, m.Weights())
+				}
+			}
 			refit, _, refitErr := funcmech.FitTaskFromAccumulator(acc, task.Name, 1, release...)
 			switch {
 			case (oneErr == nil) != (refitErr == nil):

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"funcmech"
+	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/regression"
 )
@@ -117,8 +118,8 @@ func TestLinearRegressionExactHonoursRidge(t *testing.T) {
 			}
 		}
 	}
-	// Unpenalized, the baseline minimizes LinearObjective itself.
-	plain, err := regression.MinimizeQuadratic(regression.LinearObjective(norm))
+	// Unpenalized, the baseline minimizes the linear task's fold itself.
+	plain, err := regression.MinimizeQuadratic(core.ParallelObjective(core.LinearTask{}, norm, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

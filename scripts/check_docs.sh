@@ -56,6 +56,13 @@
 #      every backticked -name in a row's first cell is a defined flag, and
 #      every defined flag has a row.
 #
+#  11. The README.md refusal table (between <!-- records:begin --> and
+#      <!-- records:end -->) names only Go code that exists. Every backticked
+#      Go name in it resolves in the non-test Go files outside testdata/:
+#      `Type.Method` to a method declared on a type of that name, and a bare
+#      exported name to a declared func, method or type. A backticked span
+#      that is not a Go name (`fmrun fit`, `POST /v1/datasets`) is prose.
+#
 # Run locally or in CI (the docs job); no dependencies beyond POSIX tools.
 set -euo pipefail
 
@@ -386,8 +393,40 @@ while IFS= read -r name; do
 done < "$WORK/src_flags"
 f="$(wc -l < "$WORK/src_flags" | tr -d ' ')"
 
+# --- 11. README refusal table <-> Go declarations --------------------------
+find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 |
+  xargs -0 cat > "$WORK/src_go"
+# Methods as Type.Method (receiver type without its pointer or type
+# parameters), and every declared func, method and type name.
+sed -nE 's/^func \(([A-Za-z_][A-Za-z0-9_]* )?\*?([A-Za-z_][A-Za-z0-9_]*)(\[[^]]*\])?\) ([A-Za-z_][A-Za-z0-9_]*).*/\2.\4/p' \
+  "$WORK/src_go" | sort -u > "$WORK/src_methods"
+{
+  sed -E 's/.*\.//' "$WORK/src_methods"
+  sed -nE 's/^func ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' "$WORK/src_go"
+  sed -nE 's/^type ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' "$WORK/src_go"
+} | sort -u > "$WORK/src_names"
+sed -n '/<!-- records:begin -->/,/<!-- records:end -->/p' README.md |
+  grep -E '^\|' | grep -oE '`[^`]+`' | tr -d '`' |
+  grep -E '^([A-Z][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*)$' |
+  sort -u > "$WORK/doc_gonames" || true
+if [ ! -s "$WORK/doc_gonames" ]; then
+  echo "check-docs: no Go names in the README.md refusal table (<!-- records:begin --> … <!-- records:end -->)" >&2
+  fail=1
+fi
+while IFS= read -r name; do
+  case "$name" in
+    *.*) list="$WORK/src_methods"; what="a method declared on ${name%%.*}" ;;
+    *) list="$WORK/src_names"; what="a declared func, method or type" ;;
+  esac
+  if ! grep -qxF "$name" "$list"; then
+    echo "check-docs: README.md's refusal table names $name, but it is not $what in the non-test Go" >&2
+    fail=1
+  fi
+done < "$WORK/doc_gonames"
+r="$(wc -l < "$WORK/doc_gonames" | tr -d ' ')"
+
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL" >&2
   exit 1
 fi
-echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist; $o fit and refit options match README.md; $f fmserve flags match README.md)"
+echo "check-docs: PASS (links resolve; $n spec constants match $src; $m metric families match $obssrc; $t tiers match internal/core; $k registry tasks match README.md and docs/ARCHITECTURE.md; $g named bench baselines exist, gate baseline $gatebase; $e routes match README.md; $c commands match README.md's cmd/ row; $d named cmd/ and internal/ directories exist; $o fit and refit options match README.md; $f fmserve flags match README.md; $r Go names in README.md's refusal table exist)"

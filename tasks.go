@@ -210,11 +210,8 @@ func (m *TaskModel) meanOver(ds *Dataset, f func(x []float64, y float64) float64
 }
 
 // MSE returns the mean squared prediction error over ds in raw target units
-// (meaningful for normalized-target tasks).
+// (meaningful for normalized-target tasks). An empty dataset gives NaN.
 func (m *TaskModel) MSE(ds *Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
 	return m.meanOver(ds, func(x []float64, y float64) float64 {
 		r := y - m.predict(x)
 		return r * r
@@ -222,11 +219,8 @@ func (m *TaskModel) MSE(ds *Dataset) float64 {
 }
 
 // MAE returns the mean absolute prediction error over ds in raw target
-// units — the loss median regression optimizes.
+// units — the loss median regression optimizes. An empty dataset gives NaN.
 func (m *TaskModel) MAE(ds *Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
 	return m.meanOver(ds, func(x []float64, y float64) float64 {
 		r := y - m.predict(x)
 		if r < 0 {
@@ -280,8 +274,9 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 // the record rule (the schema's public bounds, WithIntercept,
 // WithBinarizeThreshold) makes the fit's one normalized training copy,
 // which the privacy analysis requires. It refuses whatever CheckRelease
-// refuses, and data the task cannot train on: a target its rule cannot
-// label, or a NaN anywhere. Unknown names wrap ErrUnknownTask.
+// refuses, and data the task cannot train on: no records, a target its
+// rule cannot label, or a NaN anywhere, which the record rule refuses by
+// record as it makes the copy. Unknown names wrap ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
 	m, norm, r, err := trainingCopy(ds, task, opts)
 	if err != nil {
