@@ -43,17 +43,28 @@ func benchConfig(records int) experiments.Config {
 	return cfg
 }
 
-// benchData caches normalized census data per (profile, kind, dim, records).
+// The harness's two case studies, as the task-table rows TaskByName returns.
+var harnessLinear, harnessLogistic = harnessTask(core.TaskNameLinear), harnessTask(core.TaskNameLogistic)
+
+func harnessTask(name string) core.TaskSpec {
+	spec, err := experiments.TaskByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return spec
+}
+
+// benchData caches normalized census data per (profile, task, dim, records).
 var benchData = map[string]*dataset.Dataset{}
 
-func preparedCensus(b *testing.B, p census.Profile, kind experiments.TaskKind, dim, records int) *dataset.Dataset {
+func preparedCensus(b *testing.B, p census.Profile, spec core.TaskSpec, dim, records int) *dataset.Dataset {
 	b.Helper()
-	key := fmt.Sprintf("%s/%v/%d/%d", p.Name, kind, dim, records)
+	key := fmt.Sprintf("%s/%s/%d/%d", p.Name, spec.Name, dim, records)
 	if ds, ok := benchData[key]; ok {
 		return ds
 	}
 	cfg := benchConfig(records)
-	ds, err := experiments.PrepareTask(cfg, p, kind, dim)
+	ds, err := experiments.PrepareTask(cfg, p, spec, dim)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,12 +114,12 @@ func BenchmarkFig3LogisticApprox(b *testing.B) {
 
 // --- F4–F6: accuracy sweeps (one cross-validated point per iteration) ------
 
-func benchSweepPoint(b *testing.B, kind experiments.TaskKind, dim int, eps float64) {
+func benchSweepPoint(b *testing.B, spec core.TaskSpec, dim int, eps float64) {
 	cfg := benchConfig(2000)
-	ds := preparedCensus(b, census.US(), kind, dim, cfg.Records)
+	ds := preparedCensus(b, census.US(), spec, dim, cfg.Records)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.EvaluateMethods(cfg, ds, kind, eps, "bench"); err != nil {
+		if _, err := experiments.EvaluateMethods(cfg, ds, spec, eps, "bench"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,9 +127,9 @@ func benchSweepPoint(b *testing.B, kind experiments.TaskKind, dim int, eps float
 
 func BenchmarkFig4AccuracyVsDimensionality(b *testing.B) {
 	for _, dim := range census.Dimensionalities() {
-		for _, kind := range []experiments.TaskKind{experiments.TaskLinear, experiments.TaskLogistic} {
-			b.Run(fmt.Sprintf("%v/d=%d", kind, dim), func(b *testing.B) {
-				benchSweepPoint(b, kind, dim, experiments.DefaultEpsilon)
+		for _, spec := range []core.TaskSpec{harnessLinear, harnessLogistic} {
+			b.Run(fmt.Sprintf("%s/d=%d", experiments.TaskTitle(spec), dim), func(b *testing.B) {
+				benchSweepPoint(b, spec, dim, experiments.DefaultEpsilon)
 			})
 		}
 	}
@@ -128,10 +139,10 @@ func BenchmarkFig5AccuracyVsCardinality(b *testing.B) {
 	for _, records := range []int{1000, 2000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", records), func(b *testing.B) {
 			cfg := benchConfig(records)
-			ds := preparedCensus(b, census.US(), experiments.TaskLinear, 14, records)
+			ds := preparedCensus(b, census.US(), harnessLinear, 14, records)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.EvaluateMethods(cfg, ds, experiments.TaskLinear, experiments.DefaultEpsilon, "bench"); err != nil {
+				if _, err := experiments.EvaluateMethods(cfg, ds, harnessLinear, experiments.DefaultEpsilon, "bench"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -142,25 +153,25 @@ func BenchmarkFig5AccuracyVsCardinality(b *testing.B) {
 func BenchmarkFig6AccuracyVsBudget(b *testing.B) {
 	for _, eps := range experiments.EpsilonSweep() {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			benchSweepPoint(b, experiments.TaskLinear, 14, eps)
+			benchSweepPoint(b, harnessLinear, 14, eps)
 		})
 	}
 }
 
 // --- F7–F9: timing figures — time/op is the series --------------------------
 
-// fitOnce runs one training call of the named method.
+// fitOnce runs one logistic training call of the named method.
 func fitOnce(b *testing.B, m baseline.Method, ds *dataset.Dataset, eps float64, seed int64) {
 	b.Helper()
 	rng := noise.NewRand(seed)
-	if _, err := m.FitLogistic(ds, eps, rng); err != nil {
+	if _, err := m.Fit(harnessLogistic, ds, eps, rng); err != nil {
 		b.Fatal(err)
 	}
 }
 
 func BenchmarkFig7TimeVsDimensionality(b *testing.B) {
 	for _, dim := range census.Dimensionalities() {
-		ds := preparedCensus(b, census.US(), experiments.TaskLogistic, dim, 20000)
+		ds := preparedCensus(b, census.US(), harnessLogistic, dim, 20000)
 		for _, m := range experiments.DefaultMethods() {
 			b.Run(fmt.Sprintf("%s/d=%d", m.Name(), dim), func(b *testing.B) {
 				b.ReportAllocs()
@@ -174,7 +185,7 @@ func BenchmarkFig7TimeVsDimensionality(b *testing.B) {
 
 func BenchmarkFig8TimeVsCardinality(b *testing.B) {
 	for _, records := range []int{5000, 20000, 40000} {
-		ds := preparedCensus(b, census.US(), experiments.TaskLogistic, 14, records)
+		ds := preparedCensus(b, census.US(), harnessLogistic, 14, records)
 		for _, m := range experiments.DefaultMethods() {
 			b.Run(fmt.Sprintf("%s/n=%d", m.Name(), records), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -186,7 +197,7 @@ func BenchmarkFig8TimeVsCardinality(b *testing.B) {
 }
 
 func BenchmarkFig9TimeVsBudget(b *testing.B) {
-	ds := preparedCensus(b, census.US(), experiments.TaskLogistic, 14, 20000)
+	ds := preparedCensus(b, census.US(), harnessLogistic, 14, 20000)
 	for _, eps := range experiments.EpsilonSweep() {
 		for _, m := range experiments.DefaultMethods() {
 			if !m.Private() && eps != experiments.EpsilonSweep()[0] {
@@ -204,7 +215,7 @@ func BenchmarkFig9TimeVsBudget(b *testing.B) {
 // --- A1: §6 post-processing ablation ----------------------------------------
 
 func BenchmarkAblationPostProcess(b *testing.B) {
-	ds := preparedCensus(b, census.US(), experiments.TaskLinear, 14, 20000)
+	ds := preparedCensus(b, census.US(), harnessLinear, 14, 20000)
 	modes := []struct {
 		name string
 		opts core.Options
@@ -261,20 +272,13 @@ func BenchmarkObjective(b *testing.B) {
 			pars = append(pars, p)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		kind experiments.TaskKind
-		task core.Task
-	}{
-		{"linear", experiments.TaskLinear, core.LinearTask{}},
-		{"logistic", experiments.TaskLogistic, core.LogisticTask{}},
-	} {
-		ds := preparedCensus(b, census.US(), tc.kind, 14, 100000)
+	for _, spec := range []core.TaskSpec{harnessLinear, harnessLogistic} {
+		ds := preparedCensus(b, census.US(), spec, 14, 100000)
 		for _, par := range pars {
-			b.Run(fmt.Sprintf("%s/n=100k/d=14/parallelism=%d", tc.name, par), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n=100k/d=14/parallelism=%d", spec.Name, par), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.ParallelObjective(tc.task, ds, par)
+					core.ParallelObjective(spec.Task, ds, par)
 				}
 			})
 		}
@@ -289,7 +293,7 @@ func BenchmarkObjective(b *testing.B) {
 // per-call overhead and layout, not a separate scalar fold. Same records,
 // same task, bit-identical output.
 func BenchmarkColumnarKernel(b *testing.B) {
-	ds := preparedCensus(b, census.US(), experiments.TaskLinear, 14, 100000)
+	ds := preparedCensus(b, census.US(), harnessLinear, 14, 100000)
 	d := ds.D()
 	b.Run("columnar/blocked", func(b *testing.B) {
 		b.ReportAllocs()
@@ -362,7 +366,7 @@ func BenchmarkObjectiveDSweep(b *testing.B) {
 func BenchmarkPerturbCoefficients(b *testing.B) {
 	for _, dim := range []int{5, 14} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
-			ds := preparedCensus(b, census.US(), experiments.TaskLinear, dim, 2000)
+			ds := preparedCensus(b, census.US(), harnessLinear, dim, 2000)
 			q := core.ParallelObjective(core.LinearTask{}, ds, 1)
 			l := noise.Laplace{Scale: 100}
 			rng := noise.NewRand(1)

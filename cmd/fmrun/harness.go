@@ -69,18 +69,19 @@ func point(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		kind, err := experiments.TaskByName(strings.ToLower(*task))
+		spec, err := experiments.TaskByName(strings.ToLower(*task))
 		if err != nil {
 			return err
 		}
-		ds, err := experiments.PrepareTask(cfg, p, kind, cfg.Dimensionality)
+		ds, err := experiments.PrepareTask(cfg, p, spec, cfg.Dimensionality)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s-%v  n=%d  d=%d(+target)  ε=%g  %d×%d-fold CV\n",
-			p.Name, kind, ds.N(), ds.D(), cfg.Epsilon, cfg.Repeats, cfg.Folds)
-		res, err := experiments.EvaluateMethods(cfg, ds, kind, cfg.Epsilon,
-			fmt.Sprintf("point/%s/%v/%d/%g", p.Name, kind, cfg.Dimensionality, cfg.Epsilon))
+		title := experiments.TaskTitle(spec)
+		fmt.Fprintf(w, "%s-%s  n=%d  d=%d(+target)  ε=%g  %d×%d-fold CV\n",
+			p.Name, title, ds.N(), ds.D(), cfg.Epsilon, cfg.Repeats, cfg.Folds)
+		res, err := experiments.EvaluateMethods(cfg, ds, spec, cfg.Epsilon,
+			fmt.Sprintf("point/%s/%s/%d/%g", p.Name, title, cfg.Dimensionality, cfg.Epsilon))
 		if err != nil {
 			return err
 		}

@@ -134,6 +134,21 @@ func TestRunPointRejectsUnevaluatedTask(t *testing.T) {
 	}
 }
 
+// TestRunPointRefusesExplicitZeros: `point` refuses a zero -epsilon, -folds
+// or -repeats before it prints anything, instead of printing one
+// configuration and running another or a table of failed fits.
+func TestRunPointRefusesExplicitZeros(t *testing.T) {
+	for _, flag := range []string{"-epsilon", "-folds", "-repeats"} {
+		code, stdout, stderr := fmrun("point", "-records", "2000", flag, "0")
+		if code == 0 || stdout != "" {
+			t.Errorf("point %s 0 = %d, stdout %q; want a failure and no table", flag, code, stdout)
+		}
+		if !strings.Contains(stderr, "need") {
+			t.Errorf("point %s 0 stderr %q does not say what it needs", flag, stderr)
+		}
+	}
+}
+
 // TestRunFitExactBaselineTakesRidge: `fit -task ridge -exact` compares the
 // private ridge fit with the non-private ridge fit, not with unpenalized
 // least squares.

@@ -69,7 +69,7 @@ func main() {
 		objective.NumTerms(), objective.Degree(), sensitivity())
 
 	for _, eps := range []float64{0.1, 0.8, 3.2} {
-		res, err := core.RunGeneral(objective, sensitivity(), eps, noise.NewRand(9), core.GeneralOptions{})
+		res, err := core.RunGeneral(objective, sensitivity(), eps, noise.NewRand(9))
 		if err != nil {
 			log.Fatal(err)
 		}

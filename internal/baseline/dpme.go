@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/histogram"
 )
@@ -28,22 +29,13 @@ func (DPME) Name() string { return "DPME" }
 // Private implements Method.
 func (DPME) Private() bool { return true }
 
-// FitLinear implements Method.
-func (m DPME) FitLinear(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
+// Fit implements Method.
+func (m DPME) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
 	syn, err := m.synthesize(ds, eps, rng)
 	if err != nil {
 		return nil, err
 	}
-	return fitOnSynthetic(syn, ds.D(), false)
-}
-
-// FitLogistic implements Method.
-func (m DPME) FitLogistic(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
-	syn, err := m.synthesize(ds, eps, rng)
-	if err != nil {
-		return nil, err
-	}
-	return fitOnSynthetic(syn, ds.D(), true)
+	return fitOnSynthetic(spec, syn, ds.D()), nil
 }
 
 // synthesize is the privacy-bearing part: noisy histogram → rounded counts →

@@ -15,7 +15,7 @@ import (
 func TestDPMEProducesFiniteWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds := sphereData(rng, 2000, 2, []float64{0.7, -0.4}, false)
-	w, err := DPME{}.FitLinear(ds, 1.6, rand.New(rand.NewSource(2)))
+	w, err := DPME{}.Fit(linearRow, ds, 1.6, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestDPMEProducesFiniteWeights(t *testing.T) {
 func TestDPMELogisticProducesFiniteWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := sphereData(rng, 2000, 2, []float64{3, -1}, true)
-	w, err := DPME{}.FitLogistic(ds, 1.6, rand.New(rand.NewSource(4)))
+	w, err := DPME{}.Fit(logisticRow, ds, 1.6, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDPMELogisticProducesFiniteWeights(t *testing.T) {
 func TestDPMERejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := sphereData(rng, 100, 2, []float64{1, 1}, false)
-	if _, err := (DPME{}).FitLinear(ds, 0, rng); err == nil {
+	if _, err := (DPME{}).Fit(linearRow, ds, 0, rng); err == nil {
 		t.Error("expected error for ε=0")
 	}
 }
@@ -56,7 +56,7 @@ func TestDPMELowDimensionRetainsSignal(t *testing.T) {
 	var mse float64
 	const reps = 5
 	for seed := int64(0); seed < reps; seed++ {
-		w, err := DPME{}.FitLinear(train, 3.2, rand.New(rand.NewSource(10+seed)))
+		w, err := DPME{}.Fit(linearRow, train, 3.2, rand.New(rand.NewSource(10+seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestFMBeatsHistogramBaselinesHighDim(t *testing.T) {
 		var s float64
 		const reps = 5
 		for seed := int64(0); seed < reps; seed++ {
-			w, err := m.FitLinear(train, 0.8, rand.New(rand.NewSource(300+seed)))
+			w, err := m.Fit(linearRow, train, 0.8, rand.New(rand.NewSource(300+seed)))
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name(), err)
 			}
@@ -130,14 +130,14 @@ func TestFMBeatsHistogramBaselinesHighDim(t *testing.T) {
 func TestFPProducesFiniteWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds := sphereData(rng, 2000, 3, []float64{0.5, 0.5, -0.5}, false)
-	w, err := FP{}.FitLinear(ds, 1.6, rand.New(rand.NewSource(9)))
+	w, err := FP{}.Fit(linearRow, ds, 1.6, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !linalg.AllFinite(w) || len(w) != 3 {
 		t.Fatalf("weights %v", w)
 	}
-	wl, err := FP{}.FitLogistic(sphereData(rng, 2000, 3, []float64{2, -2, 1}, true), 1.6, rand.New(rand.NewSource(10)))
+	wl, err := FP{}.Fit(logisticRow, sphereData(rng, 2000, 3, []float64{2, -2, 1}, true), 1.6, rand.New(rand.NewSource(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFPProducesFiniteWeights(t *testing.T) {
 func TestFPRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := sphereData(rng, 100, 2, []float64{1, 1}, false)
-	if _, err := (FP{}).FitLinear(ds, -1, rng); err == nil {
+	if _, err := (FP{}).Fit(linearRow, ds, -1, rng); err == nil {
 		t.Error("expected error for negative ε")
 	}
 }

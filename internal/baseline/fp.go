@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/histogram"
 	"funcmech/internal/noise"
@@ -25,11 +26,10 @@ import (
 // This "materialize the filter's output distribution, not the noise vector"
 // trick is exactly the FP optimization — output-identical to filtering a
 // fully perturbed histogram, but proportional in cost to the published size.
-type FP struct {
-	// ThresholdFactor scales θ = ThresholdFactor·(2/ε)·ln(max(2, #empty)).
-	// The default 1 targets O(1) expected false positives per histogram.
-	ThresholdFactor float64
-}
+//
+// The threshold θ = (2/ε)·ln(max(2, #empty)) targets O(1) expected false
+// positives per histogram.
+type FP struct{}
 
 // Name implements Method.
 func (FP) Name() string { return "FP" }
@@ -37,34 +37,21 @@ func (FP) Name() string { return "FP" }
 // Private implements Method.
 func (FP) Private() bool { return true }
 
-// FitLinear implements Method.
-func (m FP) FitLinear(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
+// Fit implements Method.
+func (m FP) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
 	syn, err := m.synthesize(ds, eps, rng)
 	if err != nil {
 		return nil, err
 	}
-	return fitOnSynthetic(syn, ds.D(), false)
+	return fitOnSynthetic(spec, syn, ds.D()), nil
 }
 
-// FitLogistic implements Method.
-func (m FP) FitLogistic(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
-	syn, err := m.synthesize(ds, eps, rng)
-	if err != nil {
-		return nil, err
-	}
-	return fitOnSynthetic(syn, ds.D(), true)
-}
-
-func (m FP) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset.Dataset, error) {
+func (FP) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset.Dataset, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("baseline: FP with non-positive ε %v", eps)
 	}
 	if ds.N() == 0 {
 		return nil, fmt.Errorf("baseline: FP on empty dataset")
-	}
-	factor := m.ThresholdFactor
-	if factor == 0 {
-		factor = 1
 	}
 	grid, err := histogram.GridForCardinality(ds.Schema, ds.N())
 	if err != nil {
@@ -79,7 +66,7 @@ func (m FP) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*datas
 		}
 	}
 	scale := 2 / eps // Lap(sens/ε) with histogram sensitivity 2
-	theta := factor * scale * math.Log(math.Max(2, float64(empty)))
+	theta := scale * math.Log(math.Max(2, float64(empty)))
 	lap := noise.Laplace{Scale: scale}
 
 	published := make([]float64, len(counts))

@@ -10,8 +10,12 @@
 //     (ICDT'12): thresholded noisy histogram → synthetic data → regression.
 //
 // All methods implement a single Method interface so the experiment harness
-// can sweep them uniformly, and all expect pre-normalized data (features in
-// the unit sphere; target in [−1,1] for linear, {0,1} for logistic).
+// can sweep them uniformly. Each writes its algorithm once, in Fit, keyed by
+// the task-table row (core.TaskSpec) of the regression to train: FM and
+// Truncated take the row's Task, and NoPrivacy and the synthetic-data
+// baselines take its target rule. Every method expects data already under
+// the record rule for that row (features in the unit sphere; target in
+// [−1,1] for a normalized target, {0,1} for a boolean one).
 package baseline
 
 import (
@@ -31,13 +35,11 @@ type Method interface {
 	Name() string
 	// Private reports whether the method consumes the privacy budget.
 	Private() bool
-	// FitLinear returns linear-model weights trained on ds.
-	FitLinear(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error)
-	// FitLogistic returns logistic-model weights trained on ds.
-	FitLogistic(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error)
+	// Fit returns the weights of spec's model trained on ds.
+	Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error)
 }
 
-// NoPrivacy is the exact, non-private solver pair.
+// NoPrivacy is the exact, non-private solver.
 type NoPrivacy struct{}
 
 // Name implements Method.
@@ -46,22 +48,24 @@ func (NoPrivacy) Name() string { return "NoPrivacy" }
 // Private implements Method.
 func (NoPrivacy) Private() bool { return false }
 
-// FitLinear implements Method via the closed-form least-squares solution:
-// the minimizer of the §4.2 objective the functional mechanism perturbs.
-func (NoPrivacy) FitLinear(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	return regression.MinimizeExact(core.ParallelObjective(core.LinearTask{}, ds, 1), ds.N())
-}
-
-// FitLogistic implements Method via Newton-Raphson on the exact likelihood.
-func (NoPrivacy) FitLogistic(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	m, err := regression.FitLogistic(ds)
-	if err != nil {
-		return nil, err
+// Fit implements Method. A boolean-target row is fitted by Newton-Raphson on
+// the exact likelihood; any other row by minimizing the objective its task
+// folds, which for linear regression is the closed-form least-squares
+// solution: the minimizer of the §4.2 objective the functional mechanism
+// perturbs.
+func (NoPrivacy) Fit(spec core.TaskSpec, ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
+	if spec.Target == core.TargetBoolean {
+		m, err := regression.FitLogistic(ds)
+		if err != nil {
+			return nil, err
+		}
+		return m.Weights, nil
 	}
-	return m.Weights, nil
+	return regression.MinimizeExact(core.ParallelObjective(spec.Task, ds, 1), ds.N())
 }
 
-// Truncated minimizes the noise-free Algorithm 2 objective. For linear
+// Truncated minimizes the noise-free objective the functional mechanism
+// perturbs: the §5.3 truncated objective for logistic regression. For linear
 // regression no truncation exists (the objective is already a degree-2
 // polynomial), so it coincides with NoPrivacy — the paper likewise omits
 // Truncated from the linear plots.
@@ -73,14 +77,9 @@ func (Truncated) Name() string { return "Truncated" }
 // Private implements Method.
 func (Truncated) Private() bool { return false }
 
-// FitLinear implements Method; identical to NoPrivacy for linear tasks.
-func (Truncated) FitLinear(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
-	return NoPrivacy{}.FitLinear(ds, eps, rng)
-}
-
-// FitLogistic minimizes the §5.3 truncated objective without perturbation.
-func (Truncated) FitLogistic(ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
-	return regression.MinimizeExact(core.ParallelObjective(core.LogisticTask{}, ds, 1), ds.N())
+// Fit implements Method.
+func (Truncated) Fit(spec core.TaskSpec, ds *dataset.Dataset, _ float64, _ *rand.Rand) ([]float64, error) {
+	return regression.MinimizeExact(core.ParallelObjective(spec.Task, ds, 1), ds.N())
 }
 
 // FM is the functional mechanism adapted to the Method interface.
@@ -96,45 +95,32 @@ func (FM) Name() string { return "FM" }
 // Private implements Method.
 func (FM) Private() bool { return true }
 
-// FitLinear implements Method via Algorithm 1 on the exact linear objective.
-func (f FM) FitLinear(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
-	res, err := core.Run(core.LinearTask{}, ds, eps, rng, f.Options)
+// Fit implements Method via Algorithm 1 on the row's task (with Algorithm 2
+// for logistic regression).
+func (f FM) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
+	res, err := core.Run(spec.Task, ds, eps, rng, f.Options)
 	if err != nil {
 		return nil, err
 	}
 	return res.Weights, nil
 }
 
-// FitLogistic implements Method via Algorithms 1+2.
-func (f FM) FitLogistic(ds *dataset.Dataset, eps float64, rng *rand.Rand) ([]float64, error) {
-	res, err := core.Run(core.LogisticTask{}, ds, eps, rng, f.Options)
-	if err != nil {
-		return nil, err
-	}
-	return res.Weights, nil
-}
-
-// fitOnSynthetic runs the non-private solvers on mechanism-generated
-// synthetic data; shared by DPME and FP. An empty synthetic dataset (all
-// noisy counts filtered or non-positive) carries no information, so the
-// zero model is returned rather than an error — matching how the paper's
-// plots keep these baselines defined at harsh budgets.
-func fitOnSynthetic(syn *dataset.Dataset, d int, logistic bool) ([]float64, error) {
+// fitOnSynthetic runs NoPrivacy on mechanism-generated synthetic data;
+// shared by DPME and FP. An empty synthetic dataset (all noisy counts
+// filtered or non-positive) carries no information, so it yields the zero
+// model rather than an error — matching how the paper's plots keep these
+// baselines defined at harsh budgets — and so does a solver failure.
+func fitOnSynthetic(spec core.TaskSpec, syn *dataset.Dataset, d int) []float64 {
 	if syn.N() == 0 {
-		return make([]float64, d), nil
+		return make([]float64, d)
 	}
-	if logistic {
+	if spec.Target == core.TargetBoolean {
 		// Cell centers land strictly inside (0,1); snap to booleans.
-		bin := syn.BinarizeTarget(0.5)
-		m, err := regression.FitLogistic(bin)
-		if err != nil {
-			return make([]float64, d), nil
-		}
-		return m.Weights, nil
+		syn = syn.BinarizeTarget(0.5)
 	}
-	w, err := NoPrivacy{}.FitLinear(syn, 0, nil)
+	w, err := NoPrivacy{}.Fit(spec, syn, 0, nil)
 	if err != nil {
-		return make([]float64, d), nil
+		return make([]float64, d)
 	}
-	return w, nil
+	return w
 }

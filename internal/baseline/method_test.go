@@ -5,9 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/linalg"
 	"funcmech/internal/regression"
+)
+
+// The task-table rows of the paper's two case studies.
+var (
+	linearRow, _   = core.LookupTask(core.TaskNameLinear)
+	logisticRow, _ = core.LookupTask(core.TaskNameLogistic)
 )
 
 func unitSchema(d int, logistic bool) *dataset.Schema {
@@ -83,7 +90,7 @@ func TestNoPrivacyLinearGolden(t *testing.T) {
 	ds.Append([]float64{1}, 0.4)
 	ds.Append([]float64{0.9}, 0.3)
 	ds.Append([]float64{-0.5}, -1)
-	w, err := NoPrivacy{}.FitLinear(ds, 0, nil)
+	w, err := NoPrivacy{}.Fit(linearRow, ds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +108,11 @@ func TestTruncatedCloseToNoPrivacyLogistic(t *testing.T) {
 	train := sphereData(rng, 4000, d, truth, true)
 	test := sphereData(rng, 2000, d, truth, true)
 
-	wNP, err := NoPrivacy{}.FitLogistic(train, 0, nil)
+	wNP, err := NoPrivacy{}.Fit(logisticRow, train, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wTr, err := Truncated{}.FitLogistic(train, 0, nil)
+	wTr, err := Truncated{}.Fit(logisticRow, train, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +126,11 @@ func TestTruncatedCloseToNoPrivacyLogistic(t *testing.T) {
 func TestTruncatedLinearEqualsNoPrivacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := sphereData(rng, 500, 2, []float64{0.5, -0.5}, false)
-	a, err := Truncated{}.FitLinear(ds, 0, nil)
+	a, err := Truncated{}.Fit(linearRow, ds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NoPrivacy{}.FitLinear(ds, 0, nil)
+	b, err := NoPrivacy{}.Fit(linearRow, ds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +142,14 @@ func TestTruncatedLinearEqualsNoPrivacy(t *testing.T) {
 func TestFMWrapperProducesFiniteWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := sphereData(rng, 800, 3, []float64{1, 0.5, -0.5}, false)
-	w, err := FM{}.FitLinear(ds, 0.8, rand.New(rand.NewSource(4)))
+	w, err := FM{}.Fit(linearRow, ds, 0.8, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !linalg.AllFinite(w) || len(w) != 3 {
 		t.Fatalf("weights %v", w)
 	}
-	wl, err := FM{}.FitLogistic(sphereData(rng, 800, 3, []float64{2, 1, -1}, true), 0.8, rand.New(rand.NewSource(5)))
+	wl, err := FM{}.Fit(logisticRow, sphereData(rng, 800, 3, []float64{2, 1, -1}, true), 0.8, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +167,7 @@ func TestFMTracksNoPrivacyAtLargeEpsilon(t *testing.T) {
 	train := sphereData(rng, 20000, d, truth, false)
 	test := sphereData(rng, 5000, d, truth, false)
 
-	wNP, err := NoPrivacy{}.FitLinear(train, 0, nil)
+	wNP, err := NoPrivacy{}.Fit(linearRow, train, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +176,7 @@ func TestFMTracksNoPrivacyAtLargeEpsilon(t *testing.T) {
 	var mseFM float64
 	const reps = 10
 	for seed := int64(0); seed < reps; seed++ {
-		w, err := FM{}.FitLinear(train, 3.2, rand.New(rand.NewSource(100+seed)))
+		w, err := FM{}.Fit(linearRow, train, 3.2, rand.New(rand.NewSource(100+seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +190,7 @@ func TestFMTracksNoPrivacyAtLargeEpsilon(t *testing.T) {
 
 func TestFitOnSyntheticEmptyGivesZeroModel(t *testing.T) {
 	syn := dataset.New(unitSchema(2, false))
-	w, err := fitOnSynthetic(syn, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := fitOnSynthetic(linearRow, syn, 2)
 	if !linalg.EqualApprox(w, []float64{0, 0}, 0) {
 		t.Fatalf("w = %v, want zeros", w)
 	}

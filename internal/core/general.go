@@ -80,29 +80,14 @@ func PerturbPolynomial(p *poly.Polynomial, basis []poly.Monomial, l noise.Laplac
 	return out, nil
 }
 
-// GeneralOptions tunes RunGeneral.
-type GeneralOptions struct {
-	// Starts is the number of gradient-descent restarts (default 8).
-	Starts int
-	// MaxIters bounds each descent (default 500).
-	MaxIters int
-	// DivergenceRadius marks the objective unbounded when an iterate's norm
-	// exceeds it (default 1e6).
-	DivergenceRadius float64
-}
-
-func (o GeneralOptions) withDefaults() GeneralOptions {
-	if o.Starts <= 0 {
-		o.Starts = 8
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 500
-	}
-	if o.DivergenceRadius <= 0 {
-		o.DivergenceRadius = 1e6
-	}
-	return o
-}
+// RunGeneral's minimizer: the number of gradient-descent starts, the
+// iteration budget of each descent, and the iterate norm beyond which a
+// start counts as diverged.
+const (
+	generalStarts           = 8
+	generalMaxIters         = 500
+	generalDivergenceRadius = 1e6
+)
 
 // RunGeneral executes the functional mechanism on an arbitrary finite
 // polynomial objective. delta is the caller's analytic sensitivity
@@ -114,14 +99,13 @@ func (o GeneralOptions) withDefaults() GeneralOptions {
 // best finite minimizer wins. ErrUnbounded is returned when every start
 // diverges — the caller may retry under a Lemma 5 budget-doubling discipline
 // or reformulate with a bounded objective.
-func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand, opts GeneralOptions) (*GeneralResult, error) {
+func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand) (*GeneralResult, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
 	}
 	if delta <= 0 {
 		return nil, fmt.Errorf("core: non-positive sensitivity %v", delta)
 	}
-	opts = opts.withDefaults()
 	d := objective.NumVars()
 	basis := MonomialBasis(d, objective.Degree())
 	l := noise.NewLaplace(delta, eps)
@@ -139,7 +123,7 @@ func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand, 
 
 	var best []float64
 	bestVal := 0.0
-	for s := 0; s < opts.Starts; s++ {
+	for s := 0; s < generalStarts; s++ {
 		start := make([]float64, d)
 		if s > 0 { // first start at the origin, the rest randomized
 			for j := range start {
@@ -147,8 +131,8 @@ func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand, 
 			}
 		}
 		w, _ := regression.GradientDescent(noisy.Eval, noisy.Gradient, start,
-			regression.GDOptions{MaxIters: opts.MaxIters})
-		if !linalg.AllFinite(w) || linalg.Norm2(w) > opts.DivergenceRadius {
+			regression.GDOptions{MaxIters: generalMaxIters})
+		if !linalg.AllFinite(w) || linalg.Norm2(w) > generalDivergenceRadius {
 			continue
 		}
 		if v := noisy.Eval(w); best == nil || v < bestVal {
@@ -156,13 +140,13 @@ func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand, 
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("%w: all %d descent starts diverged", ErrUnbounded, opts.Starts)
+		return nil, fmt.Errorf("%w: all %d descent starts diverged", ErrUnbounded, generalStarts)
 	}
 	// A descent start can settle on a stationary point (e.g. the saddle of
 	// −ω⁴ at the origin, where the gradient vanishes exactly) even though
 	// the objective is unbounded below. Probe far-away points along random
 	// rays and the solution ray; any large decrease convicts the objective.
-	if rayDecreases(noisy, best, bestVal, opts.DivergenceRadius, rng) {
+	if rayDecreases(noisy, best, bestVal, generalDivergenceRadius, rng) {
 		return nil, fmt.Errorf("%w: objective decreases without bound along a probed ray", ErrUnbounded)
 	}
 	res.Weights = best

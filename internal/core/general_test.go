@@ -75,7 +75,7 @@ func TestRunGeneralMatchesClosedFormAtHugeEpsilon(t *testing.T) {
 	// Quadratic objective: must agree with the dense-path minimizer.
 	ds := figure2Dataset()
 	obj := ParallelObjective(LinearTask{}, ds, 1).ToPolynomial()
-	res, err := RunGeneral(obj, LinearTask{}.Sensitivity(1), 1e12, noise.NewRand(2), GeneralOptions{})
+	res, err := RunGeneral(obj, LinearTask{}.Sensitivity(1), 1e12, noise.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunGeneralQuarticObjective(t *testing.T) {
 	obj.AddTerm(poly.NewMonomial([]int{2}), -2)
 	obj.AddTerm(poly.NewMonomial([]int{1}), 0.3)
 	obj.AddTerm(poly.NewMonomial([]int{0}), 1)
-	res, err := RunGeneral(obj, 1, 1e12, noise.NewRand(3), GeneralOptions{})
+	res, err := RunGeneral(obj, 1, 1e12, noise.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunGeneralQuarticObjective(t *testing.T) {
 func TestRunGeneralDetectsUnbounded(t *testing.T) {
 	// f(ω) = −ω⁴: unbounded below; every start must diverge.
 	obj := poly.NewPolynomial(1).AddTerm(poly.NewMonomial([]int{4}), -1)
-	_, err := RunGeneral(obj, 1, 1e12, noise.NewRand(4), GeneralOptions{MaxIters: 2000})
+	_, err := RunGeneral(obj, 1, 1e12, noise.NewRand(4))
 	if !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
 	}
@@ -122,7 +122,7 @@ func TestRunGeneralDetectsUnboundedRay(t *testing.T) {
 	// f(ω) = −ω: gradient descent runs off to +∞ linearly; either the
 	// divergence check or the ray probe must catch it.
 	obj := poly.NewPolynomial(1).AddTerm(poly.Linear(1, 0), -1)
-	_, err := RunGeneral(obj, 1, 1e12, noise.NewRand(5), GeneralOptions{})
+	_, err := RunGeneral(obj, 1, 1e12, noise.NewRand(5))
 	if !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
 	}
@@ -130,10 +130,10 @@ func TestRunGeneralDetectsUnboundedRay(t *testing.T) {
 
 func TestRunGeneralRejectsBadInput(t *testing.T) {
 	obj := poly.NewPolynomial(1).AddTerm(poly.Product(1, 0, 0), 1)
-	if _, err := RunGeneral(obj, 1, 0, noise.NewRand(1), GeneralOptions{}); err == nil {
+	if _, err := RunGeneral(obj, 1, 0, noise.NewRand(1)); err == nil {
 		t.Error("expected error for ε=0")
 	}
-	if _, err := RunGeneral(obj, 0, 1, noise.NewRand(1), GeneralOptions{}); err == nil {
+	if _, err := RunGeneral(obj, 0, 1, noise.NewRand(1)); err == nil {
 		t.Error("expected error for Δ=0")
 	}
 }
@@ -147,7 +147,7 @@ func TestRunGeneralNoiseMagnitude(t *testing.T) {
 	var shift float64
 	const reps = 30
 	for seed := int64(0); seed < reps; seed++ {
-		res, err := RunGeneral(obj, 2, 2, noise.NewRand(seed), GeneralOptions{})
+		res, err := RunGeneral(obj, 2, 2, noise.NewRand(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -227,14 +227,6 @@ func (nz *Normalizer) NormalizeForLinear(ds *Dataset) *Dataset {
 	return out
 }
 
-// NormalizeForLogistic returns a copy of ds with features in the unit sphere
-// and the boolean target of Definition 2: Normalize under TargetBoolean.
-// Without a threshold on the rule the target must already be 0 or 1 — use
-// Dataset.BinarizeTarget first.
-func (nz *Normalizer) NormalizeForLogistic(ds *Dataset) (*Dataset, error) {
-	return nz.Normalize(ds, TargetBoolean)
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

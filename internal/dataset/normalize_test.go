@@ -83,11 +83,11 @@ func TestNormalizeForLinearInvariants(t *testing.T) {
 func TestNormalizeForLogisticRejectsNonBoolean(t *testing.T) {
 	ds := smallDataset(t)
 	nz := NewNormalizer(ds.Schema)
-	if _, err := nz.NormalizeForLogistic(ds); err == nil {
+	if _, err := nz.Normalize(ds, TargetBoolean); err == nil {
 		t.Fatal("expected error for non-boolean target")
 	}
 	bin := ds.BinarizeTarget(45000)
-	norm, err := nz.NormalizeForLogistic(bin)
+	norm, err := nz.Normalize(bin, TargetBoolean)
 	if err != nil {
 		t.Fatal(err)
 	}

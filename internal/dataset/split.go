@@ -37,19 +37,3 @@ func KFold(n, k int, rng *rand.Rand) []Fold {
 	}
 	return folds
 }
-
-// TrainTestSplit returns a single split with the given training fraction.
-func TrainTestSplit(n int, trainFrac float64, rng *rand.Rand) Fold {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		panic(fmt.Sprintf("dataset: trainFrac %v outside (0,1)", trainFrac))
-	}
-	perm := rng.Perm(n)
-	cut := int(float64(n) * trainFrac)
-	if cut == 0 {
-		cut = 1
-	}
-	if cut == n {
-		cut = n - 1
-	}
-	return Fold{Train: perm[:cut], Test: perm[cut:]}
-}

@@ -93,24 +93,3 @@ func TestKFoldPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTrainTestSplit(t *testing.T) {
-	f := TrainTestSplit(100, 0.8, rand.New(rand.NewSource(3)))
-	if len(f.Train) != 80 || len(f.Test) != 20 {
-		t.Fatalf("split sizes: %d/%d", len(f.Train), len(f.Test))
-	}
-}
-
-func TestTrainTestSplitExtremes(t *testing.T) {
-	// Tiny fractions still leave at least one record on each side.
-	f := TrainTestSplit(10, 0.01, rand.New(rand.NewSource(4)))
-	if len(f.Train) < 1 || len(f.Test) < 1 {
-		t.Fatalf("degenerate split: %d/%d", len(f.Train), len(f.Test))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("trainFrac=1 must panic")
-		}
-	}()
-	TrainTestSplit(10, 1, rand.New(rand.NewSource(5)))
-}

@@ -5,50 +5,50 @@
 // privacy budget ε — measuring mean squared error for linear regression,
 // misclassification rate for logistic regression, and per-fit wall-clock
 // time for the Figures 7–9 timing plots.
+//
+// The harness names its two case studies by their task-table rows
+// (core.TaskSpec), which TaskByName resolves: the row's target rule picks
+// the training labels, the score and whether Truncated runs, and each
+// method fits the row.
 package experiments
 
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"funcmech/internal/baseline"
 	"funcmech/internal/census"
 	"funcmech/internal/core"
 )
 
-// TaskKind selects the regression family of an experiment.
-type TaskKind int
-
-const (
-	// TaskLinear is least-squares regression, measured by MSE.
-	TaskLinear TaskKind = iota
-	// TaskLogistic is logistic regression, measured by misclassification
-	// rate.
-	TaskLogistic
-)
-
-// String implements fmt.Stringer.
-func (k TaskKind) String() string {
-	if k == TaskLinear {
-		return "Linear"
+// TaskByName resolves the task-table row of a task the §7 harness
+// evaluates: the paper's two case studies, linear regression (scored by MSE
+// over normalized targets) and logistic regression (scored by
+// misclassification rate). Every other name fails, registered tasks such as
+// median and ridge included: the harness has no measurement protocol for
+// them.
+func TaskByName(name string) (core.TaskSpec, error) {
+	if spec, ok := core.LookupTask(name); ok && (name == core.TaskNameLinear || name == core.TaskNameLogistic) {
+		return spec, nil
 	}
-	return "Logistic"
+	return core.TaskSpec{}, fmt.Errorf("experiments: the §7 harness evaluates %s and %s, not %q",
+		core.TaskNameLinear, core.TaskNameLogistic, name)
 }
 
-// TaskByName resolves the name of a task the §7 harness evaluates: the
-// paper's two case studies, linear regression (scored by MSE over normalized
-// targets) and logistic regression (scored by misclassification rate). Every
-// other name fails, registered tasks such as median and ridge included: the
-// harness has no measurement protocol for them.
-func TaskByName(name string) (TaskKind, error) {
-	switch name {
-	case core.TaskNameLinear:
-		return TaskLinear, nil
-	case core.TaskNameLogistic:
-		return TaskLogistic, nil
+// caseStudy resolves one of the two case studies by its table constant.
+func caseStudy(name string) core.TaskSpec {
+	spec, err := TaskByName(name)
+	if err != nil {
+		panic(err)
 	}
-	return 0, fmt.Errorf("experiments: the §7 harness evaluates %s and %s, not %q",
-		core.TaskNameLinear, core.TaskNameLogistic, name)
+	return spec
+}
+
+// TaskTitle is the capitalized task name ("Linear", "Logistic") that panel
+// titles print and that the noise and sampling seed labels hash.
+func TaskTitle(spec core.TaskSpec) string {
+	return strings.ToUpper(spec.Name[:1]) + spec.Name[1:]
 }
 
 // EpsilonSweep is the privacy-budget grid of Table 2.
@@ -65,15 +65,16 @@ const DefaultEpsilon = 0.8
 // DefaultDimensionality is Table 2's bold default of 14 attributes.
 const DefaultDimensionality = 14
 
-// Config parameterizes a harness run. Zero values are filled by
-// withDefaults; DefaultConfig returns the paper's configuration at a
-// laptop-friendly scale.
+// Config parameterizes a harness run. DefaultConfig is the one source of
+// defaults: start from it and change what the run needs. Every field is
+// taken as given and validated, except that a nil Profiles or Methods means
+// the default set.
 type Config struct {
 	// Profiles are the census datasets to evaluate (default US and Brazil).
 	Profiles []census.Profile
 	// Methods are evaluated in order (default FM, DPME, FP, NoPrivacy,
-	// Truncated — Truncated is skipped automatically on linear tasks, as in
-	// the paper's plots).
+	// Truncated — Truncated is skipped automatically on a normalized-target
+	// row, linear regression, as in the paper's plots).
 	Methods []baseline.Method
 	// Folds is the cross-validation fold count (default 5, as in §7).
 	Folds int
@@ -90,10 +91,10 @@ type Config struct {
 	// sweeps; must be one of census.Dimensionalities().
 	Dimensionality int
 	// BaseSeed makes the whole run deterministic at a fixed Parallelism on
-	// a fixed machine. Noise streams depend only on the seed, but the FM
-	// objective's floating-point summation tree depends on the effective
-	// worker count, so last-bit coefficient reproducibility across machines
-	// requires Parallelism = 1.
+	// a fixed machine; 0 is a seed like any other. Noise streams depend
+	// only on the seed, but the FM objective's floating-point summation
+	// tree depends on the effective worker count, so last-bit coefficient
+	// reproducibility across machines requires Parallelism = 1.
 	BaseSeed int64
 	// Parallelism bounds the objective-accumulation worker pool of the FM
 	// fits (0 means all cores, 1 the serial sweep); forwarded to
@@ -132,28 +133,14 @@ func DefaultMethods() []baseline.Method {
 	}
 }
 
+// withDefaults fills a nil Profiles or Methods and threads Parallelism into
+// every FM whose own Options leave it zero.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.Profiles == nil {
-		c.Profiles = d.Profiles
+		c.Profiles = census.Profiles()
 	}
 	if c.Methods == nil {
-		c.Methods = d.Methods
-	}
-	if c.Folds == 0 {
-		c.Folds = d.Folds
-	}
-	if c.Repeats == 0 {
-		c.Repeats = d.Repeats
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = d.Epsilon
-	}
-	if c.Dimensionality == 0 {
-		c.Dimensionality = d.Dimensionality
-	}
-	if c.BaseSeed == 0 {
-		c.BaseSeed = d.BaseSeed
+		c.Methods = DefaultMethods()
 	}
 	if c.Parallelism != 0 {
 		// Copy before rewriting: Methods may be a caller-owned slice.

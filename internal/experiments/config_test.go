@@ -7,17 +7,15 @@ import (
 	"funcmech/internal/core"
 )
 
-// TestTaskByName: only the paper's two case studies resolve. Every other
-// name, the registry's median and ridge included, fails with an error that
-// names the two the harness evaluates.
+// TestTaskByName: only the paper's two case studies resolve, each to its
+// task-table row. Every other name, the registry's median and ridge
+// included, fails with an error that names the two the harness evaluates.
 func TestTaskByName(t *testing.T) {
-	for name, want := range map[string]TaskKind{
-		core.TaskNameLinear:   TaskLinear,
-		core.TaskNameLogistic: TaskLogistic,
-	} {
-		kind, err := TaskByName(name)
-		if err != nil || kind != want {
-			t.Errorf("TaskByName(%q) = %v, %v; want %v", name, kind, err, want)
+	for _, name := range []string{core.TaskNameLinear, core.TaskNameLogistic} {
+		want, _ := core.LookupTask(name)
+		spec, err := TaskByName(name)
+		if err != nil || spec != want {
+			t.Errorf("TaskByName(%q) = %+v, %v; want the row %+v", name, spec, err, want)
 		}
 	}
 	for _, name := range []string{core.TaskNameMedian, core.TaskNameRidge, "quantile", "Linear"} {

@@ -7,6 +7,7 @@ import (
 
 	"funcmech/internal/baseline"
 	"funcmech/internal/census"
+	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/noise"
 	"funcmech/internal/regression"
@@ -30,9 +31,15 @@ type MethodResult struct {
 	Failures int
 }
 
-// PrepareTask generates, projects, binarizes and normalizes a profile's data
-// for one task and dimensionality: the §7 preprocessing pipeline.
-func PrepareTask(cfg Config, p census.Profile, kind TaskKind, dim int) (*dataset.Dataset, error) {
+// PrepareTask generates, projects and normalizes a profile's data for one
+// task-table row and dimensionality: the §7 preprocessing pipeline. One
+// record rule makes every training set, with the profile's income threshold
+// deriving the boolean labels of a boolean-target row. It refuses an
+// invalid cfg before generating anything.
+func PrepareTask(cfg Config, p census.Profile, spec core.TaskSpec, dim int) (*dataset.Dataset, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	subset, ok := census.DimensionSubsets()[dim]
 	if !ok {
 		return nil, fmt.Errorf("experiments: no attribute subset for dimensionality %d", dim)
@@ -42,11 +49,11 @@ func PrepareTask(cfg Config, p census.Profile, kind TaskKind, dim int) (*dataset
 	if err != nil {
 		return nil, err
 	}
-	nz := dataset.NewNormalizer(proj.Schema)
-	if kind == TaskLinear {
-		return nz.NormalizeForLinear(proj), nil
+	rule, err := dataset.NewRule(*proj.Schema, false, &p.IncomeThreshold)
+	if err != nil {
+		return nil, err
 	}
-	return nz.NormalizeForLogistic(proj.BinarizeTarget(p.IncomeThreshold))
+	return rule.Normalize(proj, spec.Target)
 }
 
 // EvaluateMethods runs the repeated k-fold protocol of §7 on an already
@@ -54,13 +61,13 @@ func PrepareTask(cfg Config, p census.Profile, kind TaskKind, dim int) (*dataset
 // training partition with budget eps and scores on the held-out fold.
 // label keys the deterministic noise streams; distinct experiments must pass
 // distinct labels.
-func EvaluateMethods(cfg Config, ds *dataset.Dataset, kind TaskKind, eps float64, label string) ([]MethodResult, error) {
+func EvaluateMethods(cfg Config, ds *dataset.Dataset, spec core.TaskSpec, eps float64, label string) ([]MethodResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	methods := cfg.Methods
-	if kind == TaskLinear {
+	if spec.Target != core.TargetBoolean {
 		methods = withoutTruncated(methods)
 	}
 
@@ -85,15 +92,7 @@ func EvaluateMethods(cfg Config, ds *dataset.Dataset, kind TaskKind, eps float64
 			for mi, m := range methods {
 				rng := noise.NewRand(seedFor(cfg.BaseSeed, label, m.Name(), rep, fi))
 				start := time.Now()
-				var (
-					w   []float64
-					err error
-				)
-				if kind == TaskLinear {
-					w, err = m.FitLinear(train, eps, rng)
-				} else {
-					w, err = m.FitLogistic(train, eps, rng)
-				}
+				w, err := m.Fit(spec, train, eps, rng)
 				elapsed := time.Since(start).Seconds()
 				if err != nil {
 					aggs[mi].fails++
@@ -101,7 +100,7 @@ func EvaluateMethods(cfg Config, ds *dataset.Dataset, kind TaskKind, eps float64
 				}
 				aggs[mi].seconds += elapsed
 				aggs[mi].fits++
-				aggs[mi].metrics = append(aggs[mi].metrics, score(kind, w, test))
+				aggs[mi].metrics = append(aggs[mi].metrics, score(spec.Target, w, test))
 			}
 		}
 	}
@@ -123,16 +122,19 @@ func EvaluateMethods(cfg Config, ds *dataset.Dataset, kind TaskKind, eps float64
 	return out, nil
 }
 
-func score(kind TaskKind, w []float64, test *dataset.Dataset) float64 {
-	if kind == TaskLinear {
-		return (&regression.LinearModel{Weights: w}).MSE(test)
+// score is the held-out error under the target rule: misclassification rate
+// for boolean labels, mean squared error otherwise.
+func score(rule core.TargetRule, w []float64, test *dataset.Dataset) float64 {
+	if rule == core.TargetBoolean {
+		return (&regression.LogisticModel{Weights: w}).MisclassificationRate(test)
 	}
-	return (&regression.LogisticModel{Weights: w}).MisclassificationRate(test)
+	return (&regression.LinearModel{Weights: w}).MSE(test)
 }
 
-// withoutTruncated drops the Truncated baseline: for linear regression it
-// coincides with NoPrivacy (§5 applies only to non-polynomial objectives),
-// and the paper's linear plots omit it for the same reason.
+// withoutTruncated drops the Truncated baseline from a normalized-target
+// (linear) evaluation: there it coincides with NoPrivacy (§5 applies only to
+// non-polynomial objectives), and the paper's linear plots omit it for the
+// same reason.
 func withoutTruncated(methods []baseline.Method) []baseline.Method {
 	out := make([]baseline.Method, 0, len(methods))
 	for _, m := range methods {

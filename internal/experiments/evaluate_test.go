@@ -9,6 +9,12 @@ import (
 	"funcmech/internal/core"
 )
 
+// The task-table rows of the paper's two case studies.
+var (
+	linearRow   = caseStudy(core.TaskNameLinear)
+	logisticRow = caseStudy(core.TaskNameLogistic)
+)
+
 // quickConfig is a fast configuration for integration tests.
 func quickConfig() Config {
 	cfg := DefaultConfig()
@@ -21,7 +27,7 @@ func quickConfig() Config {
 
 func TestPrepareTaskLinear(t *testing.T) {
 	cfg := quickConfig()
-	ds, err := PrepareTask(cfg, census.US(), TaskLinear, 5)
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +46,7 @@ func TestPrepareTaskLinear(t *testing.T) {
 
 func TestPrepareTaskLogisticBoolean(t *testing.T) {
 	cfg := quickConfig()
-	ds, err := PrepareTask(cfg, census.Brazil(), TaskLogistic, 8)
+	ds, err := PrepareTask(cfg, census.Brazil(), logisticRow, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +59,18 @@ func TestPrepareTaskLogisticBoolean(t *testing.T) {
 
 func TestPrepareTaskUnknownDim(t *testing.T) {
 	cfg := quickConfig()
-	if _, err := PrepareTask(cfg, census.US(), TaskLinear, 7); err == nil {
+	if _, err := PrepareTask(cfg, census.US(), linearRow, 7); err == nil {
 		t.Fatal("expected error for unsupported dimensionality")
 	}
 }
 
 func TestEvaluateMethodsShape(t *testing.T) {
 	cfg := quickConfig()
-	ds, err := PrepareTask(cfg, census.US(), TaskLinear, 5)
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateMethods(cfg, ds, TaskLinear, 0.8, "test")
+	res, err := EvaluateMethods(cfg, ds, linearRow, 0.8, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +94,11 @@ func TestEvaluateMethodsDropsTruncatedForLinear(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Methods = DefaultMethods()
 	cfg.Records = 1500
-	ds, err := PrepareTask(cfg, census.US(), TaskLinear, 5)
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateMethods(cfg, ds, TaskLinear, 0.8, "truncdrop")
+	res, err := EvaluateMethods(cfg, ds, linearRow, 0.8, "truncdrop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +114,15 @@ func TestEvaluateMethodsDropsTruncatedForLinear(t *testing.T) {
 
 func TestEvaluateMethodsDeterministic(t *testing.T) {
 	cfg := quickConfig()
-	ds, err := PrepareTask(cfg, census.US(), TaskLinear, 5)
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := EvaluateMethods(cfg, ds, TaskLinear, 0.8, "det")
+	a, err := EvaluateMethods(cfg, ds, linearRow, 0.8, "det")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateMethods(cfg, ds, TaskLinear, 0.8, "det")
+	b, err := EvaluateMethods(cfg, ds, linearRow, 0.8, "det")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,26 +133,55 @@ func TestEvaluateMethodsDeterministic(t *testing.T) {
 	}
 }
 
-func TestEvaluateMethodsValidation(t *testing.T) {
+// TestEvaluateMethodsSeedZeroIsASeed: BaseSeed 0 keys its own folds and
+// noise instead of standing in for the default seed 1.
+func TestEvaluateMethodsSeedZeroIsASeed(t *testing.T) {
 	cfg := quickConfig()
-	ds, err := PrepareTask(cfg, census.US(), TaskLinear, 5)
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.Folds = 1
-	if _, err := EvaluateMethods(bad, ds, TaskLinear, 0.8, "x"); err == nil {
-		t.Error("expected error for Folds=1")
+	results := map[int64][]MethodResult{}
+	for _, seed := range []int64{0, 1} {
+		cfg.BaseSeed = seed
+		if results[seed], err = EvaluateMethods(cfg, ds, linearRow, 0.8, "seed"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	bad = cfg
-	bad.Dimensionality = 7
-	if _, err := EvaluateMethods(bad, ds, TaskLinear, 0.8, "x"); err == nil {
-		t.Error("expected error for bad dimensionality")
+	for i := range results[0] {
+		if a, b := results[0][i], results[1][i]; a.Metric == b.Metric && a.StdDev == b.StdDev {
+			t.Errorf("%s: BaseSeed 0 and 1 give the same result %v ± %v", a.Method, a.Metric, a.StdDev)
+		}
 	}
-	bad = cfg
-	bad.Records = -1
-	if _, err := EvaluateMethods(bad, ds, TaskLinear, 0.8, "x"); err == nil {
-		t.Error("expected error for negative records")
+}
+
+// TestEvaluateMethodsValidation: PrepareTask and EvaluateMethods refuse the
+// same invalid configurations, a zero Folds, Repeats, Epsilon or
+// Dimensionality among them: a zero is taken as given, not replaced by
+// DefaultConfig's value.
+func TestEvaluateMethodsValidation(t *testing.T) {
+	cfg := quickConfig()
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, set := range map[string]func(*Config){
+		"Folds=1":          func(c *Config) { c.Folds = 1 },
+		"Folds=0":          func(c *Config) { c.Folds = 0 },
+		"Repeats=0":        func(c *Config) { c.Repeats = 0 },
+		"Epsilon=0":        func(c *Config) { c.Epsilon = 0 },
+		"Dimensionality=7": func(c *Config) { c.Dimensionality = 7 },
+		"Dimensionality=0": func(c *Config) { c.Dimensionality = 0 },
+		"Records=-1":       func(c *Config) { c.Records = -1 },
+	} {
+		bad := cfg
+		set(&bad)
+		if _, err := EvaluateMethods(bad, ds, linearRow, 0.8, "x"); err == nil {
+			t.Errorf("EvaluateMethods accepted %s", name)
+		}
+		if _, err := PrepareTask(bad, census.US(), linearRow, 5); err == nil {
+			t.Errorf("PrepareTask accepted %s", name)
+		}
 	}
 }
 
@@ -155,11 +190,11 @@ func TestEvaluateMethodsValidation(t *testing.T) {
 func TestFMBetweenNoPrivacyAndTrivial(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Records = 8000
-	ds, err := PrepareTask(cfg, census.US(), TaskLinear, 5)
+	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateMethods(cfg, ds, TaskLinear, 3.2, "sanity")
+	res, err := EvaluateMethods(cfg, ds, linearRow, 3.2, "sanity")
 	if err != nil {
 		t.Fatal(err)
 	}

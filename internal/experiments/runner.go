@@ -69,10 +69,10 @@ func runParams(w io.Writer) error {
 
 // runAccuracyFigure renders the four panels (US/Brazil × Linear/Logistic) of
 // Figures 4–6.
-func runAccuracyFigure(cfg Config, w io.Writer, sweep func(Config, census.Profile, TaskKind) (*Sweep, error)) error {
+func runAccuracyFigure(cfg Config, w io.Writer, sweep func(Config, census.Profile, core.TaskSpec) (*Sweep, error)) error {
 	for _, p := range cfg.Profiles {
-		for _, kind := range []TaskKind{TaskLinear, TaskLogistic} {
-			sw, err := sweep(cfg, p, kind)
+		for _, name := range []string{core.TaskNameLinear, core.TaskNameLogistic} {
+			sw, err := sweep(cfg, p, caseStudy(name))
 			if err != nil {
 				return err
 			}
@@ -186,7 +186,8 @@ func runAblation(cfg Config, w io.Writer) error {
 		{"none", core.Options{PostProcess: core.PostProcessNone}},
 	}
 	p := cfg.Profiles[0]
-	ds, err := PrepareTask(cfg, p, TaskLinear, cfg.Dimensionality)
+	linear := caseStudy(core.TaskNameLinear)
+	ds, err := PrepareTask(cfg, p, linear, cfg.Dimensionality)
 	if err != nil {
 		return err
 	}
@@ -204,7 +205,7 @@ func runAblation(cfg Config, w io.Writer) error {
 			// cfg.Parallelism into any FM whose Options leave it zero.
 			base := cfg
 			base.Methods = []baseline.Method{baseline.FM{Options: mode.opts}}
-			res, err := EvaluateMethods(base, ds, TaskLinear, eps, fmt.Sprintf("A1/%s/%g", mode.name, eps))
+			res, err := EvaluateMethods(base, ds, linear, eps, fmt.Sprintf("A1/%s/%g", mode.name, eps))
 			if err != nil {
 				return err
 			}
@@ -246,7 +247,7 @@ func runTaylor(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wTrunc, err := baseline.Truncated{}.FitLogistic(ds, 0, nil)
+		wTrunc, err := baseline.Truncated{}.Fit(caseStudy(core.TaskNameLogistic), ds, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -267,7 +268,8 @@ func runLambda(cfg Config, w io.Writer) error {
 	factors := []float64{0.5, 1, 2, 4, 8, 16}
 	budgets := []float64{0.2, 0.8, 3.2}
 	p := cfg.Profiles[0]
-	ds, err := PrepareTask(cfg, p, TaskLinear, cfg.Dimensionality)
+	linear := caseStudy(core.TaskNameLinear)
+	ds, err := PrepareTask(cfg, p, linear, cfg.Dimensionality)
 	if err != nil {
 		return err
 	}
@@ -283,7 +285,7 @@ func runLambda(cfg Config, w io.Writer) error {
 		for _, eps := range budgets {
 			run := cfg
 			run.Methods = []baseline.Method{baseline.FM{Options: core.Options{LambdaFactor: f}}}
-			res, err := EvaluateMethods(run, ds, TaskLinear, eps, fmt.Sprintf("A3/%g/%g", f, eps))
+			res, err := EvaluateMethods(run, ds, linear, eps, fmt.Sprintf("A3/%g/%g", f, eps))
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"funcmech/internal/census"
+	"funcmech/internal/core"
 	"funcmech/internal/noise"
 )
 
@@ -30,33 +31,35 @@ type Sweep struct {
 	Points []SweepPoint
 }
 
-func metricName(kind TaskKind) string {
-	if kind == TaskLinear {
-		return "mean square error"
+// metricName names score's measure under the target rule.
+func metricName(rule core.TargetRule) string {
+	if rule == core.TargetBoolean {
+		return "misclassification rate"
 	}
-	return "misclassification rate"
+	return "mean square error"
 }
 
 // RunDimensionalitySweep reproduces one panel of Figure 4: accuracy as the
 // attribute count ranges over {5, 8, 11, 14} at the default ε and full
 // configured cardinality.
-func RunDimensionalitySweep(cfg Config, p census.Profile, kind TaskKind) (*Sweep, error) {
+func RunDimensionalitySweep(cfg Config, p census.Profile, spec core.TaskSpec) (*Sweep, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	title := TaskTitle(spec)
 	sw := &Sweep{
 		ID:     "F4",
-		Title:  fmt.Sprintf("%s-%s", p.Name, kind),
+		Title:  fmt.Sprintf("%s-%s", p.Name, title),
 		XLabel: "dimensionality",
-		Metric: metricName(kind),
+		Metric: metricName(spec.Target),
 	}
 	for _, dim := range census.Dimensionalities() {
-		ds, err := PrepareTask(cfg, p, kind, dim)
+		ds, err := PrepareTask(cfg, p, spec, dim)
 		if err != nil {
 			return nil, err
 		}
-		res, err := EvaluateMethods(cfg, ds, kind, cfg.Epsilon, fmt.Sprintf("F4/%s/%v/d=%d", p.Name, kind, dim))
+		res, err := EvaluateMethods(cfg, ds, spec, cfg.Epsilon, fmt.Sprintf("F4/%s/%s/d=%d", p.Name, title, dim))
 		if err != nil {
 			return nil, err
 		}
@@ -67,28 +70,29 @@ func RunDimensionalitySweep(cfg Config, p census.Profile, kind TaskKind) (*Sweep
 
 // RunCardinalitySweep reproduces one panel of Figure 5: accuracy as the
 // sampling rate ranges over {0.1 … 1.0} at the default dimensionality and ε.
-func RunCardinalitySweep(cfg Config, p census.Profile, kind TaskKind) (*Sweep, error) {
+func RunCardinalitySweep(cfg Config, p census.Profile, spec core.TaskSpec) (*Sweep, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	full, err := PrepareTask(cfg, p, kind, cfg.Dimensionality)
+	title := TaskTitle(spec)
+	full, err := PrepareTask(cfg, p, spec, cfg.Dimensionality)
 	if err != nil {
 		return nil, err
 	}
 	sw := &Sweep{
 		ID:     "F5",
-		Title:  fmt.Sprintf("%s-%s", p.Name, kind),
+		Title:  fmt.Sprintf("%s-%s", p.Name, title),
 		XLabel: "sampling rate",
-		Metric: metricName(kind),
+		Metric: metricName(spec.Target),
 	}
 	for _, rate := range SamplingRates() {
-		sampleRng := noise.NewRand(seedFor(cfg.BaseSeed, "F5", p.Name, kind, rate))
+		sampleRng := noise.NewRand(seedFor(cfg.BaseSeed, "F5", p.Name, title, rate))
 		ds := full.Sample(sampleRng, rate)
 		if ds.N() < cfg.Folds {
 			continue
 		}
-		res, err := EvaluateMethods(cfg, ds, kind, cfg.Epsilon, fmt.Sprintf("F5/%s/%v/rate=%g", p.Name, kind, rate))
+		res, err := EvaluateMethods(cfg, ds, spec, cfg.Epsilon, fmt.Sprintf("F5/%s/%s/rate=%g", p.Name, title, rate))
 		if err != nil {
 			return nil, err
 		}
@@ -100,23 +104,24 @@ func RunCardinalitySweep(cfg Config, p census.Profile, kind TaskKind) (*Sweep, e
 // RunBudgetSweep reproduces one panel of Figure 6: accuracy as ε ranges over
 // {0.1, 0.2, 0.4, 0.8, 1.6, 3.2} at the default dimensionality and full
 // configured cardinality.
-func RunBudgetSweep(cfg Config, p census.Profile, kind TaskKind) (*Sweep, error) {
+func RunBudgetSweep(cfg Config, p census.Profile, spec core.TaskSpec) (*Sweep, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ds, err := PrepareTask(cfg, p, kind, cfg.Dimensionality)
+	title := TaskTitle(spec)
+	ds, err := PrepareTask(cfg, p, spec, cfg.Dimensionality)
 	if err != nil {
 		return nil, err
 	}
 	sw := &Sweep{
 		ID:     "F6",
-		Title:  fmt.Sprintf("%s-%s", p.Name, kind),
+		Title:  fmt.Sprintf("%s-%s", p.Name, title),
 		XLabel: "privacy budget ε",
-		Metric: metricName(kind),
+		Metric: metricName(spec.Target),
 	}
 	for _, eps := range EpsilonSweep() {
-		res, err := EvaluateMethods(cfg, ds, kind, eps, fmt.Sprintf("F6/%s/%v/eps=%g", p.Name, kind, eps))
+		res, err := EvaluateMethods(cfg, ds, spec, eps, fmt.Sprintf("F6/%s/%s/eps=%g", p.Name, title, eps))
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +134,7 @@ func RunBudgetSweep(cfg Config, p census.Profile, kind TaskKind) (*Sweep, error)
 // time versus dimensionality on logistic regression (the paper reports only
 // logistic; linear is "qualitatively similar").
 func RunTimingByDimension(cfg Config, p census.Profile) (*Sweep, error) {
-	sw, err := RunDimensionalitySweep(cfg, p, TaskLogistic)
+	sw, err := RunDimensionalitySweep(cfg, p, caseStudy(core.TaskNameLogistic))
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +143,7 @@ func RunTimingByDimension(cfg Config, p census.Profile) (*Sweep, error) {
 
 // RunTimingByCardinality reproduces one panel of Figure 8.
 func RunTimingByCardinality(cfg Config, p census.Profile) (*Sweep, error) {
-	sw, err := RunCardinalitySweep(cfg, p, TaskLogistic)
+	sw, err := RunCardinalitySweep(cfg, p, caseStudy(core.TaskNameLogistic))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +152,7 @@ func RunTimingByCardinality(cfg Config, p census.Profile) (*Sweep, error) {
 
 // RunTimingByBudget reproduces one panel of Figure 9.
 func RunTimingByBudget(cfg Config, p census.Profile) (*Sweep, error) {
-	sw, err := RunBudgetSweep(cfg, p, TaskLogistic)
+	sw, err := RunBudgetSweep(cfg, p, caseStudy(core.TaskNameLogistic))
 	if err != nil {
 		return nil, err
 	}

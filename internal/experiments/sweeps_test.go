@@ -13,7 +13,7 @@ func TestRunBudgetSweepShape(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Records = 4000
 	cfg.Dimensionality = 5
-	sw, err := RunBudgetSweep(cfg, census.US(), TaskLinear)
+	sw, err := RunBudgetSweep(cfg, census.US(), linearRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunBudgetSweepShape(t *testing.T) {
 func TestRunDimensionalitySweepShape(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Records = 2500
-	sw, err := RunDimensionalitySweep(cfg, census.Brazil(), TaskLinear)
+	sw, err := RunDimensionalitySweep(cfg, census.Brazil(), linearRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunCardinalitySweepShape(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Records = 3000
 	cfg.Dimensionality = 5
-	sw, err := RunCardinalitySweep(cfg, census.US(), TaskLinear)
+	sw, err := RunCardinalitySweep(cfg, census.US(), linearRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWriteSweepTable(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Records = 2000
 	cfg.Dimensionality = 5
-	sw, err := RunBudgetSweep(cfg, census.US(), TaskLinear)
+	sw, err := RunBudgetSweep(cfg, census.US(), linearRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWriteSweepCSV(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Records = 2000
 	cfg.Dimensionality = 5
-	sw, err := RunDimensionalitySweep(cfg, census.US(), TaskLinear)
+	sw, err := RunDimensionalitySweep(cfg, census.US(), linearRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCardinalityShapeFMImproves(t *testing.T) {
 	cfg.Dimensionality = 5
 	cfg.Methods = []baseline.Method{baseline.FM{}}
 	cfg.Repeats = 2
-	sw, err := RunCardinalitySweep(cfg, census.US(), TaskLinear)
+	sw, err := RunCardinalitySweep(cfg, census.US(), linearRow)
 	if err != nil {
 		t.Fatal(err)
 	}
