@@ -47,7 +47,7 @@ func TestAccumulatorLogisticIsEighthOfGram(t *testing.T) {
 				}
 				for _, acc := range []*Accumulator{serial, merged, restored} {
 					eighth := objective(acc, core.LinearTask{})
-					eighth.M = eighth.M.ScaleMat(0.125)
+					eighth.M.ScaleMat(0.125)
 					if err := sameCoefficients(objective(acc, core.LogisticTask{}).M, eighth.M, nil, nil); err != nil {
 						t.Fatalf("%s: logistic M ≠ ⅛ linear M: %v", name, err)
 					}

@@ -135,16 +135,36 @@ func TestRunPointRejectsUnevaluatedTask(t *testing.T) {
 }
 
 // TestRunPointRefusesExplicitZeros: `point` refuses a zero -epsilon, -folds
-// or -repeats before it prints anything, instead of printing one
-// configuration and running another or a table of failed fits.
+// or -repeats, and an -epsilon that is not finite, before it prints
+// anything, instead of printing one configuration and running another or a
+// table of failed fits (NaN-scaled noise, or a panic at +Inf).
 func TestRunPointRefusesExplicitZeros(t *testing.T) {
-	for _, flag := range []string{"-epsilon", "-folds", "-repeats"} {
-		code, stdout, stderr := fmrun("point", "-records", "2000", flag, "0")
+	for _, args := range [][]string{
+		{"-epsilon", "0"}, {"-folds", "0"}, {"-repeats", "0"},
+		{"-epsilon", "NaN"}, {"-epsilon", "+Inf"}, {"-epsilon", "-Inf"},
+	} {
+		code, stdout, stderr := fmrun(append([]string{"point", "-records", "2000"}, args...)...)
 		if code == 0 || stdout != "" {
-			t.Errorf("point %s 0 = %d, stdout %q; want a failure and no table", flag, code, stdout)
+			t.Errorf("point %s = %d, stdout %q; want a failure and no table", args, code, stdout)
 		}
 		if !strings.Contains(stderr, "need") {
-			t.Errorf("point %s 0 stderr %q does not say what it needs", flag, stderr)
+			t.Errorf("point %s stderr %q does not say what it needs", args, stderr)
+		}
+	}
+}
+
+// TestRunFitRefusesUnusableEpsilon: `fit` refuses an -epsilon that is not
+// finite and positive with an error that says what ε needs, and releases
+// nothing; at +Inf it used to panic drawing noise at scale 0.
+func TestRunFitRefusesUnusableEpsilon(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "toy.csv")
+	if err := os.WriteFile(path, []byte("x,y\n0.2,0.4\n0.6,0.8\n0.9,0.7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []string{"+Inf", "NaN", "0"} {
+		code, stdout, stderr := fmrun("fit", "-csv", path, "-features", "x:0:1", "-target", "y:0:1", "-epsilon", eps, "-seed", "1")
+		if code != 1 || strings.Contains(stdout, "privacy:") || !strings.Contains(stderr, "need") {
+			t.Errorf("fit -epsilon %s = %d, stdout %q, stderr %q; want 1, no release and what ε needs", eps, code, stdout, stderr)
 		}
 	}
 }

@@ -92,6 +92,14 @@
 //
 // # Durability of the accounting
 //
+// Session is the accountant: it holds the lifetime total and the spend
+// under its own lock and debits a charge only once CheckRelease has
+// accepted it. A usable ε, for a release or a lifetime total, is finite
+// and positive; that one rule (CheckEpsilon in internal/noise, beside the
+// Laplace calibration it protects) is what CheckRelease, the fits,
+// NewSession and the serving layer's tenant budgets apply, and a refused ε
+// wraps ErrInvalidSpend.
+//
 // A Session's budget is in-memory; serving layers that must survive
 // restarts persist it and put it back with RestoreSpent. For crash safety —
 // where no graceful snapshot ever ran — Charge(task, ε, opts...) exposes

@@ -7,6 +7,7 @@ import (
 	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/histogram"
+	"funcmech/internal/noise"
 )
 
 // DPME is Lei's differentially private M-estimator baseline (NIPS'11; the
@@ -41,8 +42,8 @@ func (m DPME) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *ran
 // synthesize is the privacy-bearing part: noisy histogram → rounded counts →
 // synthetic tuples at cell centers.
 func (DPME) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset.Dataset, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("baseline: DPME with non-positive ε %v", eps)
+	if err := noise.CheckEpsilon(eps); err != nil {
+		return nil, fmt.Errorf("baseline: DPME: %w", err)
 	}
 	if ds.N() == 0 {
 		return nil, fmt.Errorf("baseline: DPME on empty dataset")

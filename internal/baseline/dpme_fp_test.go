@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"funcmech/internal/dataset"
 	"funcmech/internal/linalg"
+	"funcmech/internal/noise"
 	"funcmech/internal/regression"
 )
 
@@ -39,8 +41,10 @@ func TestDPMELogisticProducesFiniteWeights(t *testing.T) {
 func TestDPMERejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := sphereData(rng, 100, 2, []float64{1, 1}, false)
-	if _, err := (DPME{}).Fit(linearRow, ds, 0, rng); err == nil {
-		t.Error("expected error for ε=0")
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := (DPME{}).Fit(linearRow, ds, eps, rng); !errors.Is(err, noise.ErrInvalidSpend) {
+			t.Errorf("ε = %v: err = %v, want ErrInvalidSpend", eps, err)
+		}
 	}
 }
 
@@ -149,8 +153,10 @@ func TestFPProducesFiniteWeights(t *testing.T) {
 func TestFPRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := sphereData(rng, 100, 2, []float64{1, 1}, false)
-	if _, err := (FP{}).Fit(linearRow, ds, -1, rng); err == nil {
-		t.Error("expected error for negative ε")
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := (FP{}).Fit(linearRow, ds, eps, rng); !errors.Is(err, noise.ErrInvalidSpend) {
+			t.Errorf("ε = %v: err = %v, want ErrInvalidSpend", eps, err)
+		}
 	}
 }
 

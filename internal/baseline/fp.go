@@ -47,8 +47,8 @@ func (m FP) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *rand.
 }
 
 func (FP) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset.Dataset, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("baseline: FP with non-positive ε %v", eps)
+	if err := noise.CheckEpsilon(eps); err != nil {
+		return nil, fmt.Errorf("baseline: FP: %w", err)
 	}
 	if ds.N() == 0 {
 		return nil, fmt.Errorf("baseline: FP on empty dataset")

@@ -100,8 +100,8 @@ const (
 // diverges — the caller may retry under a Lemma 5 budget-doubling discipline
 // or reformulate with a bounded objective.
 func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand) (*GeneralResult, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
+	if err := noise.CheckEpsilon(eps); err != nil {
+		return nil, err
 	}
 	if delta <= 0 {
 		return nil, fmt.Errorf("core: non-positive sensitivity %v", delta)

@@ -130,8 +130,10 @@ func TestRunGeneralDetectsUnboundedRay(t *testing.T) {
 
 func TestRunGeneralRejectsBadInput(t *testing.T) {
 	obj := poly.NewPolynomial(1).AddTerm(poly.Product(1, 0, 0), 1)
-	if _, err := RunGeneral(obj, 1, 0, noise.NewRand(1)); err == nil {
-		t.Error("expected error for ε=0")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := RunGeneral(obj, 1, eps, noise.NewRand(1)); !errors.Is(err, noise.ErrInvalidSpend) {
+			t.Errorf("ε = %v: err = %v, want ErrInvalidSpend", eps, err)
+		}
 	}
 	if _, err := RunGeneral(obj, 0, 1, noise.NewRand(1)); err == nil {
 		t.Error("expected error for Δ=0")

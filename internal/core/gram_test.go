@@ -93,7 +93,7 @@ func TestLogisticObjectiveIsEighthOfLinearGram(t *testing.T) {
 				ds := gramRecords(rand.New(rand.NewSource(int64(d*10000+n))), n, d, scale)
 				lin := ParallelObjective(LinearTask{}, ds, 1)
 				logit := ParallelObjective(LogisticTask{}, ds, 1)
-				if err := sameM(logit, &poly.Quadratic{M: lin.M.ScaleMat(0.125)}); err != nil {
+				if err := sameM(logit, &poly.Quadratic{M: lin.M.Clone().ScaleMat(0.125)}); err != nil {
 					t.Fatalf("%s: logistic M ≠ ⅛ linear M: %v", name, err)
 				}
 				ref := perRecordLogistic(ds)

@@ -44,8 +44,9 @@ type Result struct {
 // ds must be a training copy made by the record rule (dataset.Normalizer)
 // under the target rule of the task's table row: the task's Δ holds only
 // for records in the domain that rule guarantees, and Run does not scan the
-// records to check it. Run refuses, before the O(n·d²) objective build, a
-// non-positive eps, invalid options and an empty dataset.
+// records to check it. Run refuses, before the O(n·d²) objective build, an
+// eps that is not finite and positive (noise.CheckEpsilon), invalid options
+// and an empty dataset.
 //
 // The returned weights are ε-differentially private (2ε under
 // PostProcessResample); everything after the perturbation step is
@@ -53,8 +54,8 @@ type Result struct {
 func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
 	// eps/opts are re-validated inside RunFromQuadratic; checking them here
 	// too keeps a bad request from paying for the O(n·d²) objective build.
-	if !(eps > 0) {
-		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
+	if err := noise.CheckEpsilon(eps); err != nil {
+		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -82,8 +83,8 @@ func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Optio
 // task's target rule, which puts each inside the unit sphere with its label
 // in range; an ingestion layer applies that rule per record.
 func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
-	if !(eps > 0) {
-		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
+	if err := noise.CheckEpsilon(eps); err != nil {
+		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err

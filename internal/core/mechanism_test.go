@@ -33,11 +33,21 @@ func TestRunLinearHugeEpsilonRecoversExactSolution(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	ds := figure2Dataset()
-	if _, err := Run(LinearTask{}, ds, 0, noise.NewRand(1), Options{}); err == nil {
-		t.Error("expected error for ε=0")
-	}
-	if _, err := Run(LinearTask{}, ds, -1, noise.NewRand(1), Options{}); err == nil {
-		t.Error("expected error for ε<0")
+	// An ε that is not finite and positive is refused before the fold and
+	// before any noise is drawn: +Inf would calibrate a zero scale, NaN none.
+	exact := ParallelObjective(LinearTask{}, ds, 1)
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		probe := tierRecorder{}
+		_, runErr := Run(LinearTask{}, ds, eps, noise.NewRand(1), Options{Probe: probe})
+		_, quadErr := RunFromQuadratic(LinearTask{}, exact, eps, noise.NewRand(1), Options{Probe: probe})
+		for name, err := range map[string]error{"Run": runErr, "RunFromQuadratic": quadErr} {
+			if !errors.Is(err, noise.ErrInvalidSpend) {
+				t.Errorf("%s at ε = %v: err = %v, want ErrInvalidSpend", name, eps, err)
+			}
+		}
+		if len(probe) != 0 {
+			t.Errorf("ε = %v: phases %v ran before the refusal", eps, probe)
+		}
 	}
 	if _, err := Run(LinearTask{}, ds, 1, noise.NewRand(1), Options{LambdaFactor: -1}); err == nil {
 		t.Error("expected error for negative LambdaFactor")

@@ -178,3 +178,24 @@ func TestTaskSpecInstantiation(t *testing.T) {
 		t.Error("LookupTask invented a task")
 	}
 }
+
+// TestFinalizeObjectiveAllocatesNothing: every release finalizes a fresh
+// copy of its fold (QuadraticOver clones M), so each row's finalization
+// works in place. A factor on M that copies it costs a d×d allocation per
+// release, which only an allocs/op gate would otherwise see.
+func TestFinalizeObjectiveAllocatesNothing(t *testing.T) {
+	for _, s := range TaskSpecs() {
+		p := TaskParams{}
+		if s.NeedsRidgeWeight {
+			p.RidgeWeight = 0.5
+		}
+		task, err := s.New(p)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		q := poly.NewQuadratic(14)
+		if allocs := testing.AllocsPerRun(10, func() { task.FinalizeObjective(q, 100) }); allocs != 0 {
+			t.Errorf("%s: FinalizeObjective makes %v allocs/op, want 0", s.Name, allocs)
+		}
+	}
+}

@@ -120,7 +120,7 @@ func (LogisticTask) Coefficients(y float64) (c0, c1, c2 float64) {
 // constant is n·log 2 rather than a per-record sum, because Σ log 2 over n
 // records is not bitwise n·log 2.
 func (LogisticTask) FinalizeObjective(q *poly.Quadratic, n int) {
-	q.M = q.M.ScaleMat(logisticCurvature)
+	q.M.ScaleMat(logisticCurvature)
 	q.Beta += float64(n) * math.Ln2
 }
 

@@ -20,6 +20,7 @@ import (
 	"funcmech/internal/baseline"
 	"funcmech/internal/census"
 	"funcmech/internal/core"
+	"funcmech/internal/noise"
 )
 
 // TaskByName resolves the task-table row of a task the §7 harness
@@ -163,8 +164,8 @@ func (c Config) validate() error {
 	if c.Repeats < 1 {
 		return fmt.Errorf("experiments: Repeats = %d, need ≥ 1", c.Repeats)
 	}
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("experiments: Epsilon = %v, need > 0", c.Epsilon)
+	if err := noise.CheckEpsilon(c.Epsilon); err != nil {
+		return fmt.Errorf("experiments: Epsilon: %w", err)
 	}
 	if _, ok := census.DimensionSubsets()[c.Dimensionality]; !ok {
 		return fmt.Errorf("experiments: Dimensionality %d not in %v", c.Dimensionality, census.Dimensionalities())

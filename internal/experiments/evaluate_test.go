@@ -158,7 +158,8 @@ func TestEvaluateMethodsSeedZeroIsASeed(t *testing.T) {
 // TestEvaluateMethodsValidation: PrepareTask and EvaluateMethods refuse the
 // same invalid configurations, a zero Folds, Repeats, Epsilon or
 // Dimensionality among them: a zero is taken as given, not replaced by
-// DefaultConfig's value.
+// DefaultConfig's value. An Epsilon that is not finite is refused too,
+// rather than scoring NaN-scaled noise or panicking at +Inf.
 func TestEvaluateMethodsValidation(t *testing.T) {
 	cfg := quickConfig()
 	ds, err := PrepareTask(cfg, census.US(), linearRow, 5)
@@ -170,6 +171,9 @@ func TestEvaluateMethodsValidation(t *testing.T) {
 		"Folds=0":          func(c *Config) { c.Folds = 0 },
 		"Repeats=0":        func(c *Config) { c.Repeats = 0 },
 		"Epsilon=0":        func(c *Config) { c.Epsilon = 0 },
+		"Epsilon=NaN":      func(c *Config) { c.Epsilon = math.NaN() },
+		"Epsilon=+Inf":     func(c *Config) { c.Epsilon = math.Inf(1) },
+		"Epsilon=-Inf":     func(c *Config) { c.Epsilon = math.Inf(-1) },
 		"Dimensionality=7": func(c *Config) { c.Dimensionality = 7 },
 		"Dimensionality=0": func(c *Config) { c.Dimensionality = 0 },
 		"Records=-1":       func(c *Config) { c.Records = -1 },

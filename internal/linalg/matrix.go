@@ -151,13 +151,12 @@ func (m *Matrix) AddMat(b *Matrix) *Matrix {
 	return out
 }
 
-// ScaleMat returns c·m as a new matrix.
+// ScaleMat multiplies every entry by c in place and returns m.
 func (m *Matrix) ScaleMat(c float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= c
+	for i := range m.data {
+		m.data[i] *= c
 	}
-	return out
+	return m
 }
 
 // AddDiagonal adds c to every main-diagonal entry in place and returns m.

@@ -17,8 +17,8 @@ import (
 //     function carries the //fmlint:releases-noise annotation.
 //  2. Annotated functions are audited choke points: inside one, the first
 //     call that reaches a noise draw must be lexically preceded by a call
-//     reaching Session.Charge (or Budget.Spend) AND a call reaching
-//     wal.Log.Append — in practice both via serve's chargeDurable helper.
+//     reaching Session.Charge AND a call reaching wal.Log.Append — in
+//     practice both via serve's chargeDurable helper.
 //  3. Reaching noise *through* an annotated function is sanctioned, so HTTP
 //     routing that dispatches to an audited handler stays clean.
 //
@@ -40,7 +40,6 @@ var (
 	}
 	chargeSeeds = []funcSpec{
 		{pkg: "*", recv: "Session", name: "Charge"},
-		{pkg: "*", recv: "Budget", name: "Spend"},
 	}
 	walSeeds = []funcSpec{
 		{pkg: "wal", recv: "Log", name: "Append"},

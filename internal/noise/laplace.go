@@ -1,17 +1,36 @@
 // Package noise provides the calibrated randomness used by every
 // differentially private mechanism in this repository: a Laplace sampler with
-// the exact Lap(s) semantics of Dwork et al. (paper §3), and a privacy budget
-// accountant for mechanisms that compose (the Lemma 5 resampling variant and
-// the histogram baselines).
+// the exact Lap(s) semantics of Dwork et al. (paper §3), the one rule for a
+// usable privacy budget (CheckEpsilon) beside the calibration it protects,
+// and the random sources the samplers draw from. The accountant that composes
+// releases is funcmech.Session.
 package noise
 
 import (
 	cryptorand "crypto/rand"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 )
+
+// ErrInvalidSpend marks an ε that CheckEpsilon refuses. It is typed so a
+// serving layer can map it to a client error (the request was malformed)
+// instead of a server failure or an exhausted budget.
+var ErrInvalidSpend = errors.New("noise: invalid spend")
+
+// CheckEpsilon is the one rule for a usable privacy budget: ε must be finite
+// and positive. Lap(Δ/ε) is calibrated only for such an ε — +Inf would give
+// a zero scale, a release with no noise at all, and NaN, zero or a negative
+// ε no scale. Every ε a release spends and every lifetime total an
+// accountant holds is checked here; the error wraps ErrInvalidSpend.
+func CheckEpsilon(eps float64) error {
+	if eps > 0 && !math.IsInf(eps, 1) { // NaN fails eps > 0
+		return nil
+	}
+	return fmt.Errorf("%w: ε = %v, need a finite ε > 0", ErrInvalidSpend, eps)
+}
 
 // Laplace is a zero-mean Laplace distribution with scale b:
 //
@@ -25,9 +44,11 @@ type Laplace struct {
 }
 
 // NewLaplace returns the Laplace distribution calibrated for a query of L1
-// sensitivity s under privacy budget eps, i.e. scale s/eps.
+// sensitivity s under privacy budget eps, i.e. scale s/eps. It panics for a
+// non-positive s or an eps CheckEpsilon refuses: the releases check ε before
+// they touch data, so reaching here with one is a programming error.
 func NewLaplace(s, eps float64) Laplace {
-	if s <= 0 || eps <= 0 {
+	if s <= 0 || CheckEpsilon(eps) != nil {
 		panic(fmt.Sprintf("noise: invalid Laplace calibration sensitivity=%v eps=%v", s, eps))
 	}
 	return Laplace{Scale: s / eps}

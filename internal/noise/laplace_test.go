@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
@@ -18,7 +19,10 @@ func TestNewLaplaceCalibration(t *testing.T) {
 }
 
 func TestNewLaplaceRejectsBadInput(t *testing.T) {
-	for _, c := range []struct{ s, eps float64 }{{0, 1}, {1, 0}, {-1, 1}, {1, -2}} {
+	for _, c := range []struct{ s, eps float64 }{
+		{0, 1}, {1, 0}, {-1, 1}, {1, -2},
+		{1, math.NaN()}, {1, math.Inf(1)}, {1, math.Inf(-1)},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -27,6 +31,19 @@ func TestNewLaplaceRejectsBadInput(t *testing.T) {
 			}()
 			NewLaplace(c.s, c.eps)
 		}()
+	}
+}
+
+func TestCheckEpsilon(t *testing.T) {
+	for _, eps := range []float64{math.SmallestNonzeroFloat64, 0.1, 1, 1e6, math.MaxFloat64} {
+		if err := CheckEpsilon(eps); err != nil {
+			t.Errorf("CheckEpsilon(%v) = %v, want nil", eps, err)
+		}
+	}
+	for _, eps := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckEpsilon(eps); !errors.Is(err, ErrInvalidSpend) {
+			t.Errorf("CheckEpsilon(%v) = %v, want ErrInvalidSpend", eps, err)
+		}
 	}
 }
 

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"funcmech"
+	"funcmech/internal/noise"
 	"funcmech/internal/wal"
 )
 
@@ -66,8 +66,8 @@ func (ts *Tenants) Declare(name string, total float64) (t *Tenant, created bool,
 	if name == "" {
 		return nil, false, fmt.Errorf("serve: empty tenant name")
 	}
-	if !(total > 0) || math.IsInf(total, 1) { // NaN fails total > 0
-		return nil, false, fmt.Errorf("serve: tenant %q: budget %v is not a finite positive ε", name, total)
+	if err := noise.CheckEpsilon(total); err != nil {
+		return nil, false, fmt.Errorf("serve: tenant %q: budget: %w", name, err)
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

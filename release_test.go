@@ -3,6 +3,7 @@ package funcmech_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"funcmech"
@@ -84,7 +85,7 @@ func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 			for _, threshold := range []bool{false, true} {
 				for _, pp := range posts {
 					for _, par := range []int{-1, 0, 2} {
-						for _, eps := range []float64{-1, 0, 1e6} {
+						for _, eps := range []float64{-1, 0, 1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
 							name := fmt.Sprintf("%s ridge=%v threshold=%v %v parallelism=%d ε=%v", info.Name, ridge, threshold, pp, par, eps)
 							opts := []funcmech.Option{funcmech.WithSeed(1), funcmech.WithPostProcess(pp), funcmech.WithParallelism(par)}
 							if ridge != 0 {
@@ -130,13 +131,32 @@ func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 	}
 }
 
+// TestCheckReleaseTypesItsRefusals: an unknown task wraps ErrUnknownTask,
+// and an ε that is not finite and positive wraps ErrInvalidSpend, from
+// CheckRelease and from both fits. The fits refuse it before they read a
+// record: the dataset holds a NaN that the record rule would refuse first.
 func TestCheckReleaseTypesItsRefusals(t *testing.T) {
 	if err := funcmech.CheckRelease("quantile", 1); !errors.Is(err, funcmech.ErrUnknownTask) {
 		t.Fatalf("unknown task: err = %v, want ErrUnknownTask", err)
 	}
-	for _, eps := range []float64{0, -1} {
-		if err := funcmech.CheckRelease("linear", eps); !errors.Is(err, funcmech.ErrInvalidSpend) {
-			t.Fatalf("ε = %v: err = %v, want ErrInvalidSpend", eps, err)
+	ds := incomeDataset(50, 74)
+	acc, err := funcmech.NewAccumulator(incomeSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, acc, ds)
+	ds.Append([]float64{math.NaN(), 12, 40}, 30000)
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, _, fitErr := funcmech.FitTask(ds, "linear", eps)
+		_, _, refitErr := funcmech.FitTaskFromAccumulator(acc, "linear", eps)
+		for name, err := range map[string]error{
+			"CheckRelease":           funcmech.CheckRelease("linear", eps),
+			"FitTask":                fitErr,
+			"FitTaskFromAccumulator": refitErr,
+		} {
+			if !errors.Is(err, funcmech.ErrInvalidSpend) {
+				t.Errorf("%s at ε = %v: err = %v, want ErrInvalidSpend", name, eps, err)
+			}
 		}
 	}
 }

@@ -1,12 +1,20 @@
 package funcmech
 
-import "funcmech/internal/noise"
+import (
+	"errors"
+	"fmt"
+	"sync"
 
-// Session tracks a total privacy budget across multiple analyses of the same
-// underlying population — the sequential-composition discipline of
-// differential privacy. Every fit debits the accountant before touching the
-// data; once the budget is exhausted further fits fail rather than silently
-// eroding the guarantee.
+	"funcmech/internal/noise"
+)
+
+// Session is the library's privacy accountant: it tracks a total privacy
+// budget across multiple analyses of the same underlying population — the
+// sequential-composition discipline of differential privacy. Every fit
+// debits the session before touching the data; once the budget is exhausted
+// further fits fail rather than silently eroding the guarantee. Which ε is
+// usable at all — finite and positive — is noise.CheckEpsilon's rule, which
+// CheckRelease, the fits and NewSession all apply.
 //
 //	s := funcmech.NewSession(1.0)                   // lifetime ε = 1.0
 //	m1, _, err := s.FitTask(ds, "linear", 0.5)      // spends 0.5
@@ -15,8 +23,8 @@ import "funcmech/internal/noise"
 //	_, _, err = s.FitTask(ds, "median", 0.1)        // ErrBudgetExhausted
 //
 // Note the Resample post-processing option costs 2ε (Lemma 5); the session
-// charges the doubled amount. A request the library refuses for its task or
-// options (CheckRelease) is refused before the debit and costs nothing. A
+// charges the doubled amount. A request the library refuses for its task, ε
+// or options (CheckRelease) is refused before the debit and costs nothing. A
 // fit that fails after the debit (e.g. a record outside the target rule)
 // still consumes its budget: whether the pipeline errored on the data is
 // itself data-dependent information, so refunding it would be unsound.
@@ -27,21 +35,32 @@ import "funcmech/internal/noise"
 // the race get ErrBudgetExhausted. This is the discipline a multi-tenant
 // serving layer leans on; see internal/serve.
 type Session struct {
-	budget *noise.Budget
+	mu    sync.Mutex
+	total float64 // fixed at NewSession
+	spent float64
 }
 
-// ErrBudgetExhausted is returned when a fit would exceed the session budget.
-var ErrBudgetExhausted = noise.ErrBudgetExhausted
+// ErrBudgetExhausted is returned when a charge would exceed the session
+// budget.
+var ErrBudgetExhausted = errors.New("funcmech: privacy budget exhausted")
 
-// ErrInvalidSpend is returned when a fit or charge names a non-positive ε —
-// a malformed request, distinct from an exhausted budget. Serving layers map
+// ErrInvalidSpend is returned when a fit or charge names an ε that is not
+// finite and positive (noise.CheckEpsilon, the one rule for a usable ε) — a
+// malformed request, distinct from an exhausted budget. Serving layers map
 // it to a client error (HTTP 400) rather than a server failure.
 var ErrInvalidSpend = noise.ErrInvalidSpend
+
+// chargeSlack forgives float round-off when a budget is spent exactly, and
+// when a restored spend sits a rounding error above the total.
+const chargeSlack = 1e-12
 
 // NewSession returns a session with the given total ε. It panics for a
 // budget that is not finite and positive (a programming error).
 func NewSession(totalEpsilon float64) *Session {
-	return &Session{budget: noise.NewBudget(totalEpsilon)}
+	if err := noise.CheckEpsilon(totalEpsilon); err != nil {
+		panic(fmt.Sprintf("funcmech: session total: %v", err))
+	}
+	return &Session{total: totalEpsilon}
 }
 
 // RestoreSpent sets the session's consumed budget, replacing the current
@@ -49,22 +68,40 @@ func NewSession(totalEpsilon float64) *Session {
 // and restore them on boot (see internal/serve): differential privacy's
 // sequential composition is a lifetime property of the data, so a tenant's
 // ε-spend must survive process restarts even though the Session itself is
-// in-memory. The value must lie in [0, Total()].
-func (s *Session) RestoreSpent(spent float64) error { return s.budget.RestoreSpent(spent) }
+// in-memory. The value must lie in [0, Total()] (round-off slack forgiven).
+func (s *Session) RestoreSpent(spent float64) error {
+	if !(spent >= 0 && spent <= s.total+chargeSlack) { // NaN fails both
+		return fmt.Errorf("funcmech: restored spend %v outside [0, %v]", spent, s.total)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spent = spent
+	return nil
+}
 
 // Remaining returns the unspent budget.
-func (s *Session) Remaining() float64 { return s.budget.Remaining() }
+func (s *Session) Remaining() float64 {
+	_, _, remaining := s.Snapshot()
+	return remaining
+}
 
 // Spent returns the consumed budget.
-func (s *Session) Spent() float64 { return s.budget.Spent() }
+func (s *Session) Spent() float64 {
+	_, spent, _ := s.Snapshot()
+	return spent
+}
 
 // Total returns the configured lifetime budget.
-func (s *Session) Total() float64 { return s.budget.Total() }
+func (s *Session) Total() float64 { return s.total }
 
 // Snapshot returns (total, spent, remaining) read atomically, so a metrics
 // scrape never observes a torn state where spent + remaining ≠ total because
 // a concurrent charge landed between reads.
-func (s *Session) Snapshot() (total, spent, remaining float64) { return s.budget.Snapshot() }
+func (s *Session) Snapshot() (total, spent, remaining float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.total, s.spent, max(s.total-s.spent, 0)
+}
 
 // Charge computes the true cost of releasing task at ε with the given
 // options (Resample doubles it, Lemma 5), debits the accountant, and returns
@@ -73,9 +110,9 @@ func (s *Session) Snapshot() (total, spent, remaining float64) { return s.budget
 // journal the returned cost to a write-ahead log, then run the fit
 // uncharged via the package-level functions — so a crash after the debit
 // can only ever over-count the spend. It refuses, and debits nothing for,
-// whatever CheckRelease refuses: an unknown task wraps ErrUnknownTask, a
-// non-positive ε wraps ErrInvalidSpend. Exhaustion wraps ErrBudgetExhausted
-// and leaves the accountant unchanged.
+// whatever CheckRelease refuses: an unknown task wraps ErrUnknownTask, an ε
+// that is not finite and positive wraps ErrInvalidSpend. Exhaustion wraps
+// ErrBudgetExhausted and leaves the accountant unchanged.
 func (s *Session) Charge(task string, epsilon float64, opts ...Option) (float64, error) {
 	if err := CheckRelease(task, epsilon, opts...); err != nil {
 		return 0, err
@@ -84,18 +121,31 @@ func (s *Session) Charge(task string, epsilon float64, opts ...Option) (float64,
 	if buildConfig(opts).opts.PostProcess == Resample {
 		cost = 2 * epsilon
 	}
-	if err := s.budget.Spend(cost); err != nil {
-		return 0, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.spent+cost > s.total+chargeSlack {
+		return 0, fmt.Errorf("%w: requested %v, remaining %v", ErrBudgetExhausted, cost, s.total-s.spent)
 	}
+	s.spent += cost
 	return cost, nil
 }
 
 // ReplaySpend re-applies a journaled charge during crash recovery: the
 // amount is added to the consumed budget unconditionally, clamped at
-// Total(). Over-counting (a charge both snapshotted and replayed) costs
+// Total(). A journaled debit may have raced a snapshot that already folded
+// it in, so over-counting (a charge both snapshotted and replayed) costs
 // utility; under-counting would cost privacy, so the clamp is the only
-// forgiveness. See the serving layer's write-ahead log.
-func (s *Session) ReplaySpend(cost float64) { s.budget.ReplaySpend(cost) }
+// forgiveness. An amount that is not positive, NaN included, is ignored;
+// +Inf exhausts the budget, the conservative reading. See the serving
+// layer's write-ahead log.
+func (s *Session) ReplaySpend(cost float64) {
+	if !(cost > 0) {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spent = min(s.spent+cost, s.total)
+}
 
 // FitTask is FitTask debited against the session budget. A request
 // FitTask would refuse for its task or options is refused before the debit.

@@ -2,6 +2,8 @@ package funcmech_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -110,5 +112,65 @@ func TestSessionConcurrentMixedModels(t *testing.T) {
 	}
 	if r := s.Remaining(); r > 1e-9 {
 		t.Fatalf("Remaining = %v, want 0", r)
+	}
+}
+
+// TestSessionConcurrentChargesNeverOversubscribe: whatever mixture of
+// charges races against one session, the successful ones never sum past
+// the total, and a Snapshot taken mid-race is never torn. Uneven amounts
+// make a torn check-then-add far likelier to surface than a uniform one,
+// and the concurrent reader gives the race detector reads to chase.
+func TestSessionConcurrentChargesNeverOversubscribe(t *testing.T) {
+	const (
+		total      = 1.0
+		goroutines = 64
+		charges    = 50
+	)
+	s := funcmech.NewSession(total)
+	done := make(chan struct{})
+	torn := make(chan string, 1)
+	go func() {
+		defer close(torn)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			tot, spent, remaining := s.Snapshot()
+			if tot != total || spent > total+1e-9 || remaining < 0 || math.Abs(spent+remaining-total) > 1e-9 {
+				torn <- fmt.Sprintf("Snapshot = (%v, %v, %v)", tot, spent, remaining)
+				return
+			}
+		}
+	}()
+	granted := make(chan float64, goroutines*charges)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < charges; i++ {
+				if cost, err := s.Charge("linear", 0.001*float64(1+(g+i)%7)); err == nil {
+					granted <- cost
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	close(granted)
+	if msg, ok := <-torn; ok {
+		t.Fatalf("torn read mid-race: %s", msg)
+	}
+	var sum float64
+	for cost := range granted {
+		sum += cost
+	}
+	if sum > total+1e-9 {
+		t.Fatalf("successful charges sum to %v, past the total %v", sum, total)
+	}
+	if got := s.Spent(); math.Abs(got-sum) > 1e-9 {
+		t.Fatalf("Spent = %v, but the granted charges sum to %v", got, sum)
 	}
 }

@@ -19,27 +19,41 @@ func TestSessionBudgetAccounting(t *testing.T) {
 	if _, _, err := s.FitTask(ds, "linear", 0.5, funcmech.WithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Spent() != 0.5 {
-		t.Fatalf("Spent = %v, want 0.5", s.Spent())
+	if total, spent, remaining := s.Snapshot(); total != 1 || spent != 0.5 || remaining != 0.5 {
+		t.Fatalf("Snapshot = (%v, %v, %v), want (1, 0.5, 0.5)", total, spent, remaining)
 	}
 	if _, _, err := s.FitTask(ds, "linear", 0.5, funcmech.WithSeed(2)); err != nil {
 		t.Fatal(err)
+	}
+	if r := s.Remaining(); r != 0 {
+		t.Fatalf("Remaining = %v after spending the budget exactly, want 0", r)
 	}
 	_, _, err := s.FitTask(ds, "linear", 0.1, funcmech.WithSeed(3))
 	if !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
+	// Round-off is forgiven on exact exhaustion: 0.1 + 0.2 > 0.3 in float64.
+	s = funcmech.NewSession(0.3)
+	for _, eps := range []float64{0.1, 0.2} {
+		if _, err := s.Charge("linear", eps); err != nil {
+			t.Fatalf("Charge(%v) on a session of 0.3: %v", eps, err)
+		}
+	}
 }
 
 func TestSessionChargesResampleDouble(t *testing.T) {
 	ds := incomeDataset(500, 31)
-	s := funcmech.NewSession(1.0)
+	s := funcmech.NewSession(0.8)
 	if _, _, err := s.FitTask(ds, "linear", 0.4, funcmech.WithSeed(1),
 		funcmech.WithPostProcess(funcmech.Resample)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Spent() != 0.8 {
 		t.Fatalf("Resample spent %v, want 0.8 (Lemma 5 doubles)", s.Spent())
+	}
+	// The doubled charge used the whole 2ε budget: a third ε does not fit.
+	if _, err := s.Charge("linear", 0.4); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+		t.Fatalf("Charge(0.4) after a Resample fit of 0.4 on a session of 0.8: err = %v, want ErrBudgetExhausted", err)
 	}
 }
 
@@ -67,13 +81,26 @@ func TestSessionLogistic(t *testing.T) {
 	}
 }
 
+// TestSessionNonPositiveEpsilon: an ε that is not finite and positive is a
+// malformed request, typed ErrInvalidSpend and never read as exhaustion,
+// and it debits nothing; an overspend is exhaustion and nothing else.
 func TestSessionNonPositiveEpsilon(t *testing.T) {
 	s := funcmech.NewSession(1)
-	if _, _, err := s.FitTask(incomeDataset(10, 34), "linear", 0); err == nil {
-		t.Fatal("expected error for ε=0")
+	ds := incomeDataset(10, 34)
+	for _, eps := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, chargeErr := s.Charge("linear", eps)
+		_, _, fitErr := s.FitTask(ds, "linear", eps)
+		for name, err := range map[string]error{"Charge": chargeErr, "FitTask": fitErr} {
+			if !errors.Is(err, funcmech.ErrInvalidSpend) || errors.Is(err, funcmech.ErrBudgetExhausted) {
+				t.Errorf("%s(ε = %v) = %v, want ErrInvalidSpend alone", name, eps, err)
+			}
+		}
 	}
 	if s.Spent() != 0 {
-		t.Fatal("invalid request consumed budget")
+		t.Fatalf("invalid requests consumed %v", s.Spent())
+	}
+	if _, err := s.Charge("linear", 2); !errors.Is(err, funcmech.ErrBudgetExhausted) || errors.Is(err, funcmech.ErrInvalidSpend) {
+		t.Fatalf("overspend = %v, want ErrBudgetExhausted alone", err)
 	}
 }
 
@@ -218,7 +245,7 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 // accountant that only refused amounts <= 0 let a NaN total or a NaN
 // restored or replayed spend through, and then admitted every charge.
 func TestSessionRefusesNonFiniteBudgets(t *testing.T) {
-	for _, total := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, total := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -238,5 +265,50 @@ func TestSessionRefusesNonFiniteBudgets(t *testing.T) {
 	}
 	if _, err := s.Charge("linear", 1000); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("Charge(1000) on a session of 1: err = %v, want ErrBudgetExhausted", err)
+	}
+}
+
+// TestSessionRestoreAndReplay: RestoreSpent takes a spend in [0, Total]
+// (round-off slack forgiven) and leaves the session as it was otherwise.
+// ReplaySpend adds every positive amount and clamps at Total, because a
+// journaled charge may also sit in the snapshot it replays onto; it ignores
+// what is not positive, and +Inf exhausts the session. NaN is
+// TestSessionRefusesNonFiniteBudgets' case.
+func TestSessionRestoreAndReplay(t *testing.T) {
+	for _, c := range []struct {
+		spent float64
+		ok    bool
+	}{
+		{0, true}, {0.5, true}, {1, true}, {1 + 1e-13, true},
+		{-0.1, false}, {1.5, false}, {math.Inf(1), false},
+	} {
+		s := funcmech.NewSession(1)
+		if _, err := s.Charge("linear", 0.25); err != nil {
+			t.Fatal(err)
+		}
+		want := 0.25
+		if c.ok {
+			want = c.spent
+		}
+		if err := s.RestoreSpent(c.spent); (err == nil) != c.ok || s.Spent() != want {
+			t.Errorf("RestoreSpent(%v) = %v, Spent %v; want accepted = %v, Spent %v", c.spent, err, s.Spent(), c.ok, want)
+		}
+	}
+	for _, c := range []struct {
+		replay []float64
+		spent  float64
+	}{
+		{[]float64{0.25, 0.25}, 0.5},
+		{[]float64{0.25, 0.25, 0.9}, 1},
+		{[]float64{-0.5, 0}, 0},
+		{[]float64{0.25, math.Inf(1)}, 1},
+	} {
+		s := funcmech.NewSession(1)
+		for _, cost := range c.replay {
+			s.ReplaySpend(cost)
+		}
+		if total, spent, remaining := s.Snapshot(); spent != c.spent || remaining != total-c.spent {
+			t.Errorf("ReplaySpend %v: Snapshot = (%v, %v, %v), want spent %v", c.replay, total, spent, remaining, c.spent)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/linalg"
+	"funcmech/internal/noise"
 	"funcmech/internal/regression"
 )
 
@@ -120,19 +121,17 @@ func resolve(name string, opts []Option) (release, error) {
 
 // CheckRelease reports whether the library would refuse to release task at
 // privacy budget epsilon with opts — an unknown task (wrapping
-// ErrUnknownTask), a non-positive ε (wrapping ErrInvalidSpend), or options
-// the task does not take — without touching data or budget. Session.Charge
-// refuses exactly what it refuses, so a serving layer that checks a request
-// here first never charges for a release FitTask would refuse for its task
-// or options. An accepted request can still fail on its data.
+// ErrUnknownTask), an ε that is not finite and positive (wrapping
+// ErrInvalidSpend), or options the task does not take — without touching
+// data or budget. Session.Charge refuses exactly what it refuses, so a
+// serving layer that checks a request here first never charges for a
+// release FitTask would refuse for its task, ε or options. An accepted
+// request can still fail on its data.
 func CheckRelease(task string, epsilon float64, opts ...Option) error {
 	if _, err := resolve(task, opts); err != nil {
 		return err
 	}
-	if !(epsilon > 0) {
-		return fmt.Errorf("funcmech: %w: non-positive ε %v", ErrInvalidSpend, epsilon)
-	}
-	return nil
+	return noise.CheckEpsilon(epsilon)
 }
 
 // trainingCopy resolves a fit of task over ds and makes the fit's one
@@ -274,10 +273,14 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 // the record rule (the schema's public bounds, WithIntercept,
 // WithBinarizeThreshold) makes the fit's one normalized training copy,
 // which the privacy analysis requires. It refuses whatever CheckRelease
-// refuses, and data the task cannot train on: no records, a target its
-// rule cannot label, or a NaN anywhere, which the record rule refuses by
-// record as it makes the copy. Unknown names wrap ErrUnknownTask.
+// refuses, an unusable ε before it reads a record, and data the task cannot
+// train on: no records, a target its rule cannot label, or a NaN anywhere,
+// which the record rule refuses by record as it makes the copy. Unknown
+// names wrap ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
+	if err := noise.CheckEpsilon(epsilon); err != nil {
+		return nil, nil, err
+	}
 	m, norm, r, err := trainingCopy(ds, task, opts)
 	if err != nil {
 		return nil, nil, err
@@ -305,8 +308,12 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 // there is no record sweep to parallelize. The task's fold must be intact: a
 // fold poisoned during ingestion (a non-boolean target with no binarize
 // threshold, for boolean-target tasks) or absent from a restored snapshot
-// that predates the task fails with the poisoning error.
+// that predates the task fails with the poisoning error. An ε that is not
+// finite and positive is refused before the fold is read.
 func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
+	if err := noise.CheckEpsilon(epsilon); err != nil {
+		return nil, nil, err
+	}
 	r, err := a.resolve(task, opts)
 	if err != nil {
 		return nil, nil, err
