@@ -8,6 +8,7 @@ import (
 
 	"funcmech/internal/core"
 	"funcmech/internal/dataset"
+	"funcmech/internal/noise"
 )
 
 // taskFold is one per-record coefficient fold the accumulator maintains —
@@ -309,8 +310,9 @@ func (a *Accumulator) compatible(o *Accumulator) error {
 
 // resolve is the package-level resolve plus what a release from a adds:
 // options that shape the per-record fold were fixed at creation and must
-// not reappear, and an empty accumulator has nothing to release.
-func (a *Accumulator) resolve(task string, opts []Option) (release, error) {
+// not reappear, an empty accumulator has nothing to release, and ε must
+// pass noise.CheckScale at a's d. It reads no fold.
+func (a *Accumulator) resolve(task string, epsilon float64, opts []Option) (release, error) {
 	r, err := resolve(task, opts)
 	switch {
 	case err != nil:
@@ -322,5 +324,5 @@ func (a *Accumulator) resolve(task string, opts []Option) (release, error) {
 	case a.n == 0:
 		return r, errors.New("funcmech: accumulator has no records")
 	}
-	return r, nil
+	return r, noise.CheckScale(r.task.Sensitivity(a.rule.D()), epsilon)
 }

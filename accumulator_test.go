@@ -493,3 +493,17 @@ func TestSessionChargesAccumulatorRefits(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 }
+
+// TestNewAccumulatorRefusesNonFiniteThreshold: a NaN or infinite binarize
+// threshold would label every record alike, so the record rule refuses it
+// when the accumulator is made, before any record is read.
+func TestNewAccumulatorRefusesNonFiniteThreshold(t *testing.T) {
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := funcmech.NewAccumulator(incomeSchema(), funcmech.WithBinarizeThreshold(th)); err == nil {
+			t.Errorf("NewAccumulator accepted binarize threshold %v", th)
+		}
+	}
+	if _, err := funcmech.NewAccumulator(incomeSchema(), funcmech.WithBinarizeThreshold(60000)); err != nil {
+		t.Fatalf("NewAccumulator refused a finite threshold: %v", err)
+	}
+}

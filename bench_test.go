@@ -288,10 +288,10 @@ func BenchmarkObjective(b *testing.B) {
 // BenchmarkColumnarKernel is the storage-layout micro-benchmark behind the
 // PR-4 refactor: the blocked SYRK-style kernel over the dataset's flat
 // columnar storage versus the legacy layout — one heap slice per record,
-// each folded by its own AddRecord call. Every call now enters the same
-// blocked fold with a one-record tile, so the legacy/per-row row measures
-// per-call overhead and layout, not a separate scalar fold. Same records,
-// same task, bit-identical output.
+// each folded by its own AddFlat call. Every call enters the same blocked
+// fold with a one-record tile, so the legacy/per-row row measures per-call
+// overhead and layout, not a separate scalar fold. Same records, same task,
+// bit-identical output.
 func BenchmarkColumnarKernel(b *testing.B) {
 	ds := preparedCensus(b, census.US(), harnessLinear, 14, 100000)
 	d := ds.D()
@@ -299,7 +299,7 @@ func BenchmarkColumnarKernel(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			acc := core.NewAccumulator(core.LinearTask{}, d)
-			acc.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+			acc.AddFlat(ds.FlatRows(0, ds.N()), ds.Labels())
 		}
 	})
 	// Legacy layout: materialize one slice per record, exactly the storage
@@ -314,7 +314,7 @@ func BenchmarkColumnarKernel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			acc := core.NewAccumulator(core.LinearTask{}, d)
 			for r := range rows {
-				acc.AddRecord(rows[r], ys[r])
+				acc.AddFlat(rows[r], ys[r:r+1])
 			}
 		}
 	})
@@ -405,7 +405,9 @@ func streamRows(n int) [][]float64 {
 
 // BenchmarkIngest measures streaming ingestion — the per-record O(d²)
 // coefficient fold, including validation, clamping and normalization — in
-// records/sec through internal/stream's batch path.
+// records/sec through internal/stream's batch path. Each op first flattens
+// its batch of per-record rows into one reused buffer, the re-shaping a
+// caller holding rows pays before IngestFlat.
 func BenchmarkIngest(b *testing.B) {
 	rows := streamRows(4096)
 	for _, batch := range []int{64, 1024} {
@@ -414,11 +416,16 @@ func BenchmarkIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			flat := make([]float64, 0, batch*len(rows[0]))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo := (i * batch) % (len(rows) - batch)
-				if _, err := s.Ingest(rows[lo : lo+batch]); err != nil {
+				flat = flat[:0]
+				for _, row := range rows[lo : lo+batch] {
+					flat = append(flat, row...)
+				}
+				if _, err := s.IngestFlat(flat); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -610,11 +617,11 @@ func BenchmarkRefitFromStream(b *testing.B) {
 			}
 			rows := streamRows(n)
 			for lo := 0; lo < len(rows); lo += 5000 {
-				hi := lo + 5000
-				if hi > len(rows) {
-					hi = len(rows)
+				var flat []float64
+				for _, row := range rows[lo:min(lo+5000, len(rows))] {
+					flat = append(flat, row...)
 				}
-				if _, err := s.Ingest(rows[lo:hi]); err != nil {
+				if _, err := s.IngestFlat(flat); err != nil {
 					b.Fatal(err)
 				}
 			}

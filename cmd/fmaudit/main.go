@@ -40,6 +40,9 @@ func main() {
 
 	task := core.LinearTask{}
 	delta := task.Sensitivity(1) // 2(d+1)² = 8 at d=1
+	if err := noise.CheckScale(delta, *eps); err != nil {
+		fail(err)
+	}
 	scale := noise.NewLaplace(delta, *eps)
 	if *breakIt {
 		scale = noise.Laplace{Scale: scale.Scale / 4}

@@ -238,4 +238,12 @@ func TestRunFitThresholdZero(t *testing.T) {
 	if code, _, _ := fmrun(append(args, "-threshold", "zero")...); code != 2 {
 		t.Fatalf("fit -threshold zero = %d, want the usage status 2", code)
 	}
+	// A threshold that parses but is not finite would label every record
+	// alike: the fit refuses it and prints no weights.
+	for _, th := range []string{"NaN", "+Inf", "-Inf"} {
+		code, stdout, stderr := fmrun(append(args, "-threshold", th)...)
+		if code != 1 || strings.Contains(stdout, "weights") || !strings.Contains(stderr, "not finite") {
+			t.Fatalf("fit -threshold %s = %d, stderr %q, stdout:\n%s\nwant exit 1 with no weights", th, code, stderr, stdout)
+		}
+	}
 }

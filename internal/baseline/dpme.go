@@ -42,7 +42,7 @@ func (m DPME) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *ran
 // synthesize is the privacy-bearing part: noisy histogram → rounded counts →
 // synthetic tuples at cell centers.
 func (DPME) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset.Dataset, error) {
-	if err := noise.CheckEpsilon(eps); err != nil {
+	if err := noise.CheckScale(histogram.CountSensitivity, eps); err != nil {
 		return nil, fmt.Errorf("baseline: DPME: %w", err)
 	}
 	if ds.N() == 0 {

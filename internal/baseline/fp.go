@@ -47,7 +47,7 @@ func (m FP) Fit(spec core.TaskSpec, ds *dataset.Dataset, eps float64, rng *rand.
 }
 
 func (FP) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset.Dataset, error) {
-	if err := noise.CheckEpsilon(eps); err != nil {
+	if err := noise.CheckScale(histogram.CountSensitivity, eps); err != nil {
 		return nil, fmt.Errorf("baseline: FP: %w", err)
 	}
 	if ds.N() == 0 {
@@ -65,7 +65,7 @@ func (FP) synthesize(ds *dataset.Dataset, eps float64, rng *rand.Rand) (*dataset
 			empty++
 		}
 	}
-	scale := 2 / eps // Lap(sens/ε) with histogram sensitivity 2
+	scale := histogram.CountSensitivity / eps
 	theta := scale * math.Log(math.Max(2, float64(empty)))
 	lap := noise.Laplace{Scale: scale}
 

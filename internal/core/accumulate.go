@@ -29,14 +29,14 @@ import (
 //     (≈1e-15 relative); the privacy guarantee is indifferent to either.
 
 // Accumulator builds one shard's partial objective as a stream of records.
-// It never needs the full Dataset: AddRecord accepts rows one at a time, so
-// an ingestion pipeline can fold records into the objective as they arrive
-// and discard them immediately. Partials from different shards combine with
-// Merge; Quadratic finalizes without consuming the accumulator.
+// It never needs the full Dataset: AddFlat accepts flat batches of any size,
+// so an ingestion pipeline can fold records as they arrive and discard them.
+// Partials from different shards combine with Merge; Quadratic finalizes
+// without consuming the accumulator.
 //
-// Every entry point folds through foldBlock, the one blocked SYRK fold of
-// the task's per-record coefficients, so the same records in the same order
-// give the same bits however they arrive.
+// AddFlat, and AddGram for a Gram, fold through foldBlock, the one blocked
+// SYRK fold of the task's per-record coefficients, so the same records in
+// the same order give the same bits however they are batched.
 //
 // Tasks whose per-record c2 is 1 for every label (the task-table rows marked
 // SharesGram) all have the Gram XᵀX as their unfinalized M, so a set of
@@ -97,31 +97,10 @@ func (a *Accumulator) Dim() int { return a.d }
 // finalizes over a Gram (see NewFold).
 func (a *Accumulator) SharesGram() bool { return a.q.M == nil }
 
-// AddRecord folds one record into the partial objective.
-func (a *Accumulator) AddRecord(x []float64, y float64) {
-	if len(x) != a.d {
-		panic(fmt.Sprintf("core: AddRecord with %d features, accumulator has %d", len(x), a.d))
-	}
-	ys := [1]float64{y}
-	a.foldBlock(x, ys[:])
-}
-
-// AddBatch folds the shard s of ds into the partial objective, straight from
-// the dataset's flat columnar storage.
-func (a *Accumulator) AddBatch(ds *dataset.Dataset, s dataset.Shard) {
-	if s.Lo < 0 || s.Hi > ds.N() || s.Lo > s.Hi {
-		panic(fmt.Sprintf("core: AddBatch shard [%d,%d) out of range [0,%d)", s.Lo, s.Hi, ds.N()))
-	}
-	if ds.D() != a.d {
-		panic(fmt.Sprintf("core: AddBatch dataset has %d features, accumulator has %d", ds.D(), a.d))
-	}
-	a.foldBlock(ds.FlatRows(s.Lo, s.Hi), ds.Labels()[s.Lo:s.Hi])
-}
-
 // AddFlat folds len(ys) records given as flat row-major feature storage
-// (stride Dim()) into the partial objective — the entry point for ingest
-// pipelines that keep arriving batches in columnar form and never
-// materialize per-record slices.
+// (stride Dim()) into the partial objective: a dataset's shard as
+// Dataset.FlatRows, an ingest batch as it arrives, or one record with its
+// label. No per-record slice is ever materialized.
 //
 //fm:noalloc
 func (a *Accumulator) AddFlat(xs []float64, ys []float64) {
@@ -444,7 +423,7 @@ func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Gove
 	defer endKernel()
 	if workers == 1 {
 		a := NewAccumulator(task, ds.D())
-		a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+		a.AddFlat(ds.FlatRows(0, ds.N()), ds.Labels())
 		return a.Quadratic()
 	}
 	shards := dataset.Shards(ds.N(), workers)
@@ -455,7 +434,7 @@ func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Gove
 		go func(i int, s dataset.Shard) {
 			defer wg.Done()
 			a := NewAccumulator(task, ds.D())
-			a.AddBatch(ds, s)
+			a.AddFlat(ds.FlatRows(s.Lo, s.Hi), ds.Labels()[s.Lo:s.Hi])
 			accs[i] = a
 		}(i, s)
 	}

@@ -17,25 +17,32 @@ func propertyTasks() []Task {
 	return []Task{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.25}}
 }
 
-// TestAddRecordEqualsAddBatch: folding n records one at a time is
-// bit-identical to folding them as one batch — both walk the same records in
-// the same order through the same fold, so even the float bits must agree.
-func TestAddRecordEqualsAddBatch(t *testing.T) {
+// addRows folds records [lo, hi) of ds into a through AddFlat, the way
+// governedObjective folds a shard.
+func addRows(a *Accumulator, ds *dataset.Dataset, lo, hi int) {
+	a.AddFlat(ds.FlatRows(lo, hi), ds.Labels()[lo:hi])
+}
+
+// TestAddFlatPerRecordEqualsOneBatch: folding n records one AddFlat call
+// each is bit-identical to folding them as one batch — both walk the same
+// records in the same order through the same fold, so even the float bits
+// must agree.
+func TestAddFlatPerRecordEqualsOneBatch(t *testing.T) {
 	for _, task := range propertyTasks() {
 		t.Run(task.Name(), func(t *testing.T) {
 			ds := randomTaskDataset(t, task, 257, 6, 11)
 			one := NewAccumulator(task, ds.D())
 			for i := 0; i < ds.N(); i++ {
-				one.AddRecord(ds.Row(i), ds.Label(i))
+				addRows(one, ds, i, i+1)
 			}
 			batch := NewAccumulator(task, ds.D())
-			batch.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+			addRows(batch, ds, 0, ds.N())
 			if one.N() != batch.N() {
 				t.Fatalf("record counts differ: %d vs %d", one.N(), batch.N())
 			}
 			qa, qb := one.Quadratic(), batch.Quadratic()
 			if worst, ok := quadraticsClose(qa, qb, 0); !ok {
-				t.Fatalf("AddRecord ≠ AddBatch, worst relative discrepancy %v (want exact)", worst)
+				t.Fatalf("per-record AddFlat ≠ one batch, worst relative discrepancy %v (want exact)", worst)
 			}
 		})
 	}
@@ -57,7 +64,7 @@ func TestMergeAssociativeAndOrderIndependent(t *testing.T) {
 			cut2 := cut1 + 1 + rng.Intn(ds.N()-cut1-1)
 			build := func(lo, hi int) *Accumulator {
 				a := NewAccumulator(task, ds.D())
-				a.AddBatch(ds, dataset.Shard{Lo: lo, Hi: hi})
+				addRows(a, ds, lo, hi)
 				return a
 			}
 			parts := func() [3]*Accumulator {
@@ -104,11 +111,11 @@ func TestCloneIsIndependent(t *testing.T) {
 	task := LinearTask{}
 	ds := randomTaskDataset(t, task, 64, 4, 7)
 	a := NewAccumulator(task, ds.D())
-	a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+	addRows(a, ds, 0, ds.N())
 	before := a.Quadratic()
 
 	c := a.Clone()
-	c.AddRecord(ds.Row(0), ds.Label(0))
+	addRows(c, ds, 0, 1)
 	if c.N() != a.N()+1 {
 		t.Fatalf("clone count %d, want %d", c.N(), a.N()+1)
 	}
@@ -126,7 +133,7 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 		t.Run(task.Name(), func(t *testing.T) {
 			ds := randomTaskDataset(t, task, 120, 5, 41)
 			a := NewAccumulator(task, ds.D())
-			a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: 80})
+			addRows(a, ds, 0, 80)
 
 			back := NewAccumulator(task, ds.D())
 			if err := back.Restore(a.StateOver(nil)); err != nil {
@@ -140,8 +147,8 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 			}
 
 			// Continue streaming on both; they must stay in lockstep.
-			a.AddBatch(ds, dataset.Shard{Lo: 80, Hi: ds.N()})
-			back.AddBatch(ds, dataset.Shard{Lo: 80, Hi: ds.N()})
+			addRows(a, ds, 80, ds.N())
+			addRows(back, ds, 80, ds.N())
 			if worst, ok := quadraticsClose(a.Quadratic(), back.Quadratic(), 0); !ok {
 				t.Fatalf("post-restore streaming drifted: worst discrepancy %v (want exact)", worst)
 			}
@@ -153,7 +160,7 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 // errors, not panic downstream.
 func TestAccumulatorFromStateRejectsCorruptState(t *testing.T) {
 	good := NewAccumulator(LinearTask{}, 3)
-	good.AddRecord([]float64{0.1, 0.2, 0.3}, 0.5)
+	good.AddFlat([]float64{0.1, 0.2, 0.3}, []float64{0.5})
 
 	cases := map[string]AccumulatorState{
 		"empty":        {},
@@ -174,11 +181,11 @@ func TestAccumulatorFromStateRejectsCorruptState(t *testing.T) {
 func TestQuadraticAsRidge(t *testing.T) {
 	ds := randomTaskDataset(t, LinearTask{}, 200, 4, 13)
 	lin := NewAccumulator(LinearTask{}, ds.D())
-	lin.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+	addRows(lin, ds, 0, ds.N())
 
 	ridge := RidgeTask{Weight: 0.7}
 	direct := NewAccumulator(ridge, ds.D())
-	direct.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+	addRows(direct, ds, 0, ds.N())
 
 	if worst, ok := quadraticsClose(lin.QuadraticOver(nil, ridge), direct.Quadratic(), 0); !ok {
 		t.Fatalf("QuadraticOver(nil, ridge) ≠ ridge accumulation: worst discrepancy %v (want exact)", worst)

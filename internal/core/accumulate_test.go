@@ -59,10 +59,10 @@ func quadraticsClose(a, b *poly.Quadratic, tol float64) (float64, bool) {
 func shardedObjective(rt Task, ds *dataset.Dataset, shards int) *poly.Quadratic {
 	parts := dataset.Shards(ds.N(), shards)
 	root := NewAccumulator(rt, ds.D())
-	root.AddBatch(ds, parts[0])
+	addRows(root, ds, parts[0].Lo, parts[0].Hi)
 	for _, s := range parts[1:] {
 		a := NewAccumulator(rt, ds.D())
-		a.AddBatch(ds, s)
+		addRows(a, ds, s.Lo, s.Hi)
 		root.Merge(a)
 	}
 	return root.Quadratic()
@@ -110,7 +110,7 @@ func TestParallelObjectivePoolMatchesSerial(t *testing.T) {
 			t.Errorf("%s: pooled objective diverges from serial by %v", task.Name(), worst)
 		}
 		one := NewAccumulator(task, ds.D())
-		one.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
+		addRows(one, ds, 0, ds.N())
 		if exact := one.Quadratic(); !exact.M.EqualApproxMat(serial.M, 0) {
 			t.Errorf("%s: parallelism=1 path is not bit-identical to one accumulator's fold", task.Name())
 		}
@@ -140,7 +140,7 @@ func TestAccumulatorStreamingMatchesBatch(t *testing.T) {
 		ds := randomTaskDataset(t, task, 300, 4, 3)
 		stream := NewAccumulator(task, ds.D())
 		for i := 0; i < ds.N(); i++ {
-			stream.AddRecord(ds.Row(i), ds.Label(i))
+			addRows(stream, ds, i, i+1)
 		}
 		if stream.N() != ds.N() {
 			t.Fatalf("%s: streamed %d records, N() = %d", task.Name(), ds.N(), stream.N())
@@ -158,9 +158,9 @@ func TestAccumulatorStreamingMatchesBatch(t *testing.T) {
 func TestAccumulatorSnapshotThenContinue(t *testing.T) {
 	ds := randomTaskDataset(t, LinearTask{}, 100, 3, 5)
 	acc := NewAccumulator(LinearTask{}, ds.D())
-	acc.AddBatch(ds, dataset.Shard{Lo: 0, Hi: 50})
+	addRows(acc, ds, 0, 50)
 	first := acc.Quadratic()
-	acc.AddBatch(ds, dataset.Shard{Lo: 50, Hi: 100})
+	addRows(acc, ds, 50, 100)
 	second := acc.Quadratic()
 	wantFirst := ParallelObjective(LinearTask{}, ds.Subset(sequenceN(50)), 1)
 	wantSecond := ParallelObjective(LinearTask{}, ds, 1)

@@ -113,7 +113,7 @@ func TestBlockKernelBitIdenticalToScalar(t *testing.T) {
 			for _, d := range ds {
 				data := sparseDataset(task, n, d, int64(n*100+d))
 				blocked := NewAccumulator(task, d)
-				blocked.AddBatch(data, dataset.Shard{Lo: 0, Hi: n})
+				addRows(blocked, data, 0, n)
 				scalar := scalarObjective(task, data)
 				if !quadraticsBitEqual(blocked.Quadratic(), scalar.Quadratic()) {
 					t.Fatalf("%s n=%d d=%d: blocked kernel ≠ scalar fold (want bit-identical)", task.Name(), n, d)
@@ -168,9 +168,9 @@ func TestColumnarAppendPathsBitIdentical(t *testing.T) {
 		} {
 			a, b := pair[0], pair[1]
 			qa := NewAccumulator(LinearTask{}, d)
-			qa.AddBatch(a, dataset.Shard{Lo: 0, Hi: a.N()})
+			addRows(qa, a, 0, a.N())
 			qb := NewAccumulator(LinearTask{}, d)
-			qb.AddBatch(b, dataset.Shard{Lo: 0, Hi: b.N()})
+			addRows(qb, b, 0, b.N())
 			if !quadraticsBitEqual(qa.Quadratic(), qb.Quadratic()) {
 				t.Fatalf("round %d (n=%d d=%d): %s diverged from reference", round, n, d, name)
 			}
@@ -203,19 +203,26 @@ func TestShardIterationBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestAddFlatMatchesAddBatch: the flat-ingest entry point is the same fold.
-func TestAddFlatMatchesAddBatch(t *testing.T) {
+// TestAddFlatChunkingBitIdentical: however the records are cut into AddFlat
+// calls, the fold is the same — tile boundaries and call boundaries never
+// change a bit.
+func TestAddFlatChunkingBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
 	for _, task := range propertyTasks() {
 		data := sparseDataset(task, 321, 5, 77)
 		batch := NewAccumulator(task, 5)
-		batch.AddBatch(data, dataset.Shard{Lo: 0, Hi: data.N()})
-		flat := NewAccumulator(task, 5)
-		flat.AddFlat(data.FlatRows(0, data.N()), data.Labels())
-		if flat.N() != batch.N() {
-			t.Fatalf("%s: record counts differ: %d vs %d", task.Name(), flat.N(), batch.N())
+		addRows(batch, data, 0, data.N())
+		chunked := NewAccumulator(task, 5)
+		for lo := 0; lo < data.N(); {
+			hi := lo + 1 + rng.Intn(min(200, data.N()-lo))
+			addRows(chunked, data, lo, hi)
+			lo = hi
 		}
-		if !quadraticsBitEqual(flat.Quadratic(), batch.Quadratic()) {
-			t.Fatalf("%s: AddFlat ≠ AddBatch", task.Name())
+		if chunked.N() != batch.N() {
+			t.Fatalf("%s: record counts differ: %d vs %d", task.Name(), chunked.N(), batch.N())
+		}
+		if !quadraticsBitEqual(chunked.Quadratic(), batch.Quadratic()) {
+			t.Fatalf("%s: chunked AddFlat ≠ one AddFlat", task.Name())
 		}
 	}
 }

@@ -100,11 +100,11 @@ const (
 // diverges — the caller may retry under a Lemma 5 budget-doubling discipline
 // or reformulate with a bounded objective.
 func RunGeneral(objective *poly.Polynomial, delta, eps float64, rng *rand.Rand) (*GeneralResult, error) {
-	if err := noise.CheckEpsilon(eps); err != nil {
-		return nil, err
-	}
-	if delta <= 0 {
+	if !(delta > 0) {
 		return nil, fmt.Errorf("core: non-positive sensitivity %v", delta)
+	}
+	if err := noise.CheckScale(delta, eps); err != nil {
+		return nil, err
 	}
 	d := objective.NumVars()
 	basis := MonomialBasis(d, objective.Degree())

@@ -130,7 +130,8 @@ func TestRunGeneralDetectsUnboundedRay(t *testing.T) {
 
 func TestRunGeneralRejectsBadInput(t *testing.T) {
 	obj := poly.NewPolynomial(1).AddTerm(poly.Product(1, 0, 0), 1)
-	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+	// 1e-320 is positive, but the scale Δ/ε overflows: no draw may run at it.
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1), 1e-320} {
 		if _, err := RunGeneral(obj, 1, eps, noise.NewRand(1)); !errors.Is(err, noise.ErrInvalidSpend) {
 			t.Errorf("ε = %v: err = %v, want ErrInvalidSpend", eps, err)
 		}

@@ -45,23 +45,23 @@ type Result struct {
 // under the target rule of the task's table row: the task's Δ holds only
 // for records in the domain that rule guarantees, and Run does not scan the
 // records to check it. Run refuses, before the O(n·d²) objective build, an
-// eps that is not finite and positive (noise.CheckEpsilon), invalid options
-// and an empty dataset.
+// empty dataset, an eps whose Laplace scale Δ/ε is not finite and positive
+// (noise.CheckScale) and invalid options.
 //
 // The returned weights are ε-differentially private (2ε under
 // PostProcessResample); everything after the perturbation step is
 // post-processing of the noisy coefficients and consumes no further budget.
 func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
+	if ds == nil || ds.N() == 0 {
+		return nil, fmt.Errorf("core: empty dataset")
+	}
 	// eps/opts are re-validated inside RunFromQuadratic; checking them here
 	// too keeps a bad request from paying for the O(n·d²) objective build.
-	if err := noise.CheckEpsilon(eps); err != nil {
+	if err := noise.CheckScale(task.Sensitivity(ds.D()), eps); err != nil {
 		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if ds == nil || ds.N() == 0 {
-		return nil, fmt.Errorf("core: empty dataset")
 	}
 	exact := governedObjective(task, ds, opts.Parallelism, opts.Governor, opts.Probe)
 	return RunFromQuadratic(task, exact, eps, rng, opts)
@@ -81,18 +81,17 @@ func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Optio
 // never part of the release. As for Run, the records folded into exact must
 // be training records made by the record rule (dataset.Normalizer) under the
 // task's target rule, which puts each inside the unit sphere with its label
-// in range; an ingestion layer applies that rule per record.
+// in range; an ingestion layer applies that rule per record. It refuses
+// what Run refuses of eps and opts before the first draw.
 func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
-	if err := noise.CheckEpsilon(eps); err != nil {
+	delta := task.Sensitivity(exact.Dim())
+	if err := noise.CheckScale(delta, eps); err != nil {
 		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-
-	d := exact.Dim()
-	delta := task.Sensitivity(d)
 	scale := noise.NewLaplace(delta, eps)
 
 	res := &Result{

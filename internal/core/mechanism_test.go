@@ -35,8 +35,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	ds := figure2Dataset()
 	// An ε that is not finite and positive is refused before the fold and
 	// before any noise is drawn: +Inf would calibrate a zero scale, NaN none.
+	// So is a positive ε whose scale Δ/ε overflows: 8/1e-320 is +Inf.
 	exact := ParallelObjective(LinearTask{}, ds, 1)
-	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-320} {
 		probe := tierRecorder{}
 		_, runErr := Run(LinearTask{}, ds, eps, noise.NewRand(1), Options{Probe: probe})
 		_, quadErr := RunFromQuadratic(LinearTask{}, exact, eps, noise.NewRand(1), Options{Probe: probe})
@@ -49,8 +50,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("ε = %v: phases %v ran before the refusal", eps, probe)
 		}
 	}
-	if _, err := Run(LinearTask{}, ds, 1, noise.NewRand(1), Options{LambdaFactor: -1}); err == nil {
-		t.Error("expected error for negative LambdaFactor")
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Run(LinearTask{}, ds, 1, noise.NewRand(1), Options{LambdaFactor: f}); err == nil {
+			t.Errorf("LambdaFactor %v: expected an error", f)
+		}
 	}
 	if _, err := Run(LinearTask{}, ds, 1, noise.NewRand(1), Options{PostProcess: PostProcess(99)}); err == nil {
 		t.Error("expected error for unknown post-process mode")

@@ -168,8 +168,8 @@ func (o Options) withDefaults() Options {
 // Validate reports whether a run would refuse these options; Run and
 // RunFromQuadratic call it before touching the data or drawing noise.
 func (o Options) Validate() error {
-	if o.LambdaFactor < 0 {
-		return fmt.Errorf("core: negative LambdaFactor %v", o.LambdaFactor)
+	if !finiteNonNegative(o.LambdaFactor) {
+		return fmt.Errorf("core: LambdaFactor %v is not a finite number ≥ 0", o.LambdaFactor)
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("core: negative Parallelism %d", o.Parallelism)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"funcmech/internal/dataset"
@@ -70,14 +71,14 @@ type TaskSpec struct {
 
 // New instantiates the task for one fit, enforcing the row's ridge policy:
 // a weight is refused unless AcceptsRidge, required when NeedsRidgeWeight,
-// and must be a non-negative number.
+// and must be a finite number ≥ 0.
 func (s TaskSpec) New(p TaskParams) (Task, error) {
 	w := p.RidgeWeight
 	switch {
 	case w != 0 && !s.AcceptsRidge:
 		return nil, fmt.Errorf("core: task %q takes no ridge weight", s.Name)
-	case !(w >= 0):
-		return nil, fmt.Errorf("core: ridge weight %v is not a non-negative number", w)
+	case !finiteNonNegative(w):
+		return nil, fmt.Errorf("core: ridge weight %v is not a finite number ≥ 0", w)
 	case w == 0 && s.NeedsRidgeWeight:
 		return nil, fmt.Errorf("core: task %q requires a positive ridge weight", s.Name)
 	case w > 0:
@@ -85,6 +86,10 @@ func (s TaskSpec) New(p TaskParams) (Task, error) {
 	}
 	return s.Task, nil
 }
+
+// finiteNonNegative is the rule for a ridge weight and a λ factor: NaN and
+// +Inf fail it, as does a negative number.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // taskTable is the task registry: one row per task, sorted by name. Adding a
 // task means adding a row (and its Task type); TestTaskTableWellFormed

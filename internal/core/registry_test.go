@@ -152,13 +152,13 @@ func TestTaskSpecInstantiation(t *testing.T) {
 	if task, err := lin.New(TaskParams{RidgeWeight: 0.3}); err != nil || task != (RidgeTask{Weight: 0.3}) {
 		t.Errorf("linear.New(0.3) = %v, %v", task, err)
 	}
-	for _, w := range []float64{-1, math.NaN()} {
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
 		if _, err := lin.New(TaskParams{RidgeWeight: w}); err == nil {
 			t.Errorf("linear.New(%v) accepted the weight", w)
 		}
 	}
 	ridge, _ := LookupTask(TaskNameRidge)
-	for _, w := range []float64{0, -1, math.NaN()} {
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := ridge.New(TaskParams{RidgeWeight: w}); err == nil {
 			t.Errorf("ridge.New(%v) accepted the weight", w)
 		}

@@ -131,7 +131,7 @@ func (LogisticTask) FinalizeObjective(q *poly.Quadratic, n int) {
 // Δ dominates 2× this value over random and adversarial in-sphere tuples.
 func TupleCoefL1(task Task, x []float64, y float64) float64 {
 	a := NewAccumulator(task, len(x))
-	a.AddRecord(x, y)
+	a.AddFlat(x, []float64{y})
 	q := a.Quadratic()
 	s := math.Abs(q.Beta)
 	for i, ai := range q.Alpha {

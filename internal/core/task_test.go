@@ -154,7 +154,7 @@ func TestTupleCoefL1MatchesPolynomialNorm(t *testing.T) {
 		for _, d := range []int{1, 4, 9} {
 			x, y := randomSphereTuple(rng, d)
 			a := NewAccumulator(spec.Task, d)
-			a.AddRecord(x, y)
+			a.AddFlat(x, []float64{y})
 			want := a.Quadratic().ToPolynomial().CoefL1Norm(0)
 			if got := TupleCoefL1(spec.Task, x, y); math.Abs(got-want) > 1e-12*want {
 				t.Errorf("task %q d=%d: TupleCoefL1 = %v, polynomial norm %v", spec.Name, d, got, want)

@@ -82,11 +82,24 @@ func NewRule(s Schema, intercept bool, threshold *float64) (*Normalizer, error) 
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if err := CheckThreshold(threshold); err != nil {
+		return nil, err
+	}
 	d := s.D()
 	if intercept {
 		d++
 	}
 	return &Normalizer{schema: s, threshold: threshold, d: d, sqrtD: math.Sqrt(float64(d))}, nil
+}
+
+// CheckThreshold is the one rule for a binarize threshold: none (nil) or a
+// finite one. No target exceeds NaN or +Inf and every one exceeds −Inf, so
+// such a threshold would label every record alike.
+func CheckThreshold(t *float64) error {
+	if t != nil && (math.IsNaN(*t) || math.IsInf(*t, 0)) {
+		return fmt.Errorf("dataset: binarize threshold %v is not finite", *t)
+	}
+	return nil
 }
 
 // Schema returns the raw schema the rule was built over (shared, not

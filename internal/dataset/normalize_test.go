@@ -96,6 +96,25 @@ func TestNormalizeForLogisticRejectsNonBoolean(t *testing.T) {
 	}
 }
 
+// TestNewRuleRefusesNonFiniteThreshold: no target exceeds NaN or +Inf and
+// every target exceeds −Inf, so such a threshold would label every record
+// alike; the rule refuses it, and CheckThreshold is that one test.
+func TestNewRuleRefusesNonFiniteThreshold(t *testing.T) {
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckThreshold(&th); err == nil {
+			t.Errorf("CheckThreshold(%v) accepted", th)
+		}
+		if _, err := NewRule(*testSchema(), false, &th); err == nil {
+			t.Errorf("NewRule accepted binarize threshold %v", th)
+		}
+	}
+	for _, th := range []float64{0, -1e300, 45000} {
+		if _, err := NewRule(*testSchema(), true, &th); err != nil {
+			t.Errorf("NewRule refused binarize threshold %v: %v", th, err)
+		}
+	}
+}
+
 // Property: paper §3 footnote 1 invariant — every record the rule accepts
 // lands with its feature vector inside the unit sphere and its label in the
 // target rule's range: [−1, 1] when normalized, {0, 1} under a binarize

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"funcmech/internal/baseline"
 	"funcmech/internal/census"
@@ -335,9 +334,4 @@ func randomLogistic(rng *rand.Rand, n, d int) *dataset.Dataset {
 		ds.Append(x, y)
 	}
 	return ds
-}
-
-// sortMethodsInPlace orders results for stable comparison in tests.
-func sortMethodsInPlace(rs []MethodResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Method < rs[j].Method })
 }

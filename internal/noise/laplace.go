@@ -32,6 +32,20 @@ func CheckEpsilon(eps float64) error {
 	return fmt.Errorf("%w: ε = %v, need a finite ε > 0", ErrInvalidSpend, eps)
 }
 
+// CheckScale is CheckEpsilon for a query of sensitivity s, which every
+// release applies once it knows Δ: the scale s/ε must also be finite and
+// positive. An ε below s/MaxFloat64 passes CheckEpsilon, but every draw at
+// its scale, +Inf, is infinite. The error wraps ErrInvalidSpend.
+func CheckScale(s, eps float64) error {
+	if err := CheckEpsilon(eps); err != nil {
+		return err
+	}
+	if b := s / eps; !(b > 0) || math.IsInf(b, 1) {
+		return fmt.Errorf("%w: ε = %v gives Laplace scale Δ/ε = %v at Δ = %v, need a finite scale > 0", ErrInvalidSpend, eps, b, s)
+	}
+	return nil
+}
+
 // Laplace is a zero-mean Laplace distribution with scale b:
 //
 //	pdf(x) = 1/(2b) · exp(−|x|/b)
@@ -39,25 +53,26 @@ func CheckEpsilon(eps float64) error {
 // as used by the Laplace mechanism: to answer a query with L1 sensitivity S
 // under ε-differential privacy, draw with b = S/ε.
 type Laplace struct {
-	// Scale is the diversity b; must be positive.
+	// Scale is the diversity b; must be finite and positive.
 	Scale float64
 }
 
 // NewLaplace returns the Laplace distribution calibrated for a query of L1
 // sensitivity s under privacy budget eps, i.e. scale s/eps. It panics for a
-// non-positive s or an eps CheckEpsilon refuses: the releases check ε before
+// non-positive s or an eps CheckScale refuses: the releases check ε before
 // they touch data, so reaching here with one is a programming error.
 func NewLaplace(s, eps float64) Laplace {
-	if s <= 0 || CheckEpsilon(eps) != nil {
+	if CheckScale(s, eps) != nil {
 		panic(fmt.Sprintf("noise: invalid Laplace calibration sensitivity=%v eps=%v", s, eps))
 	}
 	return Laplace{Scale: s / eps}
 }
 
-// Sample draws one variate using inverse-CDF sampling.
+// Sample draws one variate using inverse-CDF sampling; it panics at a scale
+// that is not finite and positive.
 func (l Laplace) Sample(rng *rand.Rand) float64 {
-	if l.Scale <= 0 {
-		panic(fmt.Sprintf("noise: non-positive Laplace scale %v", l.Scale))
+	if !(l.Scale > 0) || math.IsInf(l.Scale, 1) {
+		panic(fmt.Sprintf("noise: Laplace scale %v is not finite and positive", l.Scale))
 	}
 	// u uniform on (-1/2, 1/2); x = -b·sgn(u)·ln(1-2|u|).
 	u := rng.Float64() - 0.5

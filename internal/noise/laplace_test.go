@@ -22,6 +22,7 @@ func TestNewLaplaceRejectsBadInput(t *testing.T) {
 	for _, c := range []struct{ s, eps float64 }{
 		{0, 1}, {1, 0}, {-1, 1}, {1, -2},
 		{1, math.NaN()}, {1, math.Inf(1)}, {1, math.Inf(-1)},
+		{8, 1e-320}, // a positive ε whose scale 8/ε overflows
 	} {
 		func() {
 			defer func() {
@@ -31,6 +32,36 @@ func TestNewLaplaceRejectsBadInput(t *testing.T) {
 			}()
 			NewLaplace(c.s, c.eps)
 		}()
+	}
+}
+
+// TestLaplaceSampleRefusesUnusableScale: no draw runs at a scale that is not
+// finite and positive.
+func TestLaplaceSampleRefusesUnusableScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Sample at scale %v did not panic", scale)
+				}
+			}()
+			Laplace{Scale: scale}.Sample(NewRand(1))
+		}()
+	}
+}
+
+// TestCheckScale: CheckScale refuses what CheckEpsilon refuses, and a
+// positive ε whose scale s/ε overflows, each wrapping ErrInvalidSpend.
+func TestCheckScale(t *testing.T) {
+	for _, c := range []struct{ s, eps float64 }{{8, 1}, {18, 1e-300}, {2, math.SmallestNonzeroFloat64 * 1e16}} {
+		if err := CheckScale(c.s, c.eps); err != nil {
+			t.Errorf("CheckScale(%v, %v) = %v, want nil", c.s, c.eps, err)
+		}
+	}
+	for _, c := range []struct{ s, eps float64 }{{8, 0}, {8, math.NaN()}, {8, math.Inf(1)}, {18, 1e-320}, {2, math.SmallestNonzeroFloat64}} {
+		if err := CheckScale(c.s, c.eps); !errors.Is(err, ErrInvalidSpend) {
+			t.Errorf("CheckScale(%v, %v) = %v, want ErrInvalidSpend", c.s, c.eps, err)
+		}
 	}
 }
 

@@ -50,8 +50,10 @@ func TestBudgetsRoundTrip(t *testing.T) {
 	}
 
 	// The restored accountant keeps enforcing the lifetime budget: the
-	// charge happens before any data is touched, so a nil dataset is fine.
-	if _, _, err := got.Session.FitTask(nil, "linear", 1.5); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+	// charge happens before any record is read, so an empty dataset is
+	// fine (its schema fixes d, which the ε check before the charge needs).
+	empty := funcmech.NewDataset(*testStreamSchema())
+	if _, _, err := got.Session.FitTask(empty, "linear", 1.5); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("over-budget fit after restore: err = %v, want ErrBudgetExhausted", err)
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,12 +181,15 @@ func TestBinaryDatasetRegistration(t *testing.T) {
 		}
 	}
 
-	// Missing query parameters reject before touching the body.
-	for _, bad := range []string{"/v1/datasets", "/v1/datasets?name=x"} {
-		resp := postFrame(t, ts.URL+bad, encodeFrame(t, rows[:1], false))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)
+	// Missing query parameters and an invalid schema reject before touching
+	// the body, so a body that is no frame at all still gets their 400, not
+	// a 415.
+	noFeatures := url.QueryEscape(`{"target":{"name":"y","max":1}}`)
+	for _, bad := range []string{"/v1/datasets", "/v1/datasets?name=x", "/v1/datasets?name=x&schema=" + noFeatures} {
+		resp := postFrame(t, ts.URL+bad, []byte("not a frame"))
+		body := decode[errorResponse](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || strings.Contains(body.Error.Message, "frame") {
+			t.Errorf("%s: status %d (%s), want 400 about the query", bad, resp.StatusCode, body.Error.Message)
 		}
 	}
 }
@@ -221,5 +227,97 @@ func TestBinaryDatasetRegistrationRefusesNaN(t *testing.T) {
 	}
 	if tn, _ := srv.Tenants().Lookup("acme"); tn.Session.Spent() != 0 {
 		t.Fatalf("tenant spent %v after the refused registration, want 0", tn.Session.Spent())
+	}
+}
+
+// TestDatasetRegistrationRefusals: both body types of POST /v1/datasets
+// build their dataset one way, so they refuse the same things with a 400
+// and register nothing: a schema with an unknown field or trailing data
+// after it (the fmbin schema parameter is decoded as strictly as a JSON
+// body), a ragged JSON row or frame, and a frame of no rows. A NaN frame
+// and a JSON body with no rows have tests of their own.
+func TestDatasetRegistrationRefusals(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	schemaParam, err := json.Marshal(testStreamSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := strings.Replace(string(schemaParam), `{`, `{"weights":[1],`, 1)
+	rows := syntheticRows(20, 5)
+	frameCases := []struct {
+		name, schema string
+		frame        []byte
+	}{
+		{"unknown schema field", unknown, encodeFrame(t, rows, true)},
+		{"trailing data after the schema", string(schemaParam) + ` {}`, encodeFrame(t, rows, true)},
+		{"ragged frame", string(schemaParam), encodeFrame(t, [][]float64{{1, 2}}, false)},
+		{"no rows", string(schemaParam), func() []byte {
+			frame, err := fmbin.Encode(nil, nil, 3, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return frame
+		}()},
+	}
+	for _, tc := range frameCases {
+		resp := postFrame(t, ts.URL+"/v1/datasets?name=bad&schema="+url.QueryEscape(tc.schema), tc.frame)
+		body := decode[errorResponse](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != codeInvalidRequest {
+			t.Errorf("fmbin %s: status %d code %q, want 400 %s", tc.name, resp.StatusCode, body.Error.Code, codeInvalidRequest)
+		}
+	}
+	jsonCases := map[string]string{
+		"unknown schema field": `{"name":"bad","schema":` + unknown + `,"rows":[[1,2,3]]}`,
+		"ragged row":           `{"name":"bad","schema":` + string(schemaParam) + `,"rows":[[1,2,3],[1,2]]}`,
+	}
+	for name, body := range jsonCases {
+		resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("JSON %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if _, ok := srv.Registry().Lookup("bad"); ok {
+		t.Fatal("a refused registration registered its dataset")
+	}
+}
+
+// TestDatasetRegistrationSizesNothingFromCounts: a JSON registration with
+// a wide valid schema and many empty rows is refused with a 400 at its
+// first ragged row, having allocated a small multiple of the body it
+// decoded (about 14× here, mostly the decoded schema). Sizing the flat
+// buffer from the two client-controlled counts before the rows are checked
+// would take features × rows × 8 bytes: 134 MB here, and about 10 GB for
+// a 1 MB body built the same way.
+func TestDatasetRegistrationSizesNothingFromCounts(t *testing.T) {
+	const n = 4096
+	var b strings.Builder
+	b.WriteString(`{"name":"wide","schema":{"features":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"x%d","max":1}`, i)
+	}
+	b.WriteString(`],"target":{"name":"y","max":1}},"rows":[[]`)
+	b.WriteString(strings.Repeat(`,[]`, n-1))
+	b.WriteString(`]}`)
+	body := b.String()
+	h := New(Config{}).Handler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/datasets", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "row 0 has 0 values") {
+		t.Fatalf("status %d, body %s; want 400 at row 0", rec.Code, rec.Body)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(body)); got > limit {
+		t.Fatalf("refused registration allocated %d bytes for a %d-byte body, want at most %d", got, len(body), limit)
 	}
 }

@@ -311,7 +311,7 @@ func TestStatsRefitOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Ingest(syntheticRows(50, 1)); err != nil {
+	if _, err := st.IngestFlat(flatten(syntheticRows(50, 1))); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

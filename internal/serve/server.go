@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -141,23 +142,30 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 // whitespace, within maxBodyBytes — into v, refusing unknown fields. On
 // error the response has already been written.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		// Decode stops at the end of the first value; a second value or
-		// stray bytes after it would otherwise be dropped unread.
-		if _, terr := dec.Token(); terr == nil {
-			err = errors.New("trailing data after the JSON body")
-		} else if terr != io.EOF {
-			err = fmt.Errorf("after the JSON body: %w", terr)
-		}
-	}
-	if err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes exactly one JSON value from r into v, refusing
+// unknown fields and anything but whitespace after it: the JSON decode of
+// every request body and of the fmbin registration's schema parameter.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Decode stops at the end of the first value; a second value or stray
+	// bytes after it would otherwise be dropped unread.
+	if _, err := dec.Token(); err == nil {
+		return errors.New("trailing data after the JSON value")
+	} else if err != io.EOF {
+		return fmt.Errorf("after the JSON value: %w", err)
+	}
+	return nil
 }
 
 // GET /healthz
@@ -193,6 +201,8 @@ type datasetInfo struct {
 	Features int    `json:"features"`
 }
 
+// handleRegisterDataset registers a generated census dataset or inline
+// rows; inline rows of either body type go through registerInline.
 func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	if isFmbinRequest(r) {
 		s.handleRegisterDatasetBinary(w, r)
@@ -202,10 +212,6 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	var (
-		ds  *funcmech.Dataset
-		err error
-	)
 	if req.Name == "" {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset registration requires a name")
 		return
@@ -213,39 +219,40 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Generate != nil && (req.Schema != nil || len(req.Rows) > 0):
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: generate and schema/rows are mutually exclusive", req.Name)
-		return
 	case req.Generate != nil:
-		ds, err = GenerateCensus(req.Generate.Profile, req.Generate.N, req.Generate.Seed)
+		ds, err := GenerateCensus(req.Generate.Profile, req.Generate.N, req.Generate.Seed)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "%v", err)
 			return
 		}
+		s.register(w, req.Name, ds)
 	case req.Schema != nil:
-		ds, err = datasetFromRows(*req.Schema, req.Rows)
-		if err != nil {
+		if err := req.Schema.Validate(); err != nil {
 			s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: %v", req.Name, err)
 			return
 		}
-		if ds.Len() == 0 {
-			s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: no rows supplied", req.Name)
-			return
+		// Check each row's width as it is flattened, which a flat batch
+		// cannot show; the buffer grows only by rows already decoded.
+		want := len(req.Schema.Features) + 1
+		var flat []float64
+		for i, row := range req.Rows {
+			if len(row) != want {
+				s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: row %d has %d values, want %d features + target", req.Name, i, len(row), want)
+				return
+			}
+			flat = append(flat, row...)
 		}
+		s.registerInline(w, req.Name, *req.Schema, flat)
 	default:
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: supply either generate or schema+rows", req.Name)
-		return
 	}
-	if err := s.registry.Register(req.Name, ds); err != nil {
-		s.writeError(w, http.StatusConflict, codeConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, datasetInfo{Name: req.Name, Records: ds.Len(), Features: ds.NumFeatures()})
 }
 
 // handleRegisterDatasetBinary registers inline data negotiated as
 // Content-Type: application/x-fmbin (docs/FORMAT.md): the body is exactly
 // one fmbin frame of feature-vector-plus-target rows, so the name and
 // schema ride as query parameters — ?name=...&schema={...} with the same
-// schema JSON the default path embeds in its body.
+// schema JSON the default path embeds in its body, decoded as strictly.
 func (s *Server) handleRegisterDatasetBinary(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
@@ -258,7 +265,7 @@ func (s *Server) handleRegisterDatasetBinary(w http.ResponseWriter, r *http.Requ
 		return
 	}
 	var schema funcmech.Schema
-	if err := json.Unmarshal([]byte(rawSchema), &schema); err != nil {
+	if err := decodeStrict(strings.NewReader(rawSchema), &schema); err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: bad schema parameter: %v", name, err)
 		return
 	}
@@ -266,46 +273,41 @@ func (s *Server) handleRegisterDatasetBinary(w http.ResponseWriter, r *http.Requ
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: %v", name, err)
 		return
 	}
-	want := len(schema.Features) + 1
-	flat, ok := s.decodeFrameBody(w, r, want, nil)
+	flat, ok := s.decodeFrameBody(w, r, len(schema.Features)+1, nil)
 	if !ok {
 		return
 	}
+	s.registerInline(w, name, schema, flat)
+}
+
+// registerInline is the one builder of a dataset from inline rows of either
+// body type, once the caller has validated schema: flat holds the records
+// row-major, each its features then its target. A ragged batch, a NaN
+// (Schema.CheckBatch) or no rows is a 400, and nothing is registered.
+func (s *Server) registerInline(w http.ResponseWriter, name string, schema funcmech.Schema, flat []float64) {
 	rows, err := schema.CheckBatch(flat, 0)
-	switch {
-	case err != nil:
+	if err == nil && rows == 0 {
+		err = errors.New("no rows supplied")
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: %v", name, err)
-		return
-	case rows == 0:
-		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "dataset %q: no rows supplied", name)
 		return
 	}
 	ds := funcmech.NewDataset(schema)
 	ds.Grow(rows)
-	for i := 0; i < rows; i++ {
-		row := flat[i*want : (i+1)*want]
-		ds.Append(row[:want-1], row[want-1])
+	for want := schema.D() + 1; len(flat) > 0; flat = flat[want:] {
+		ds.Append(flat[:want-1], flat[want-1])
 	}
+	s.register(w, name, ds)
+}
+
+// register adds ds under name: 201, or 409 when the name is taken.
+func (s *Server) register(w http.ResponseWriter, name string, ds *funcmech.Dataset) {
 	if err := s.registry.Register(name, ds); err != nil {
 		s.writeError(w, http.StatusConflict, codeConflict, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, datasetInfo{Name: name, Records: ds.Len(), Features: ds.NumFeatures()})
-}
-
-func datasetFromRows(schema funcmech.Schema, rows [][]float64) (*funcmech.Dataset, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	ds := funcmech.NewDataset(schema)
-	want := len(schema.Features) + 1
-	for i, row := range rows {
-		if len(row) != want {
-			return nil, fmt.Errorf("row %d has %d values, want %d features + target", i, len(row), want)
-		}
-		ds.Append(row[:want-1], row[want-1])
-	}
-	return ds, nil
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {

@@ -225,56 +225,26 @@ func (s *Stream) refitState() (uint64, *RefitInfo) {
 	return s.refits, s.lastRefit
 }
 
-// flattenPool recycles the scratch buffer Ingest uses to re-shape a
-// [][]float64 batch into flat row-major form before handing it to the flat
-// fold — one bulk copy instead of per-record slice traffic.
-var flattenPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// Ingest folds a batch of rows — each a feature vector in schema order with
-// the target appended — into one shard. The batch is all-or-nothing: every
-// row is validated (arity, NaN) before any is folded, so a rejected batch
-// leaves the stream untouched, and an accepted batch becomes visible to
-// refits atomically. Values outside the schema's public bounds are clamped,
-// never rejected — bounds are domain knowledge, enforcement is per-record.
-// It returns the number of records accepted; read totals via Counts.
-func (s *Stream) Ingest(rows [][]float64) (int, error) {
-	return s.IngestGated(rows, nil)
-}
-
-// IngestGated is Ingest with an admission gate for the fold's CPU cost: gate
-// is invoked after the target shard's lock is held — i.e. once the fold can
-// actually proceed — and its release runs when the fold finishes. A serving
-// layer passes a governor draw here; acquiring before the shard lock would
-// hold global worker capacity while idle-blocked behind another batch. A nil
-// gate means no admission control.
-func (s *Stream) IngestGated(rows [][]float64, gate func() (release func())) (int, error) {
-	want := len(s.cfg.Schema.Features) + 1
-	for i, row := range rows {
-		if len(row) != want {
-			return 0, fmt.Errorf("stream %q: row %d has %d values, want %d features + target",
-				s.name, i, len(row), want)
-		}
-	}
-	bufp := flattenPool.Get().(*[]float64)
-	defer flattenPool.Put(bufp)
-	flat := (*bufp)[:0]
-	for _, row := range rows {
-		flat = append(flat, row...)
-	}
-	*bufp = flat
-	return s.IngestFlatGated(flat, gate)
-}
-
-// IngestFlat is Ingest over flat row-major storage: each record is its
-// feature vector in schema order with the target appended, so the row width
-// is features+1. This is the zero-copy path the serving layer's JSON decoder
-// feeds; the flat batch flows straight into the blocked objective kernel
-// with no per-record slice allocations anywhere.
+// IngestFlat folds a batch of records into one shard. The batch is flat
+// row-major storage, each record its feature vector in schema order with
+// the target appended (row width features+1), and it is all-or-nothing: an
+// empty batch is refused, and Schema.CheckBatch refuses a ragged one or a
+// NaN anywhere before any record is folded, so a rejected batch leaves the
+// stream untouched and an accepted one becomes visible to refits
+// atomically. Values outside the schema's public bounds are clamped, never
+// rejected. It returns the number of records accepted; read totals via
+// Counts. The serving layer's JSON and fmbin decoders fill the batch, which
+// flows straight into the blocked objective kernel.
 func (s *Stream) IngestFlat(flat []float64) (int, error) {
 	return s.IngestFlatGated(flat, nil)
 }
 
-// IngestFlatGated is IngestFlat with the admission gate of IngestGated.
+// IngestFlatGated is IngestFlat with an admission gate for the fold's CPU
+// cost: gate is invoked after the target shard's lock is held — i.e. once
+// the fold can actually proceed — and its release runs when the fold
+// finishes. A serving layer passes a governor draw here; acquiring before
+// the shard lock would hold global worker capacity while idle-blocked
+// behind another batch. A nil gate means no admission control.
 func (s *Stream) IngestFlatGated(flat []float64, gate func() (release func())) (int, error) {
 	if len(flat) == 0 {
 		return 0, fmt.Errorf("stream %q: empty ingest batch", s.name)

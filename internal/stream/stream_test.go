@@ -24,17 +24,33 @@ func testSchema() funcmech.Schema {
 	}
 }
 
-// testRows builds n deterministic raw rows (features..., target).
-func testRows(n int, seed int64) [][]float64 {
+// width is a test record's width: two features and the target.
+const width = 3
+
+// testRows builds n deterministic raw records (features..., target) as one
+// flat row-major batch.
+func testRows(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
-	rows := make([][]float64, n)
-	for i := range rows {
+	flat := make([]float64, 0, n*width)
+	for i := 0; i < n; i++ {
 		age := 16 + rng.Float64()*79
 		hours := rng.Float64() * 99
 		income := 900*age + 300*hours + 2000*rng.NormFloat64()
-		rows[i] = []float64{age, hours, math.Min(math.Max(income, 0), 100000)}
+		flat = append(flat, age, hours, math.Min(math.Max(income, 0), 100000))
 	}
-	return rows
+	return flat
+}
+
+// records returns records [lo, hi) of a flat batch.
+func records(flat []float64, lo, hi int) []float64 { return flat[lo*width : hi*width] }
+
+// datasetOf builds a one-shot dataset holding the records of a flat batch.
+func datasetOf(flat []float64) *funcmech.Dataset {
+	ds := funcmech.NewDataset(testSchema())
+	for r := 0; r < len(flat); r += width {
+		ds.Append(flat[r:r+width-1], flat[r+width-1])
+	}
+	return ds
 }
 
 func TestShardCapEnforced(t *testing.T) {
@@ -46,10 +62,10 @@ func TestShardCapEnforced(t *testing.T) {
 	}
 }
 
-// TestIngestGatedRunsGateUnderShardLock: the gate fires exactly once per
+// TestIngestFlatGatedRunsGateUnderShardLock: the gate fires exactly once per
 // accepted batch (and not at all for rejected ones), and its release runs
-// before Ingest returns.
-func TestIngestGatedRunsGateUnderShardLock(t *testing.T) {
+// before IngestFlatGated returns.
+func TestIngestFlatGatedRunsGateUnderShardLock(t *testing.T) {
 	s, err := New("g", Config{Schema: testSchema()})
 	if err != nil {
 		t.Fatal(err)
@@ -59,17 +75,28 @@ func TestIngestGatedRunsGateUnderShardLock(t *testing.T) {
 		acquired++
 		return func() { released++ }
 	}
-	if _, err := s.IngestGated(testRows(5, 1), gate); err != nil {
+	if _, err := s.IngestFlatGated(testRows(5, 1), gate); err != nil {
 		t.Fatal(err)
 	}
 	if acquired != 1 || released != 1 {
 		t.Fatalf("gate acquired=%d released=%d, want 1/1", acquired, released)
 	}
-	if _, err := s.IngestGated([][]float64{{1, 2}}, gate); err == nil {
-		t.Fatal("expected rejection for ragged row")
+	if _, err := s.IngestFlatGated([]float64{1, 2}, gate); err == nil {
+		t.Fatal("expected rejection for ragged batch")
 	}
 	if acquired != 1 {
 		t.Fatalf("gate fired for a rejected batch (acquired=%d)", acquired)
+	}
+}
+
+// TestNewRefusesNonFiniteThreshold: the threshold shapes every boolean
+// fold for the stream's lifetime, so a NaN or infinite one is refused when
+// the stream is made, before any record arrives.
+func TestNewRefusesNonFiniteThreshold(t *testing.T) {
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New("th", Config{Schema: testSchema(), BinarizeThreshold: &th}); err == nil {
+			t.Errorf("New accepted binarize threshold %v", th)
+		}
 	}
 }
 
@@ -89,24 +116,24 @@ func TestIngestAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(nil); err == nil {
+	if _, err := s.IngestFlat(nil); err == nil {
 		t.Fatal("empty batch: expected error")
 	}
-	// A bad row anywhere rejects the whole batch.
-	bad := [][]float64{{20, 40, 1000}, {21, 41}}
-	if _, err := s.Ingest(bad); err == nil {
-		t.Fatal("short row: expected error")
+	// A bad record anywhere rejects the whole batch.
+	bad := []float64{20, 40, 1000, 21, 41}
+	if _, err := s.IngestFlat(bad); err == nil {
+		t.Fatal("short record: expected error")
 	}
-	nan := [][]float64{{20, 40, 1000}, {21, 41, math.NaN()}}
-	if _, err := s.Ingest(nan); err == nil {
-		t.Fatal("NaN row: expected error")
+	nan := []float64{20, 40, 1000, 21, 41, math.NaN()}
+	if _, err := s.IngestFlat(nan); err == nil {
+		t.Fatal("NaN record: expected error")
 	}
 	if s.Records() != 0 || s.Batches() != 0 || s.Merged().Len() != 0 {
 		t.Fatalf("rejected batches mutated the stream: records=%d batches=%d len=%d",
 			s.Records(), s.Batches(), s.Merged().Len())
 	}
 
-	n, err := s.Ingest(testRows(10, 1))
+	n, err := s.IngestFlat(testRows(10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +157,7 @@ func TestConcurrentIngestExactCounts(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				if _, err := s.Ingest(testRows(rows, int64(w*1000+b))); err != nil {
+				if _, err := s.IngestFlat(testRows(rows, int64(w*1000+b))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -161,16 +188,12 @@ func TestSingleShardRefitBitIdenticalToOneShot(t *testing.T) {
 	}
 	// Uneven batching must not matter on a single shard.
 	for _, cut := range [][2]int{{0, 100}, {100, 101}, {101, 350}, {350, 600}} {
-		if _, err := s.Ingest(rows[cut[0]:cut[1]]); err != nil {
+		if _, err := s.IngestFlat(records(rows, cut[0], cut[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	ds := funcmech.NewDataset(testSchema())
-	for _, r := range rows {
-		ds.Append(r[:2], r[2])
-	}
-	m1, _, err := funcmech.LinearRegression(ds, 0.9,
+	m1, _, err := funcmech.LinearRegression(datasetOf(rows), 0.9,
 		funcmech.WithSeed(11), funcmech.WithParallelism(1), funcmech.WithIntercept())
 	if err != nil {
 		t.Fatal(err)
@@ -196,16 +219,12 @@ func TestShardedRefitMatchesOneShotToRoundOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(rows); i += 90 {
-		if _, err := s.Ingest(rows[i : i+90]); err != nil {
+	for i := 0; i < 900; i += 90 {
+		if _, err := s.IngestFlat(records(rows, i, i+90)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ds := funcmech.NewDataset(testSchema())
-	for _, r := range rows {
-		ds.Append(r[:2], r[2])
-	}
-	m1, _, err := funcmech.LinearRegression(ds, 0.9, funcmech.WithSeed(5), funcmech.WithParallelism(1))
+	m1, _, err := funcmech.LinearRegression(datasetOf(rows), 0.9, funcmech.WithSeed(5), funcmech.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +249,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := testRows(300, 4)
-	for i := 0; i < len(rows); i += 60 {
-		if _, err := s.Ingest(rows[i : i+60]); err != nil {
+	for i := 0; i < 300; i += 60 {
+		if _, err := s.IngestFlat(records(rows, i, i+60)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +291,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Ingestion resumes on the restored stream.
-	if _, err := back.Ingest(testRows(10, 5)); err != nil {
+	if _, err := back.IngestFlat(testRows(10, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if back.Records() != s.Records()+10 {
@@ -285,7 +304,7 @@ func TestSnapshotVersionMismatchTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(testRows(5, 6)); err != nil {
+	if _, err := s.IngestFlat(testRows(5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -310,7 +329,7 @@ func TestStoreSaveLoadAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Ingest(testRows(25, 7)); err != nil {
+		if _, err := s.IngestFlat(testRows(25, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +373,7 @@ func TestAdvanceSeqMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(testRows(5, 3)); err != nil {
+	if _, err := s.IngestFlat(testRows(5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	s.AdvanceSeq(9, 4) // WAL replay: batches whose coefficients died
@@ -366,7 +385,7 @@ func TestAdvanceSeqMonotone(t *testing.T) {
 		t.Fatalf("Counts = %d/%d after stale AdvanceSeq, want 9/4 unchanged", r, b)
 	}
 	// New ingest keeps counting from the advanced sequence.
-	if _, err := s.Ingest(testRows(3, 2)); err != nil {
+	if _, err := s.IngestFlat(testRows(3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if r := s.Records(); r != 12 {
@@ -379,7 +398,7 @@ func TestSnapshotCarriesSeqAndWALLSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(testRows(5, 3)); err != nil {
+	if _, err := s.IngestFlat(testRows(5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	s.AdvanceSeq(9, 4)

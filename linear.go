@@ -17,7 +17,7 @@ func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskModel,
 // the privacy cost on your own data. With WithRidge it minimizes the same
 // penalized objective LinearRegression perturbs.
 func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, r, err := trainingCopy(ds, core.TaskNameLinear, opts)
+	m, norm, r, err := trainingCopy(ds, core.TaskNameLinear, nil, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func LogisticRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskMode
 // LogisticRegressionExact fits the non-private maximum-likelihood model on
 // the same normalized representation — the NoPrivacy baseline.
 func LogisticRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, _, err := trainingCopy(ds, core.TaskNameLogistic, opts)
+	m, norm, _, err := trainingCopy(ds, core.TaskNameLogistic, nil, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,8 @@ func WithRand(rng *rand.Rand) Option {
 
 // WithBinarizeThreshold makes LogisticRegression derive the boolean target
 // as (target > t), the transformation the paper applies to Annual Income.
-// Without it the dataset's target must already be 0/1.
+// Without it the dataset's target must already be 0/1. A NaN or infinite
+// t, which would label every record alike, is refused.
 func WithBinarizeThreshold(t float64) Option {
 	return func(c *config) { c.threshold = &t }
 }
@@ -116,7 +117,7 @@ func WithBinarizeThreshold(t float64) Option {
 // choice, distinct from the §6.1 noise-repair ridge). The penalty involves
 // no data, so the privacy calibration is unchanged. Only tasks whose
 // TaskInfo.AcceptsRidge is set take it ("linear" optionally, "ridge"
-// mandatorily); the weight must not be negative.
+// mandatorily); the weight must be finite and not negative.
 func WithRidge(weight float64) Option {
 	return func(c *config) { c.ridge = weight }
 }

@@ -62,7 +62,8 @@ func TestSessionRefusesMalformedReleases(t *testing.T) {
 // parallelism × ε: whatever CheckRelease refuses, Session.Charge refuses
 // with the same error and debits nothing, and FitTask refuses too; whatever
 // it accepts, Session.Charge debits and FitTask releases on a
-// well-conditioned dataset of the task's target rule.
+// well-conditioned dataset of the task's target rule. A ridge weight of
+// +Inf and a threshold of NaN or ±Inf are among the refused.
 func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 	normalized := incomeDataset(400, 71)
 	boolean := funcmech.NewDataset(incomeSchema())
@@ -81,18 +82,18 @@ func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 		if info.Boolean {
 			ds = boolean
 		}
-		for _, ridge := range []float64{-1, 0, 0.5} {
-			for _, threshold := range []bool{false, true} {
+		for _, ridge := range []float64{-1, 0, 0.5, math.Inf(1)} {
+			for _, threshold := range []*float64{nil, ptr(0.5), ptr(math.NaN()), ptr(math.Inf(1)), ptr(math.Inf(-1))} {
 				for _, pp := range posts {
 					for _, par := range []int{-1, 0, 2} {
 						for _, eps := range []float64{-1, 0, 1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
-							name := fmt.Sprintf("%s ridge=%v threshold=%v %v parallelism=%d ε=%v", info.Name, ridge, threshold, pp, par, eps)
+							name := fmt.Sprintf("%s ridge=%v threshold=%v %v parallelism=%d ε=%v", info.Name, ridge, deref(threshold), pp, par, eps)
 							opts := []funcmech.Option{funcmech.WithSeed(1), funcmech.WithPostProcess(pp), funcmech.WithParallelism(par)}
 							if ridge != 0 {
 								opts = append(opts, funcmech.WithRidge(ridge))
 							}
-							if threshold {
-								opts = append(opts, funcmech.WithBinarizeThreshold(0.5))
+							if threshold != nil {
+								opts = append(opts, funcmech.WithBinarizeThreshold(*threshold))
 							}
 							checkErr := funcmech.CheckRelease(info.Name, eps, opts...)
 							s := funcmech.NewSession(1e7)
@@ -176,5 +177,56 @@ func TestExactBaselinesRejectMalformedOptions(t *testing.T) {
 	}
 	if _, err := funcmech.LogisticRegressionExact(ds, funcmech.WithBinarizeThreshold(60000)); err != nil {
 		t.Errorf("LogisticRegressionExact refused a well-formed request: %v", err)
+	}
+}
+
+func ptr(v float64) *float64 { return &v }
+
+// deref formats an optional threshold for a case name.
+func deref(t *float64) string {
+	if t == nil {
+		return "none"
+	}
+	return fmt.Sprint(*t)
+}
+
+// TestOverflowingNoiseScaleIsAnInvalidSpend: a positive ε so small that the
+// Laplace scale Δ/ε overflows to +Inf is refused like any unusable ε, with
+// ErrInvalidSpend. Both fits know the dimensionality before they read a
+// record or a fold, and refuse it there: the dataset holds a NaN the record
+// rule would refuse first. At d = 2, linear's Δ is 18, so ε = 1e-300
+// (scale 1.8e301) still releases.
+func TestOverflowingNoiseScaleIsAnInvalidSpend(t *testing.T) {
+	schema := funcmech.Schema{
+		Features: []funcmech.Attribute{{Name: "x1", Min: 0, Max: 1}, {Name: "x2", Min: 0, Max: 1}},
+		Target:   funcmech.Attribute{Name: "y", Min: -1, Max: 1},
+	}
+	ds := funcmech.NewDataset(schema)
+	acc, err := funcmech.NewAccumulator(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		x1, x2 := float64(i%7)/7, float64(i%11)/11
+		ds.Append([]float64{x1, x2}, x1-x2)
+		if err := acc.Add([]float64{x1, x2}, x1-x2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, rep, err := funcmech.FitTask(ds, "linear", 1e-300, funcmech.WithSeed(1)); err != nil || rep.NoiseScale != 18/1e-300 {
+		t.Fatalf("FitTask at ε = 1e-300: report %+v, err %v; want a release at scale 1.8e301", rep, err)
+	}
+	if _, _, err := funcmech.FitTaskFromAccumulator(acc, "linear", 1e-300, funcmech.WithSeed(1)); err != nil {
+		t.Fatalf("FitTaskFromAccumulator at ε = 1e-300: %v", err)
+	}
+	ds.Append([]float64{math.NaN(), 0}, 0)
+	for _, eps := range []float64{1e-320, math.SmallestNonzeroFloat64} {
+		_, _, fitErr := funcmech.FitTask(ds, "linear", eps, funcmech.WithSeed(1))
+		_, _, refitErr := funcmech.FitTaskFromAccumulator(acc, "linear", eps, funcmech.WithSeed(1))
+		for name, err := range map[string]error{"FitTask": fitErr, "FitTaskFromAccumulator": refitErr} {
+			if !errors.Is(err, funcmech.ErrInvalidSpend) {
+				t.Errorf("%s at ε = %v: err = %v, want ErrInvalidSpend", name, eps, err)
+			}
+		}
 	}
 }

@@ -147,9 +147,13 @@ func (s *Session) ReplaySpend(cost float64) {
 	s.spent = min(s.spent+cost, s.total)
 }
 
-// FitTask is FitTask debited against the session budget. A request
-// FitTask would refuse for its task or options is refused before the debit.
+// FitTask is FitTask debited against the session budget. What FitTask
+// refuses before reading a record (its task, options, record rule, or an ε
+// noise.CheckScale refuses at its d) is refused before the debit.
 func (s *Session) FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
+	if _, _, err := fitRule(ds, task, &epsilon, opts); err != nil {
+		return nil, nil, err
+	}
 	if _, err := s.Charge(task, epsilon, opts...); err != nil {
 		return nil, nil, err
 	}
@@ -160,10 +164,10 @@ func (s *Session) FitTask(ds *Dataset, task string, epsilon float64, opts ...Opt
 // session budget. A refit is charged exactly like a one-shot fit: noise is
 // drawn fresh per release, so every release costs its full ε under
 // sequential composition even though no record is rescanned. A request
-// refused for its task or options, for fold-shaping options given again, or
-// against an empty accumulator debits nothing.
+// refused for its task, its options (fold-shaping ones given again), an
+// empty accumulator or an ε noise.CheckScale refuses at d debits nothing.
 func (s *Session) FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if _, err := a.resolve(task, opts); err != nil {
+	if _, err := a.resolve(task, epsilon, opts); err != nil {
 		return nil, nil, err
 	}
 	if _, err := s.Charge(task, epsilon, opts...); err != nil {

@@ -83,14 +83,26 @@ func TestSessionLogistic(t *testing.T) {
 
 // TestSessionNonPositiveEpsilon: an ε that is not finite and positive is a
 // malformed request, typed ErrInvalidSpend and never read as exhaustion,
-// and it debits nothing; an overspend is exhaustion and nothing else.
+// and it debits nothing; an overspend is exhaustion and nothing else. The
+// two fits also refuse, before the debit, a positive ε whose Laplace scale
+// Δ/ε overflows at their d (1e-320); Charge does not take d, so it is not
+// asked about that one.
 func TestSessionNonPositiveEpsilon(t *testing.T) {
 	s := funcmech.NewSession(1)
 	ds := incomeDataset(10, 34)
-	for _, eps := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, chargeErr := s.Charge("linear", eps)
-		_, _, fitErr := s.FitTask(ds, "linear", eps)
-		for name, err := range map[string]error{"Charge": chargeErr, "FitTask": fitErr} {
+	acc, err := funcmech.NewAccumulator(incomeSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, acc, ds)
+	for _, eps := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-320} {
+		errs := map[string]error{}
+		if !(eps > 0) || math.IsInf(eps, 1) {
+			_, errs["Charge"] = s.Charge("linear", eps)
+		}
+		_, _, errs["FitTask"] = s.FitTask(ds, "linear", eps)
+		_, _, errs["FitTaskFromAccumulator"] = s.FitTaskFromAccumulator(acc, "linear", eps)
+		for name, err := range errs {
 			if !errors.Is(err, funcmech.ErrInvalidSpend) || errors.Is(err, funcmech.ErrBudgetExhausted) {
 				t.Errorf("%s(ε = %v) = %v, want ErrInvalidSpend alone", name, eps, err)
 			}

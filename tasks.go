@@ -97,7 +97,8 @@ type release struct {
 // resolve is the one place that decides whether a release request is well
 // formed, before any data is touched or ε charged: the task must be in the
 // table, the core options valid, the ridge weight one the row's policy
-// takes, and a binarize threshold only given to a boolean-target task.
+// takes, and a binarize threshold finite (the record rule's
+// dataset.CheckThreshold) and only given to a boolean-target task.
 // CheckRelease, Session.Charge, the fits and the exact baselines all ask
 // it.
 func resolve(name string, opts []Option) (release, error) {
@@ -107,6 +108,9 @@ func resolve(name string, opts []Option) (release, error) {
 	}
 	cfg := buildConfig(opts)
 	if err := cfg.opts.Validate(); err != nil {
+		return release{}, fmt.Errorf("funcmech: %w", err)
+	}
+	if err := dataset.CheckThreshold(cfg.threshold); err != nil {
 		return release{}, fmt.Errorf("funcmech: %w", err)
 	}
 	if cfg.threshold != nil && spec.Target != core.TargetBoolean {
@@ -134,16 +138,27 @@ func CheckRelease(task string, epsilon float64, opts ...Option) error {
 	return noise.CheckEpsilon(epsilon)
 }
 
-// trainingCopy resolves a fit of task over ds and makes the fit's one
-// training copy under its record rule, for FitTask and the exact baselines.
-// It returns the model (everything but the weights), the copy and the
-// resolved release.
-func trainingCopy(ds *Dataset, task string, opts []Option) (*TaskModel, *dataset.Dataset, release, error) {
+// fitRule resolves a fit of task over ds and builds its record rule,
+// refusing an ε (FitTask's; the exact baselines pass nil) that
+// noise.CheckScale refuses at the rule's d: all a fit decides before it
+// reads a record, so Session.FitTask asks it before the debit.
+func fitRule(ds *Dataset, task string, epsilon *float64, opts []Option) (release, *dataset.Normalizer, error) {
 	r, err := resolve(task, opts)
 	if err != nil {
-		return nil, nil, r, err
+		return r, nil, err
 	}
 	rule, err := dataset.NewRule(*ds.inner.Schema, r.cfg.intercept, r.cfg.threshold)
+	if err == nil && epsilon != nil {
+		err = noise.CheckScale(r.task.Sensitivity(rule.D()), *epsilon)
+	}
+	return r, rule, err
+}
+
+// trainingCopy makes the fit's one training copy under fitRule's record
+// rule, for FitTask and the exact baselines. It returns the model
+// (everything but the weights), the copy and the resolved release.
+func trainingCopy(ds *Dataset, task string, epsilon *float64, opts []Option) (*TaskModel, *dataset.Dataset, release, error) {
+	r, rule, err := fitRule(ds, task, epsilon, opts)
 	if err != nil {
 		return nil, nil, r, err
 	}
@@ -273,15 +288,13 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 // the record rule (the schema's public bounds, WithIntercept,
 // WithBinarizeThreshold) makes the fit's one normalized training copy,
 // which the privacy analysis requires. It refuses whatever CheckRelease
-// refuses, an unusable ε before it reads a record, and data the task cannot
+// refuses, an unusable ε (noise.CheckScale at the fit's d, wrapping
+// ErrInvalidSpend) before it reads a record, and data the task cannot
 // train on: no records, a target its rule cannot label, or a NaN anywhere,
 // which the record rule refuses by record as it makes the copy. Unknown
 // names wrap ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if err := noise.CheckEpsilon(epsilon); err != nil {
-		return nil, nil, err
-	}
-	m, norm, r, err := trainingCopy(ds, task, opts)
+	m, norm, r, err := trainingCopy(ds, task, &epsilon, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -308,13 +321,11 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 // there is no record sweep to parallelize. The task's fold must be intact: a
 // fold poisoned during ingestion (a non-boolean target with no binarize
 // threshold, for boolean-target tasks) or absent from a restored snapshot
-// that predates the task fails with the poisoning error. An ε that is not
-// finite and positive is refused before the fold is read.
+// that predates the task fails with the poisoning error. An unusable ε
+// (noise.CheckScale at the accumulator's d) is refused before the fold is
+// read, with an error wrapping ErrInvalidSpend.
 func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if err := noise.CheckEpsilon(epsilon); err != nil {
-		return nil, nil, err
-	}
-	r, err := a.resolve(task, opts)
+	r, err := a.resolve(task, epsilon, opts)
 	if err != nil {
 		return nil, nil, err
 	}
