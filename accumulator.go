@@ -22,8 +22,8 @@ type taskFold struct {
 
 	// err, once set, poisons the fold: a record arrived whose label could
 	// not be derived under the fold's target rule (or a restored snapshot
-	// predates the task). Other folds continue; refits for this fold fail
-	// with the error.
+	// predates the task). Other folds continue; this one folds no further
+	// records, and refits for it fail with the error.
 	err error
 }
 
@@ -110,42 +110,27 @@ func (a *Accumulator) Add(features []float64, target float64) error {
 }
 
 // flatScratch is the reusable workspace of one AddFlat call: the normalized
-// flat feature block, the shared normalized-label column, and one
-// boolean-label column per boolean fold (with its poisoning cut). Pooling it
-// makes batch ingestion allocation-free per record (and, once the pool is
-// warm, per batch).
+// flat feature block and one label column per target rule. Pooling it makes
+// batch ingestion allocation-free per record (and, once the pool is warm,
+// per batch).
 type flatScratch struct {
-	xs   []float64
-	yl   []float64
-	yg   []float64 // nb stacked columns of k labels
-	cuts []int
-	errs []error
+	xs []float64
+	yn []float64 // TargetNormalized labels
+	yb []float64 // TargetBoolean labels, up to the first the rule cannot label
 }
 
 var flatScratchPool = sync.Pool{New: func() any { return new(flatScratch) }}
 
-func (s *flatScratch) ensure(xs, k, nb int) {
+func (s *flatScratch) ensure(xs, k int) {
 	if cap(s.xs) < xs {
 		s.xs = make([]float64, xs)
 	}
 	s.xs = s.xs[:xs]
-	if cap(s.yl) < k {
-		s.yl = make([]float64, k)
+	if cap(s.yn) < k {
+		s.yn = make([]float64, k)
+		s.yb = make([]float64, k)
 	}
-	s.yl = s.yl[:k]
-	if cap(s.yg) < nb*k {
-		s.yg = make([]float64, nb*k)
-	}
-	s.yg = s.yg[:nb*k]
-	if cap(s.cuts) < nb {
-		s.cuts = make([]int, nb)
-		s.errs = make([]error, nb)
-	}
-	s.cuts = s.cuts[:nb]
-	s.errs = s.errs[:nb]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
+	s.yn, s.yb = s.yn[:k], s.yb[:k]
 }
 
 // AddFlat folds a batch of records given as flat row-major storage — each
@@ -173,59 +158,51 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 		return 0, nil
 	}
 	w, d := raw.D()+1, a.rule.D()
-
-	nb := 0
-	for _, f := range a.folds {
-		if f.rule == core.TargetBoolean {
-			nb++
-		}
-	}
 	sc := flatScratchPool.Get().(*flatScratch)
 	defer flatScratchPool.Put(sc)
-	sc.ensure(k*d, k, nb)
+	sc.ensure(k*d, k)
 
-	// Resolve boolean labels up front: the fold below is grouped by
-	// objective, and a target the rule cannot label poisons a boolean fold
-	// from that record on (exactly Add's semantics).
-	bi := 0
+	// A boolean label depends only on the record rule and the target, so
+	// every boolean fold gets the same labels and the same first record the
+	// rule cannot label (cut), which poisons it from that record on, exactly
+	// as Add would. Labelling runs only while some boolean fold is intact:
+	// with every one poisoned it would fail again, and allocate its error,
+	// on every batch.
+	labelling := false
 	for _, f := range a.folds {
-		if f.rule != core.TargetBoolean {
-			continue
+		if f.rule == core.TargetBoolean && f.err == nil {
+			labelling = true
 		}
-		cut := 0
-		if f.err == nil {
-			for cut < k {
-				y, err := a.rule.Label(f.rule, flat[(cut+1)*w-1])
-				if err != nil {
-					sc.errs[bi] = fmt.Errorf("funcmech: record %d: %v; %s refits are unavailable", a.n+cut, err, f.key)
-					break
-				}
-				sc.yg[bi*k+cut] = y
+	}
+	cut := 0
+	var labelErr error
+	for i := 0; i < k; i++ {
+		y := flat[(i+1)*w-1]
+		a.rule.NormalizeRowInto(sc.xs[i*d:(i+1)*d], flat[i*w:(i+1)*w-1])
+		sc.yn[i] = a.rule.NormalizeLabel(y)
+		if labelling {
+			if sc.yb[i], labelErr = a.rule.Label(core.TargetBoolean, y); labelErr == nil {
 				cut++
+			} else {
+				labelling = false
 			}
 		}
-		sc.cuts[bi] = cut
-		bi++
-	}
-	for i := 0; i < k; i++ {
-		a.rule.NormalizeRowInto(sc.xs[i*d:(i+1)*d], flat[i*w:(i+1)*w-1])
-		sc.yl[i] = a.rule.NormalizeLabel(flat[(i+1)*w-1])
 	}
 
 	a.gram.AddGram(sc.xs)
-	bi = 0
 	for _, f := range a.folds {
-		if f.rule == core.TargetBoolean {
-			if cut := sc.cuts[bi]; cut > 0 {
-				f.acc.AddFlat(sc.xs[:cut*d], sc.yg[bi*k:bi*k+cut])
+		switch {
+		case f.err != nil: // poisoned: folds no further records
+		case f.rule == core.TargetBoolean:
+			if cut > 0 {
+				f.acc.AddFlat(sc.xs[:cut*d], sc.yb[:cut])
 			}
-			if f.err == nil {
-				f.err = sc.errs[bi]
+			if labelErr != nil {
+				f.err = fmt.Errorf("funcmech: record %d: %v; %s refits are unavailable", a.n+cut, labelErr, f.key)
 			}
-			bi++
-			continue
+		default:
+			f.acc.AddFlat(sc.xs, sc.yn)
 		}
-		f.acc.AddFlat(sc.xs, sc.yl)
 	}
 	a.n += k
 	return k, nil

@@ -10,6 +10,9 @@ import (
 	"funcmech"
 )
 
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
 // flatRecords generates n raw records for incomeSchema() as one flat buffer
 // (features + target per row) plus the equivalent per-record view.
 func flatRecords(n int, seed int64) ([]float64, [][]float64) {
@@ -215,5 +218,42 @@ func TestAddFlatNumbersRecordsInAccumulator(t *testing.T) {
 	}
 	if acc.Len() != 10 {
 		t.Fatalf("rejected records were folded: Len = %d, want 10", acc.Len())
+	}
+}
+
+// TestAddFlatAllocationFree: a warm AddFlat allocates nothing, whether every
+// fold is intact or an earlier batch poisoned the logistic fold. A poisoned
+// fold's labels are not derived again: each failure would allocate its error.
+func TestAddFlatAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch")
+	}
+	flat, _ := flatRecords(64, 3)
+	for _, tc := range []struct {
+		name     string
+		opts     []funcmech.Option
+		poisoned bool
+	}{
+		{"intact", []funcmech.Option{funcmech.WithBinarizeThreshold(35000)}, false},
+		{"logistic poisoned", nil, true}, // continuous targets, no threshold
+	} {
+		acc, err := funcmech.NewAccumulator(incomeSchema(), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := acc.AddFlat(flat); err != nil { // warm the scratch pools
+			t.Fatal(err)
+		}
+		if _, _, err := funcmech.FitTaskFromAccumulator(acc, "logistic", 1); (err != nil) != tc.poisoned {
+			t.Fatalf("%s: test setup: logistic refit err = %v", tc.name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := acc.AddFlat(flat); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: AddFlat = %v allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -78,13 +78,13 @@ func point(fs *flag.FlagSet) func(io.Writer) error {
 			return err
 		}
 		title := experiments.TaskTitle(spec)
-		fmt.Fprintf(w, "%s-%s  n=%d  d=%d(+target)  ε=%g  %d×%d-fold CV\n",
-			p.Name, title, ds.N(), ds.D(), cfg.Epsilon, cfg.Repeats, cfg.Folds)
 		res, err := experiments.EvaluateMethods(cfg, ds, spec, cfg.Epsilon,
 			fmt.Sprintf("point/%s/%s/%d/%g", p.Name, title, cfg.Dimensionality, cfg.Epsilon))
 		if err != nil {
 			return err
 		}
+		fmt.Fprintf(w, "%s-%s  n=%d  d=%d(+target)  ε=%g  %d×%d-fold CV\n",
+			p.Name, title, ds.N(), ds.D(), cfg.Epsilon, cfg.Repeats, cfg.Folds)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintln(tw, "method\tmetric\tstddev\tfit seconds\tfailures\t")
 		for _, r := range res {

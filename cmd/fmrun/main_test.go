@@ -135,13 +135,15 @@ func TestRunPointRejectsUnevaluatedTask(t *testing.T) {
 }
 
 // TestRunPointRefusesExplicitZeros: `point` refuses a zero -epsilon, -folds
-// or -repeats, and an -epsilon that is not finite, before it prints
-// anything, instead of printing one configuration and running another or a
-// table of failed fits (NaN-scaled noise, or a panic at +Inf).
+// or -repeats, an -epsilon that is not finite, and one whose Laplace scale
+// overflows, before it prints anything, instead of printing one
+// configuration and running another or a table of failed fits (NaN-scaled
+// or infinite noise, or a panic at +Inf).
 func TestRunPointRefusesExplicitZeros(t *testing.T) {
 	for _, args := range [][]string{
 		{"-epsilon", "0"}, {"-folds", "0"}, {"-repeats", "0"},
 		{"-epsilon", "NaN"}, {"-epsilon", "+Inf"}, {"-epsilon", "-Inf"},
+		{"-epsilon", "1e-320"},
 	} {
 		code, stdout, stderr := fmrun(append([]string{"point", "-records", "2000"}, args...)...)
 		if code == 0 || stdout != "" {

@@ -81,11 +81,6 @@ func DimensionSubsets() map[int][]string {
 // Dimensionalities returns the sweep values in ascending order.
 func Dimensionalities() []int { return []int{5, 8, 11, 14} }
 
-// Generate produces the profile's full extract deterministically from seed.
-func Generate(p Profile, seed int64) *dataset.Dataset {
-	return GenerateN(p, p.Records, seed)
-}
-
 // GenerateN produces n records (tests and quick experiments run scaled-down
 // extracts; benchmarks can ask for the full cardinality).
 func GenerateN(p Profile, n int, seed int64) *dataset.Dataset {

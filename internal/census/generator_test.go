@@ -198,7 +198,7 @@ func TestGenerateFullSizeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-cardinality generation in -short mode")
 	}
-	ds := Generate(Brazil(), 1)
+	ds := GenerateN(Brazil(), Brazil().Records, 1)
 	if ds.N() != 190000 {
 		t.Fatalf("N = %d, want 190000", ds.N())
 	}

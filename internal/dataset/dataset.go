@@ -195,15 +195,6 @@ func (d *Dataset) BinarizeTarget(threshold float64) *Dataset {
 	return out
 }
 
-// Clone returns a deep copy (rows included) — two bulk copies with flat
-// storage.
-func (d *Dataset) Clone() *Dataset {
-	out := New(d.Schema.Clone())
-	out.x = append([]float64(nil), d.x...)
-	out.ys = append([]float64(nil), d.ys...)
-	return out
-}
-
 func sequence(n int) []int {
 	s := make([]int, n)
 	for i := range s {

@@ -145,15 +145,6 @@ func TestBinarizeTarget(t *testing.T) {
 	}
 }
 
-func TestCloneDeep(t *testing.T) {
-	ds := smallDataset(t)
-	c := ds.Clone()
-	c.Row(0)[0] = 999
-	if ds.Row(0)[0] == 999 {
-		t.Fatal("Clone shares row storage")
-	}
-}
-
 func TestSchemaValidate(t *testing.T) {
 	cases := []struct {
 		name string

@@ -60,11 +60,16 @@ func PrepareTask(cfg Config, p census.Profile, spec core.TaskSpec, dim int) (*da
 // normalized dataset: for every (repeat, fold, method) it trains on the
 // training partition with budget eps and scores on the held-out fold.
 // label keys the deterministic noise streams; distinct experiments must pass
-// distinct labels.
+// distinct labels. Before any fit it refuses, wrapping noise.ErrInvalidSpend,
+// an eps whose Laplace scale at the row's Δ over ds's dimension overflows:
+// every method spends the same ε, and FM's Δ is the largest of them.
 func EvaluateMethods(cfg Config, ds *dataset.Dataset, spec core.TaskSpec, eps float64, label string) ([]MethodResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if err := noise.CheckScale(spec.Task.Sensitivity(ds.D()), eps); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	methods := cfg.Methods
 	if spec.Target != core.TargetBoolean {

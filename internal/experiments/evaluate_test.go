@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"funcmech/internal/baseline"
 	"funcmech/internal/census"
 	"funcmech/internal/core"
+	"funcmech/internal/noise"
 )
 
 // The task-table rows of the paper's two case studies.
@@ -186,6 +188,10 @@ func TestEvaluateMethodsValidation(t *testing.T) {
 		if _, err := PrepareTask(bad, census.US(), linearRow, 5); err == nil {
 			t.Errorf("PrepareTask accepted %s", name)
 		}
+	}
+	// A positive ε whose scale Δ/ε overflows is refused before any fit.
+	if _, err := EvaluateMethods(cfg, ds, linearRow, 1e-320, "x"); !errors.Is(err, noise.ErrInvalidSpend) {
+		t.Errorf("EvaluateMethods at ε = 1e-320: err = %v, want ErrInvalidSpend", err)
 	}
 }
 

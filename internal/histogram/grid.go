@@ -110,9 +110,6 @@ func (g *Grid) Cells() int { return g.cells }
 // Bins returns a copy of the per-dimension bin counts.
 func (g *Grid) Bins() []int { return append([]int(nil), g.bins...) }
 
-// Schema returns the schema the grid was built for.
-func (g *Grid) Schema() *dataset.Schema { return g.schema }
-
 // CellIndex maps one record to its flat cell index.
 func (g *Grid) CellIndex(x []float64, y float64) int {
 	if len(x) != g.schema.D() {

@@ -91,11 +91,6 @@ func (l Laplace) SampleVec(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// PDF returns the density at x.
-func (l Laplace) PDF(x float64) float64 {
-	return math.Exp(-math.Abs(x)/l.Scale) / (2 * l.Scale)
-}
-
 // CDF returns P(X ≤ x).
 func (l Laplace) CDF(x float64) float64 {
 	if x < 0 {

@@ -122,26 +122,6 @@ func TestLaplaceCDFQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestLaplacePDFIntegratesToOne(t *testing.T) {
-	l := Laplace{Scale: 1.7}
-	// Trapezoid rule over ±40 scales.
-	const steps = 400000
-	lo, hi := -40*l.Scale, 40*l.Scale
-	h := (hi - lo) / steps
-	var integral float64
-	for i := 0; i <= steps; i++ {
-		w := 1.0
-		if i == 0 || i == steps {
-			w = 0.5
-		}
-		integral += w * l.PDF(lo+float64(i)*h)
-	}
-	integral *= h
-	if math.Abs(integral-1) > 1e-6 {
-		t.Fatalf("∫pdf = %v, want 1", integral)
-	}
-}
-
 func TestLaplaceStdDev(t *testing.T) {
 	l := Laplace{Scale: 4}
 	if got, want := l.StdDev(), 4*math.Sqrt2; math.Abs(got-want) > 1e-12 {

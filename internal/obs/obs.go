@@ -9,11 +9,12 @@
 // privacy guarantee extends to the telemetry plane: a log line or trace
 // attribute that echoed a row value would be a release outside the Laplace
 // mechanism. The redaction boundary is the Attr type below — a closed enum
-// of scalar attribute values (durations, dimensions, counts, tenant and
-// stream names) with no Any escape hatch, so there is no constructor through
-// which a []float64, a dataset, or an un-noised coefficient vector can reach
-// a log line. fmlint's cleanlog analyzer machine-checks the same property at
-// every slog call site in the serving packages.
+// of three scalar kinds, int (dimensions, counts), float (ε) and string
+// (stages, operations, sources), with no Any escape hatch, so there is no
+// constructor through which a []float64, a dataset, or an un-noised
+// coefficient vector can reach a log line. fmlint's cleanlog analyzer
+// machine-checks the same property at every slog call site in the serving
+// packages.
 //
 // Three pieces:
 //
@@ -34,7 +35,6 @@ package obs
 import (
 	"math"
 	"strconv"
-	"time"
 )
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
@@ -68,11 +68,8 @@ type attrKind uint8
 
 const (
 	kindInt attrKind = iota
-	kindUint
 	kindFloat
 	kindStr
-	kindBool
-	kindDur
 )
 
 // Attr is one span or log attribute: a key and a scalar value. The type is
@@ -83,15 +80,12 @@ const (
 type Attr struct {
 	Key  string
 	kind attrKind
-	num  uint64 // int/uint/bool/duration payload, or float bits
+	num  uint64 // int payload, or float bits
 	str  string
 }
 
 // Int returns an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, kind: kindInt, num: uint64(v)} }
-
-// Uint returns an unsigned integer attribute.
-func Uint(key string, v uint64) Attr { return Attr{Key: key, kind: kindUint, num: v} }
 
 // Float returns a float attribute. Only post-release scalars (ε, latencies,
 // noise scales) belong here — never un-noised coefficients.
@@ -102,33 +96,14 @@ func Float(key string, v float64) Attr {
 // Str returns a string attribute (tenant names, stream names, endpoints).
 func Str(key, v string) Attr { return Attr{Key: key, kind: kindStr, str: v} }
 
-// Bool returns a boolean attribute.
-func Bool(key string, v bool) Attr {
-	var n uint64
-	if v {
-		n = 1
-	}
-	return Attr{Key: key, kind: kindBool, num: n}
-}
-
-// Dur returns a duration attribute.
-func Dur(key string, v time.Duration) Attr { return Attr{Key: key, kind: kindDur, num: uint64(v)} }
-
 // Value returns the attribute's payload as an any for JSON encoding:
-// integers as int64/uint64, floats as float64, durations as fractional
-// milliseconds (the unit every other latency field in the API uses).
+// integers as int64, floats as float64, strings as string.
 func (a Attr) Value() any {
 	switch a.kind {
 	case kindInt:
 		return int64(a.num)
-	case kindUint:
-		return a.num
 	case kindFloat:
 		return floatFrom(a.num)
-	case kindBool:
-		return a.num != 0
-	case kindDur:
-		return float64(time.Duration(a.num)) / float64(time.Millisecond)
 	default:
 		return a.str
 	}
@@ -139,17 +114,8 @@ func (a Attr) String() string {
 	switch a.kind {
 	case kindInt:
 		return strconv.FormatInt(int64(a.num), 10)
-	case kindUint:
-		return strconv.FormatUint(a.num, 10)
 	case kindFloat:
 		return strconv.FormatFloat(floatFrom(a.num), 'g', -1, 64)
-	case kindBool:
-		if a.num != 0 {
-			return "true"
-		}
-		return "false"
-	case kindDur:
-		return time.Duration(a.num).String()
 	default:
 		return a.str
 	}

@@ -15,11 +15,8 @@ func TestAttrRendering(t *testing.T) {
 		val  any
 	}{
 		{Int("d", -3), "-3", int64(-3)},
-		{Uint("n", 42), "42", uint64(42)},
 		{Float("eps", 0.5), "0.5", 0.5},
 		{Str("tenant", "acme"), "acme", "acme"},
-		{Bool("ok", true), "true", true},
-		{Dur("wait", 1500*time.Microsecond), "1.5ms", 1.5},
 	}
 	for _, c := range cases {
 		if got := c.a.String(); got != c.want {
@@ -36,7 +33,7 @@ func TestNilTraceIsNoop(t *testing.T) {
 	sp := tr.StartSpan(SpanKernel)
 	sp.End(Int("d", 4)) // must not panic
 	tr.SetResult("GET /x", 200)
-	if tr.ID() != "" || tr.SpanDuration(SpanKernel) != 0 {
+	if tr.SpanDuration(SpanKernel) != 0 {
 		t.Fatal("nil trace should report zero values")
 	}
 	if got := TraceFrom(context.Background()); got != nil {
@@ -52,7 +49,7 @@ func TestTraceSpansAndContext(t *testing.T) {
 	}
 	sp := tr.StartSpan(SpanSolve)
 	time.Sleep(2 * time.Millisecond)
-	sp.End(Int("d", 5), Bool("trimmed", false))
+	sp.End(Int("d", 5), Float("epsilon", 0.5))
 	if d := tr.SpanDuration(SpanSolve); d < time.Millisecond {
 		t.Fatalf("solve span duration %v, want >= 1ms", d)
 	}

@@ -55,14 +55,6 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ID returns the trace's request id ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // SetResult stamps the matched endpoint pattern and HTTP status.
 func (t *Trace) SetResult(endpoint string, status int) {
 	if t == nil {

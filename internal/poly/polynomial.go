@@ -51,19 +51,6 @@ func (p *Polynomial) AddTerm(m Monomial, c float64) *Polynomial {
 	return p
 }
 
-// SetCoef overwrites the coefficient of φ.
-func (p *Polynomial) SetCoef(m Monomial, c float64) *Polynomial {
-	if m.NumVars() != p.d {
-		panic(fmt.Sprintf("poly: monomial over %d variables set on %d-variable polynomial", m.NumVars(), p.d))
-	}
-	if c == 0 {
-		delete(p.terms, m.Key())
-		return p
-	}
-	p.terms[m.Key()] = Term{Mono: m, Coef: c}
-	return p
-}
-
 // Coef returns the coefficient of φ (zero when absent).
 func (p *Polynomial) Coef(m Monomial) float64 {
 	return p.terms[m.Key()].Coef

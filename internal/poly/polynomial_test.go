@@ -62,15 +62,6 @@ func TestAddTermCancellationPrunes(t *testing.T) {
 	}
 }
 
-func TestSetCoefZeroDeletes(t *testing.T) {
-	p := NewPolynomial(1)
-	p.SetCoef(Linear(1, 0), 2)
-	p.SetCoef(Linear(1, 0), 0)
-	if p.NumTerms() != 0 {
-		t.Fatal("SetCoef(0) must delete the term")
-	}
-}
-
 func TestTermsDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomPoly(rng, 3)

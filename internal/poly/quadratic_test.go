@@ -69,37 +69,6 @@ func TestQuadraticToPolynomialAgreesProperty(t *testing.T) {
 	}
 }
 
-// Property: round trip through the sparse form preserves the symmetric
-// quadratic exactly.
-func TestQuadraticRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := 1 + rng.Intn(5)
-		q := randomQuadratic(rng, d)
-		back, err := QuadraticFromPolynomial(q.ToPolynomial())
-		if err != nil {
-			return false
-		}
-		if math.Abs(back.Beta-q.Beta) > 1e-10 {
-			return false
-		}
-		if !linalg.EqualApprox(back.Alpha, q.Alpha, 1e-10) {
-			return false
-		}
-		return back.M.EqualApproxMat(q.M, 1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuadraticFromPolynomialRejectsCubic(t *testing.T) {
-	p := NewPolynomial(1).AddTerm(NewMonomial([]int{3}), 1)
-	if _, err := QuadraticFromPolynomial(p); err == nil {
-		t.Fatal("expected error for degree-3 polynomial")
-	}
-}
-
 func TestQuadraticGradientMatchesPolynomial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := randomQuadratic(rng, 4)
@@ -107,18 +76,6 @@ func TestQuadraticGradientMatchesPolynomial(t *testing.T) {
 	w := randomVec(rng, 4)
 	if !linalg.EqualApprox(q.Gradient(w), p.Gradient(w), 1e-9) {
 		t.Fatalf("gradients disagree: %v vs %v", q.Gradient(w), p.Gradient(w))
-	}
-}
-
-func TestAddQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randomQuadratic(rng, 2)
-	b := randomQuadratic(rng, 2)
-	w := randomVec(rng, 2)
-	want := a.Eval(w) + b.Eval(w)
-	sum := a.Clone().AddQuadratic(b)
-	if got := sum.Eval(w); math.Abs(got-want) > 1e-10 {
-		t.Fatalf("AddQuadratic eval = %v, want %v", got, want)
 	}
 }
 
@@ -130,52 +87,4 @@ func TestQuadraticCloneIndependent(t *testing.T) {
 	if q.M.At(0, 0) != 0 || q.Alpha[1] != 0 {
 		t.Fatal("Clone aliases its receiver")
 	}
-}
-
-func TestQuadraticMergeMatchesAddQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a, b := randomQuadratic(rng, 4), randomQuadratic(rng, 4)
-	want := a.Clone().AddQuadratic(b)
-	got := a.Clone().Merge(b)
-	if !got.M.EqualApproxMat(want.M, 0) || got.Beta != want.Beta {
-		t.Fatal("Merge disagrees with AddQuadratic")
-	}
-	for i := range got.Alpha {
-		if got.Alpha[i] != want.Alpha[i] {
-			t.Fatalf("α[%d] = %v, want %v", i, got.Alpha[i], want.Alpha[i])
-		}
-	}
-}
-
-func TestQuadraticMergeInPlaceNoAlias(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a, b := randomQuadratic(rng, 3), randomQuadratic(rng, 3)
-	bBefore := b.Clone()
-	m := a.Merge(b)
-	if m != a {
-		t.Fatal("Merge must return its receiver")
-	}
-	if !b.M.EqualApproxMat(bBefore.M, 0) || b.Beta != bBefore.Beta {
-		t.Fatal("Merge must not modify its argument")
-	}
-}
-
-func TestQuadraticAddScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b := randomQuadratic(rng, 3), randomQuadratic(rng, 3)
-	got := a.Clone().AddScaled(b, -2)
-	w := []float64{0.3, -1.1, 0.7}
-	want := a.Eval(w) - 2*b.Eval(w)
-	if math.Abs(got.Eval(w)-want) > 1e-12 {
-		t.Fatalf("AddScaled eval = %v, want %v", got.Eval(w), want)
-	}
-}
-
-func TestQuadraticMergeDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dim mismatch")
-		}
-	}()
-	NewQuadratic(2).Merge(NewQuadratic(3))
 }

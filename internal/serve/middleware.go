@@ -22,10 +22,6 @@ func (s *Server) SetTraceLogger(logger *slog.Logger) {
 	s.recorder.SetLogger(logger)
 }
 
-// Metrics returns the Prometheus registry behind GET /metrics, for embedders
-// that mount it elsewhere.
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
 // statusWriter captures the status code written by a handler.
 type statusWriter struct {
 	http.ResponseWriter

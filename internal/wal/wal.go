@@ -445,9 +445,6 @@ func (l *Log) Appends() uint64 {
 	return l.appends
 }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close seals the active segment. The log must not be used afterwards. A
 // log already poisoned by a write failure closes without error: its active
 // segment is unusable (and possibly already closed by a failed rotation),
