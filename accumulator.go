@@ -8,7 +8,6 @@ import (
 
 	"funcmech/internal/core"
 	"funcmech/internal/dataset"
-	"funcmech/internal/noise"
 )
 
 // taskFold is one per-record coefficient fold the accumulator maintains —
@@ -283,23 +282,4 @@ func (a *Accumulator) compatible(o *Accumulator) error {
 		}
 	}
 	return nil
-}
-
-// resolve is the package-level resolve plus what a release from a adds:
-// options that shape the per-record fold were fixed at creation and must
-// not reappear, an empty accumulator has nothing to release, and ε must
-// pass noise.CheckScale at a's d. It reads no fold.
-func (a *Accumulator) resolve(task string, epsilon float64, opts []Option) (release, error) {
-	r, err := resolve(task, opts)
-	switch {
-	case err != nil:
-		return r, err
-	case r.cfg.intercept:
-		return r, errors.New("funcmech: WithIntercept is fixed at accumulator creation")
-	case r.cfg.threshold != nil:
-		return r, errors.New("funcmech: WithBinarizeThreshold is fixed at accumulator creation")
-	case a.n == 0:
-		return r, errors.New("funcmech: accumulator has no records")
-	}
-	return r, noise.CheckScale(r.task.Sensitivity(a.rule.D()), epsilon)
 }

@@ -24,9 +24,12 @@
 // LinearRegression and LogisticRegression are the paper's two case studies;
 // FitTask fits any task in the task table (TaskNames) by name. Every fit
 // returns a *TaskModel, which Save persists and LoadModel reads back.
-// CheckRelease says, without touching data or budget, whether a release
-// request is well formed; FitTask, Session.Charge and the serving layer
-// all refuse exactly what it refuses.
+// Every private fit is a Release, made by NewRelease (over a Dataset) or
+// NewReleaseFromAccumulator (from an Accumulator's folds): the constructor
+// decides, without reading a record, whether the task, options and ε are
+// usable at the release's d, and Release.Run draws the noise. FitTask,
+// FitTaskFromAccumulator, the Session fits and the serving layer all
+// refuse exactly what the constructors refuse.
 //
 // Attribute Min/Max bounds must be public domain knowledge (they calibrate
 // the normalization the privacy analysis requires); they must not be
@@ -93,20 +96,20 @@
 // # Durability of the accounting
 //
 // Session is the accountant: it holds the lifetime total and the spend
-// under its own lock and debits a charge only once CheckRelease has
-// accepted it. A usable ε, for a release or a lifetime total, is finite
-// and positive; that one rule (CheckEpsilon in internal/noise, beside the
-// Laplace calibration it protects) is what CheckRelease, the fits,
-// NewSession and the serving layer's tenant budgets apply, and a refused ε
-// wraps ErrInvalidSpend.
+// under its own lock, and Charge debits only a Release, so only what a
+// constructor accepted. A usable ε, for a release or a lifetime total, is
+// finite and positive; that one rule (CheckEpsilon in internal/noise,
+// beside the Laplace calibration it protects) is what the Release
+// constructors, NewSession and the serving layer's tenant budgets apply,
+// and a refused ε wraps ErrInvalidSpend. The constructors also refuse an ε
+// whose Laplace scale overflows at the release's d (CheckScale).
 //
 // A Session's budget is in-memory; serving layers that must survive
 // restarts persist it and put it back with RestoreSpent. For crash safety —
-// where no graceful snapshot ever ran — Charge(task, ε, opts...) exposes
-// the debit as its own step so a caller can make it durable (e.g. a
-// write-ahead log) before the mechanism draws noise. It refuses, and debits
-// nothing for, any request CheckRelease refuses. ReplaySpend re-applies
-// journaled debits on boot, clamped at the total. The resulting guarantee is one-sided by
+// where no graceful snapshot ever ran — Charge(release) exposes the debit
+// as its own step so a caller can make it durable (e.g. a write-ahead log)
+// before Release.Run draws noise. ReplaySpend re-applies journaled debits
+// on boot, clamped at the total. The resulting guarantee is one-sided by
 // design: a crash may over-count ε-spend (a durable debit whose fit never
 // released), never under-count it. See internal/serve and internal/wal for
 // the served implementation.

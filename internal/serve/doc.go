@@ -22,10 +22,12 @@
 //   - Every fit and refit is released from one audited site,
 //     Server.release, the package's only function fmlint's
 //     chargebeforenoise analyzer audits as a noise release site. Both
-//     handlers first have funcmech.CheckRelease accept the model, ε and
-//     options — before admission and before the charge — so nothing the
-//     library refuses is ever charged; a refit also needs records in the
-//     merged fold it will release from.
+//     handlers first build a funcmech.Release — NewRelease from the
+//     registered dataset, NewReleaseFromAccumulator from the stream's
+//     merged fold — which accepts or refuses the model, options and ε at
+//     the release's d, an empty fold included, before admission and before
+//     the charge, so nothing the library refuses is ever charged.
+//     Server.release then charges that Release and runs it.
 //   - Accounting is crash-safe through a write-ahead log (internal/wal):
 //     with a WAL attached, every fit and refit follows charge → journal →
 //     fit, the debit fsynced to disk before any noise is drawn, and boot

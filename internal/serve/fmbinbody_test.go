@@ -131,8 +131,9 @@ func TestBinaryIngestRejects(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 	}
-	if st, _ := srv.Streams().Lookup("s"); st.Records() != 0 {
-		t.Fatalf("rejected frames folded %d records into the stream", st.Records())
+	st, _ := srv.Streams().Lookup("s")
+	if records, _ := st.Counts(); records != 0 {
+		t.Fatalf("rejected frames folded %d records into the stream", records)
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 //   - the journal's charge events, Session spend and fm_epsilon_spent agree;
 //   - each 2xx release added exactly one charge of its cost (2ε for
 //     resample), and so did a 422 answered after its charge;
-//   - a request refused before its charge (400, 402, 404) added none;
+//   - a request refused before its charge (400, 402, 404) added none,
+//     an ε whose Laplace scale overflows at d among them;
 //   - spend never exceeds the budget.
 //
 // Steps run one at a time, so nothing is in flight at a crash and the
@@ -147,17 +148,21 @@ func (m *ledgerModel) step() {
 }
 
 // release sends one fit or refit the model prices: a valid release, a
-// malformed one (400), one far over budget (402), a logistic fit that fails
-// after its charge (422), or one for an unknown tenant (404).
+// malformed one (400), one whose ε gives an infinite Laplace scale at d
+// (400, refused with the malformed ones before admission), one far over
+// budget (402), a logistic fit that fails after its charge (422), or one
+// for an unknown tenant (404).
 func (m *ledgerModel) release(refit bool) {
 	name := m.pick("a", "b", "c", "z")
 	tenant := m.tenants[name]
 	eps := []float64{0.25, 0.5, 1}[m.rng.Intn(3)]
 	model, post := "linear", m.pick("", "", "resample")
-	kind := m.pick("valid", "valid", "valid", "malformed", "over", "fails")
+	kind := m.pick("valid", "valid", "valid", "malformed", "overflow", "over", "fails")
 	switch kind {
 	case "malformed":
 		eps = -1
+	case "overflow":
+		eps = 1e-320
 	case "over":
 		eps = 8 // above every budget the model creates
 	case "fails":
@@ -174,7 +179,7 @@ func (m *ledgerModel) release(refit bool) {
 	switch {
 	case refit && m.live < 0, tenant == nil:
 		want, charged = http.StatusNotFound, false
-	case kind == "malformed", refit && m.live == 0:
+	case kind == "malformed", kind == "overflow", refit && m.live == 0:
 		want, charged = http.StatusBadRequest, false
 	case tenant.spent+cost > tenant.total:
 		want, charged = http.StatusPaymentRequired, false

@@ -112,10 +112,12 @@ const (
 	codeUnknownTask = "unknown_task"
 )
 
-// writeOptionsError maps a refusal of a fit or refit request's model, ε or
-// options to its wire code: an unknown task gets the dedicated unknown_task
-// code, anything else is a plain invalid request. The refusal always comes
-// before admission and the budget charge, so neither outcome consumes ε.
+// writeOptionsError maps a Release constructor's refusal of a fit or refit
+// request (its model, its options, its ε at the release's d, or a refit's
+// empty fold) to its wire code: an unknown task gets the dedicated
+// unknown_task code, anything else is a plain invalid request. The refusal
+// always comes before admission and the budget charge, so neither outcome
+// consumes ε.
 func (s *Server) writeOptionsError(w http.ResponseWriter, err error) {
 	if errors.Is(err, funcmech.ErrUnknownTask) {
 		s.writeError(w, http.StatusBadRequest, codeUnknownTask, "%v", err)
@@ -395,7 +397,7 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // POST /v1/fit
 
 // fitOptions is /v1/fit's option surface. Whether the options are well
-// formed for the model is the library's call (funcmech.CheckRelease); only
+// formed for the model is the library's call (funcmech.NewRelease); only
 // the post_process vocabulary is the wire's own.
 type fitOptions struct {
 	// PostProcess is one of "regularize+trim" (default), "regularize",
@@ -478,8 +480,11 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := req.Options.build()
+	var rel *funcmech.Release
 	if err == nil {
-		err = funcmech.CheckRelease(req.Model, req.Epsilon, opts...)
+		// The probe attributes kernel vs solve vs noise time to this trace;
+		// with no trace on the context it degrades to the bare calls.
+		rel, err = funcmech.NewRelease(ds, req.Model, req.Epsilon, append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))...)
 	}
 	if err != nil {
 		s.writeOptionsError(w, err)
@@ -502,25 +507,18 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.fitsInFlight.Add(-1)
 		grant.Release()
 	}()
-	// The probe attributes kernel vs solve vs noise time to this trace; with
-	// no trace on the context it degrades to the bare calls.
-	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}), funcmech.WithGovernor(grant))
-	s.release(w, tr, releaseRequest{
-		tenant: tenant, model: req.Model, epsilon: req.Epsilon, opts: opts,
-		dataset: req.Dataset, ds: ds,
-	})
+	s.release(w, tr, releaseRequest{tenant: tenant, model: req.Model, rel: rel, gov: grant, dataset: req.Dataset})
 }
 
-// releaseRequest is one release request that funcmech.CheckRelease has
-// accepted: a fit from a registered dataset (ds set) or a refit from a
-// stream's merged fold (st and acc set).
+// releaseRequest is one release the library has accepted: a fit from a
+// registered dataset, which runs under its admission grant, or a refit
+// from a stream's merged fold (st and acc set).
 type releaseRequest struct {
 	tenant  *Tenant
 	model   string
-	epsilon float64
-	opts    []funcmech.Option
+	rel     *funcmech.Release
+	gov     funcmech.Governor
 	dataset string
-	ds      *funcmech.Dataset
 	st      *stream.Stream
 	acc     *funcmech.Accumulator
 }
@@ -540,11 +538,10 @@ type releaseResponse struct {
 }
 
 // release is the service's one audited noise release site, behind both
-// /v1/fit and /v1/streams/{name}/refit: the fit draws Laplace noise only
-// after chargeDurable has debited the session and journaled the spend to
-// the fsynced WAL, so a crash anywhere below can only over-count the
-// tenant's spend. The fits run uncharged via the package-level functions
-// because the session was already debited here.
+// /v1/fit and /v1/streams/{name}/refit: the release draws Laplace noise
+// only after chargeDurable has debited the session and journaled the spend
+// to the fsynced WAL, so a crash anywhere below can only over-count the
+// tenant's spend. It runs the release it charged.
 //
 //fmlint:releases-noise
 func (s *Server) release(w http.ResponseWriter, tr *obs.Trace, rq releaseRequest) {
@@ -553,21 +550,12 @@ func (s *Server) release(w http.ResponseWriter, tr *obs.Trace, rq releaseRequest
 		op, ref, outcomes = wal.OpRefit, rq.st.Name(), s.metrics.refits
 	}
 	start := time.Now()
-	if err := s.chargeDurable(tr, rq.tenant, op, ref, rq.model, rq.epsilon, rq.opts); err != nil {
+	if err := s.chargeDurable(tr, rq.tenant, op, ref, rq.rel); err != nil {
 		outcomes.record(err)
 		s.writeChargeError(w, rq.tenant, err)
 		return
 	}
-	var (
-		m      *funcmech.TaskModel
-		report *funcmech.Report
-		err    error
-	)
-	if rq.st == nil {
-		m, report, err = funcmech.FitTask(rq.ds, rq.model, rq.epsilon, rq.opts...)
-	} else {
-		m, report, err = funcmech.FitTaskFromAccumulator(rq.acc, rq.model, rq.epsilon, rq.opts...)
-	}
+	m, report, err := rq.rel.Run(rq.gov)
 	elapsed := time.Since(start)
 	if outcomes.record(err) && rq.st == nil {
 		s.metrics.fitSeconds.Observe(elapsed.Seconds())

@@ -291,43 +291,117 @@ func TestUnknownTaskEnumeratesRegistry(t *testing.T) {
 	}
 }
 
-// TestCheckReleaseRefusalsAreTyped: the library check both release
-// endpoints run before admission classifies an unknown model with the
+// TestNewReleaseRefusalsAreTyped: the Release constructors both release
+// endpoints run before admission classify an unknown model with the
 // errors.Is-able sentinel that writeOptionsError maps to unknown_task, and
-// maps every other refusal to invalid_request.
-func TestCheckReleaseRefusalsAreTyped(t *testing.T) {
+// writeOptionsError maps every other refusal (an option the model does not
+// take, an ε whose Laplace scale overflows at d, an empty fold) to
+// invalid_request.
+func TestNewReleaseRefusalsAreTyped(t *testing.T) {
 	srv := New(Config{})
 	negative, err := fitOptions{Parallelism: -1}.build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := funcmech.NewDataset(*testStreamSchema())
+	empty, err := funcmech.NewAccumulator(*testStreamSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusal := func(_ *funcmech.Release, err error) error { return err }
 	for _, c := range []struct {
-		model string
-		opts  []funcmech.Option
-		code  string
+		name string
+		err  error
+		code string
 	}{
-		{"quantile", nil, codeUnknownTask},
-		{"median", negative, codeInvalidRequest},
+		{"fit of quantile", refusal(funcmech.NewRelease(ds, "quantile", 0.1)), codeUnknownTask},
+		{"refit of quantile", refusal(funcmech.NewReleaseFromAccumulator(empty, "quantile", 0.1)), codeUnknownTask},
+		{"median with parallelism -1", refusal(funcmech.NewRelease(ds, "median", 0.1, negative...)), codeInvalidRequest},
+		{"linear at ε = 1e-320", refusal(funcmech.NewRelease(ds, "linear", 1e-320)), codeInvalidRequest},
+		{"refit of an empty fold", refusal(funcmech.NewReleaseFromAccumulator(empty, "linear", 0.1)), codeInvalidRequest},
 	} {
-		err := funcmech.CheckRelease(c.model, 0.1, c.opts...)
-		if err == nil {
-			t.Fatalf("%s: CheckRelease accepted the request", c.model)
+		if c.err == nil {
+			t.Fatalf("%s: the constructor accepted the request", c.name)
 		}
-		if got := errors.Is(err, funcmech.ErrUnknownTask); got != (c.code == codeUnknownTask) {
-			t.Fatalf("%s: errors.Is(err, ErrUnknownTask) = %v for %v", c.model, got, err)
+		if got := errors.Is(c.err, funcmech.ErrUnknownTask); got != (c.code == codeUnknownTask) {
+			t.Fatalf("%s: errors.Is(err, ErrUnknownTask) = %v for %v", c.name, got, c.err)
 		}
 		rec := httptest.NewRecorder()
-		srv.writeOptionsError(rec, err)
+		srv.writeOptionsError(rec, c.err)
 		var body errorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatal(err)
 		}
 		if rec.Code != http.StatusBadRequest || body.Error.Code != c.code {
-			t.Fatalf("%s: %d %q, want 400 %q", c.model, rec.Code, body.Error.Code, c.code)
+			t.Fatalf("%s: %d %q, want 400 %q", c.name, rec.Code, body.Error.Code, c.code)
 		}
 	}
-	if err := funcmech.CheckRelease("median", 0.1); err != nil {
+	if _, err := funcmech.NewRelease(ds, "median", 0.1); err != nil {
 		t.Fatalf("median is a task but was refused: %v", err)
+	}
+}
+
+// TestOverflowingEpsilonIsRefusedBeforeAdmission: a fit or refit whose ε
+// gives an infinite Laplace scale at the release's d (1e-320 at d = 2) is
+// a 400 invalid_request decided before admission. It is answered while
+// every governor token is held, and it debits, journals and counts no fit.
+func TestOverflowingEpsilonIsRefusedBeforeAdmission(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{WorkerCap: 1})
+	s.UseWAL(l)
+	registerRowsDataset(t, ts.URL, "toy", 50)
+	createTenant(t, ts.URL, "acme", 1)
+	createStream(t, ts.URL, streamRequest{Name: "s", Schema: testStreamSchema()})
+	resp := postJSON(t, ts.URL+"/v1/streams/s/ingest", ingestRequest{Rows: rowsJSON(t, syntheticRows(40, 9))})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed ingest: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	held := admitN(t, s.Governor(), 1)
+	defer held[0].Release()
+
+	client := &http.Client{Timeout: 5 * time.Second} // a queued request would wait for a token
+	for path, req := range map[string]any{
+		"/v1/fit":             fitRequest{Tenant: "acme", Dataset: "toy", Model: "linear", Epsilon: 1e-320},
+		"/v1/streams/s/refit": refitRequest{Tenant: "acme", Model: "linear", Epsilon: 1e-320},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		got := decode[errorResponse](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || got.Error.Code != codeInvalidRequest || !strings.Contains(got.Error.Message, "scale") {
+			t.Errorf("%s: %d %+v, want 400 %q naming the scale", path, resp.StatusCode, got.Error, codeInvalidRequest)
+		}
+	}
+	tenant, _ := s.Tenants().Lookup("acme")
+	if spent := tenant.Session.Spent(); spent != 0 {
+		t.Errorf("refused releases charged ε = %v, want 0", spent)
+	}
+	m := scrapeMetrics(t, s)
+	for _, family := range []string{"fm_fits_total", "fm_fits_error_total", "fm_refits_total", "fm_refits_error_total"} {
+		if m[family] != 0 {
+			t.Errorf("%s = %v after refused releases, want 0", family, m[family])
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Replay(dir, func(ev wal.Event) error {
+		if ev.Kind == wal.EventCharge {
+			t.Errorf("WAL holds a charge for a refused release: %+v", ev)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -470,6 +544,10 @@ func TestTenantReadsNeverTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rel, err := funcmech.NewRelease(funcmech.NewDataset(*testStreamSchema()), "linear", 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -477,7 +555,7 @@ func TestTenantReadsNeverTorn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := tenant.Session.Charge("linear", 0.001); err != nil {
+				if _, err := tenant.Session.Charge(rel); err != nil {
 					t.Error(err)
 					return
 				}

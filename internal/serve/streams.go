@@ -215,9 +215,6 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.TraceFrom(r.Context())
 	opts, err := releaseOptions(req.Options.PostProcess, req.Options.Seed, req.Options.RidgeWeight)
-	if err == nil {
-		err = funcmech.CheckRelease(req.Model, req.Epsilon, opts...)
-	}
 	if err != nil {
 		s.writeOptionsError(w, err)
 		return
@@ -228,8 +225,9 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	accSpan := tr.StartSpan(obs.SpanDataset)
 	acc := st.Merged()
 	accSpan.End(obs.Int("records", int64(acc.Len())), obs.Str("source", "stream"))
-	if acc.Len() == 0 {
-		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "stream %q has no records", st.Name())
+	rel, err := funcmech.NewReleaseFromAccumulator(acc, req.Model, req.Epsilon, append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))...)
+	if err != nil {
+		s.writeOptionsError(w, err)
 		return
 	}
 
@@ -239,9 +237,5 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	// and bounding them is still open. Budget enforcement is identical to
 	// /v1/fit: the same release site charges, journals, and only then draws
 	// noise.
-	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))
-	s.release(w, tr, releaseRequest{
-		tenant: tenant, model: req.Model, epsilon: req.Epsilon, opts: opts,
-		st: st, acc: acc,
-	})
+	s.release(w, tr, releaseRequest{tenant: tenant, model: req.Model, rel: rel, st: st, acc: acc})
 }

@@ -123,8 +123,11 @@ func TestStreamLifecycleOverHTTP(t *testing.T) {
 	// Stream metadata reflects the ingest and the refit.
 	if got := srv.Streams(); got != nil {
 		st, ok := got.Lookup("readings")
-		if !ok || st.Records() != 120 || st.Batches() != 2 || st.Refits() != 1 {
-			t.Fatalf("stream state: records=%d batches=%d refits=%d", st.Records(), st.Batches(), st.Refits())
+		if !ok {
+			t.Fatal("stream readings lost")
+		}
+		if records, batches := st.Counts(); records != 120 || batches != 2 || st.Refits() != 1 {
+			t.Fatalf("stream state: records=%d batches=%d refits=%d", records, batches, st.Refits())
 		}
 		last, ok := st.LastRefit()
 		if !ok || last.Model != "linear" || last.Tenant != "acme" || last.Records != 120 {
@@ -224,8 +227,8 @@ func TestConcurrentIngestOverHTTP(t *testing.T) {
 	wg.Wait()
 
 	st, _ := srv.Streams().Lookup("burst")
-	if st.Records() != clients*perBatch {
-		t.Fatalf("records = %d, want %d", st.Records(), clients*perBatch)
+	if records, _ := st.Counts(); records != clients*perBatch {
+		t.Fatalf("records = %d, want %d", records, clients*perBatch)
 	}
 	m := scrapeMetrics(t, srv)
 	if m["fm_ingest_records_total"] != clients*perBatch || m["fm_ingest_batches_total"] != clients {

@@ -158,14 +158,13 @@ func (s *Server) UseWAL(l *wal.Log) {
 	s.tenants.wlog = l
 }
 
-// chargeDurable debits the tenant's session for releasing task at ε and,
-// with a WAL attached, journals the debited cost before returning. op is
-// wal.OpFit or wal.OpRefit; ref names the dataset or stream the release
-// reads. The journal append (fsynced with -wal-fsync) is timed as a
-// wal_fsync span on tr — this is the durability cost a fit pays before any
-// noise is drawn.
-func (s *Server) chargeDurable(tr *obs.Trace, t *Tenant, op, ref, task string, epsilon float64, opts []funcmech.Option) error {
-	cost, err := t.Session.Charge(task, epsilon, opts...)
+// chargeDurable debits the tenant's session for rel and, with a WAL
+// attached, journals the debited cost before returning. op is wal.OpFit or
+// wal.OpRefit; ref names the dataset or stream the release reads. The
+// journal append (fsynced with -wal-fsync) is timed as a wal_fsync span on
+// tr — this is the durability cost a fit pays before any noise is drawn.
+func (s *Server) chargeDurable(tr *obs.Trace, t *Tenant, op, ref string, rel *funcmech.Release) error {
+	cost, err := t.Session.Charge(rel)
 	if err != nil {
 		return err
 	}
@@ -188,19 +187,15 @@ func (s *Server) chargeDurable(tr *obs.Trace, t *Tenant, op, ref, task string, e
 }
 
 // writeChargeError maps a chargeDurable failure onto the typed error
-// surface: exhaustion → 402, a malformed ε → 400, a journal failure → 500.
+// surface: exhaustion → 402, and the only other failure, a journal append
+// that failed, → 500.
 func (s *Server) writeChargeError(w http.ResponseWriter, t *Tenant, err error) {
-	switch {
-	case errors.Is(err, funcmech.ErrBudgetExhausted):
+	if errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.exhausted.Add(1)
 		s.writeError(w, http.StatusPaymentRequired, codeBudgetExhausted, "tenant %q: %v", t.Name, err)
-	case errors.Is(err, funcmech.ErrInvalidSpend):
-		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "%v", err)
-	case errors.Is(err, errWALAppend):
-		s.writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
-	default:
-		s.writeError(w, http.StatusUnprocessableEntity, codeFitFailed, "%v", err)
+		return
 	}
+	s.writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
 }
 
 // replayWAL applies the journal in dir to the restored state before it is

@@ -146,18 +146,6 @@ func (s *Stream) Name() string { return s.name }
 // Config returns the stream's immutable configuration.
 func (s *Stream) Config() Config { return s.cfg }
 
-// Records returns the total records ingested.
-func (s *Stream) Records() uint64 {
-	records, _ := s.Counts()
-	return records
-}
-
-// Batches returns the number of ingest batches accepted.
-func (s *Stream) Batches() uint64 {
-	_, batches := s.Counts()
-	return batches
-}
-
 // Counts returns a consistent (records, batches) pair from the monitoring
 // gauges. It never touches the shard locks, so it cannot stall behind an
 // in-flight fold; a batch whose fold has committed but whose gauge update

@@ -128,9 +128,9 @@ func TestIngestAllOrNothing(t *testing.T) {
 	if _, err := s.IngestFlat(nan); err == nil {
 		t.Fatal("NaN record: expected error")
 	}
-	if s.Records() != 0 || s.Batches() != 0 || s.Merged().Len() != 0 {
+	if records, batches := s.Counts(); records != 0 || batches != 0 || s.Merged().Len() != 0 {
 		t.Fatalf("rejected batches mutated the stream: records=%d batches=%d len=%d",
-			s.Records(), s.Batches(), s.Merged().Len())
+			records, batches, s.Merged().Len())
 	}
 
 	n, err := s.IngestFlat(testRows(10, 1))
@@ -166,14 +166,15 @@ func TestConcurrentIngestExactCounts(t *testing.T) {
 	}
 	wg.Wait()
 	want := uint64(workers * batches * rows)
-	if s.Records() != want {
-		t.Fatalf("Records = %d, want %d", s.Records(), want)
+	records, accepted := s.Counts()
+	if records != want {
+		t.Fatalf("records = %d, want %d", records, want)
 	}
 	if got := s.Merged().Len(); uint64(got) != want {
 		t.Fatalf("Merged().Len() = %d, want %d", got, want)
 	}
-	if s.Batches() != workers*batches {
-		t.Fatalf("Batches = %d, want %d", s.Batches(), workers*batches)
+	if accepted != workers*batches {
+		t.Fatalf("batches = %d, want %d", accepted, workers*batches)
 	}
 }
 
@@ -258,7 +259,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RecordRefit(RefitInfo{Model: "logistic", Tenant: "acme", Epsilon: 1.0, Records: s.Records()})
+	records, batches := s.Counts()
+	s.RecordRefit(RefitInfo{Model: "logistic", Tenant: "acme", Epsilon: 1.0, Records: records})
 
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf, 0); err != nil {
@@ -268,8 +270,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name() != "trip" || back.Records() != s.Records() || back.Batches() != s.Batches() || back.Refits() != 1 {
-		t.Fatalf("restored metadata drifted: %s %d/%d/%d", back.Name(), back.Records(), back.Batches(), back.Refits())
+	if r, b := back.Counts(); back.Name() != "trip" || r != records || b != batches || back.Refits() != 1 {
+		t.Fatalf("restored metadata drifted: %s %d/%d/%d", back.Name(), r, b, back.Refits())
 	}
 	cfg := back.Config()
 	if !cfg.Intercept || cfg.BinarizeThreshold == nil || *cfg.BinarizeThreshold != th || cfg.Shards != 3 {
@@ -294,8 +296,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := back.IngestFlat(testRows(10, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if back.Records() != s.Records()+10 {
-		t.Fatalf("post-restore ingest: records=%d, want %d", back.Records(), s.Records()+10)
+	if r, _ := back.Counts(); r != records+10 {
+		t.Fatalf("post-restore ingest: records=%d, want %d", r, records+10)
 	}
 }
 
@@ -388,8 +390,8 @@ func TestAdvanceSeqMonotone(t *testing.T) {
 	if _, err := s.IngestFlat(testRows(3, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if r := s.Records(); r != 12 {
-		t.Fatalf("Records = %d after post-advance ingest, want 12", r)
+	if r, _ := s.Counts(); r != 12 {
+		t.Fatalf("records = %d after post-advance ingest, want 12", r)
 	}
 }
 

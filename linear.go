@@ -17,7 +17,11 @@ func LinearRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskModel,
 // the privacy cost on your own data. With WithRidge it minimizes the same
 // penalized objective LinearRegression perturbs.
 func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, r, err := trainingCopy(ds, core.TaskNameLinear, nil, opts)
+	r, err := resolveFit(ds, core.TaskNameLinear, opts)
+	if err != nil {
+		return nil, err
+	}
+	norm, err := r.trainingCopy()
 	if err != nil {
 		return nil, err
 	}
@@ -25,6 +29,5 @@ func LinearRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.weights = w
-	return m, nil
+	return r.model(w), nil
 }

@@ -16,7 +16,11 @@ func LogisticRegression(ds *Dataset, epsilon float64, opts ...Option) (*TaskMode
 // LogisticRegressionExact fits the non-private maximum-likelihood model on
 // the same normalized representation — the NoPrivacy baseline.
 func LogisticRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
-	m, norm, _, err := trainingCopy(ds, core.TaskNameLogistic, nil, opts)
+	r, err := resolveFit(ds, core.TaskNameLogistic, opts)
+	if err != nil {
+		return nil, err
+	}
+	norm, err := r.trainingCopy()
 	if err != nil {
 		return nil, err
 	}
@@ -24,6 +28,5 @@ func LogisticRegressionExact(ds *Dataset, opts ...Option) (*TaskModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.weights = fit.Weights
-	return m, nil
+	return r.model(fit.Weights), nil
 }

@@ -55,25 +55,8 @@ func WithParallelism(n int) Option {
 }
 
 // Governor arbitrates accumulation workers across concurrent fits sharing
-// one process; see WithGovernor.
+// one process; see Release.Run.
 type Governor = core.Governor
-
-// WithGovernor submits the fit's resolved parallelism to a process-global
-// arbiter before the accumulation pool spins up, so many fits in flight
-// cannot oversubscribe the machine: the fit uses only the worker count the
-// governor grants (≥ 1) and returns it when the data pass finishes. This is
-// the knob a serving layer uses to keep its workers under a cap. fmserve's
-// governor admits a fit before charging it and then never blocks in
-// Acquire: under load the fit runs on the workers that are free rather
-// than waiting for more.
-//
-// Because the granted worker count depends on concurrent load, models fitted
-// under a governor are reproducible only to floating-point round-off across
-// runs (same caveat as varying WithParallelism); the privacy guarantee is
-// unchanged. A nil governor is ignored.
-func WithGovernor(g Governor) Option {
-	return func(c *config) { c.opts.Governor = g }
-}
 
 // Probe receives phase boundaries (kernel, solve, noise) from a fit; see
 // WithProbe.

@@ -57,14 +57,16 @@ func TestSessionRefusesMalformedReleases(t *testing.T) {
 	}
 }
 
-// TestCheckReleaseDecidesChargeAndFit is the release contract as a
-// property over every task × ridge weight × threshold × post-process ×
-// parallelism × ε: whatever CheckRelease refuses, Session.Charge refuses
-// with the same error and debits nothing, and FitTask refuses too; whatever
-// it accepts, Session.Charge debits and FitTask releases on a
-// well-conditioned dataset of the task's target rule. A ridge weight of
-// +Inf and a threshold of NaN or ±Inf are among the refused.
-func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
+// TestNewReleaseDecidesChargeAndFit is the release contract as a property
+// over every task × ridge weight × threshold × post-process × parallelism
+// × ε: whatever NewRelease refuses, FitTask and Session.FitTask refuse
+// with the same error and the session debits nothing; whatever it
+// accepts, Session.Charge debits its cost (2ε under Resample), Run
+// releases at that cost on a well-conditioned dataset of the task's target
+// rule, and so does FitTask. A ridge weight of +Inf, a threshold of NaN or
+// ±Inf and an ε whose Laplace scale overflows at d (1e-320) are among the
+// refused.
+func TestNewReleaseDecidesChargeAndFit(t *testing.T) {
 	normalized := incomeDataset(400, 71)
 	boolean := funcmech.NewDataset(incomeSchema())
 	for i := 0; i < normalized.Len(); i++ {
@@ -86,7 +88,7 @@ func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 			for _, threshold := range []*float64{nil, ptr(0.5), ptr(math.NaN()), ptr(math.Inf(1)), ptr(math.Inf(-1))} {
 				for _, pp := range posts {
 					for _, par := range []int{-1, 0, 2} {
-						for _, eps := range []float64{-1, 0, 1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
+						for _, eps := range []float64{-1, 0, 1e6, 1e-320, math.NaN(), math.Inf(1), math.Inf(-1)} {
 							name := fmt.Sprintf("%s ridge=%v threshold=%v %v parallelism=%d ε=%v", info.Name, ridge, deref(threshold), pp, par, eps)
 							opts := []funcmech.Option{funcmech.WithSeed(1), funcmech.WithPostProcess(pp), funcmech.WithParallelism(par)}
 							if ridge != 0 {
@@ -95,28 +97,34 @@ func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 							if threshold != nil {
 								opts = append(opts, funcmech.WithBinarizeThreshold(*threshold))
 							}
-							checkErr := funcmech.CheckRelease(info.Name, eps, opts...)
+							r, relErr := funcmech.NewRelease(ds, info.Name, eps, opts...)
 							s := funcmech.NewSession(1e7)
-							_, chargeErr := s.Charge(info.Name, eps, opts...)
 							_, _, fitErr := funcmech.FitTask(ds, info.Name, eps, opts...)
-							if checkErr != nil {
-								if chargeErr == nil || chargeErr.Error() != checkErr.Error() {
-									t.Errorf("%s: CheckRelease refused (%v) but Charge returned %v", name, checkErr, chargeErr)
+							if relErr != nil {
+								_, _, sessionErr := s.FitTask(ds, info.Name, eps, opts...)
+								for caller, err := range map[string]error{"FitTask": fitErr, "Session.FitTask": sessionErr} {
+									if err == nil || err.Error() != relErr.Error() {
+										t.Errorf("%s: NewRelease refused (%v) but %s returned %v", name, relErr, caller, err)
+									}
 								}
 								if s.Spent() != 0 {
 									t.Errorf("%s: refused request debited %v", name, s.Spent())
 								}
-								if fitErr == nil {
-									t.Errorf("%s: CheckRelease refused (%v) but FitTask released", name, checkErr)
-								}
 								continue
 							}
 							accepted++
-							if chargeErr != nil || s.Spent() == 0 {
-								t.Errorf("%s: CheckRelease accepted but Charge returned %v, spent %v", name, chargeErr, s.Spent())
+							cost := eps
+							if pp == funcmech.Resample {
+								cost = 2 * eps
+							}
+							if got, err := s.Charge(r); err != nil || got != cost || s.Spent() != cost {
+								t.Errorf("%s: NewRelease accepted but Charge returned (%v, %v), spent %v; want %v", name, got, err, s.Spent(), cost)
+							}
+							if _, rep, err := r.Run(nil); err != nil || rep.Epsilon != cost {
+								t.Errorf("%s: NewRelease accepted but Run returned %+v, %v", name, rep, err)
 							}
 							if fitErr != nil {
-								t.Errorf("%s: CheckRelease accepted but FitTask failed: %v", name, fitErr)
+								t.Errorf("%s: NewRelease accepted but FitTask failed: %v", name, fitErr)
 							}
 						}
 					}
@@ -132,14 +140,11 @@ func TestCheckReleaseDecidesChargeAndFit(t *testing.T) {
 	}
 }
 
-// TestCheckReleaseTypesItsRefusals: an unknown task wraps ErrUnknownTask,
+// TestNewReleaseTypesItsRefusals: an unknown task wraps ErrUnknownTask,
 // and an ε that is not finite and positive wraps ErrInvalidSpend, from
-// CheckRelease and from both fits. The fits refuse it before they read a
+// both constructors and both fits. They refuse it before they read a
 // record: the dataset holds a NaN that the record rule would refuse first.
-func TestCheckReleaseTypesItsRefusals(t *testing.T) {
-	if err := funcmech.CheckRelease("quantile", 1); !errors.Is(err, funcmech.ErrUnknownTask) {
-		t.Fatalf("unknown task: err = %v, want ErrUnknownTask", err)
-	}
+func TestNewReleaseTypesItsRefusals(t *testing.T) {
 	ds := incomeDataset(50, 74)
 	acc, err := funcmech.NewAccumulator(incomeSchema())
 	if err != nil {
@@ -147,13 +152,23 @@ func TestCheckReleaseTypesItsRefusals(t *testing.T) {
 	}
 	ingest(t, acc, ds)
 	ds.Append([]float64{math.NaN(), 12, 40}, 30000)
+	_, fitErr := funcmech.NewRelease(ds, "quantile", 1)
+	_, refitErr := funcmech.NewReleaseFromAccumulator(acc, "quantile", 1)
+	for name, err := range map[string]error{"NewRelease": fitErr, "NewReleaseFromAccumulator": refitErr} {
+		if !errors.Is(err, funcmech.ErrUnknownTask) {
+			t.Fatalf("%s of an unknown task: err = %v, want ErrUnknownTask", name, err)
+		}
+	}
 	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, relErr := funcmech.NewRelease(ds, "linear", eps)
+		_, refitRelErr := funcmech.NewReleaseFromAccumulator(acc, "linear", eps)
 		_, _, fitErr := funcmech.FitTask(ds, "linear", eps)
 		_, _, refitErr := funcmech.FitTaskFromAccumulator(acc, "linear", eps)
 		for name, err := range map[string]error{
-			"CheckRelease":           funcmech.CheckRelease("linear", eps),
-			"FitTask":                fitErr,
-			"FitTaskFromAccumulator": refitErr,
+			"NewRelease":                relErr,
+			"NewReleaseFromAccumulator": refitRelErr,
+			"FitTask":                   fitErr,
+			"FitTaskFromAccumulator":    refitErr,
 		} {
 			if !errors.Is(err, funcmech.ErrInvalidSpend) {
 				t.Errorf("%s at ε = %v: err = %v, want ErrInvalidSpend", name, eps, err)
@@ -182,6 +197,17 @@ func TestExactBaselinesRejectMalformedOptions(t *testing.T) {
 
 func ptr(v float64) *float64 { return &v }
 
+// linearRelease is a linear fit at ε over a small dataset, for tests that
+// only charge it.
+func linearRelease(t testing.TB, eps float64, opts ...funcmech.Option) *funcmech.Release {
+	t.Helper()
+	r, err := funcmech.NewRelease(incomeDataset(10, 1), "linear", eps, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // deref formats an optional threshold for a case name.
 func deref(t *float64) string {
 	if t == nil {
@@ -192,10 +218,10 @@ func deref(t *float64) string {
 
 // TestOverflowingNoiseScaleIsAnInvalidSpend: a positive ε so small that the
 // Laplace scale Δ/ε overflows to +Inf is refused like any unusable ε, with
-// ErrInvalidSpend. Both fits know the dimensionality before they read a
-// record or a fold, and refuse it there: the dataset holds a NaN the record
-// rule would refuse first. At d = 2, linear's Δ is 18, so ε = 1e-300
-// (scale 1.8e301) still releases.
+// ErrInvalidSpend. Both constructors know the dimensionality before they
+// read a record or a fold, and refuse it there, so both fits do: the
+// dataset holds a NaN the record rule would refuse first. At d = 2,
+// linear's Δ is 18, so ε = 1e-300 (scale 1.8e301) still releases.
 func TestOverflowingNoiseScaleIsAnInvalidSpend(t *testing.T) {
 	schema := funcmech.Schema{
 		Features: []funcmech.Attribute{{Name: "x1", Min: 0, Max: 1}, {Name: "x2", Min: 0, Max: 1}},
@@ -221,9 +247,16 @@ func TestOverflowingNoiseScaleIsAnInvalidSpend(t *testing.T) {
 	}
 	ds.Append([]float64{math.NaN(), 0}, 0)
 	for _, eps := range []float64{1e-320, math.SmallestNonzeroFloat64} {
+		_, relErr := funcmech.NewRelease(ds, "linear", eps, funcmech.WithSeed(1))
+		_, refitRelErr := funcmech.NewReleaseFromAccumulator(acc, "linear", eps, funcmech.WithSeed(1))
 		_, _, fitErr := funcmech.FitTask(ds, "linear", eps, funcmech.WithSeed(1))
 		_, _, refitErr := funcmech.FitTaskFromAccumulator(acc, "linear", eps, funcmech.WithSeed(1))
-		for name, err := range map[string]error{"FitTask": fitErr, "FitTaskFromAccumulator": refitErr} {
+		for name, err := range map[string]error{
+			"NewRelease":                relErr,
+			"NewReleaseFromAccumulator": refitRelErr,
+			"FitTask":                   fitErr,
+			"FitTaskFromAccumulator":    refitErr,
+		} {
 			if !errors.Is(err, funcmech.ErrInvalidSpend) {
 				t.Errorf("%s at ε = %v: err = %v, want ErrInvalidSpend", name, eps, err)
 			}

@@ -2,10 +2,11 @@
 # e2e_smoke.sh — end-to-end smoke test for fmserve, run by the CI e2e job
 # and runnable locally: builds the server, starts it against a generated
 # census dataset, registers a tenant whose budget admits exactly three fits,
-# drives three concurrent fits (all must succeed), asserts the fourth is
-# refused with the typed budget_exhausted 402, checks that a client which
-# stops mid-headers is disconnected within 20 s, and checks the server drains
-# cleanly on SIGTERM (non-zero exit of the drain fails the job).
+# asserts a fit whose ε overflows the Laplace scale is a 400 that charges
+# nothing, drives three concurrent fits (all must succeed), asserts the
+# fourth is refused with the typed budget_exhausted 402, checks that a
+# client which stops mid-headers is disconnected within 20 s, and checks the
+# server drains cleanly on SIGTERM (non-zero exit of the drain fails the job).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,6 +56,15 @@ code=$(curl -s -o "$WORKDIR/tenant.json" -w '%{http_code}' -X POST "$BASE/v1/ten
 
 fit_body='{"tenant":"acme","dataset":"income","model":"linear","epsilon":1.0,"options":{"intercept":true}}'
 
+echo "e2e: a fit whose Laplace scale overflows at d must be refused before its charge"
+code=$(curl -s -o "$WORKDIR/overflow.json" -w '%{http_code}' -X POST "$BASE/v1/fit" \
+  -H 'Content-Type: application/json' \
+  -d '{"tenant":"acme","dataset":"income","model":"linear","epsilon":1e-320}')
+[ "$code" = 400 ] || fail "overflowing-ε fit returned $code, want 400: $(cat "$WORKDIR/overflow.json")"
+grep -q '"invalid_request"' "$WORKDIR/overflow.json" \
+  || fail "overflowing-ε fit lacked the typed invalid_request error: $(cat "$WORKDIR/overflow.json")"
+echo "e2e: overflowing-ε fit refused with 400 invalid_request"
+
 echo "e2e: driving 3 concurrent fits"
 CURL_PIDS=()
 for i in 1 2 3; do
@@ -87,6 +97,8 @@ echo "e2e: fourth fit refused with $code budget_exhausted"
 echo "e2e: checking accounting via /metrics"
 curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt" || fail "metrics endpoint unreachable"
 grep -qx 'fm_fits_total 3' "$WORKDIR/metrics.txt" || fail "fm_fits_total != 3: $(cat "$WORKDIR/metrics.txt")"
+grep -qx 'fm_fits_error_total 0' "$WORKDIR/metrics.txt" \
+  || fail "fm_fits_error_total != 0: $(cat "$WORKDIR/metrics.txt")"
 grep -qx 'fm_epsilon_remaining{tenant="acme"} 0' "$WORKDIR/metrics.txt" \
   || fail "budget not fully spent: $(cat "$WORKDIR/metrics.txt")"
 

@@ -14,7 +14,7 @@ import (
 // debits the session before touching the data; once the budget is exhausted
 // further fits fail rather than silently eroding the guarantee. Which ε is
 // usable at all — finite and positive — is noise.CheckEpsilon's rule, which
-// CheckRelease, the fits and NewSession all apply.
+// the Release constructors and NewSession both apply.
 //
 //	s := funcmech.NewSession(1.0)                   // lifetime ε = 1.0
 //	m1, _, err := s.FitTask(ds, "linear", 0.5)      // spends 0.5
@@ -23,11 +23,12 @@ import (
 //	_, _, err = s.FitTask(ds, "median", 0.1)        // ErrBudgetExhausted
 //
 // Note the Resample post-processing option costs 2ε (Lemma 5); the session
-// charges the doubled amount. A request the library refuses for its task, ε
-// or options (CheckRelease) is refused before the debit and costs nothing. A
-// fit that fails after the debit (e.g. a record outside the target rule)
-// still consumes its budget: whether the pipeline errored on the data is
-// itself data-dependent information, so refunding it would be unsound.
+// charges the doubled amount. A request the Release constructors refuse,
+// for its task, options or ε at its d, is refused before the debit and
+// costs nothing. A fit that fails after the debit (e.g. a record outside
+// the target rule) still consumes its budget: whether the pipeline errored
+// on the data is itself data-dependent information, so refunding it would
+// be unsound.
 //
 // A Session is safe for concurrent use: the accountant debits atomically
 // before any fit touches the data (charge-then-fit), so goroutines racing on
@@ -44,8 +45,9 @@ type Session struct {
 // budget.
 var ErrBudgetExhausted = errors.New("funcmech: privacy budget exhausted")
 
-// ErrInvalidSpend is returned when a fit or charge names an ε that is not
-// finite and positive (noise.CheckEpsilon, the one rule for a usable ε) — a
+// ErrInvalidSpend is returned when a release names an ε that is not finite
+// and positive (noise.CheckEpsilon, the one rule for a usable ε), or whose
+// Laplace scale overflows at the release's d (noise.CheckScale) — a
 // malformed request, distinct from an exhausted budget. Serving layers map
 // it to a client error (HTTP 400) rather than a server failure.
 var ErrInvalidSpend = noise.ErrInvalidSpend
@@ -103,24 +105,16 @@ func (s *Session) Snapshot() (total, spent, remaining float64) {
 	return s.total, s.spent, max(s.total-s.spent, 0)
 }
 
-// Charge computes the true cost of releasing task at ε with the given
-// options (Resample doubles it, Lemma 5), debits the accountant, and returns
-// the cost that was debited. It exists for serving layers that must
-// interpose a durability step between the debit and the fit — charge,
-// journal the returned cost to a write-ahead log, then run the fit
-// uncharged via the package-level functions — so a crash after the debit
-// can only ever over-count the spend. It refuses, and debits nothing for,
-// whatever CheckRelease refuses: an unknown task wraps ErrUnknownTask, an ε
-// that is not finite and positive wraps ErrInvalidSpend. Exhaustion wraps
-// ErrBudgetExhausted and leaves the accountant unchanged.
-func (s *Session) Charge(task string, epsilon float64, opts ...Option) (float64, error) {
-	if err := CheckRelease(task, epsilon, opts...); err != nil {
-		return 0, err
-	}
-	cost := epsilon
-	if buildConfig(opts).opts.PostProcess == Resample {
-		cost = 2 * epsilon
-	}
+// Charge debits the accountant for r and returns the cost it debited: ε,
+// or 2ε under Resample (Lemma 5). A Release's constructor has already
+// refused everything the library would refuse of the request, so Charge
+// checks only the budget: exhaustion wraps ErrBudgetExhausted and leaves
+// the accountant unchanged. It exists for serving layers that must
+// interpose a durability step between the debit and the noise — charge,
+// journal the returned cost to a write-ahead log, then Run — so a crash
+// after the debit can only ever over-count the spend.
+func (s *Session) Charge(r *Release) (float64, error) {
+	cost := r.cost()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.spent+cost > s.total+chargeSlack {
@@ -147,31 +141,30 @@ func (s *Session) ReplaySpend(cost float64) {
 	s.spent = min(s.spent+cost, s.total)
 }
 
-// FitTask is FitTask debited against the session budget. What FitTask
-// refuses before reading a record (its task, options, record rule, or an ε
-// noise.CheckScale refuses at its d) is refused before the debit.
+// FitTask is FitTask debited against the session budget: NewRelease,
+// Charge, then Run. What NewRelease refuses is refused before the debit.
 func (s *Session) FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if _, _, err := fitRule(ds, task, &epsilon, opts); err != nil {
-		return nil, nil, err
-	}
-	if _, err := s.Charge(task, epsilon, opts...); err != nil {
-		return nil, nil, err
-	}
-	return FitTask(ds, task, epsilon, opts...)
+	return s.run(NewRelease(ds, task, epsilon, opts...))
 }
 
 // FitTaskFromAccumulator is FitTaskFromAccumulator debited against the
-// session budget. A refit is charged exactly like a one-shot fit: noise is
-// drawn fresh per release, so every release costs its full ε under
-// sequential composition even though no record is rescanned. A request
-// refused for its task, its options (fold-shaping ones given again), an
-// empty accumulator or an ε noise.CheckScale refuses at d debits nothing.
+// session budget: NewReleaseFromAccumulator, Charge, then Run. A refit is
+// charged exactly like a one-shot fit: noise is drawn fresh per release,
+// so every release costs its full ε under sequential composition even
+// though no record is rescanned. What NewReleaseFromAccumulator refuses is
+// refused before the debit.
 func (s *Session) FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	if _, err := a.resolve(task, epsilon, opts); err != nil {
+	return s.run(NewReleaseFromAccumulator(a, task, epsilon, opts...))
+}
+
+// run charges a release a constructor accepted and runs it once the debit
+// stands.
+func (s *Session) run(r *Release, err error) (*TaskModel, *Report, error) {
+	if err == nil {
+		_, err = s.Charge(r)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := s.Charge(task, epsilon, opts...); err != nil {
-		return nil, nil, err
-	}
-	return FitTaskFromAccumulator(a, task, epsilon, opts...)
+	return r.Run(nil)
 }

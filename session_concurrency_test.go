@@ -126,6 +126,10 @@ func TestSessionConcurrentChargesNeverOversubscribe(t *testing.T) {
 		goroutines = 64
 		charges    = 50
 	)
+	releases := make([]*funcmech.Release, 7)
+	for k := range releases {
+		releases[k] = linearRelease(t, 0.001*float64(1+k))
+	}
 	s := funcmech.NewSession(total)
 	done := make(chan struct{})
 	torn := make(chan string, 1)
@@ -151,7 +155,7 @@ func TestSessionConcurrentChargesNeverOversubscribe(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < charges; i++ {
-				if cost, err := s.Charge("linear", 0.001*float64(1+(g+i)%7)); err == nil {
+				if cost, err := s.Charge(releases[(g+i)%7]); err == nil {
 					granted <- cost
 				}
 			}

@@ -35,7 +35,7 @@ func TestSessionBudgetAccounting(t *testing.T) {
 	// Round-off is forgiven on exact exhaustion: 0.1 + 0.2 > 0.3 in float64.
 	s = funcmech.NewSession(0.3)
 	for _, eps := range []float64{0.1, 0.2} {
-		if _, err := s.Charge("linear", eps); err != nil {
+		if _, err := s.Charge(linearRelease(t, eps)); err != nil {
 			t.Fatalf("Charge(%v) on a session of 0.3: %v", eps, err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestSessionChargesResampleDouble(t *testing.T) {
 		t.Fatalf("Resample spent %v, want 0.8 (Lemma 5 doubles)", s.Spent())
 	}
 	// The doubled charge used the whole 2ε budget: a third ε does not fit.
-	if _, err := s.Charge("linear", 0.4); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+	if _, err := s.Charge(linearRelease(t, 0.4)); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("Charge(0.4) after a Resample fit of 0.4 on a session of 0.8: err = %v, want ErrBudgetExhausted", err)
 	}
 }
@@ -85,8 +85,8 @@ func TestSessionLogistic(t *testing.T) {
 // malformed request, typed ErrInvalidSpend and never read as exhaustion,
 // and it debits nothing; an overspend is exhaustion and nothing else. The
 // two fits also refuse, before the debit, a positive ε whose Laplace scale
-// Δ/ε overflows at their d (1e-320); Charge does not take d, so it is not
-// asked about that one.
+// Δ/ε overflows at their d (1e-320): each builds its Release first, and
+// the constructor refuses it.
 func TestSessionNonPositiveEpsilon(t *testing.T) {
 	s := funcmech.NewSession(1)
 	ds := incomeDataset(10, 34)
@@ -97,9 +97,6 @@ func TestSessionNonPositiveEpsilon(t *testing.T) {
 	ingest(t, acc, ds)
 	for _, eps := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-320} {
 		errs := map[string]error{}
-		if !(eps > 0) || math.IsInf(eps, 1) {
-			_, errs["Charge"] = s.Charge("linear", eps)
-		}
 		_, _, errs["FitTask"] = s.FitTask(ds, "linear", eps)
 		_, _, errs["FitTaskFromAccumulator"] = s.FitTaskFromAccumulator(acc, "linear", eps)
 		for name, err := range errs {
@@ -111,7 +108,7 @@ func TestSessionNonPositiveEpsilon(t *testing.T) {
 	if s.Spent() != 0 {
 		t.Fatalf("invalid requests consumed %v", s.Spent())
 	}
-	if _, err := s.Charge("linear", 2); !errors.Is(err, funcmech.ErrBudgetExhausted) || errors.Is(err, funcmech.ErrInvalidSpend) {
+	if _, err := s.Charge(linearRelease(t, 2)); !errors.Is(err, funcmech.ErrBudgetExhausted) || errors.Is(err, funcmech.ErrInvalidSpend) {
 		t.Fatalf("overspend = %v, want ErrBudgetExhausted alone", err)
 	}
 }
@@ -275,7 +272,7 @@ func TestSessionRefusesNonFiniteBudgets(t *testing.T) {
 	if got := s.Spent(); got != 0 {
 		t.Fatalf("Spent = %v after RestoreSpent(NaN) and ReplaySpend(NaN), want 0", got)
 	}
-	if _, err := s.Charge("linear", 1000); !errors.Is(err, funcmech.ErrBudgetExhausted) {
+	if _, err := s.Charge(linearRelease(t, 1000)); !errors.Is(err, funcmech.ErrBudgetExhausted) {
 		t.Fatalf("Charge(1000) on a session of 1: err = %v, want ErrBudgetExhausted", err)
 	}
 }
@@ -295,7 +292,7 @@ func TestSessionRestoreAndReplay(t *testing.T) {
 		{-0.1, false}, {1.5, false}, {math.Inf(1), false},
 	} {
 		s := funcmech.NewSession(1)
-		if _, err := s.Charge("linear", 0.25); err != nil {
+		if _, err := s.Charge(linearRelease(t, 0.25)); err != nil {
 			t.Fatal(err)
 		}
 		want := 0.25

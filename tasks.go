@@ -8,19 +8,18 @@ import (
 	"funcmech/internal/core"
 	"funcmech/internal/dataset"
 	"funcmech/internal/linalg"
-	"funcmech/internal/noise"
 	"funcmech/internal/regression"
 )
 
 // This file is the task-generic fit surface: every regression family the
 // mechanism can release is a core.TaskSpec row of the static task table,
-// and FitTask / FitTaskFromAccumulator resolve a task by name and run the
-// shared pipeline — one training copy under the record rule and the spec's
-// target rule, the spec's degree-2 objective, perturb, solve. Every fit
-// returns a TaskModel, and the paper's two case studies (LinearRegression,
-// LogisticRegression) are FitTask under their task names, so adding a row
-// makes a task fittable, servable and persistable everywhere without
-// touching any of the layers above.
+// and FitTask / FitTaskFromAccumulator make a Release of a task by name
+// (release.go) and run the shared pipeline — one training copy under the
+// record rule and the spec's target rule, the spec's degree-2 objective,
+// perturb, solve. Every fit returns a TaskModel, and the paper's two case
+// studies (LinearRegression, LogisticRegression) are FitTask under their
+// task names, so adding a row makes a task fittable, servable and
+// persistable everywhere without touching any of the layers above.
 
 // ErrUnknownTask is returned when a task name does not resolve in the
 // registry. Callers can match it with errors.Is; the message enumerates the
@@ -86,89 +85,6 @@ func LookupTask(name string) (TaskInfo, bool) {
 	return infoFromSpec(s), true
 }
 
-// release is one release request the library has accepted: the task row,
-// the task instantiated for this release, and the options it runs with.
-type release struct {
-	spec core.TaskSpec
-	task core.Task
-	cfg  config
-}
-
-// resolve is the one place that decides whether a release request is well
-// formed, before any data is touched or ε charged: the task must be in the
-// table, the core options valid, the ridge weight one the row's policy
-// takes, and a binarize threshold finite (the record rule's
-// dataset.CheckThreshold) and only given to a boolean-target task.
-// CheckRelease, Session.Charge, the fits and the exact baselines all ask
-// it.
-func resolve(name string, opts []Option) (release, error) {
-	spec, ok := core.LookupTask(name)
-	if !ok {
-		return release{}, unknownTask(name)
-	}
-	cfg := buildConfig(opts)
-	if err := cfg.opts.Validate(); err != nil {
-		return release{}, fmt.Errorf("funcmech: %w", err)
-	}
-	if err := dataset.CheckThreshold(cfg.threshold); err != nil {
-		return release{}, fmt.Errorf("funcmech: %w", err)
-	}
-	if cfg.threshold != nil && spec.Target != core.TargetBoolean {
-		return release{}, fmt.Errorf("funcmech: WithBinarizeThreshold applies only to boolean-target tasks; %q trains on a %s target", spec.Name, spec.Target)
-	}
-	task, err := spec.New(core.TaskParams{RidgeWeight: cfg.ridge})
-	if err != nil {
-		return release{}, fmt.Errorf("funcmech: %w", err)
-	}
-	return release{spec: spec, task: task, cfg: cfg}, nil
-}
-
-// CheckRelease reports whether the library would refuse to release task at
-// privacy budget epsilon with opts — an unknown task (wrapping
-// ErrUnknownTask), an ε that is not finite and positive (wrapping
-// ErrInvalidSpend), or options the task does not take — without touching
-// data or budget. Session.Charge refuses exactly what it refuses, so a
-// serving layer that checks a request here first never charges for a
-// release FitTask would refuse for its task, ε or options. An accepted
-// request can still fail on its data.
-func CheckRelease(task string, epsilon float64, opts ...Option) error {
-	if _, err := resolve(task, opts); err != nil {
-		return err
-	}
-	return noise.CheckEpsilon(epsilon)
-}
-
-// fitRule resolves a fit of task over ds and builds its record rule,
-// refusing an ε (FitTask's; the exact baselines pass nil) that
-// noise.CheckScale refuses at the rule's d: all a fit decides before it
-// reads a record, so Session.FitTask asks it before the debit.
-func fitRule(ds *Dataset, task string, epsilon *float64, opts []Option) (release, *dataset.Normalizer, error) {
-	r, err := resolve(task, opts)
-	if err != nil {
-		return r, nil, err
-	}
-	rule, err := dataset.NewRule(*ds.inner.Schema, r.cfg.intercept, r.cfg.threshold)
-	if err == nil && epsilon != nil {
-		err = noise.CheckScale(r.task.Sensitivity(rule.D()), *epsilon)
-	}
-	return r, rule, err
-}
-
-// trainingCopy makes the fit's one training copy under fitRule's record
-// rule, for FitTask and the exact baselines. It returns the model
-// (everything but the weights), the copy and the resolved release.
-func trainingCopy(ds *Dataset, task string, epsilon *float64, opts []Option) (*TaskModel, *dataset.Dataset, release, error) {
-	r, rule, err := fitRule(ds, task, epsilon, opts)
-	if err != nil {
-		return nil, nil, r, err
-	}
-	norm, err := rule.Normalize(ds.inner, r.spec.Target)
-	if err != nil {
-		return nil, nil, r, err
-	}
-	return &TaskModel{task: infoFromSpec(r.spec), rule: rule}, norm, r, nil
-}
-
 // TaskModel is the model every fit releases: the private weights plus the
 // record rule (schema bounds, intercept, binarize threshold) and target
 // rule the fit trained under, so one type serves every registered task. It
@@ -204,9 +120,6 @@ func (m *TaskModel) predict(x []float64) float64 {
 	}
 	return m.rule.DenormalizeLabel(t)
 }
-
-// Classify thresholds a boolean-target task's probability at 1/2.
-func (m *TaskModel) Classify(features []float64) bool { return m.Predict(features) > 0.5 }
 
 // meanOver returns the mean of f(x, y) over ds's records — NaN over none —
 // with x the record's feature vector under the record rule and y its raw
@@ -284,61 +197,34 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 
 // FitTask fits an ε-differentially private model for the named task over
 // ds — the single entry point LinearRegression, LogisticRegression and the
-// serving layers resolve every fit through. The dataset stays in raw units;
-// the record rule (the schema's public bounds, WithIntercept,
-// WithBinarizeThreshold) makes the fit's one normalized training copy,
-// which the privacy analysis requires. It refuses whatever CheckRelease
-// refuses, an unusable ε (noise.CheckScale at the fit's d, wrapping
-// ErrInvalidSpend) before it reads a record, and data the task cannot
-// train on: no records, a target its rule cannot label, or a NaN anywhere,
-// which the record rule refuses by record as it makes the copy. Unknown
-// names wrap ErrUnknownTask.
+// serving layers resolve every fit through: NewRelease, then Run. It
+// refuses whatever NewRelease refuses, before it reads a record, and
+// whatever Run refuses of the data. Unknown names wrap ErrUnknownTask.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	m, norm, r, err := trainingCopy(ds, task, &epsilon, opts)
+	r, err := NewRelease(ds, task, epsilon, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.Run(r.task, norm, epsilon, r.cfg.noiseSource(), r.cfg.opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.weights = res.Weights
-	return m, reportFrom(res), nil
+	return r.Run(nil)
 }
 
 // FitTaskFromAccumulator fits an ε-differentially private model for the
 // named task from the accumulated coefficients, with no pass over the
-// records: the release costs O(d²) regardless of how many records were
-// ingested. Fresh Laplace noise calibrated to the same sensitivity Δ is drawn
-// per call, so each release independently satisfies ε-differential privacy
-// and repeated releases compose sequentially (use a Session to enforce the
-// total).
+// records: NewReleaseFromAccumulator, then Run. The release costs O(d²)
+// regardless of how many records were ingested. Fresh Laplace noise
+// calibrated to the same sensitivity Δ is drawn per call, so each release
+// independently satisfies ε-differential privacy and repeated releases
+// compose sequentially (use a Session to enforce the total).
 //
 // At a fixed seed the result is bit-identical to FitTask over the same
 // records appended in the same order with WithParallelism(1): the
 // accumulator performs the identical serial fold the one-shot path performs.
-// WithParallelism and WithGovernor are accepted but have no effect here —
-// there is no record sweep to parallelize. The task's fold must be intact: a
-// fold poisoned during ingestion (a non-boolean target with no binarize
-// threshold, for boolean-target tasks) or absent from a restored snapshot
-// that predates the task fails with the poisoning error. An unusable ε
-// (noise.CheckScale at the accumulator's d) is refused before the fold is
-// read, with an error wrapping ErrInvalidSpend.
+// WithParallelism is accepted but has no effect here — there is no record
+// sweep to parallelize. The task's fold must be intact (see Run).
 func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
-	r, err := a.resolve(task, epsilon, opts)
+	r, err := NewReleaseFromAccumulator(a, task, epsilon, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	f := a.fold(r.spec.Fold)
-	if f == nil {
-		return nil, nil, fmt.Errorf("funcmech: accumulator has no fold for task %q", r.spec.Name)
-	}
-	if f.err != nil {
-		return nil, nil, f.err
-	}
-	res, err := core.RunFromQuadratic(r.task, f.acc.QuadraticOver(a.gram, r.task), epsilon, r.cfg.noiseSource(), r.cfg.opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &TaskModel{task: infoFromSpec(r.spec), weights: res.Weights, rule: a.rule}, reportFrom(res), nil
+	return r.Run(nil)
 }
